@@ -14,24 +14,6 @@
 //             8-byte SWAR word kernels, and the best vector tier the host
 //             offers (the `isa` column names it). Same code path, same
 //             output, same stats -- the columns isolate the kernel tier.
-//   shared    full simd pipeline, but with the per-state keyword vectors
-//             collapsed into one interner-wide vocabulary (TableOptions::
-//             shared_vocabulary) -- answers whether the interner could
-//             REPLACE the paper's per-state frontier vectors now that
-//             batching amortizes table builds. It cannot: the global
-//             vocabulary shortens BM/CW shifts and floods selective
-//             states with no-transition candidates (see the shared/full
-//             column), which is why both structures stay.
-//   plane     full simd pipeline with the shared structural bitmap plane
-//             enabled (TableOptions::use_bitmap_plane = true, default
-//             off): scans bit-walk the memoized plane instead of
-//             re-running the per-call kernels. The `plane` column
-//             (default-pipeline time / plane time) is the
-//             classify-once-consume-everywhere ratio at the same kernel
-//             tier -- below 1.0 means the per-call kernels win, which
-//             on XMark they do (see README "Measured ceiling"): each
-//             consumer sweeps a disjoint monotonic region, so there is
-//             no redundant classification for the plane to delete.
 //
 // Reports tags/sec and bytes/sec per workload plus speedups over legacy
 // and the simd/swar tier ratio; the outputs of all paths (and all tiers)
@@ -139,17 +121,13 @@ int Run() {
 
   TablePrinter table({"query", "tags/s(legacy)", "tags/s(interned)",
                       "tags/s(scalar)", "tags/s(swar)", "tags/s(simd)",
-                      "tags/s(plane)", "tags/s(shared)", "full/legacy",
-                      "simd/swar", "plane", "shared/full", "MB/s(simd)",
-                      "MB/s(plane)", "isa", "tags"});
+                      "full/legacy", "simd/swar", "MB/s(simd)", "isa",
+                      "tags"});
 
   double worst_full = 0;
   double geomean_full = 1;
   double geomean_tier = 1;
   double worst_tier = 0;
-  double geomean_shared = 1;
-  double geomean_plane = 1;
-  double worst_plane = 0;
   int rows = 0;
   for (const Workload& w : XmarkWorkloads()) {
     core::CompileOptions legacy_opts;
@@ -158,34 +136,24 @@ int Run() {
     core::CompileOptions interned_opts;
     interned_opts.tables.disable_matcher_skip_loops = true;
     core::CompileOptions full_opts;
-    core::CompileOptions plane_opts;
-    plane_opts.tables.use_bitmap_plane = true;
-    core::CompileOptions shared_opts;
-    shared_opts.tables.shared_vocabulary = true;
 
     core::Prefilter legacy = MustCompile(w, legacy_opts);
     core::Prefilter interned = MustCompile(w, interned_opts);
     core::Prefilter full = MustCompile(w, full_opts);
-    core::Prefilter plane = MustCompile(w, plane_opts);
-    core::Prefilter shared = MustCompile(w, shared_opts);
 
     // Cross-check before timing: no path -- and no kernel tier -- may
     // change the output.
     auto out_legacy = legacy.RunOnBuffer(doc);
     auto out_interned = interned.RunOnBuffer(doc);
     auto out_full = full.RunOnBuffer(doc);
-    auto out_plane = plane.RunOnBuffer(doc);
-    auto out_shared = shared.RunOnBuffer(doc);
     simd::SetIsa(simd::Isa::kScalar);
     auto out_scalar = full.RunOnBuffer(doc);
     simd::SetIsa(simd::Isa::kSwar);
     auto out_swar = full.RunOnBuffer(doc);
     simd::SetIsa(best);
     if (!out_legacy.ok() || !out_interned.ok() || !out_full.ok() ||
-        !out_plane.ok() || !out_shared.ok() || !out_scalar.ok() ||
-        !out_swar.ok() || *out_legacy != *out_interned ||
-        *out_legacy != *out_full || *out_legacy != *out_plane ||
-        *out_legacy != *out_shared || *out_legacy != *out_scalar ||
+        !out_scalar.ok() || !out_swar.ok() || *out_legacy != *out_interned ||
+        *out_legacy != *out_full || *out_legacy != *out_scalar ||
         *out_legacy != *out_swar) {
       std::fprintf(stderr, "%s: hot-path variants disagree!\n", w.id);
       return 1;
@@ -199,43 +167,27 @@ int Run() {
     Measurement m_swar = Measure(full, doc, reps);
     simd::SetIsa(best);
     Measurement m_simd = Measure(full, doc, reps);
-    Measurement m_plane = Measure(plane, doc, reps);
-    Measurement m_shared = Measure(shared, doc, reps);
     double speedup_full = m_legacy.seconds / m_simd.seconds;
     double speedup_tier = m_swar.seconds / m_simd.seconds;
-    double speedup_plane = m_simd.seconds / m_plane.seconds;
-    double ratio_shared = m_simd.seconds / m_shared.seconds;
     if (rows == 0 || speedup_full < worst_full) worst_full = speedup_full;
     if (rows == 0 || speedup_tier < worst_tier) worst_tier = speedup_tier;
-    if (rows == 0 || speedup_plane < worst_plane) worst_plane = speedup_plane;
     geomean_full *= speedup_full;
     geomean_tier *= speedup_tier;
-    geomean_shared *= ratio_shared;
-    geomean_plane *= speedup_plane;
     ++rows;
 
     table.AddRow({w.id, Rate(m_legacy.TagsPerSec()),
                   Rate(m_interned.TagsPerSec()), Rate(m_scalar.TagsPerSec()),
                   Rate(m_swar.TagsPerSec()), Rate(m_simd.TagsPerSec()),
-                  Rate(m_plane.TagsPerSec()), Rate(m_shared.TagsPerSec()),
                   Fmt("%.2fx", speedup_full), Fmt("%.2fx", speedup_tier),
-                  Fmt("%.2fx", speedup_plane), Fmt("%.2fx", ratio_shared),
-                  Fmt("%.1f", m_simd.MbPerSec()),
-                  Fmt("%.1f", m_plane.MbPerSec()), isa,
+                  Fmt("%.1f", m_simd.MbPerSec()), isa,
                   std::to_string(m_simd.tags)});
   }
   table.Print("hotpath_micro");
   std::printf(
       "full pipeline vs seed: worst %.2fx, geomean %.2fx; %s kernels vs "
-      "swar skip loops: worst %.2fx, geomean %.2fx; bitmap plane vs "
-      "per-call kernels (same tier): worst %.2fx, geomean %.2fx; "
-      "shared-vocabulary ablation vs per-state keyword vectors: geomean "
-      "%.2fx (below 1.0 means the per-state vectors earn their build "
-      "cost)\n",
+      "swar kernels: worst %.2fx, geomean %.2fx\n",
       worst_full, rows > 0 ? std::pow(geomean_full, 1.0 / rows) : 0.0, isa,
-      worst_tier, rows > 0 ? std::pow(geomean_tier, 1.0 / rows) : 0.0,
-      worst_plane, rows > 0 ? std::pow(geomean_plane, 1.0 / rows) : 0.0,
-      rows > 0 ? std::pow(geomean_shared, 1.0 / rows) : 0.0);
+      worst_tier, rows > 0 ? std::pow(geomean_tier, 1.0 / rows) : 0.0);
   return 0;
 }
 

@@ -536,12 +536,6 @@ class SlidingWindow {
   /// Absolute position of the first byte the stream delivered.
   uint64_t origin() const { return origin_; }
 
-  /// Bumped whenever resident bytes move inside the buffer (slide) or the
-  /// buffer itself is reallocated (growth). Append-only refills do NOT
-  /// change it, so (data pointer, base, epoch) keys derived state that must
-  /// survive refills but not slides -- the simd::BitmapPlane binding.
-  uint64_t epoch() const { return epoch_; }
-
   /// Forgets a previously observed end-of-stream so the next Ensure probes
   /// the stream again. Used by resumable sessions whose backing stream is a
   /// chunk feed: a drained feed looks like EOF until the next chunk arrives.
@@ -561,7 +555,6 @@ class SlidingWindow {
   uint64_t base_ = 0;   // absolute position of buf_[0]
   size_t size_ = 0;     // valid bytes in buf_
   uint64_t lock_ = 0;   // bytes >= lock_ must stay resident
-  uint64_t epoch_ = 0;  // see epoch()
   bool eof_ = false;
   size_t max_capacity_ = 0;
   EvictFn evict_fn_;

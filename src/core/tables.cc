@@ -220,7 +220,6 @@ Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
                                   const SubgraphAutomaton& sub,
                                   const TableOptions& opts) {
   RuntimeTables tables;
-  tables.use_bitmap_plane = opts.use_bitmap_plane;
   tables.stopover_states = sel.stopover_states;
   tables.collapsed_pairs = sel.collapsed_pairs;
   for (bool b : sel.in_s) {
@@ -352,9 +351,7 @@ Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
         return Status::Internal("failed to build matcher for state " +
                                 std::to_string(q));
       }
-      state.matcher->set_skip_mode(opts.disable_matcher_skip_loops
-                                       ? strmatch::SkipLoopMode::kClassic
-                                       : opts.matcher_skip_mode);
+      state.matcher->set_skip_loops(!opts.disable_matcher_skip_loops);
       if (state.keywords.size() == 1) {
         ++tables.num_bm_states;
       } else {
@@ -373,48 +370,6 @@ Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
     // Retained for the multi-query product compiler (see DfaState doc).
     state.subset_members = subsets[q];
     state.vocab_tokens.assign(vocab_tokens.begin(), vocab_tokens.end());
-  }
-
-  if (opts.shared_vocabulary) {
-    // Ablation: one interner-wide keyword set for every searching state
-    // instead of the per-state frontier vectors. Final states (empty
-    // vocabulary) stay inert; everyone else scans for the union and lets
-    // no-transition candidates fall out as false matches.
-    std::vector<std::string> shared;
-    size_t shared_max = 0;
-    for (const DfaState& st : tables.states) {
-      shared.insert(shared.end(), st.keywords.begin(), st.keywords.end());
-    }
-    std::sort(shared.begin(), shared.end());
-    shared.erase(std::unique(shared.begin(), shared.end()), shared.end());
-    for (const std::string& k : shared) {
-      shared_max = std::max(shared_max, k.size());
-    }
-    tables.num_bm_states = 0;
-    tables.num_cw_states = 0;
-    for (size_t q = 0; q < tables.states.size(); ++q) {
-      DfaState& state = tables.states[q];
-      if (state.keywords.empty()) continue;
-      state.keywords = shared;
-      state.max_keyword = shared_max;
-      state.matcher = strmatch::MakeMatcher(state.keywords, opts.algorithm);
-      if (state.matcher == nullptr) {
-        state.matcher = strmatch::MakeMatcher(state.keywords,
-                                              strmatch::Algorithm::kAuto);
-      }
-      if (state.matcher == nullptr) {
-        return Status::Internal("failed to build shared matcher for state " +
-                                std::to_string(q));
-      }
-      state.matcher->set_skip_mode(opts.disable_matcher_skip_loops
-                                       ? strmatch::SkipLoopMode::kClassic
-                                       : opts.matcher_skip_mode);
-      if (state.keywords.size() == 1) {
-        ++tables.num_bm_states;
-      } else {
-        ++tables.num_cw_states;
-      }
-    }
   }
 
   if (opts.use_map_dispatch) {

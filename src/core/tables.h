@@ -79,9 +79,9 @@ struct DfaState {
   /// pattern i. Deliberately per-state rather than one interner-wide set:
   /// the interner resolves an already-found tag to its transition, while
   /// these vectors decide how far the BM/CW search can SHIFT through raw
-  /// bytes -- collapsing them to the global vocabulary costs ~30% geomean
-  /// throughput on the XMark sweep (TableOptions::shared_vocabulary in
-  /// bench_hotpath_micro measures it), so both structures stay.
+  /// bytes -- collapsing them to the global vocabulary cost ~30% geomean
+  /// throughput on the XMark sweep when last measured, so both structures
+  /// stay.
   std::vector<std::string> keywords;
   /// Compiled search structure over `keywords` (null iff keywords empty).
   std::unique_ptr<strmatch::Matcher> matcher;
@@ -202,10 +202,8 @@ struct RuntimeTables {
   /// is immutable after construction.
   std::shared_ptr<const MultiQueryInfo> multi;
 
-  /// Mirror of TableOptions::use_bitmap_plane; sessions AND it with the
-  /// process-wide simd::PlaneEnabled(). Not part of Fingerprint(): the
-  /// plane never changes what is projected, only how bytes are classified.
-  bool use_bitmap_plane = false;
+  /// Inert, always false: kept only because smpx-bench/src reads it.
+  static constexpr bool use_bitmap_plane = false;
 
   // Report metadata (paper Table I "States (CW + BM)").
   size_t num_cw_states = 0;   ///< states with |V| > 1
@@ -241,36 +239,11 @@ struct TableOptions {
   /// scanner) instead of the interned fast path; differential-testing and
   /// benchmarking baseline.
   bool use_map_dispatch = false;
-  /// Disable the matchers' candidate skip loops entirely (classical
-  /// textbook BM/CW scan loops); together with use_map_dispatch this
-  /// restores the seed's matching + tag-resolution hot path (prolog
-  /// skipping is span-based in both modes). Overrides matcher_skip_mode.
+  /// Disable the matchers' candidate skip loops (classical textbook BM/CW
+  /// scan loops); together with use_map_dispatch this restores the seed's
+  /// matching + tag-resolution hot path (prolog skipping is span-based in
+  /// both modes). Differential-testing baseline.
   bool disable_matcher_skip_loops = false;
-  /// Candidate skip-loop tier for BM/CW when skip loops are enabled:
-  /// kSimd (default, dispatched bitmap probes) or kSwar (8-byte word
-  /// probes) -- same matches, same search stats, different probe speed.
-  /// Apples-to-apples ablation hook for bench_hotpath_micro.
-  strmatch::SkipLoopMode matcher_skip_mode = strmatch::SkipLoopMode::kSimd;
-  /// Ablation: replace every state's frontier vocabulary with the union
-  /// over all states -- i.e. collapse the paper's per-state keyword
-  /// vectors into one interner-wide keyword set. Output is unchanged
-  /// (extra candidates hit no-transition entries and count as false
-  /// matches), but BM/CW shift distances shrink to the global minimum and
-  /// false-candidate work grows; bench_hotpath_micro measures the cost.
-  /// Initial jumps J[q] stay per-state (they derive from the automaton,
-  /// not the keyword list).
-  bool shared_vocabulary = false;
-  /// Classify each resident window once through a shared simd::BitmapPlane
-  /// and bit-walk it from the consumers with cross-state sharing (engine
-  /// span scans, the CW lead-lane probe) instead of re-running kernels per
-  /// call. Output and search stats are identical either way (also ANDed
-  /// with the process-wide simd::PlaneEnabled()). Default off: on XMark
-  /// every consumer sweeps a disjoint monotonic region and the hot byte
-  /// classes hit nearly every block, so the per-call kernels already
-  /// classify each byte once and the plane's fill+walk overhead costs
-  /// ~15% geomean throughput (bench_hotpath_micro's plane column keeps
-  /// the trade-off measured; see README "Measured ceiling").
-  bool use_bitmap_plane = false;
 };
 
 /// Determinizes the subgraph automaton and builds all tables.

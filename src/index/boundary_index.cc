@@ -277,11 +277,9 @@ Result<BoundaryIndex> BoundaryIndex::Build(const core::RuntimeTables& tables,
   if (max_splits > 0) {
     bounds = pool->size() > 1
                  ? parallel::FindTopLevelBoundariesParallel(
-                       doc, static_cast<size_t>(max_splits), pool,
-                       /*scanned_bytes=*/nullptr, opts.use_bitmap_plane)
+                       doc, static_cast<size_t>(max_splits), pool)
                  : parallel::FindTopLevelBoundaries(
-                       doc, static_cast<size_t>(max_splits),
-                       opts.use_bitmap_plane);
+                       doc, static_cast<size_t>(max_splits));
   }
 
   // The sharded execution pipeline with the output thrown away: speculate
@@ -326,8 +324,8 @@ Result<BoundaryIndex> BoundaryIndex::Build(const core::RuntimeTables& tables,
     pool->RunAndWait(ne, [&](size_t j) {
       const uint64_t begin = j == 0 ? 0 : idx.entries_[j - 1].offset;
       const uint64_t end = idx.entries_[j].offset;
-      counts[j] = parallel::CountTopLevelStarts(
-          doc, begin, end, j == 0 ? 0 : 1, opts.use_bitmap_plane);
+      counts[j] =
+          parallel::CountTopLevelStarts(doc, begin, end, j == 0 ? 0 : 1);
     });
     uint64_t total = 0;
     for (size_t j = 0; j < ne; ++j) {

@@ -276,13 +276,9 @@ class SpeculativeResolver {
 /// sections, processing instructions, DOCTYPE internal subsets, and quoted
 /// attribute values, so a candidate never lands mid-tag or inside opaque
 /// markup. Documents with few top-level children simply yield fewer splits
-/// (possibly none). `use_plane` routes the structural scans through a
-/// local simd::BitmapPlane over the document (classify once, bit-walk
-/// everywhere); it changes throughput only, never the boundaries, and is
-/// further gated on the process-wide simd::PlaneEnabled().
+/// (possibly none).
 std::vector<uint64_t> FindTopLevelBoundaries(std::string_view doc,
-                                             size_t max_splits,
-                                             bool use_plane = true);
+                                             size_t max_splits);
 
 /// Region-parallel variant of FindTopLevelBoundaries: each target's region
 /// is scanned concurrently on `pool` (relative depths), then a sequential
@@ -303,7 +299,8 @@ std::vector<uint64_t> FindTopLevelBoundaries(std::string_view doc,
 /// a pool thread.
 std::vector<uint64_t> FindTopLevelBoundariesParallel(
     std::string_view doc, size_t max_splits, ThreadPool* pool,
-    uint64_t* scanned_bytes = nullptr, bool use_plane = true);
+    uint64_t* scanned_bytes = nullptr,
+    bool = false);  // ignored; kept because smpx-bench/src still passes it
 
 /// Counts top-level record starts -- element starts (opening or bachelor
 /// tags) whose parent is the document root -- in doc[begin, end), using
@@ -315,8 +312,7 @@ std::vector<uint64_t> FindTopLevelBoundariesParallel(
 /// per-segment counts over a boundary partition sum exactly. Feeds the
 /// boundary index's record ordinals.
 uint64_t CountTopLevelStarts(std::string_view doc, uint64_t begin,
-                             uint64_t end, int64_t depth_at_begin,
-                             bool use_plane = true);
+                             uint64_t end, int64_t depth_at_begin);
 
 /// Prefilters `doc` by sharding it across `pool`. Output and the merged
 /// `stats` totals are byte-identical to RunEngine over the same document

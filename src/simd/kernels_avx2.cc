@@ -66,47 +66,7 @@ SMPX_TARGET_AVX2 uint64_t Pair64Avx2(const unsigned char* p, size_t delta,
   return mask;
 }
 
-SMPX_TARGET_AVX2 void EqFillAvx2(const unsigned char* p, size_t nblocks,
-                                 unsigned char c, uint64_t* out) {
-  const __m256i needle = _mm256_set1_epi8(static_cast<char>(c));
-  for (size_t b = 0; b < nblocks; ++b) {
-    const unsigned char* q = p + kBlock * b;
-    __m256i lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q));
-    __m256i hi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + 32));
-    out[b] = MoveMask32(_mm256_cmpeq_epi8(lo, needle)) |
-             (MoveMask32(_mm256_cmpeq_epi8(hi, needle)) << 32);
-  }
-}
-
-SMPX_TARGET_AVX2 void AnyFillAvx2(const unsigned char* p, size_t nblocks,
-                                  const ByteSet& set, uint64_t* out) {
-  for (size_t b = 0; b < nblocks; ++b) out[b] = Any64Avx2(p + kBlock * b, set);
-}
-
-SMPX_TARGET_AVX2 void PairFillAvx2(const unsigned char* p, size_t nblocks,
-                                   size_t delta, unsigned char a,
-                                   unsigned char b, uint64_t* out) {
-  const __m256i na = _mm256_set1_epi8(static_cast<char>(a));
-  const __m256i nb = _mm256_set1_epi8(static_cast<char>(b));
-  for (size_t k = 0; k < nblocks; ++k) {
-    const unsigned char* q = p + kBlock * k;
-    __m256i lo0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q));
-    __m256i lo1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + 32));
-    __m256i hi0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + delta));
-    __m256i hi1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + delta + 32));
-    out[k] = MoveMask32(_mm256_and_si256(_mm256_cmpeq_epi8(lo0, na),
-                                         _mm256_cmpeq_epi8(hi0, nb))) |
-             (MoveMask32(_mm256_and_si256(_mm256_cmpeq_epi8(lo1, na),
-                                          _mm256_cmpeq_epi8(hi1, nb)))
-              << 32);
-  }
-}
-
-constexpr Kernels kAvx2 = {Isa::kAvx2,  Eq64Avx2,    Any64Avx2,   Pair64Avx2,
-                           EqFillAvx2,  AnyFillAvx2, PairFillAvx2};
+constexpr Kernels kAvx2 = {Isa::kAvx2, Eq64Avx2, Any64Avx2, Pair64Avx2};
 
 }  // namespace
 

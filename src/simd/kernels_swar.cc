@@ -1,5 +1,4 @@
-// SWAR tier: 8-bytes-per-word classification built on the same primitives
-// as the matcher skip loops (strmatch/byte_scan.h). Always available on any
+// SWAR tier: 8-bytes-per-word classification. Always available on any
 // host; the portable performance fallback when no vector unit is usable.
 //
 // ByteEqMask yields 0x80 in every matching byte; the multiply-compaction
@@ -8,13 +7,38 @@
 // byte k's bit at position 7k+7 + ... -- each product bit position has at
 // most one (k, weight) contribution (k + j = 7 uniquely), so no carries.
 
+#include <cstring>
+
 #include "simd/kernels.h"
-#include "strmatch/byte_scan.h"
 
 namespace smpx::simd::detail {
 namespace {
 
-namespace bs = smpx::strmatch::detail;
+constexpr uint64_t kOnes = 0x0101010101010101ull;
+constexpr uint64_t kHighs = 0x8080808080808080ull;
+
+/// Returns a word with bit 7 set in every byte of `w` equal to `c`. Uses
+/// the exact (carry-free) zero-byte detector: the cheaper
+/// `(x - ones) & ~x & highs` variant has false positives in bytes above a
+/// true hit.
+inline uint64_t ByteEqMask(uint64_t w, unsigned char c) {
+  uint64_t x = w ^ (kOnes * c);
+  // High bit of each byte is 0 iff the byte is zero.
+  uint64_t nonzero = ((x & ~kHighs) + ~kHighs) | x;
+  return ~nonzero & kHighs;
+}
+
+/// Loads 8 bytes unaligned, normalized so that the byte at `p` is the
+/// least significant one (text order == bit order on every host).
+inline uint64_t LoadWord(const unsigned char* p) {
+  uint64_t w;
+  std::memcpy(&w, p, sizeof(w));
+#if defined(__BYTE_ORDER__) && defined(__ORDER_BIG_ENDIAN__) && \
+    __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+  w = __builtin_bswap64(w);
+#endif
+  return w;
+}
 
 /// 0x80-per-byte mask -> 8 LSB-first bits (byte k of w -> bit k).
 inline uint64_t Compact(uint64_t high_mask) {
@@ -24,8 +48,8 @@ inline uint64_t Compact(uint64_t high_mask) {
 uint64_t Eq64Swar(const unsigned char* p, unsigned char c) {
   uint64_t mask = 0;
   for (size_t w = 0; w < kBlock / 8; ++w) {
-    uint64_t word = bs::LoadWord(reinterpret_cast<const char*>(p) + 8 * w);
-    mask |= Compact(bs::ByteEqMask(word, c)) << (8 * w);
+    uint64_t word = LoadWord(p + 8 * w);
+    mask |= Compact(ByteEqMask(word, c)) << (8 * w);
   }
   return mask;
 }
@@ -33,10 +57,10 @@ uint64_t Eq64Swar(const unsigned char* p, unsigned char c) {
 uint64_t Any64Swar(const unsigned char* p, const ByteSet& set) {
   uint64_t mask = 0;
   for (size_t w = 0; w < kBlock / 8; ++w) {
-    uint64_t word = bs::LoadWord(reinterpret_cast<const char*>(p) + 8 * w);
+    uint64_t word = LoadWord(p + 8 * w);
     uint64_t hits = 0;
     for (unsigned j = 0; j < set.n; ++j) {
-      hits |= bs::ByteEqMask(word, set.chars[j]);
+      hits |= ByteEqMask(word, set.chars[j]);
     }
     mask |= Compact(hits) << (8 * w);
   }
@@ -47,33 +71,15 @@ uint64_t Pair64Swar(const unsigned char* p, size_t delta, unsigned char a,
                     unsigned char b) {
   uint64_t mask = 0;
   for (size_t w = 0; w < kBlock / 8; ++w) {
-    const char* base = reinterpret_cast<const char*>(p) + 8 * w;
-    uint64_t hits = bs::ByteEqMask(bs::LoadWord(base), a) &
-                    bs::ByteEqMask(bs::LoadWord(base + delta), b);
+    const unsigned char* base = p + 8 * w;
+    uint64_t hits = ByteEqMask(LoadWord(base), a) &
+                    ByteEqMask(LoadWord(base + delta), b);
     mask |= Compact(hits) << (8 * w);
   }
   return mask;
 }
 
-void EqFillSwar(const unsigned char* p, size_t nblocks, unsigned char c,
-                uint64_t* out) {
-  for (size_t b = 0; b < nblocks; ++b) out[b] = Eq64Swar(p + kBlock * b, c);
-}
-
-void AnyFillSwar(const unsigned char* p, size_t nblocks, const ByteSet& set,
-                 uint64_t* out) {
-  for (size_t b = 0; b < nblocks; ++b) out[b] = Any64Swar(p + kBlock * b, set);
-}
-
-void PairFillSwar(const unsigned char* p, size_t nblocks, size_t delta,
-                  unsigned char a, unsigned char b, uint64_t* out) {
-  for (size_t k = 0; k < nblocks; ++k) {
-    out[k] = Pair64Swar(p + kBlock * k, delta, a, b);
-  }
-}
-
-constexpr Kernels kSwar = {Isa::kSwar,  Eq64Swar,    Any64Swar,   Pair64Swar,
-                           EqFillSwar,  AnyFillSwar, PairFillSwar};
+constexpr Kernels kSwar = {Isa::kSwar, Eq64Swar, Any64Swar, Pair64Swar};
 
 }  // namespace
 

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "simd/simd.h"
-#include "strmatch/byte_scan.h"
 
 namespace smpx::strmatch {
 namespace {
@@ -125,7 +124,7 @@ BoyerMooreMatcher::BoyerMooreMatcher(std::string pattern) {
     good_suffix_[im - 1 - suf[i]] = im - 1 - i;
   }
 
-  // Probe byte for the memchr skip loop: the rarest byte of the pattern
+  // Probe byte for the skip loop: the rarest byte of the pattern
   // (ties go to the rightmost occurrence).
   for (size_t i = 1; i < m; ++i) {
     if (XmlByteRarity(static_cast<unsigned char>(p[i])) <=
@@ -153,19 +152,11 @@ BoyerMooreMatcher::BoyerMooreMatcher(std::string pattern) {
 
 Match BoyerMooreMatcher::Search(std::string_view text, size_t from,
                                 SearchStats* stats) const {
-  return Search(text, from, stats, nullptr);
-}
-
-Match BoyerMooreMatcher::Search(std::string_view text, size_t from,
-                                SearchStats* stats,
-                                const PlaneContext* ctx) const {
   const std::string& p = patterns_[0];
   const size_t m = p.size();
   const size_t n = text.size();
   if (from > n || n - from < m) return {};
-  if (skip_mode_ != SkipLoopMode::kClassic) {
-    return SearchSkip(text, from, stats, ctx);
-  }
+  if (skip_loops_) return SearchSkip(text, from, stats);
 
   size_t i = from;  // current alignment: pattern start at text position i
   while (i + m <= n) {
@@ -191,20 +182,8 @@ Match BoyerMooreMatcher::Search(std::string_view text, size_t from,
   return {};
 }
 
-// Note on the bitmap plane: BM deliberately does NOT consult it. The probe
-// byte for tag keywords is '<', which occurs every ~25 bytes in
-// element-dense XML, so nearly every 64-byte block has hits and a bitmap
-// walk cannot skip anything -- it only adds bitmap loads and per-word
-// rechecks on top of the pair kernel's two loads + two compares per block.
-// And because each BM state searches a disjoint, monotonically-advancing
-// region, the per-call kernels classify each byte at most once already;
-// memoizing per-state pair classes in plane lanes was measured to cost
-// ~1.5 extra full-document classification passes for zero reuse. The
-// PlaneContext parameter stays for interface uniformity (Commentz-Walter
-// does profit from the shared '<' lead lane).
 Match BoyerMooreMatcher::SearchSkip(std::string_view text, size_t from,
-                                    SearchStats* stats,
-                                    const PlaneContext* /*ctx*/) const {
+                                    SearchStats* stats) const {
   const std::string& p = patterns_[0];
   const size_t m = p.size();
   const size_t n = text.size();
@@ -213,11 +192,10 @@ Match BoyerMooreMatcher::SearchSkip(std::string_view text, size_t from,
 
   // Skip loop: no occurrence can align unless its probe byte (the rarest
   // pattern byte, '<' for tag keywords) matches, so only probe-byte hits
-  // become candidate alignments. The hits are popped word-at-a-time (SWAR,
-  // byte_scan.h) or block-at-a-time (SIMD bitmaps, simd/simd.h) -- both
-  // enumerate candidates in ascending text order, so matches AND stats are
-  // tier-independent. Candidates below the BM-shift frontier `i` are
-  // dropped without a verify.
+  // become candidate alignments. The hits are popped block-at-a-time from
+  // the dispatched SIMD bitmaps (simd/simd.h) in ascending text order on
+  // every ISA tier, so matches AND stats are tier-independent. Candidates
+  // below the BM-shift frontier `i` are dropped without a verify.
   const size_t kp = probe_pos_;
   const unsigned char probe = static_cast<unsigned char>(p[kp]);
   size_t i = from;  // minimal admissible alignment (the shift frontier)
@@ -251,11 +229,12 @@ Match BoyerMooreMatcher::SearchSkip(std::string_view text, size_t from,
     return false;
   };
 
+  const simd::Kernels& kn = simd::Active();
   if (pair_probe_) {
-    // Two-byte SWAR pair probe: a candidate alignment survives only when
-    // BOTH probe bytes match, one word-load + mask each. The second load
-    // never reads past the text: with lo/hi <= m-1, the last alignment's
-    // hi byte sits at (n - m) + hi <= n - 1.
+    // Two-byte pair probe: a candidate alignment survives only when BOTH
+    // probe bytes match. The full-block branch is in-bounds: with
+    // lo/hi <= m-1, k + 64 <= scan_end implies
+    // k + delta + 64 <= n - m + hi + 1 <= n.
     const size_t lo = std::min(kp, probe2_pos_);
     const size_t hi = std::max(kp, probe2_pos_);
     const unsigned char b_lo = static_cast<unsigned char>(p[lo]);
@@ -263,65 +242,29 @@ Match BoyerMooreMatcher::SearchSkip(std::string_view text, size_t from,
     const size_t delta = hi - lo;
     const size_t scan_end = n - m + lo + 1;
     size_t k = from + lo;
-    if (skip_mode_ == SkipLoopMode::kSimd) {
-      // Block-at-a-time pair probe. The full-block branch is in-bounds:
-      // k + 64 <= scan_end implies k + delta + 64 <= n - m + hi + 1 <= n.
-      const simd::Kernels& kn = simd::Active();
-      while (k < scan_end) {
-        size_t take = scan_end - k;
-        uint64_t hits;
-        if (take >= simd::kBlock) {
-          take = simd::kBlock;
-          hits = kn.pair64(ud + k, delta, b_lo, b_hi);
-        } else {
-          hits = simd::PairMaskTail(ud + k, n - k, delta, b_lo, b_hi) &
-                 simd::TakeMask(take);
-        }
-        while (hits != 0) {
-          size_t a = k + simd::NextSetBit(hits) - lo;
-          hits = simd::ClearLowestBit(hits);
-          if (a < i) continue;  // below the shift frontier
-          if (verify(a)) return {a, 0};
-        }
-        k += take;
+    while (k < scan_end) {
+      size_t take = scan_end - k;
+      uint64_t hits;
+      if (take >= simd::kBlock) {
+        take = simd::kBlock;
+        hits = kn.pair64(ud + k, delta, b_lo, b_hi);
+      } else {
+        hits = simd::PairMaskTail(ud + k, n - k, delta, b_lo, b_hi) &
+               simd::TakeMask(take);
       }
-      if (stats != nullptr && n - m + 1 > i) {
-        ++stats->shifts;
-        stats->shift_chars += n - m + 1 - i;
-      }
-      return {};
-    }
-    for (; k + 8 <= scan_end; k += 8) {
-      uint64_t hits =
-          detail::ByteEqMask(detail::LoadWord(d + k), b_lo) &
-          detail::ByteEqMask(detail::LoadWord(d + k + delta), b_hi);
       while (hits != 0) {
-        size_t a = k + detail::LowestHitByte(hits) - lo;
-        hits = detail::ClearLowestHit(hits);
+        size_t a = k + simd::NextSetBit(hits) - lo;
+        hits = simd::ClearLowestBit(hits);
         if (a < i) continue;  // below the shift frontier
         if (verify(a)) return {a, 0};
       }
+      k += take;
     }
-    for (; k < scan_end; ++k) {
-      if (static_cast<unsigned char>(d[k]) == b_lo &&
-          static_cast<unsigned char>(d[k + delta]) == b_hi) {
-        size_t a = k - lo;
-        if (a < i) continue;
-        if (verify(a)) return {a, 0};
-      }
-    }
-    if (stats != nullptr && n - m + 1 > i) {
-      ++stats->shifts;
-      stats->shift_chars += n - m + 1 - i;
-    }
-    return {};
-  }
-
-  // Scan probe positions s in [from + kp, n - m + kp]; alignment a = s - kp.
-  const size_t scan_end = n - m + kp + 1;
-  size_t k = from + kp;
-  if (skip_mode_ == SkipLoopMode::kSimd) {
-    const simd::Kernels& kn = simd::Active();
+  } else {
+    // Scan probe positions s in [from + kp, n - m + kp]; alignment
+    // a = s - kp.
+    const size_t scan_end = n - m + kp + 1;
+    size_t k = from + kp;
     while (k < scan_end) {
       size_t take = scan_end - k;
       uint64_t hits;
@@ -338,27 +281,6 @@ Match BoyerMooreMatcher::SearchSkip(std::string_view text, size_t from,
         if (verify(a)) return {a, 0};
       }
       k += take;
-    }
-    if (stats != nullptr && n - m + 1 > i) {
-      ++stats->shifts;
-      stats->shift_chars += n - m + 1 - i;
-    }
-    return {};
-  }
-  for (; k + 8 <= scan_end; k += 8) {
-    uint64_t hits = detail::ByteEqMask(detail::LoadWord(d + k), probe);
-    while (hits != 0) {
-      size_t a = k + detail::LowestHitByte(hits) - kp;
-      hits = detail::ClearLowestHit(hits);
-      if (a < i) continue;  // below the shift frontier
-      if (verify(a)) return {a, 0};
-    }
-  }
-  for (; k < scan_end; ++k) {
-    if (static_cast<unsigned char>(d[k]) == probe) {
-      size_t a = k - kp;
-      if (a < i) continue;
-      if (verify(a)) return {a, 0};
     }
   }
   if (stats != nullptr && n - m + 1 > i) {

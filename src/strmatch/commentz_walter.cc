@@ -5,9 +5,7 @@
 #include <cstring>
 #include <queue>
 
-#include "simd/bitmap_plane.h"
 #include "simd/simd.h"
-#include "strmatch/byte_scan.h"
 
 namespace smpx::strmatch {
 
@@ -153,32 +151,14 @@ CommentzWalterMatcher::CommentzWalterMatcher(
         fwd_[static_cast<size_t>(node)].pattern = static_cast<int32_t>(pi);
       }
     }
-
-    // Second-byte precheck (plane trie-verify vectorization): valid only
-    // when it mirrors the first two forward-trie steps exactly -- no
-    // length-1 pattern (the lead step must never be terminal) and at most
-    // ByteSet-many distinct second bytes.
-    const int32_t lead_node =
-        fwd_[0].next[static_cast<unsigned char>(lead_)];
-    if (lead_node >= 0 && fwd_[static_cast<size_t>(lead_node)].pattern < 0) {
-      precheck_ok_ = true;
-      for (int c = 0; c < 256; ++c) {
-        if (fwd_[static_cast<size_t>(lead_node)].next[c] < 0) continue;
-        if (second_set_.n >= 8) {
-          precheck_ok_ = false;
-          break;
-        }
-        second_set_.chars[second_set_.n++] = static_cast<unsigned char>(c);
-      }
-    }
   }
 }
 
 Match CommentzWalterMatcher::SearchFast(std::string_view text, size_t from,
-                                        SearchStats* stats,
-                                        const PlaneContext* ctx) const {
+                                        SearchStats* stats) const {
   const size_t n = text.size();
-  const char* d = text.data();
+  const unsigned char* ud =
+      reinterpret_cast<const unsigned char*>(text.data());
   const unsigned char lead = static_cast<unsigned char>(lead_);
 
   // Anchored verification: walk the forward trie; the first terminal is
@@ -196,8 +176,7 @@ Match CommentzWalterMatcher::SearchFast(std::string_view text, size_t from,
     int32_t node = 0;
     for (size_t k = s; k < n; ++k) {
       if (stats != nullptr) ++stats->comparisons;
-      node = fwd_[static_cast<size_t>(node)]
-                 .next[static_cast<unsigned char>(d[k])];
+      node = fwd_[static_cast<size_t>(node)].next[ud[k]];
       if (node < 0) return {};
       int32_t pat = fwd_[static_cast<size_t>(node)].pattern;
       if (pat >= 0) return {s, pat};
@@ -205,135 +184,25 @@ Match CommentzWalterMatcher::SearchFast(std::string_view text, size_t from,
     return {};
   };
 
-  // Candidate scan: pop every lead-byte hit out of each 8-byte word (SWAR,
-  // byte_scan.h) or 64-byte block (SIMD bitmap). Both enumerate hits in
-  // ascending text order, so matches and stats are tier-independent.
-  size_t k = from;
-  if (skip_mode_ == SkipLoopMode::kSimd) {
-    if (ctx != nullptr && ctx->plane != nullptr) {
-      simd::BitmapPlane* plane = ctx->plane;
-      const bool pre = precheck_ok_;
-      // Lane resolved once for the whole scan; the walk below reads raw
-      // lane words chunk by chunk, so the per-block cost is one load.
-      const simd::BitmapPlane::LaneRef lead_lane = plane->EqLaneRef(lead);
-      // Aligned word walk: one lane word per 64 text bytes, edges masked
-      // in place. Candidate positions and order are identical to the
-      // block-at-a-time kernel loop below.
-      if (k < n) {
-        const uint64_t abs_begin = ctx->abs_base + k;
-        const uint64_t abs_end = ctx->abs_base + n;
-        const size_t w_end = plane->WordIndexOf(abs_end - 1) + 1;
-        size_t w = plane->WordIndexOf(abs_begin);
-        while (w < w_end) {
-          const size_t c = w / simd::BitmapPlane::kChunkWords;
-          size_t w_stop = (c + 1) * simd::BitmapPlane::kChunkWords;
-          if (w_stop > w_end) w_stop = w_end;
-          const uint64_t* words = plane->ChunkWords(lead_lane, c);
-          for (; w < w_stop; ++w) {
-            uint64_t hits = words[w];
-            if (hits == 0) continue;
-            const uint64_t base = plane->WordBase(w);
-            if (base < abs_begin) hits &= ~simd::TakeMask(abs_begin - base);
-            if (abs_end - base < simd::kBlock) {
-              hits &= simd::TakeMask(abs_end - base);
-            }
-            uint64_t second = 0;
-            if (pre && hits != 0) {
-              // Bit i = the byte after position base + i is a viable
-              // second byte -- same bit index as the lead hit at base + i.
-              // Classified on demand from the text (one masked-tail call
-              // per candidate word): the bits every consulted index sees
-              // are exactly what a memoized any-lane would hold, but
-              // sparse candidates never pay for whole-chunk fills.
-              const uint64_t lo =
-                  base < abs_begin ? abs_begin - base : uint64_t{0};
-              const uint64_t at = base + 1 + lo;
-              if (abs_end > at) {
-                uint64_t count = abs_end - at;
-                if (count > simd::kBlock - lo) count = simd::kBlock - lo;
-                second = simd::AnyMaskTail(
-                             reinterpret_cast<const unsigned char*>(d) +
-                                 static_cast<size_t>(at - ctx->abs_base),
-                             static_cast<size_t>(count), second_set_)
-                         << lo;
-              }
-              if (stats == nullptr) {
-                // A killed candidate verifies to no-match with no side
-                // effects, so it can be dropped wholesale. (A clear bit
-                // can also mean text ends at the candidate's second byte;
-                // verify returns no-match there too since no pattern is
-                // 1 byte.)
-                hits &= second;
-              }
-            }
-            while (hits != 0) {
-              size_t bit = simd::NextSetBit(hits);
-              hits = simd::ClearLowestBit(hits);
-              size_t s = static_cast<size_t>(base + bit - ctx->abs_base);
-              if (pre && stats != nullptr && s + 1 < n &&
-                  ((second >> bit) & 1) == 0) {
-                // Precheck kill: account exactly what verify would have --
-                // the shift bookkeeping plus two comparisons (lead step +
-                // failed second step) -- without touching the trie.
-                if (s > prev) {
-                  ++stats->shifts;
-                  stats->shift_chars += s - prev;
-                }
-                prev = s + 1;
-                stats->comparisons += 2;
-                continue;
-              }
-              Match m = verify(s);
-              if (m.found()) return m;
-            }
-          }
-        }
-      }
-      if (stats != nullptr && n > prev) {
-        ++stats->shifts;
-        stats->shift_chars += n - prev;
-      }
-      return {};
+  // Candidate scan: pop every lead-byte hit out of each 64-byte block's
+  // SIMD bitmap in ascending text order, so matches and stats are
+  // tier-independent.
+  const simd::Kernels& kn = simd::Active();
+  for (size_t k = from; k < n;) {
+    size_t take = n - k;
+    uint64_t hits;
+    if (take >= simd::kBlock) {
+      take = simd::kBlock;
+      hits = kn.eq64(ud + k, lead);
+    } else {
+      hits = simd::EqMaskTail(ud + k, take, lead);
     }
-    const simd::Kernels& kn = simd::Active();
-    const unsigned char* ud = reinterpret_cast<const unsigned char*>(d);
-    while (k < n) {
-      size_t take = n - k;
-      uint64_t hits;
-      if (take >= simd::kBlock) {
-        take = simd::kBlock;
-        hits = kn.eq64(ud + k, lead);
-      } else {
-        hits = simd::EqMaskTail(ud + k, take, lead);
-      }
-      while (hits != 0) {
-        size_t s = k + simd::NextSetBit(hits);
-        Match m = verify(s);
-        if (m.found()) return m;
-        hits = simd::ClearLowestBit(hits);
-      }
-      k += take;
-    }
-    if (stats != nullptr && n > prev) {
-      ++stats->shifts;
-      stats->shift_chars += n - prev;
-    }
-    return {};
-  }
-  for (; k + 8 <= n; k += 8) {
-    uint64_t hits = detail::ByteEqMask(detail::LoadWord(d + k), lead);
     while (hits != 0) {
-      size_t s = k + detail::LowestHitByte(hits);
-      Match m = verify(s);
+      Match m = verify(k + simd::NextSetBit(hits));
       if (m.found()) return m;
-      hits = detail::ClearLowestHit(hits);
+      hits = simd::ClearLowestBit(hits);
     }
-  }
-  for (; k < n; ++k) {
-    if (static_cast<unsigned char>(d[k]) == lead) {
-      Match m = verify(k);
-      if (m.found()) return m;
-    }
+    k += take;
   }
   if (stats != nullptr && n > prev) {
     ++stats->shifts;
@@ -344,18 +213,10 @@ Match CommentzWalterMatcher::SearchFast(std::string_view text, size_t from,
 
 Match CommentzWalterMatcher::Search(std::string_view text, size_t from,
                                     SearchStats* stats) const {
-  return Search(text, from, stats, nullptr);
-}
-
-Match CommentzWalterMatcher::Search(std::string_view text, size_t from,
-                                    SearchStats* stats,
-                                    const PlaneContext* ctx) const {
   const size_t n = text.size();
   const size_t wmin = trie_.wmin;
   if (wmin == 0 || from > n || n - from < wmin) return {};
-  if (fast_path_ && skip_mode_ != SkipLoopMode::kClassic) {
-    return SearchFast(text, from, stats, ctx);
-  }
+  if (fast_path_ && skip_loops_) return SearchFast(text, from, stats);
 
   size_t i = from + wmin - 1;  // window end position in text
   while (i < n) {

@@ -48,7 +48,6 @@
 #include "parallel/shard.h"
 #include "parallel/thread_pool.h"
 #include "query/multiquery.h"
-#include "simd/bitmap_plane.h"
 #include "simd/simd.h"
 #include "xml/tokenizer.h"
 #include "xmlgen/dtd_sampler.h"
@@ -104,32 +103,8 @@ std::vector<uint64_t> TokenizerTopLevelStarts(std::string_view doc) {
 
 /// Runs every execution mode over `doc` and asserts byte-identical output
 /// and matching semantic stats against the serial engine.
-/// RAII: randomly flips the process-wide structural bitmap plane for the
-/// current case and restores the prior setting on scope exit. Every mode
-/// must be insensitive to the toggle (the plane changes classification
-/// throughput, never results).
-class RandomPlaneToggle {
- public:
-  explicit RandomPlaneToggle(xmlgen::Rng* rng) : saved_(simd::PlaneEnabled()) {
-    simd::SetPlaneEnabled(xmlgen::Chance(rng, 0.5));
-  }
-  ~RandomPlaneToggle() { simd::SetPlaneEnabled(saved_); }
-
- private:
-  bool saved_;
-};
-
-/// Compile options with the bitmap plane opted in (it defaults off), so the
-/// per-case RandomPlaneToggle actually exercises both classification paths.
-CompileOptions PlaneOnOpts() {
-  CompileOptions opts;
-  opts.tables.use_bitmap_plane = true;
-  return opts;
-}
-
 void ExpectAllModesIdentical(const Prefilter& pf, const std::string& doc,
                              xmlgen::Rng* rng) {
-  RandomPlaneToggle plane_toggle(rng);
   EngineOptions eopts = RandomEngineOptions(rng);
   RunStats serial_stats;
   auto serial = pf.RunOnBuffer(doc, &serial_stats, eopts);
@@ -352,7 +327,7 @@ TEST(FuzzDiffTest, RandomDtdDocumentsAcrossAllModes) {
     std::string doc = xmlgen::RandomDocument(dtd, &rng);
     std::vector<paths::ProjectionPath> paths =
         xmlgen::RandomPaths(dtd, &rng);
-    auto pf = Prefilter::Compile(dtd, std::move(paths), PlaneOnOpts());
+    auto pf = Prefilter::Compile(dtd, std::move(paths));
     ASSERT_TRUE(pf.ok()) << pf.status().ToString();
     ExpectAllModesIdentical(*pf, doc, &rng);
     ExpectBoundaryProperties(*pf, doc, /*dtd_valid=*/true);
@@ -370,7 +345,7 @@ TEST(FuzzDiffTest, EdgeMixedDocumentsStayByteIdentical) {
     std::string doc = xmlgen::RandomDocument(dtd, &rng);
     std::vector<paths::ProjectionPath> paths =
         xmlgen::RandomPaths(dtd, &rng);
-    auto pf = Prefilter::Compile(dtd, std::move(paths), PlaneOnOpts());
+    auto pf = Prefilter::Compile(dtd, std::move(paths));
     ASSERT_TRUE(pf.ok()) << pf.status().ToString();
     // Comments/CDATA/PIs keep the tag stream DTD-valid, so the
     // containment property must still hold...
@@ -398,8 +373,7 @@ TEST(FuzzDiffTest, XmarkSampledDocumentsAcrossAllModes) {
     auto paths = paths::ProjectionPath::ParseList(
         "/site/people/person@ /site/people/person/name#");
     ASSERT_TRUE(paths.ok());
-    auto pf = Prefilter::Compile(xmlgen::XmarkDtd(), std::move(*paths),
-                                 PlaneOnOpts());
+    auto pf = Prefilter::Compile(xmlgen::XmarkDtd(), std::move(*paths));
     ASSERT_TRUE(pf.ok()) << pf.status().ToString();
     ExpectAllModesIdentical(*pf, doc, &rng);
     ExpectBoundaryProperties(*pf, doc, /*dtd_valid=*/true);
@@ -418,8 +392,7 @@ TEST(FuzzDiffTest, MedlineSampledDocumentsAcrossAllModes) {
         "/MedlineCitationSet/MedlineCitation/MedlineJournalInfo# "
         "/MedlineCitationSet/MedlineCitation/DateCompleted#");
     ASSERT_TRUE(paths.ok());
-    auto pf = Prefilter::Compile(xmlgen::MedlineDtd(), std::move(*paths),
-                                 PlaneOnOpts());
+    auto pf = Prefilter::Compile(xmlgen::MedlineDtd(), std::move(*paths));
     ASSERT_TRUE(pf.ok()) << pf.status().ToString();
     ExpectAllModesIdentical(*pf, doc, &rng);
     ExpectBoundaryProperties(*pf, doc, /*dtd_valid=*/true);
@@ -438,8 +411,7 @@ TEST(FuzzDiffTest, ProteinSampledDocumentsAcrossAllModes) {
         "/ProteinDatabase/ProteinEntry/protein/name# "
         "/ProteinDatabase/ProteinEntry/header@");
     ASSERT_TRUE(paths.ok());
-    auto pf = Prefilter::Compile(xmlgen::ProteinDtd(), std::move(*paths),
-                                 PlaneOnOpts());
+    auto pf = Prefilter::Compile(xmlgen::ProteinDtd(), std::move(*paths));
     ASSERT_TRUE(pf.ok()) << pf.status().ToString();
     ExpectAllModesIdentical(*pf, doc, &rng);
     ExpectBoundaryProperties(*pf, doc, /*dtd_valid=*/true);
@@ -463,8 +435,7 @@ TEST(FuzzDiffTest, EveryDispatchTierReplaysByteIdentical) {
     dtd::Dtd dtd = xmlgen::RandomDtd(&rng);
     std::string doc = InjectEdgeMix(xmlgen::RandomDocument(dtd, &rng), &rng,
                                     /*stray_closers=*/true);
-    auto pf = Prefilter::Compile(dtd, xmlgen::RandomPaths(dtd, &rng),
-                                 PlaneOnOpts());
+    auto pf = Prefilter::Compile(dtd, xmlgen::RandomPaths(dtd, &rng));
     ASSERT_TRUE(pf.ok()) << pf.status().ToString();
     EngineOptions eopts = RandomEngineOptions(&rng);
 
@@ -544,7 +515,6 @@ TEST(FuzzDiffTest, MultiQueryMixesMatchIndependentRuns) {
     ASSERT_EQ(mq->num_queries(), n);
     ASSERT_LE(mq->num_unique(), n);
 
-    RandomPlaneToggle plane_toggle(&rng);
     EngineOptions eopts = RandomEngineOptions(&rng);
     auto check = [&](const std::string& mode,
                      const std::vector<StringSink>& sinks,

@@ -429,12 +429,6 @@ TEST(MultiQueryTest, RejectsUnsupportedModesAndInputs) {
     auto mq = MultiQuery::Compile(dtd, one, opts);
     EXPECT_FALSE(mq.ok());
   }
-  {  // Shared-vocabulary ablation: per-state frontiers are load-bearing.
-    MultiQueryOptions opts;
-    opts.compile.tables.shared_vocabulary = true;
-    auto mq = MultiQuery::Compile(dtd, one, opts);
-    EXPECT_FALSE(mq.ok());
-  }
 }
 
 TEST(MultiQueryTest, SingleQueryDriversRejectProductTables) {

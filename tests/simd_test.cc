@@ -18,8 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include "simd/bitmap_plane.h"
-
 namespace smpx::simd {
 namespace {
 
@@ -333,287 +331,6 @@ TEST(SimdKernelTest, FuzzAllTiersAgainstScalar) {
           << IsaName(isa) << " round=" << round;
       EXPECT_EQ(PairMaskTail(p, len, delta, c, '>'), ref_tail_pair)
           << IsaName(isa) << " round=" << round;
-    }
-  }
-}
-
-// --- BitmapPlane -------------------------------------------------------------
-// The plane must be bit-identical to the per-call kernel path under every
-// tier: same words the masked-tail helpers would produce, same Find*
-// results, across alignments, binding ends, append-rebinds, invalidations,
-// and lane-eviction pressure. These are the oracles the consumers
-// (engine/shard/matchers) rely on for byte-identical output.
-
-/// Lane-word oracle honoring the binding end: bit i = (p[rel+i] == c),
-/// zero at and past n.
-uint64_t PlaneEqOracle(const unsigned char* p, size_t n, size_t rel,
-                       unsigned char c) {
-  uint64_t m = 0;
-  for (size_t i = 0; i < 64 && rel + i < n; ++i) {
-    if (p[rel + i] == c) m |= uint64_t{1} << i;
-  }
-  return m;
-}
-
-uint64_t PlaneAnyOracle(const unsigned char* p, size_t n, size_t rel,
-                        const ByteSet& set) {
-  uint64_t m = 0;
-  for (size_t i = 0; i < 64 && rel + i < n; ++i) {
-    for (unsigned j = 0; j < set.n; ++j) {
-      if (p[rel + i] == set.chars[j]) m |= uint64_t{1} << i;
-    }
-  }
-  return m;
-}
-
-/// Bits whose pair partner sits at or past the binding end are zero (the
-/// PairMaskTail convention).
-uint64_t PlanePairOracle(const unsigned char* p, size_t n, size_t rel,
-                         size_t delta, unsigned char a, unsigned char b) {
-  uint64_t m = 0;
-  for (size_t i = 0; i < 64 && rel + i + delta < n; ++i) {
-    if (p[rel + i] == a && p[rel + i + delta] == b) m |= uint64_t{1} << i;
-  }
-  return m;
-}
-
-TEST(BitmapPlaneTest, EnabledToggleRoundTrips) {
-  const bool was = PlaneEnabled();
-  SetPlaneEnabled(false);
-  EXPECT_FALSE(PlaneEnabled());
-  SetPlaneEnabled(true);
-  EXPECT_TRUE(PlaneEnabled());
-  SetPlaneEnabled(was);
-}
-
-// Word extraction matches the oracle on every tier, at every alignment
-// within a block, at block boundaries, and across the binding end, with a
-// non-zero origin (absolute addressing).
-TEST(BitmapPlaneTest, WordsMatchOracleOnEveryTierAtEveryAlignment) {
-  IsaGuard guard;
-  const std::vector<unsigned char> corpus = MakeCorpus(4096, 11);
-  const char* d = reinterpret_cast<const char*>(corpus.data());
-  const size_t n = corpus.size();
-  const uint64_t origin = 1'000'000;
-  static constexpr ByteSet kSet("[]>\"'");
-  std::vector<size_t> rels;
-  for (size_t r = 0; r <= 65; ++r) rels.push_back(r);
-  for (size_t r = 66; r + 130 < n; r += 37) rels.push_back(r);
-  for (size_t r = n - 130; r < n; ++r) rels.push_back(r);
-  for (Isa isa : AvailableIsas()) {
-    ASSERT_EQ(SetIsa(isa), isa);
-    BitmapPlane plane;
-    plane.Bind(d, n, origin);
-    EXPECT_EQ(plane.origin(), origin);
-    EXPECT_EQ(plane.end(), origin + n);
-    for (size_t rel : rels) {
-      const uint64_t abs = origin + rel;
-      for (unsigned char c : {'<', '>', 'z'}) {
-        EXPECT_EQ(plane.EqWord(c, abs),
-                  PlaneEqOracle(corpus.data(), n, rel, c))
-            << IsaName(isa) << " rel=" << rel << " c=" << c;
-      }
-      EXPECT_EQ(plane.AnyWord(kSet, abs),
-                PlaneAnyOracle(corpus.data(), n, rel, kSet))
-          << IsaName(isa) << " rel=" << rel;
-      for (size_t delta : {1u, 2u, 7u}) {
-        EXPECT_EQ(plane.PairWord('<', '>', delta, abs),
-                  PlanePairOracle(corpus.data(), n, rel, delta, '<', '>'))
-            << IsaName(isa) << " rel=" << rel << " delta=" << delta;
-      }
-    }
-  }
-}
-
-// Plane Find* over arbitrary sub-ranges of the binding returns exactly what
-// the per-call helpers return over the same bytes, on every tier.
-TEST(BitmapPlaneTest, FindsMatchPerCallHelpersOnEveryTier) {
-  IsaGuard guard;
-  const std::vector<unsigned char> corpus = MakeCorpus(4096, 12);
-  const char* d = reinterpret_cast<const char*>(corpus.data());
-  const size_t n = corpus.size();
-  const uint64_t origin = 999;
-  static constexpr ByteSet kSet("[]>\"'");
-  for (Isa isa : AvailableIsas()) {
-    ASSERT_EQ(SetIsa(isa), isa);
-    BitmapPlane plane;
-    plane.Bind(d, n, origin);
-    for (size_t rel : {0u, 1u, 63u, 64u, 65u, 1000u, 4000u}) {
-      for (size_t want_len :
-           {0u, 1u, 5u, 63u, 64u, 65u, 127u, 128u, 2000u, 4096u}) {
-        const size_t len = want_len < n - rel ? want_len : n - rel;
-        const uint64_t abs = origin + rel;
-        for (unsigned char c : {'<', 'q'}) {
-          EXPECT_EQ(plane.FindByte(abs, len, c),
-                    simd::FindByte(d + rel, len, c))
-              << IsaName(isa) << " rel=" << rel << " len=" << len;
-        }
-        EXPECT_EQ(plane.FindAny(abs, len, kSet),
-                  simd::FindAny(d + rel, len, kSet))
-            << IsaName(isa) << " rel=" << rel << " len=" << len;
-        for (std::string_view term : {std::string_view("?>"),
-                                      std::string_view("-->"),
-                                      std::string_view("]]>")}) {
-          EXPECT_EQ(plane.FindPattern(abs, len, term),
-                    simd::FindPattern(d + rel, len, term))
-              << IsaName(isa) << " rel=" << rel << " len=" << len
-              << " term=" << term;
-        }
-      }
-    }
-  }
-}
-
-// Append-only rebinds (the SlidingWindow refill pattern: same data, origin,
-// epoch, larger n) must re-open the partial word at the old end -- bytes
-// past the old binding become visible to already-computed lanes.
-TEST(BitmapPlaneTest, AppendRebindKeepsLanesAndReopensTailWord) {
-  IsaGuard guard;
-  std::vector<unsigned char> corpus = MakeCorpus(1024, 13);
-  corpus[700] = '#';  // only occurrence, past the first binding end
-  const char* d = reinterpret_cast<const char*>(corpus.data());
-  const uint64_t origin = 4242;
-  for (Isa isa : AvailableIsas()) {
-    ASSERT_EQ(SetIsa(isa), isa);
-    BitmapPlane plane;
-    // First binding ends mid-word at 517; a full scan computes (and caps)
-    // every lane word against that end.
-    plane.Bind(d, 517, origin);
-    EXPECT_EQ(plane.FindByte(origin, 517, '#'), 517u) << IsaName(isa);
-    EXPECT_EQ(plane.EqWord('<', origin + 512),
-              PlaneEqOracle(corpus.data(), 517, 512, '<'))
-        << IsaName(isa);
-    // Append-rebind to the full buffer: the '#' at 700 and the tail of the
-    // word containing 517 must now be visible.
-    plane.Bind(d, corpus.size(), origin);
-    EXPECT_EQ(plane.FindByte(origin, corpus.size(), '#'), 700u)
-        << IsaName(isa);
-    for (size_t rel : {448u, 511u, 512u, 516u, 517u, 518u, 576u, 960u}) {
-      EXPECT_EQ(plane.EqWord('<', origin + rel),
-                PlaneEqOracle(corpus.data(), corpus.size(), rel, '<'))
-          << IsaName(isa) << " rel=" << rel;
-      EXPECT_EQ(plane.PairWord('-', '>', 2, origin + rel),
-                PlanePairOracle(corpus.data(), corpus.size(), rel, 2, '-',
-                                '>'))
-          << IsaName(isa) << " rel=" << rel;
-    }
-  }
-}
-
-// A pair bit whose partner sat past the old binding end is clamped to 0;
-// an append-rebind must re-open it even when the old end was an exact
-// word multiple (no partial tail word), because the clamped bits live in
-// a *kept whole* word -- the trailing delta bytes before the old end.
-TEST(BitmapPlaneTest, AppendRebindReopensPairPartnersPastOldEnd) {
-  IsaGuard guard;
-  std::vector<unsigned char> corpus = MakeCorpus(512, 77);
-  corpus[123] = 'A';
-  corpus[133] = 'B';  // delta-10 partner, past the first binding end of 128
-  const char* d = reinterpret_cast<const char*>(corpus.data());
-  const uint64_t origin = 5000;
-  for (Isa isa : AvailableIsas()) {
-    ASSERT_EQ(SetIsa(isa), isa);
-    BitmapPlane plane;
-    plane.Bind(d, 128, origin);
-    EXPECT_EQ(plane.PairWord('A', 'B', 10, origin + 123),
-              PlanePairOracle(corpus.data(), 128, 123, 10, 'A', 'B'))
-        << IsaName(isa);
-    EXPECT_EQ(plane.PairWord('A', 'B', 10, origin + 123) & 1u, 0u)
-        << IsaName(isa);
-    plane.Bind(d, corpus.size(), origin);
-    EXPECT_EQ(plane.PairWord('A', 'B', 10, origin + 123),
-              PlanePairOracle(corpus.data(), corpus.size(), 123, 10, 'A', 'B'))
-        << IsaName(isa);
-    EXPECT_EQ(plane.PairWord('A', 'B', 10, origin + 123) & 1u, 1u)
-        << IsaName(isa);
-  }
-}
-
-// A changed epoch (SlidingWindow slide/realloc) or changed origin must
-// invalidate every lane even when the data pointer is unchanged; stale
-// words would desynchronize the engine from the document.
-TEST(BitmapPlaneTest, EpochAndOriginChangesInvalidateLanes) {
-  IsaGuard guard;
-  std::vector<unsigned char> buf = MakeCorpus(512, 14);
-  const char* d = reinterpret_cast<const char*>(buf.data());
-  BitmapPlane plane;
-  plane.Bind(d, buf.size(), /*origin=*/100, /*epoch=*/0);
-  const uint64_t before = plane.EqWord('<', 100);
-  EXPECT_EQ(before, PlaneEqOracle(buf.data(), buf.size(), 0, '<'));
-  // Rewrite the buffer in place -- the epoch bump is what tells the plane.
-  const std::vector<unsigned char> other = MakeCorpus(512, 99);
-  std::memcpy(buf.data(), other.data(), buf.size());
-  plane.Bind(d, buf.size(), 100, /*epoch=*/1);
-  EXPECT_EQ(plane.EqWord('<', 100),
-            PlaneEqOracle(buf.data(), buf.size(), 0, '<'));
-  // Same bytes re-addressed under a shifted origin: every absolute query
-  // must resolve through the new mapping.
-  plane.Bind(d, buf.size(), 105, /*epoch=*/1);
-  EXPECT_EQ(plane.EqWord('<', 105 + 17),
-            PlaneEqOracle(buf.data(), buf.size(), 17, '<'));
-}
-
-// More distinct byte classes than kMaxLanes: eviction recycles lanes and a
-// re-queried evicted class must be refilled correctly.
-TEST(BitmapPlaneTest, LaneEvictionPressureStaysCorrect) {
-  IsaGuard guard;
-  const std::vector<unsigned char> corpus = MakeCorpus(512, 15);
-  const char* d = reinterpret_cast<const char*>(corpus.data());
-  const size_t n = corpus.size();
-  static constexpr ByteSet kSetA("[]>\"'");
-  static constexpr ByteSet kSetB("<>-");
-  static constexpr char kChars[] = "ab<>\"'-]?x 0123456789";
-  BitmapPlane plane;
-  plane.Bind(d, n, /*origin=*/0);
-  for (int round = 0; round < 2; ++round) {
-    for (size_t ci = 0; ci + 1 < sizeof(kChars); ++ci) {
-      const unsigned char c = static_cast<unsigned char>(kChars[ci]);
-      EXPECT_EQ(plane.EqWord(c, 17), PlaneEqOracle(corpus.data(), n, 17, c))
-          << "round=" << round << " c=" << c;
-    }
-    EXPECT_EQ(plane.AnyWord(kSetA, 33),
-              PlaneAnyOracle(corpus.data(), n, 33, kSetA));
-    EXPECT_EQ(plane.AnyWord(kSetB, 33),
-              PlaneAnyOracle(corpus.data(), n, 33, kSetB));
-    EXPECT_EQ(plane.PairWord('<', '>', 1, 5),
-              PlanePairOracle(corpus.data(), n, 5, 1, '<', '>'));
-    EXPECT_EQ(plane.PairWord('-', '>', 2, 5),
-              PlanePairOracle(corpus.data(), n, 5, 2, '-', '>'));
-  }
-}
-
-// Lane fills (bulk kernels + masked tails + kFillChunk read-ahead) must
-// never read past the binding end: bind flush against a PROT_NONE page for
-// every tail length and run every query kind on every tier.
-TEST(BitmapPlaneTest, NeverReadsPastBindingEndGuardPage) {
-  IsaGuard guard;
-  GuardedBuffer gb;
-  static constexpr ByteSet kSet(">\"'");
-  for (Isa isa : AvailableIsas()) {
-    ASSERT_EQ(SetIsa(isa), isa);
-    for (size_t len = 0; len <= 129; ++len) {
-      unsigned char* p = gb.EndMinus(len);
-      for (size_t i = 0; i < len; ++i) {
-        p[i] = static_cast<unsigned char>("<x>'"[i % 4]);
-      }
-      const char* d = reinterpret_cast<const char*>(p);
-      BitmapPlane plane;
-      plane.Bind(d, len, /*origin=*/777);
-      EXPECT_EQ(plane.FindByte(777, len, '<'), simd::FindByte(d, len, '<'))
-          << IsaName(isa) << " len=" << len;
-      EXPECT_EQ(plane.FindAny(777, len, kSet), simd::FindAny(d, len, kSet))
-          << IsaName(isa) << " len=" << len;
-      EXPECT_EQ(plane.FindPattern(777, len, "-->"),
-                simd::FindPattern(d, len, "-->"))
-          << IsaName(isa) << " len=" << len;
-      for (size_t rel = 0; rel < len; rel += 61) {
-        EXPECT_EQ(plane.EqWord('<', 777 + rel),
-                  PlaneEqOracle(p, len, rel, '<'))
-            << IsaName(isa) << " len=" << len << " rel=" << rel;
-        EXPECT_EQ(plane.PairWord('<', '>', 2, 777 + rel),
-                  PlanePairOracle(p, len, rel, 2, '<', '>'))
-            << IsaName(isa) << " len=" << len << " rel=" << rel;
-      }
     }
   }
 }
