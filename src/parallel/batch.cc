@@ -1,152 +1,94 @@
 #include "parallel/batch.h"
 
 #include <algorithm>
+#include <memory>
+#include <string_view>
 #include <vector>
 
 #include "common/io.h"
+#include "parallel/session.h"
 #include "parallel/shard.h"
 
 namespace smpx::parallel {
 
-std::vector<BatchResult> BatchRun(const core::RuntimeTables& tables,
-                                  const std::vector<std::string_view>& docs,
-                                  ThreadPool* pool,
-                                  const core::EngineOptions& opts) {
-  std::vector<BatchResult> results(docs.size());
-  pool->RunAndWait(docs.size(), [&](size_t i) {
-    StringSink sink;
-    core::PrefilterSession session(tables, &sink, &results[i].stats, opts);
-    Status s = session.Resume(docs[i]);
-    if (s.ok()) s = session.Finish();
-    results[i].status = s;
-    results[i].output = sink.TakeString();
-  });
-  return results;
-}
-
-Status BatchRunMerged(const core::RuntimeTables& tables,
-                      const std::vector<std::string_view>& docs,
-                      OutputSink* out, core::RunStats* stats,
-                      ThreadPool* pool, const core::EngineOptions& opts) {
-  std::vector<BatchResult> results = BatchRun(tables, docs, pool, opts);
-  // Merge the clean prefix only: a failed document's partial projection
-  // (and anything after it) would corrupt the concatenated output, so the
-  // merge stops at the first error and reports it.
-  size_t max_visited = 0;
-  for (const BatchResult& r : results) {
-    if (!r.status.ok()) return r.status;
-    SMPX_RETURN_IF_ERROR(out->Append(r.output));
-    if (stats != nullptr) {
-      MergeRunStats(stats, r.stats);
-      // states_visited is not additive; every document runs the same
-      // automaton, so report the maximum.
-      max_visited = std::max(max_visited, r.stats.states_visited);
-      stats->states_visited = max_visited;
-    }
-  }
-  return Status::Ok();
-}
-
 Status StreamRun(const core::RuntimeTables& tables, const InputSource& src,
-                 OutputSink* out, core::RunStats* stats,
-                 const StreamOptions& opts) {
-  core::PrefilterSession session(tables, out, stats, opts.engine);
+                 const std::vector<OutputSink*>& sinks,
+                 std::vector<core::QueryRunStats>* query_stats,
+                 core::RunStats* stats, const StreamOptions& opts) {
+  SMPX_RETURN_IF_ERROR(CheckSinkCount(tables, sinks.size()));
+  core::RunStats local_stats;
+  if (stats == nullptr) stats = &local_stats;
+  std::unique_ptr<core::PrefilterSession> session =
+      NewSession(tables, sinks, query_stats, stats, opts.engine);
   const size_t chunk = std::max<size_t>(1, opts.chunk_bytes);
   std::vector<char> buf(chunk);
   const uint64_t total = src.size();
   uint64_t offset = 0;
-  while (offset < total && !session.finished()) {
+  while (offset < total && !session->finished()) {
     auto n = src.ReadAt(offset, buf.data(), buf.size());
     if (!n.ok()) return n.status();
     if (*n == 0) break;  // defensive: source shorter than advertised
-    SMPX_RETURN_IF_ERROR(
-        session.Resume(std::string_view(buf.data(), *n)));
+    SMPX_RETURN_IF_ERROR(session->Resume(std::string_view(buf.data(), *n)));
     offset += *n;
   }
-  if (session.finished()) {
-    // Trailing bytes are ignored, as in a serial run; Finish() would be a
-    // no-op state-wise but we still want the summary stats filled.
-    session.FinalizeStats();
-    return Status::Ok();
+  // Trailing bytes past a final state are ignored, as in a serial run;
+  // Finish() on a finished session only fills the summary stats.
+  SMPX_RETURN_IF_ERROR(session->Finish());
+  if (tables.multi == nullptr && query_stats != nullptr) {
+    *query_stats = {{stats->matches, stats->output_bytes}};
   }
-  return session.Finish();
+  return Status::Ok();
 }
 
 std::vector<Status> BatchRunStreaming(
     const core::RuntimeTables& tables,
     const std::vector<const InputSource*>& docs,
-    const std::vector<OutputSink*>& sinks,
+    const BatchSegmentWriter& write,
+    std::vector<std::vector<core::QueryRunStats>>* query_stats,
     std::vector<core::RunStats>* stats, ThreadPool* pool,
     const StreamOptions& opts) {
+  const size_t m = QueryCount(tables);
   std::vector<Status> statuses(docs.size());
-  if (sinks.size() != docs.size()) {
-    statuses.assign(docs.size(),
-                    Status::InvalidArgument("one sink per document required"));
-    return statuses;
-  }
+  if (query_stats != nullptr) query_stats->assign(docs.size(), {});
   if (stats != nullptr) stats->assign(docs.size(), core::RunStats{});
-  pool->RunAndWait(docs.size(), [&](size_t i) {
-    statuses[i] = StreamRun(tables, *docs[i], sinks[i],
-                            stats != nullptr ? &(*stats)[i] : nullptr, opts);
-  });
-  return statuses;
-}
-
-std::vector<Status> BatchRunStreamingToFiles(
-    const core::RuntimeTables& tables,
-    const std::vector<const InputSource*>& docs,
-    const std::vector<std::string>& out_paths,
-    std::vector<core::RunStats>* stats, ThreadPool* pool,
-    const StreamOptions& opts) {
-  std::vector<Status> statuses(docs.size());
-  if (out_paths.size() != docs.size()) {
-    statuses.assign(docs.size(), Status::InvalidArgument(
-                                     "one output path per document required"));
-    return statuses;
-  }
-  if (stats != nullptr) stats->assign(docs.size(), core::RunStats{});
-  const size_t budget = opts.max_buffer_bytes != 0 ? opts.max_buffer_bytes
-                                                   : SpillSink::kUnlimited;
-  // File errors are isolated per document: the writer records them and
-  // returns Ok so the frontier keeps moving -- one unwritable output file
-  // must not starve the rest of the batch.
-  std::vector<Status> file_status(docs.size());
+  const size_t budget = opts.max_buffer_bytes != 0
+                            ? std::max<size_t>(opts.max_buffer_bytes / m, 1)
+                            : SpillSink::kUnlimited;
   // One shared spill file for the whole batch: overflowing and parked
   // segments cost extents, not file descriptors, so a thousand-document
-  // batch stays well under tight fd limits (the ulimit cli test).
+  // batch stays well under tight fd limits.
   SpillArena arena;
+  // Segment k = doc * m + query: the frontier walks documents in order
+  // and each document's queries in MultiQueryInfo order.
   OrderedCommitSink commit(
-      [&out_paths, &file_status](size_t k, SpillSink* seg) {
-        auto file = BufferedFileSink::Open(out_paths[k]);
-        if (!file.ok()) {
-          file_status[k] = file.status();
-          return Status::Ok();
-        }
-        Status s = seg != nullptr ? seg->CopyTo(file->get()) : Status::Ok();
-        if (s.ok()) s = (*file)->Flush();
-        file_status[k] = s;
-        return Status::Ok();
+      [&write, m](size_t k, SpillSink* seg) {
+        return write(k / m, k % m, seg);
       },
-      docs.size());
+      docs.size() * m);
   pool->RunAndWait(docs.size(), [&](size_t i) {
-    auto seg = std::make_unique<SpillSink>(budget, &arena);
-    statuses[i] = StreamRun(tables, *docs[i], seg.get(),
-                            stats != nullptr ? &(*stats)[i] : nullptr, opts);
-    // Install even on failure: the file should hold the partial
-    // projection the old always-open-file driver would have written.
-    commit.Install(i, std::move(seg));
-  });
-  // A sticky commit error (e.g. a parked segment's spill failing on a
-  // full disk) halts the frontier: the writer never ran for documents at
-  // or past it, so their files were never (re)written -- report that
-  // instead of a silent all-OK.
-  const Status commit_status = commit.status();
-  const size_t frontier = commit.frontier();
-  for (size_t i = 0; i < docs.size(); ++i) {
-    if (statuses[i].ok()) statuses[i] = file_status[i];
-    if (statuses[i].ok() && !commit_status.ok() && i >= frontier) {
-      statuses[i] = commit_status;
+    std::vector<std::unique_ptr<SpillSink>> segs;
+    std::vector<OutputSink*> sinks;
+    for (size_t u = 0; u < m; ++u) {
+      segs.push_back(std::make_unique<SpillSink>(budget, &arena));
+      sinks.push_back(segs.back().get());
     }
+    statuses[i] = StreamRun(
+        tables, *docs[i], sinks,
+        query_stats != nullptr ? &(*query_stats)[i] : nullptr,
+        stats != nullptr ? &(*stats)[i] : nullptr, opts);
+    // Install even on failure: the writer receives the partial projection
+    // produced before it.
+    for (size_t u = 0; u < m; ++u) {
+      commit.Install(i * m + u, std::move(segs[u]));
+    }
+  });
+  // A sticky commit error (a writer failure, or a parked segment's spill
+  // failing on a full disk) halts the frontier: documents at or past it
+  // were never fully written -- report that instead of a silent all-OK.
+  const Status commit_status = commit.status();
+  const size_t frontier_doc = commit.frontier() / m;
+  for (size_t i = frontier_doc; !commit_status.ok() && i < docs.size(); ++i) {
+    if (statuses[i].ok()) statuses[i] = commit_status;
   }
   return statuses;
 }
@@ -163,8 +105,8 @@ Status BatchRunStreamingMerged(const core::RuntimeTables& tables,
   std::vector<core::RunStats> doc_stats(docs.size());
   pool->RunAndWait(docs.size(), [&](size_t i) {
     auto seg = std::make_unique<SpillSink>(budget, &arena);
-    statuses[i] = StreamRun(tables, *docs[i], seg.get(), &doc_stats[i],
-                            opts);
+    statuses[i] = StreamRun(tables, *docs[i], {seg.get()}, nullptr,
+                            &doc_stats[i], opts);
     if (statuses[i].ok()) {
       // The frontier cannot pass an uninstalled segment, so a document
       // that will fail can never be overtaken by its successors' output:
@@ -186,63 +128,6 @@ Status BatchRunStreamingMerged(const core::RuntimeTables& tables,
     }
   }
   return commit.status();
-}
-
-Status MultiQueryStreamRun(const core::RuntimeTables& tables,
-                           const InputSource& src,
-                           const std::vector<OutputSink*>& query_sinks,
-                           std::vector<core::QueryRunStats>* query_stats,
-                           core::RunStats* stats, const StreamOptions& opts) {
-  if (tables.multi == nullptr) {
-    return Status::InvalidArgument(
-        "MultiQueryStreamRun needs multi-query product tables");
-  }
-  std::vector<core::QueryRunStats> local_qstats;
-  core::PrefilterSession session(
-      tables, query_sinks, query_stats != nullptr ? query_stats : &local_qstats,
-      stats, opts.engine);
-  const size_t chunk = std::max<size_t>(1, opts.chunk_bytes);
-  std::vector<char> buf(chunk);
-  const uint64_t total = src.size();
-  uint64_t offset = 0;
-  while (offset < total && !session.finished()) {
-    auto n = src.ReadAt(offset, buf.data(), buf.size());
-    if (!n.ok()) return n.status();
-    if (*n == 0) break;  // defensive: source shorter than advertised
-    SMPX_RETURN_IF_ERROR(session.Resume(std::string_view(buf.data(), *n)));
-    offset += *n;
-  }
-  if (session.finished()) {
-    session.FinalizeStats();
-    return Status::Ok();
-  }
-  return session.Finish();
-}
-
-std::vector<Status> MultiQueryBatchRunStreaming(
-    const core::RuntimeTables& tables,
-    const std::vector<const InputSource*>& docs,
-    const std::vector<std::vector<OutputSink*>>& sinks,
-    std::vector<std::vector<core::QueryRunStats>>* query_stats,
-    std::vector<core::RunStats>* stats, ThreadPool* pool,
-    const StreamOptions& opts) {
-  std::vector<Status> statuses(docs.size());
-  if (sinks.size() != docs.size()) {
-    statuses.assign(docs.size(), Status::InvalidArgument(
-                                     "one sink set per document required"));
-    return statuses;
-  }
-  if (stats != nullptr) stats->assign(docs.size(), core::RunStats{});
-  if (query_stats != nullptr) {
-    query_stats->assign(docs.size(), std::vector<core::QueryRunStats>{});
-  }
-  pool->RunAndWait(docs.size(), [&](size_t i) {
-    statuses[i] = MultiQueryStreamRun(
-        tables, *docs[i], sinks[i],
-        query_stats != nullptr ? &(*query_stats)[i] : nullptr,
-        stats != nullptr ? &(*stats)[i] : nullptr, opts);
-  });
-  return statuses;
 }
 
 }  // namespace smpx::parallel

@@ -1,22 +1,26 @@
-// Multi-document batch prefiltering: run one PrefilterSession per document
-// concurrently against the shared immutable RuntimeTables, amortizing the
-// static table build across the whole batch. Results and merged statistics
-// are assembled in document order, so batch output is deterministic and
-// each document's bytes equal its serial run.
+// Streaming document drivers: every document is pulled through a
+// resumable PrefilterSession in bounded InputSource chunks, so peak memory
+// is O(window + chunk) per worker regardless of document size -- the
+// multi-GB batch shape. Batches run one session per document concurrently
+// against the shared immutable RuntimeTables, amortizing the static table
+// build across the whole batch, and commit their outputs in document
+// order, so batch output is deterministic and each document's bytes equal
+// its serial run.
 //
-// Two input shapes:
-//  - BatchRun / BatchRunMerged take whole in-memory documents and buffer
-//    each output (the original PR-2 drivers);
-//  - StreamRun / BatchRunStreaming pull each document through its session
-//    in bounded InputSource chunks and write straight to per-document
-//    sinks, so peak memory is O(window + chunk) per worker regardless of
-//    document size -- the multi-GB batch shape.
+// Like ShardedRun, StreamRun and BatchRunStreaming write one output per
+// unique query of multi-query product tables (MultiQueryInfo order) and
+// exactly one for single-query tables:
+//  - StreamRun: one document into caller-provided sinks;
+//  - BatchRunStreaming: per-document outputs, each (document, query)
+//    segment handed to a caller callback in document order, one at a time
+//    (per-input output files);
+//  - BatchRunStreamingMerged: a single-query batch concatenated into one
+//    sink.
 
 #ifndef SMPX_PARALLEL_BATCH_H_
 #define SMPX_PARALLEL_BATCH_H_
 
-#include <string>
-#include <string_view>
+#include <functional>
 #include <vector>
 
 #include "common/io.h"
@@ -27,131 +31,78 @@
 
 namespace smpx::parallel {
 
-/// Per-document result of a batch run.
-struct BatchResult {
-  Status status;
-  std::string output;
-  core::RunStats stats;
-};
-
-/// Prefilters every document in `docs` concurrently on `pool`. Returns
-/// per-document results in input order. Must not be called from a pool
-/// thread.
-std::vector<BatchResult> BatchRun(const core::RuntimeTables& tables,
-                                  const std::vector<std::string_view>& docs,
-                                  ThreadPool* pool,
-                                  const core::EngineOptions& opts = {});
-
-/// Convenience wrapper: concatenates the outputs in document order into
-/// `out` and merges the statistics into `stats` (may be null). On a
-/// per-document error, returns the first (lowest-index) one and stops the
-/// merge there -- only the clean document prefix reaches `out`. Use
-/// BatchRun directly for per-document error isolation.
-Status BatchRunMerged(const core::RuntimeTables& tables,
-                      const std::vector<std::string_view>& docs,
-                      OutputSink* out, core::RunStats* stats,
-                      ThreadPool* pool,
-                      const core::EngineOptions& opts = {});
-
 struct StreamOptions {
   core::EngineOptions engine;
   /// Bytes fed to the session per Resume call; together with the engine
   /// window this bounds a streaming run's peak memory.
   size_t chunk_bytes = 1 << 20;
-  /// Per-document output buffering budget for BatchRunStreamingMerged:
-  /// a document's projection beyond it overflows to an unlinked temp file
-  /// until the ordered-commit frontier streams it into the merged sink.
-  /// 0 keeps per-document output fully in memory.
+  /// Per-document output buffering budget for the batch drivers (split
+  /// evenly across the queries of multi-query tables): a document's
+  /// projection beyond it overflows to an unlinked temp file until the
+  /// ordered-commit frontier reaches it. 0 keeps per-document output fully
+  /// in memory.
   size_t max_buffer_bytes = 0;
 };
 
 /// Prefilters one document by pulling `src` through a resumable session in
-/// `chunk_bytes` slices: output is byte-identical to the serial engine,
-/// but no more than one chunk (plus the sliding window) is ever resident.
-/// Stops reading as soon as the run reaches a final state, like the serial
-/// engine. `stats` may be null.
+/// `chunk_bytes` slices, writing one output per query into `sinks` (see
+/// ShardedRun for the sink contract; a wrong count fails with
+/// kInvalidArgument). Every query's output is byte-identical to its serial
+/// run, but no more than one chunk (plus the sliding window) is ever
+/// resident. Stops reading as soon as the run reaches a final state, like
+/// the serial engine. `query_stats` (per unique query; one entry for
+/// single-query tables) and `stats` may be null.
 Status StreamRun(const core::RuntimeTables& tables, const InputSource& src,
-                 OutputSink* out, core::RunStats* stats,
-                 const StreamOptions& opts = {});
+                 const std::vector<OutputSink*>& sinks,
+                 std::vector<core::QueryRunStats>* query_stats,
+                 core::RunStats* stats, const StreamOptions& opts = {});
 
-/// Streaming batch driver: one StreamRun per document, concurrently on
-/// `pool`, each writing to its own caller-provided sink (sinks.size() must
-/// equal docs.size(); sinks are written from pool threads but never
-/// shared). Returns per-document statuses in input order; `stats` (may be
-/// null) receives per-document RunStats in the same order. Errors are
-/// isolated per document. Must not be called from a pool thread.
+/// Receives one projection segment of a BatchRunStreaming run: document
+/// `doc`'s output for unique query `query` (0 for single-query tables);
+/// `segment` is null when that output is empty.
+using BatchSegmentWriter =
+    std::function<Status(size_t doc, size_t query, SpillSink* segment)>;
+
+/// Per-document streaming batch: one StreamRun per document, concurrently
+/// on `pool`, each into budgeted SpillSink segments (one per query) that
+/// commit through `write` -- exactly once per (document, query) pair, in
+/// (document, query) order, one call at a time, on whichever thread
+/// advances the document-order frontier. A writer that opens one output
+/// file per call therefore holds at most one file open, however large the
+/// batch; under a max_buffer_bytes budget, completed documents waiting for
+/// the frontier park on one shared spill file, not in memory. Errors are
+/// isolated per document: a failed document's segments still reach `write`
+/// with the partial projection produced before the failure. A non-OK
+/// return from `write` is sticky -- it stops the frontier, and every
+/// document not fully written reports it (writers wanting per-document
+/// isolation of their own failures record them and return Ok). Returns
+/// per-document statuses in input order; `query_stats` and `stats` (may be
+/// null) receive per-document totals in the same order. Must not be called
+/// from a pool thread.
 std::vector<Status> BatchRunStreaming(
     const core::RuntimeTables& tables,
     const std::vector<const InputSource*>& docs,
-    const std::vector<OutputSink*>& sinks,
+    const BatchSegmentWriter& write,
+    std::vector<std::vector<core::QueryRunStats>>* query_stats,
     std::vector<core::RunStats>* stats, ThreadPool* pool,
     const StreamOptions& opts = {});
 
-/// Streaming batch with per-document output FILES through the
-/// ordered-commit machinery: every document streams into a budgeted
-/// SpillSink segment on a pool worker, and each segment is written to its
-/// own output file -- opened, replayed, flushed, and closed -- only when
-/// the document-order commit frontier reaches it. At most ONE output file
-/// is therefore open at any moment, no matter how many documents the
-/// batch holds (the pre-PR-5 driver held every output file open for the
-/// whole run and died on fd limits at a few hundred documents); a
-/// max_buffer_bytes budget additionally bounds resident memory, with
-/// overflow parked in unlinked spill tmpfiles. Error isolation matches
-/// BatchRunStreaming: per-document statuses in input order (run errors
-/// take precedence over that document's file I/O errors), and a failed
-/// document's file still receives the partial projection produced before
-/// the failure. `stats` (may be null) receives per-document RunStats.
-/// Must not be called from a pool thread.
-std::vector<Status> BatchRunStreamingToFiles(
-    const core::RuntimeTables& tables,
-    const std::vector<const InputSource*>& docs,
-    const std::vector<std::string>& out_paths,
-    std::vector<core::RunStats>* stats, ThreadPool* pool,
-    const StreamOptions& opts = {});
-
-/// Streaming replacement for BatchRunMerged: every document is pulled
-/// through its session in bounded chunks into a budgeted SpillSink
-/// segment, and segments commit into `out` in document order the moment
-/// the frontier reaches them -- workers finishing out of order park their
-/// segment on disk (not memory) until the frontier arrives. Peak resident
-/// memory is O(workers x (window + chunk + budget)) regardless of
-/// document and projection sizes. Error semantics match BatchRunMerged:
-/// the first (lowest-index) per-document error is returned and only the
-/// clean document prefix before it reaches `out`; a failed document
-/// contributes no bytes. `stats` (may be null) receives the merged totals
-/// of that clean prefix. Must not be called from a pool thread.
+/// Merged streaming batch: every document is pulled through its session in
+/// bounded chunks into a budgeted SpillSink segment, and segments commit
+/// into `out` in document order the moment the frontier reaches them --
+/// workers finishing out of order park their segment on disk (not memory)
+/// until the frontier arrives. Peak resident memory is O(workers x (window
+/// + chunk + budget)) regardless of document and projection sizes. The
+/// first (lowest-index) per-document error is returned and only the clean
+/// document prefix before it reaches `out`; a failed document contributes
+/// no bytes. `stats` (may be null) receives the merged totals of that
+/// clean prefix. Single-query tables only (one merged output). Must not be
+/// called from a pool thread.
 Status BatchRunStreamingMerged(const core::RuntimeTables& tables,
                                const std::vector<const InputSource*>& docs,
                                OutputSink* out, core::RunStats* stats,
                                ThreadPool* pool,
                                const StreamOptions& opts = {});
-
-/// Streaming single-document run over multi-query product tables
-/// (`tables.multi` set): pulls `src` through one multi-query session in
-/// bounded chunks, writing each unique query's projection to its own sink
-/// (`query_sinks` in MultiQueryInfo order). Every query's output is
-/// byte-identical to its independent single-query serial run.
-/// `query_stats` (may be null) receives per-unique-query totals.
-Status MultiQueryStreamRun(const core::RuntimeTables& tables,
-                           const InputSource& src,
-                           const std::vector<OutputSink*>& query_sinks,
-                           std::vector<core::QueryRunStats>* query_stats,
-                           core::RunStats* stats,
-                           const StreamOptions& opts = {});
-
-/// Streaming batch over multi-query tables: one MultiQueryStreamRun per
-/// document, concurrently on `pool`; `sinks[i]` holds document i's
-/// per-unique-query sinks (written from pool threads but never shared).
-/// Per-document statuses in input order; `query_stats` (may be null)
-/// receives per-document per-query totals. Must not be called from a pool
-/// thread.
-std::vector<Status> MultiQueryBatchRunStreaming(
-    const core::RuntimeTables& tables,
-    const std::vector<const InputSource*>& docs,
-    const std::vector<std::vector<OutputSink*>>& sinks,
-    std::vector<std::vector<core::QueryRunStats>>* query_stats,
-    std::vector<core::RunStats>* stats, ThreadPool* pool,
-    const StreamOptions& opts = {});
 
 }  // namespace smpx::parallel
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/strings.h"
+#include "parallel/session.h"
 #include "simd/simd.h"
 
 namespace smpx::parallel {
@@ -536,43 +537,30 @@ void SpeculativeResolver::RunSegment(size_t k,
   core::EngineOptions eopts = opts_.engine;
   eopts.mark_start_state_visited = mark_start;
   eopts.cancel = cancel;
-  CountingSink counter;
-  std::vector<CountingSink> mq_counters;
-  std::unique_ptr<core::PrefilterSession> session;
-  if (tables_.multi != nullptr) {
-    // Multi-query product tables: one budget-bounded segment per unique
-    // query; the aggregate budget is split evenly across the queries.
-    const size_t m = static_cast<size_t>(tables_.multi->num_queries);
-    const size_t per_query =
-        opts_.max_buffer_bytes != 0
-            ? std::max<size_t>(opts_.max_buffer_bytes / m, 1)
-            : SpillSink::kUnlimited;
-    std::vector<OutputSink*> outs(m);
-    if (opts_.capture_output) {
-      r->mq_sinks.reserve(m);
-      for (size_t u = 0; u < m; ++u) {
-        r->mq_sinks.push_back(
-            std::make_unique<SpillSink>(per_query, opts_.arena));
-        outs[u] = r->mq_sinks.back().get();
-      }
+  // One output per query: budget-bounded segments in capture mode (the
+  // aggregate budget split evenly across the queries), byte counters in
+  // discard mode.
+  const size_t m = QueryCount(tables_);
+  const size_t budget = opts_.max_buffer_bytes != 0
+                            ? std::max<size_t>(opts_.max_buffer_bytes / m, 1)
+                            : SpillSink::kUnlimited;
+  std::vector<CountingSink> counters(opts_.capture_output ? 0 : m);
+  std::vector<OutputSink*> outs;
+  for (size_t u = 0; u < m; ++u) {
+    if (!opts_.capture_output) {
+      outs.push_back(&counters[u]);
+      continue;
+    }
+    auto seg = std::make_unique<SpillSink>(budget, opts_.arena);
+    outs.push_back(seg.get());
+    if (tables_.multi != nullptr) {
+      r->mq_sinks.push_back(std::move(seg));
     } else {
-      mq_counters.resize(m);
-      for (size_t u = 0; u < m; ++u) outs[u] = &mq_counters[u];
+      r->sink = std::move(seg);
     }
-    session = std::make_unique<core::PrefilterSession>(
-        tables_, std::move(outs), &r->mq_stats, &r->stats, eopts, start);
-  } else {
-    OutputSink* out = &counter;
-    if (opts_.capture_output) {
-      r->sink = std::make_unique<SpillSink>(opts_.max_buffer_bytes != 0
-                                                ? opts_.max_buffer_bytes
-                                                : SpillSink::kUnlimited,
-                                            opts_.arena);
-      out = r->sink.get();
-    }
-    session = std::make_unique<core::PrefilterSession>(tables_, out,
-                                                       &r->stats, eopts, start);
   }
+  std::unique_ptr<core::PrefilterSession> session = NewSession(
+      tables_, std::move(outs), &r->mq_stats, &r->stats, eopts, start);
   r->status = session->Resume(doc_.substr(static_cast<size_t>(begin),
                                           static_cast<size_t>(end - begin)));
   if (r->status.ok() && k + 1 == n && !session->finished()) {
@@ -862,13 +850,20 @@ void MergeRunStats(core::RunStats* dst, const core::RunStats& src) {
 Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
                   OutputSink* out, core::RunStats* stats, ThreadPool* pool,
                   const ShardOptions& opts, ShardReport* report) {
+  return ShardedRun(tables, doc, std::vector<OutputSink*>{out}, nullptr,
+                    stats, pool, opts, report);
+}
+
+Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
+                  const std::vector<OutputSink*>& sinks,
+                  std::vector<core::QueryRunStats>* query_stats,
+                  core::RunStats* stats, ThreadPool* pool,
+                  const ShardOptions& opts, ShardReport* report) {
   if (tables.states.empty()) {
     return Status::InvalidArgument("empty runtime tables");
   }
-  if (tables.multi != nullptr) {
-    return Status::InvalidArgument(
-        "multi-query tables need MultiQueryShardedRun (one sink per query)");
-  }
+  SMPX_RETURN_IF_ERROR(CheckSinkCount(tables, sinks.size()));
+  const size_t m = sinks.size();
   size_t max_shards =
       opts.max_shards != 0 ? opts.max_shards
                            : static_cast<size_t>(std::max(1, pool->size()));
@@ -893,130 +888,17 @@ Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
 
   // Sequential verification with streaming commit: each segment resolved
   // by the SpeculativeResolver (accepted attempt or synchronous re-run) is
-  // installed into the ordered-commit frontier immediately, which streams
-  // it into `out` and frees its buffer/spill before the next shard is even
-  // verified; the rejected attempts of a resolved shard are freed at the
-  // same moment. Peak resident output is therefore bounded by the
-  // per-segment budget times the outstanding attempts, never by the
-  // projection size.
-  OrderedCommitSink commit(out, n);
-  Status commit_status =
-      commit.Install(0, std::move(resolver.Resolve(0).sink));
-  Status final_status;
-  size_t produced = n;
-  for (size_t k = 1; commit_status.ok() && k < n; ++k) {
-    ShardResult& prev = resolver.result(k - 1);
-    if (!prev.status.ok()) {
-      final_status = prev.status;
-      produced = k;
-      break;
-    }
-    if (prev.finished) {
-      produced = k;  // serial run ends here; later bytes are ignored
-      break;
-    }
-    ShardResult& r = resolver.Resolve(k);
-    if (r.tail_end > r.tail_begin) {
-      // In-copy hand-off: the predecessor suspended with copy bytes below
-      // the boundary unflushed and the accepted attempt's output starts AT
-      // the boundary. Segments install strictly in order, so the ordered
-      // frontier is caught up with segment k-1 here and the tail streams
-      // straight into the output between the two segments.
-      commit_status = out->Append(doc.substr(
-          static_cast<size_t>(r.tail_begin),
-          static_cast<size_t>(r.tail_end - r.tail_begin)));
-      if (!commit_status.ok()) break;
-    }
-    commit_status = commit.Install(k, std::move(r.sink));
-  }
-  // Cancel whatever the early exits above made moot (attempts past a
-  // finished or failed segment) and quiesce the wave: the report's work
-  // counters are mutated by in-flight attempts until they drain.
-  resolver.Abort();
-  if (!commit_status.ok()) {
-    if (report != nullptr) *report = resolver.report();
-    return commit_status;
-  }
-  if (produced < n) commit.Truncate(produced);
-  if (final_status.ok() && produced == n &&
-      !resolver.result(n - 1).status.ok()) {
-    final_status = resolver.result(n - 1).status;
-  }
-  if (report != nullptr) *report = resolver.report();
-  if (stats != nullptr) {
-    std::vector<bool> visited;
-    uint64_t read_end = 0;  // how far into the document reads have advanced
-    for (size_t k = 0; k < produced; ++k) {
-      // Attribute to each shard the document range it advanced through:
-      // re-run hand-offs re-read their predecessor's overlap tail (counted
-      // once), and initial jumps across a boundary leave a gap the serial
-      // stream would have read and discarded (counted for parity).
-      ShardResult& r = resolver.result(k);
-      r.stats.input_bytes =
-          r.read_end > read_end ? r.read_end - read_end : 0;
-      read_end = std::max(read_end, r.read_end);
-      MergeRunStats(stats, r.stats);
-      if (visited.empty()) visited = r.visited;
-      for (size_t i = 0; i < r.visited.size(); ++i) {
-        if (r.visited[i]) visited[i] = true;
-      }
-    }
-    stats->states_visited = 0;
-    for (bool v : visited) {
-      if (v) ++stats->states_visited;
-    }
-  }
-  return final_status;
-}
-
-Status MultiQueryShardedRun(const core::RuntimeTables& tables,
-                            std::string_view doc,
-                            const std::vector<OutputSink*>& query_sinks,
-                            std::vector<core::QueryRunStats>* query_stats,
-                            core::RunStats* stats, ThreadPool* pool,
-                            const ShardOptions& opts, ShardReport* report) {
-  if (tables.states.empty()) {
-    return Status::InvalidArgument("empty runtime tables");
-  }
-  if (tables.multi == nullptr) {
-    return Status::InvalidArgument(
-        "MultiQueryShardedRun needs multi-query product tables");
-  }
-  const size_t m = static_cast<size_t>(tables.multi->num_queries);
-  if (query_sinks.size() != m) {
-    return Status::InvalidArgument(
-        "multi-query sharded run needs one sink per unique query (" +
-        std::to_string(m) + "), got " + std::to_string(query_sinks.size()));
-  }
-  size_t max_shards =
-      opts.max_shards != 0 ? opts.max_shards
-                           : static_cast<size_t>(std::max(1, pool->size()));
-  std::vector<uint64_t> bounds;
-  if (max_shards > 1) {
-    bounds = pool->size() > 1
-                 ? FindTopLevelBoundariesParallel(doc, max_shards - 1, pool)
-                 : FindTopLevelBoundaries(doc, max_shards - 1);
-  }
-
-  SpeculativeResolver::Options ropts;
-  ropts.max_candidate_states = opts.max_candidate_states;
-  ropts.max_buffer_bytes = opts.max_buffer_bytes;
-  ropts.engine = opts.engine;
-  SpillArena arena;
-  ropts.arena = &arena;
-  SpeculativeResolver resolver(tables, doc, bounds, ropts);
-  const size_t n = resolver.segments();
-  resolver.LaunchWave(pool);
-
-  // Same sequential verification as ShardedRun, but each query owns its
-  // own ordered-commit frontier: the moment a segment's entry is verified,
-  // its per-query SpillSinks stream into the respective query sinks and
-  // are freed. Per-query matches accumulate from the resolved segments
-  // only -- exactly the segments the serial run would have executed.
+  // installed into its query's ordered-commit frontier immediately, which
+  // streams it into that query's sink and frees its buffer/spill before
+  // the next shard is even verified; the rejected attempts of a resolved
+  // shard are freed at the same moment. Peak resident output is therefore
+  // bounded by the per-segment budget times the outstanding attempts,
+  // never by the projection size. Per-query totals accumulate from the
+  // resolved segments only -- exactly the segments the serial run would
+  // have executed.
   std::vector<std::unique_ptr<OrderedCommitSink>> commits;
-  commits.reserve(m);
-  for (size_t u = 0; u < m; ++u) {
-    commits.push_back(std::make_unique<OrderedCommitSink>(query_sinks[u], n));
+  for (OutputSink* sink : sinks) {
+    commits.push_back(std::make_unique<OrderedCommitSink>(sink, n));
   }
   std::vector<core::QueryRunStats> totals(m);
   Status commit_status;
@@ -1036,24 +918,44 @@ Status MultiQueryShardedRun(const core::RuntimeTables& tables,
       }
     }
     ShardResult& r = resolver.Resolve(k);
-    for (size_t u = 0; u < m && u < r.mq_stats.size(); ++u) {
-      totals[u].matches += r.mq_stats[u].matches;
-      totals[u].output_bytes += r.mq_stats[u].output_bytes;
+    if (r.tail_end > r.tail_begin) {
+      // In-copy hand-off (single-query tables only; product tables re-run
+      // instead): the predecessor suspended with copy bytes below the
+      // boundary unflushed and the accepted attempt's output starts AT the
+      // boundary. Segments install strictly in order, so the ordered
+      // frontier is caught up with segment k-1 here and the tail streams
+      // straight into the output between the two segments.
+      commit_status = sinks[0]->Append(doc.substr(
+          static_cast<size_t>(r.tail_begin),
+          static_cast<size_t>(r.tail_end - r.tail_begin)));
+      if (!commit_status.ok()) break;
     }
     for (size_t u = 0; u < m; ++u) {
       std::unique_ptr<SpillSink> seg;
-      if (u < r.mq_sinks.size()) seg = std::move(r.mq_sinks[u]);
+      core::QueryRunStats q;
+      if (tables.multi == nullptr) {
+        seg = std::move(r.sink);
+        q = {r.stats.matches, r.stats.output_bytes};
+      } else {
+        if (u < r.mq_sinks.size()) seg = std::move(r.mq_sinks[u]);
+        if (u < r.mq_stats.size()) q = r.mq_stats[u];
+      }
+      totals[u].matches += q.matches;
+      totals[u].output_bytes += q.output_bytes;
       Status s = commits[u]->Install(k, std::move(seg));
       if (commit_status.ok() && !s.ok()) commit_status = s;
     }
   }
+  // Cancel whatever the early exits above made moot (attempts past a
+  // finished or failed segment) and quiesce the wave: the report's work
+  // counters are mutated by in-flight attempts until they drain.
   resolver.Abort();
   if (!commit_status.ok()) {
     if (report != nullptr) *report = resolver.report();
     return commit_status;
   }
   if (produced < n) {
-    for (size_t u = 0; u < m; ++u) commits[u]->Truncate(produced);
+    for (auto& commit : commits) commit->Truncate(produced);
   }
   if (final_status.ok() && produced == n &&
       !resolver.result(n - 1).status.ok()) {
@@ -1063,8 +965,12 @@ Status MultiQueryShardedRun(const core::RuntimeTables& tables,
   if (query_stats != nullptr) *query_stats = std::move(totals);
   if (stats != nullptr) {
     std::vector<bool> visited;
-    uint64_t read_end = 0;
+    uint64_t read_end = 0;  // how far into the document reads have advanced
     for (size_t k = 0; k < produced; ++k) {
+      // Attribute to each shard the document range it advanced through:
+      // re-run hand-offs re-read their predecessor's overlap tail (counted
+      // once), and initial jumps across a boundary leave a gap the serial
+      // stream would have read and discarded (counted for parity).
       ShardResult& r = resolver.result(k);
       r.stats.input_bytes =
           r.read_end > read_end ? r.read_end - read_end : 0;

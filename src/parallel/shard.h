@@ -314,35 +314,34 @@ std::vector<uint64_t> FindTopLevelBoundariesParallel(
 uint64_t CountTopLevelStarts(std::string_view doc, uint64_t begin,
                              uint64_t end, int64_t depth_at_begin);
 
-/// Prefilters `doc` by sharding it across `pool`. Output and the merged
-/// `stats` totals are byte-identical to RunEngine over the same document
-/// (up to search-effort counters, which depend on window geometry).
-/// Every session writes through a per-segment SpillSink bounded by
-/// ShardOptions::max_buffer_bytes; the verification pass commits each
-/// segment into `out` (and frees it) the moment its entry is verified, so
-/// `out` receives the projection as an in-order stream while verification
-/// is still running -- on an error, `out` may hold a partial prefix.
-/// `stats` and `report` may be null. Must not be called from a pool thread.
+/// Prefilters `doc` by sharding it across `pool`, writing one output per
+/// query: `sinks` holds one sink per unique query of multi-query product
+/// tables (MultiQueryInfo order; query::MultiQuery::RouteSinks builds them
+/// from one sink per original query) and exactly one for single-query
+/// tables; any other count fails with kInvalidArgument before any work.
+/// Every query's output is byte-identical to its own serial run, and the
+/// merged `stats` totals match RunEngine over the same document (up to
+/// search-effort counters, which depend on window geometry). Every session
+/// writes one SpillSink segment per query, bounded by
+/// ShardOptions::max_buffer_bytes split evenly across the queries; each
+/// query's segments stream through their own ordered-commit frontier, so a
+/// segment reaches its sink (and is freed) the moment its entry is
+/// verified -- on an error, the sinks may hold a partial prefix.
+/// `query_stats` (may be null) receives per-unique-query totals (one entry
+/// for single-query tables); `stats` and `report` may be null. Must not be
+/// called from a pool thread.
+Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
+                  const std::vector<OutputSink*>& sinks,
+                  std::vector<core::QueryRunStats>* query_stats,
+                  core::RunStats* stats, ThreadPool* pool,
+                  const ShardOptions& opts = {},
+                  ShardReport* report = nullptr);
+
+/// Single-sink form of the above (`{out}`, no per-query stats).
 Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
                   OutputSink* out, core::RunStats* stats, ThreadPool* pool,
                   const ShardOptions& opts = {},
                   ShardReport* report = nullptr);
-
-/// Sharded execution of multi-query product tables (`tables.multi` set):
-/// same speculative wave/verify machinery as ShardedRun, but every segment
-/// session writes one budget-bounded SpillSink PER UNIQUE QUERY and each
-/// query's segments stream through their own ordered-commit frontier into
-/// `query_sinks[u]` (one sink per unique query, MultiQueryInfo order). Every
-/// query's output is byte-identical to its independent single-query serial
-/// run. `query_stats` (may be null) receives per-unique-query totals;
-/// `stats`/`report` as in ShardedRun. Must not be called from a pool thread.
-Status MultiQueryShardedRun(const core::RuntimeTables& tables,
-                            std::string_view doc,
-                            const std::vector<OutputSink*>& query_sinks,
-                            std::vector<core::QueryRunStats>* query_stats,
-                            core::RunStats* stats, ThreadPool* pool,
-                            const ShardOptions& opts = {},
-                            ShardReport* report = nullptr);
 
 /// Merges shard- or document-level RunStats into `dst` (counters add,
 /// window peak maxes; states_visited is handled by the callers via the

@@ -812,21 +812,12 @@ Status MultiQuery::RunOnBuffer(std::string_view document,
                                std::vector<core::QueryRunStats>* query_stats,
                                core::RunStats* stats,
                                const core::EngineOptions& opts) const {
-  MemoryInputStream in(document);
-  return Run(&in, sinks, query_stats, stats, opts, document.size() + 1);
-}
-
-Status MultiQuery::Run(InputStream* in, const std::vector<OutputSink*>& sinks,
-                       std::vector<core::QueryRunStats>* query_stats,
-                       core::RunStats* stats, const core::EngineOptions& opts,
-                       size_t chunk_bytes) const {
   if (static_cast<int>(sinks.size()) != num_queries()) {
     return Status::InvalidArgument(
         "multi-query run needs one sink per original query (" +
         std::to_string(num_queries()) + "), got " +
         std::to_string(sinks.size()));
   }
-  if (chunk_bytes == 0) chunk_bytes = 1;
   std::vector<std::unique_ptr<FanoutSink>> owned;
   std::vector<OutputSink*> unique_sinks;
   RouteSinks(sinks, &owned, &unique_sinks);
@@ -834,15 +825,9 @@ Status MultiQuery::Run(InputStream* in, const std::vector<OutputSink*>& sinks,
   std::vector<core::QueryRunStats> unique_stats;
   core::PrefilterSession session(*tables_, std::move(unique_sinks),
                                  &unique_stats, stats, opts);
-  std::string buf(chunk_bytes, '\0');
-  for (;;) {
-    SMPX_ASSIGN_OR_RETURN(size_t n, in->Read(buf.data(), buf.size()));
-    if (n == 0) break;
-    SMPX_RETURN_IF_ERROR(session.Resume(std::string_view(buf.data(), n)));
-    // A finished session ignores trailing bytes, exactly like a serial
-    // single-query run; draining the stream is pointless.
-    if (session.finished()) break;
-  }
+  // The caller's buffer is the whole document: one Resume, then Finish
+  // (which ignores trailing bytes past a final state, like a serial run).
+  SMPX_RETURN_IF_ERROR(session.Resume(document));
   SMPX_RETURN_IF_ERROR(session.Finish());
   if (query_stats != nullptr) ExpandStats(unique_stats, query_stats);
   return Status::Ok();

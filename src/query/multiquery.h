@@ -7,11 +7,15 @@
 // output stays byte-identical to an independent single-query serial run --
 // duplicates are routed through FanoutSink, never re-executed.
 //
-// Execution drivers: serial one-pass (RunOnBuffer), chunked streaming
-// (Run), sharded single-document (parallel::MultiQueryShardedRun via
-// ShardedRun), and streaming batches (parallel::MultiQueryBatchRun via the
-// CLI). A fused superset projection (one output safe for every query) is
-// available through CompileFused.
+// Execution: RunOnBuffer makes one serial pass over an in-memory
+// document. The product tables are ordinary RuntimeTables, so every
+// src/parallel driver -- parallel::StreamRun (bounded-memory streaming),
+// parallel::ShardedRun (speculative sharding) and
+// parallel::BatchRunStreaming (per-document batches) -- runs them
+// unchanged, taking one sink per unique query; RouteSinks and ExpandStats
+// translate between original and unique queries. A fused superset
+// projection (one output safe for every query) is available through
+// CompileFused.
 
 #ifndef SMPX_QUERY_MULTIQUERY_H_
 #define SMPX_QUERY_MULTIQUERY_H_
@@ -33,9 +37,9 @@ namespace smpx::query {
 
 struct MultiQueryOptions {
   /// Table knobs forwarded to every per-query component build and the
-  /// product's matchers. Recursive DTDs (allow_recursion), map dispatch,
-  /// and the shared-vocabulary ablation are rejected: the product needs
-  /// interned dispatch and per-state build analysis.
+  /// product's matchers. Recursive DTDs (allow_recursion) and map
+  /// dispatch are rejected: the product needs interned dispatch and
+  /// per-state build analysis.
   core::CompileOptions compile;
   /// State-pair budget per semantic equivalence check (see
   /// EquivalentProjectionQueries); exceeded pairs stay un-collapsed.
@@ -85,22 +89,14 @@ class MultiQuery {
                      core::RunStats* stats = nullptr,
                      const core::EngineOptions& opts = {}) const;
 
-  /// Chunked push-mode pass over a stream (bounded memory); same sink and
-  /// stats contract as RunOnBuffer.
-  Status Run(InputStream* in, const std::vector<OutputSink*>& sinks,
-             std::vector<core::QueryRunStats>* query_stats = nullptr,
-             core::RunStats* stats = nullptr,
-             const core::EngineOptions& opts = {},
-             size_t chunk_bytes = 1 << 20) const;
-
   /// Fused superset projection: one ordinary single-query prefilter over
   /// the union of every original query's paths. Its single output is
   /// projection-safe for each query individually (each query evaluates
   /// top-level-equal on it; see query::CheckProjectionSafety).
   Result<core::Prefilter> CompileFused() const;
 
-  /// Routing helper for external drivers (sharded / batch): maps one sink
-  /// per original query to one sink per unique query, fanning duplicates
+  /// Routing helper for the src/parallel drivers: maps one sink per
+  /// original query to one sink per unique query, fanning duplicates
   /// out. The returned FanoutSinks are owned by `owned`; `unique_sinks`
   /// is in MultiQueryInfo order and valid while `owned` lives.
   void RouteSinks(const std::vector<OutputSink*>& sinks,

@@ -1,9 +1,10 @@
 // End-to-end tests for the smpx command-line tool's batch mode: per-input
-// output naming (in.xml -> in.proj.xml), document-order per-input stats,
-// per-document error isolation with a nonzero exit code, and the --out
-// concatenation mode's argument-order merge. The binary path is injected
-// by CMake as SMPX_CLI_PATH; expected outputs come from the library's
-// serial engine over the same inputs.
+// output naming (in.xml -> in.proj.xml, in.proj.qN.xml per query in
+// multi-query mode), document-order per-input stats, per-document error
+// isolation with a nonzero exit code, the --out concatenation mode's
+// argument-order merge, and batches under a tight fd limit. The binary
+// path is injected by CMake as SMPX_CLI_PATH; expected outputs come from
+// the library's serial engine over the same inputs.
 
 #include <cstdio>
 #include <cstdlib>
@@ -58,11 +59,12 @@ CliResult RunCli(const std::string& args,
   return r;
 }
 
-std::string SerialExpected(const std::string& doc) {
+std::string SerialExpected(const std::string& doc,
+                           const char* path_list = kPaths) {
   auto dtd = dtd::Dtd::Parse(kDtdText);
   EXPECT_TRUE(dtd.ok());
   if (!dtd.ok()) return std::string();
-  auto paths = paths::ProjectionPath::ParseList(kPaths);
+  auto paths = paths::ProjectionPath::ParseList(path_list);
   EXPECT_TRUE(paths.ok());
   if (!paths.ok()) return std::string();
   auto pf = core::Prefilter::Compile(std::move(*dtd), *paths);
@@ -250,6 +252,49 @@ TEST(CliBatchTest, LowFdLimitBatchStillWritesEveryOutputFile) {
       auto content = ReadFileToString(ProjectedOutputPath(fx.inputs[i]));
       ASSERT_TRUE(content.ok()) << fx.inputs[i];
       EXPECT_EQ(*content, SerialExpected(fx.docs[i])) << fx.inputs[i];
+    }
+  }
+}
+
+TEST(CliBatchTest, LowFdLimitMultiQueryBatchWritesEveryQueryFile) {
+  // The multi-query twin of the test above: three queries (one a
+  // duplicate, served by the same product component) over 60 documents
+  // under a 32-fd limit. Every in.proj.qN.xml must exist and equal that
+  // query's own serial run. A driver that opens each document's query
+  // files up front (or all of them at once) runs out of descriptors here.
+  const char* queries[] = {"/a/b#", "/a/c#", "/a/b#"};
+  std::vector<std::string> contents;
+  for (int i = 0; i < 60; ++i) {
+    contents.push_back("<a><b>doc " + std::to_string(i) + "</b><c>q" +
+                       std::to_string(i) + "</c></a>");
+  }
+  Fixture fx(contents);
+  // in.xml -> in.proj.q1.xml, ... (query order, 1-based).
+  auto query_file = [](const std::string& input, size_t q) {
+    const std::string proj = ProjectedOutputPath(input);
+    return proj.substr(0, proj.size() - 4) + ".q" + std::to_string(q + 1) +
+           ".xml";
+  };
+  for (const char* budget : {"0", "1"}) {
+    SCOPED_TRACE(budget);
+    std::string args = "--dtd \"" + fx.dtd_path + "\"";
+    for (const char* q : queries) {
+      args += " --paths \"" + std::string(q) + "\"";
+    }
+    CliResult r = RunCli(args + " --batch --threads 4 --max-buffer " +
+                             budget + fx.InputArgs(),
+                         "ulimit -n 32; ");
+    EXPECT_EQ(r.exit_code, 0) << r.err;
+    for (size_t i = 0; i < fx.inputs.size(); ++i) {
+      for (size_t q = 0; q < 3; ++q) {
+        const std::string out = query_file(fx.inputs[i], q);
+        auto content = ReadFileToString(out);
+        EXPECT_TRUE(content.ok()) << out;
+        if (content.ok()) {
+          EXPECT_EQ(*content, SerialExpected(fx.docs[i], queries[q])) << out;
+        }
+        std::remove(out.c_str());
+      }
     }
   }
 }

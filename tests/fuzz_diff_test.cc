@@ -1,18 +1,23 @@
 // Seeded randomized differential fuzz suite for the parallel subsystem:
 // every generated (DTD, document, paths) case is prefiltered by the serial
 // engine (ground truth), a chunked push-mode session, ShardedRun at
-// 1/2/4/7 threads, the streaming batch driver, the streaming *merged*
-// batch driver, and an index-resume mode (BoundaryIndex at random
-// granularity, cursors opened at random byte targets plus token
-// round-trips, each drained against the serial projection's suffix), at
-// randomized window, chunk, shard, and output-buffer budget geometries
-// (tiny budgets force the SpillSink overflow and ordered-commit paths on
-// nearly every case) -- outputs must be byte-identical and the semantic
-// statistics must match. Documents come from the src/xmlgen
-// samplers (random nonrecursive DTDs plus XMark/MEDLINE/protein), with an
-// adversarial edge-mix pass injecting comments, CDATA sections, processing
-// instructions, and stray closing tags that desynchronize the structural
-// boundary scanner without changing what the engine projects.
+// 1/2/4/7 threads, the per-document batch driver (BatchRunStreaming, its
+// segments copied out through the writer callback), the merged batch
+// driver (BatchRunStreamingMerged), and an index-resume mode
+// (BoundaryIndex at random granularity, cursors opened at random byte
+// targets plus token round-trips, each drained against the serial
+// projection's suffix), at randomized window, chunk, shard, and
+// output-buffer budget geometries (tiny budgets force the SpillSink
+// overflow and ordered-commit paths on nearly every case) -- outputs must
+// be byte-identical and the semantic statistics must match. Family 4
+// replays cases under every SIMD dispatch tier; family 5 runs random
+// multi-query mixes through the same ShardedRun and StreamRun drivers
+// (one sink per unique query) against each query's independent run.
+// Documents come from the src/xmlgen samplers (random nonrecursive DTDs
+// plus XMark/MEDLINE/protein), with an adversarial edge-mix pass injecting
+// comments, CDATA sections, processing instructions, and stray closing
+// tags that desynchronize the structural boundary scanner without
+// changing what the engine projects.
 //
 // The suite doubles as the property harness for the speculation machinery:
 //  - every boundary the sharder reports coincides with a real top-level
@@ -169,7 +174,11 @@ void ExpectAllModesIdentical(const Prefilter& pf, const std::string& doc,
     std::vector<OutputSink*> sinks = {&s0, &s1};
     std::vector<RunStats> stats;
     std::vector<Status> statuses = parallel::BatchRunStreaming(
-        pf.tables(), docs, sinks, &stats, &pool, sopts);
+        pf.tables(), docs,
+        [&sinks](size_t d, size_t, SpillSink* seg) {
+          return seg != nullptr ? seg->CopyTo(sinks[d]) : Status::Ok();
+        },
+        nullptr, &stats, &pool, sopts);
     for (size_t i = 0; i < statuses.size(); ++i) {
       ASSERT_TRUE(statuses[i].ok()) << statuses[i].ToString();
       EXPECT_EQ(stats[i].matches, serial_stats.matches);
@@ -561,10 +570,8 @@ TEST(FuzzDiffTest, MultiQueryMixesMatchIndependentRuns) {
       mq->RouteSinks(ptrs, &owned, &unique_sinks);
       std::vector<QueryRunStats> unique_stats;
       RunStats stats;
-      Status s =
-          parallel::MultiQueryShardedRun(*mq->shared_tables(), doc,
-                                         unique_sinks, &unique_stats, &stats,
-                                         &pool, sopts);
+      Status s = parallel::ShardedRun(*mq->shared_tables(), doc, unique_sinks,
+                                      &unique_stats, &stats, &pool, sopts);
       ASSERT_TRUE(s.ok()) << s.ToString();
       std::vector<QueryRunStats> qstats;
       mq->ExpandStats(unique_stats, &qstats);
@@ -585,9 +592,8 @@ TEST(FuzzDiffTest, MultiQueryMixesMatchIndependentRuns) {
       mq->RouteSinks(ptrs, &owned, &unique_sinks);
       std::vector<QueryRunStats> unique_stats;
       RunStats stats;
-      Status s = parallel::MultiQueryStreamRun(*mq->shared_tables(), src,
-                                               unique_sinks, &unique_stats,
-                                               &stats, sopts);
+      Status s = parallel::StreamRun(*mq->shared_tables(), src, unique_sinks,
+                                     &unique_stats, &stats, sopts);
       ASSERT_TRUE(s.ok()) << s.ToString();
       std::vector<QueryRunStats> qstats;
       mq->ExpandStats(unique_stats, &qstats);

@@ -184,9 +184,8 @@ TEST(GoldenCorpusTest, MultiQueryMixMatchesCheckedInProjections) {
     std::vector<std::unique_ptr<FanoutSink>> owned;
     std::vector<OutputSink*> unique_sinks;
     mq->RouteSinks(ptrs, &owned, &unique_sinks);
-    Status s = parallel::MultiQueryShardedRun(*mq->shared_tables(), doc,
-                                              unique_sinks, nullptr, nullptr,
-                                              &pool);
+    Status s = parallel::ShardedRun(*mq->shared_tables(), doc, unique_sinks,
+                                    nullptr, nullptr, &pool);
     ASSERT_TRUE(s.ok()) << s.ToString();
     for (size_t q = 0; q < queries.size(); ++q) {
       EXPECT_EQ(sinks[q].str(), expected[q])

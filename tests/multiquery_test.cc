@@ -8,9 +8,10 @@
 // equivalence collapse (duplicates, order-permuted path lists, semantic
 // subsumption), the N=1 degenerate case against the single-query engine,
 // N=65 mask-word spill (two uint64_t words per state), fused-superset
-// projection safety per Definition 2, and the rejection surface (recursive
-// DTDs, map dispatch, shared vocabulary, single-query drivers fed product
-// tables, boundary indexing over product tables).
+// projection safety per Definition 2, the rejection surface (recursive
+// DTDs, map dispatch, sink counts that do not match the tables, boundary
+// indexing over product tables), and the N=1 degenerate case of the
+// drivers' one-sink-per-query contract on single-query tables.
 
 #include <cstdint>
 #include <memory>
@@ -119,13 +120,21 @@ void ExpectAllDriversIdentical(const MultiQuery& mq, std::string_view doc,
   // Chunked streaming at several granularities.
   for (size_t chunk : {7u, 333u, 1u << 20}) {
     SCOPED_TRACE(chunk);
+    parallel::StreamOptions sopts;
+    sopts.chunk_bytes = chunk;
+    MemorySource src(doc);
     std::vector<StringSink> sinks(static_cast<size_t>(nq));
     std::vector<OutputSink*> ptrs;
     for (auto& s : sinks) ptrs.push_back(&s);
-    std::vector<core::QueryRunStats> qstats;
-    MemoryInputStream in(doc);
-    Status s = mq.Run(&in, ptrs, &qstats, nullptr, {}, chunk);
+    std::vector<std::unique_ptr<FanoutSink>> owned;
+    std::vector<OutputSink*> unique_sinks;
+    mq.RouteSinks(ptrs, &owned, &unique_sinks);
+    std::vector<core::QueryRunStats> uq_stats;
+    Status s = parallel::StreamRun(mq.tables(), src, unique_sinks, &uq_stats,
+                                   nullptr, sopts);
     ASSERT_TRUE(s.ok()) << s.ToString();
+    std::vector<core::QueryRunStats> qstats;
+    mq.ExpandStats(uq_stats, &qstats);
     check(sinks, qstats, "chunked");
   }
 
@@ -144,8 +153,8 @@ void ExpectAllDriversIdentical(const MultiQuery& mq, std::string_view doc,
     mq.RouteSinks(ptrs, &owned, &unique_sinks);
     std::vector<core::QueryRunStats> uq_stats;
     core::RunStats stats;
-    Status s = parallel::MultiQueryShardedRun(mq.tables(), doc, unique_sinks,
-                                              &uq_stats, &stats, &pool, popts);
+    Status s = parallel::ShardedRun(mq.tables(), doc, unique_sinks, &uq_stats,
+                                    &stats, &pool, popts);
     ASSERT_TRUE(s.ok()) << s.ToString();
     std::vector<core::QueryRunStats> qstats;
     mq.ExpandStats(uq_stats, &qstats);
@@ -153,7 +162,9 @@ void ExpectAllDriversIdentical(const MultiQuery& mq, std::string_view doc,
     EXPECT_EQ(stats.input_bytes, doc.size());
   }
 
-  // Streaming batch driver (the document twice), bounded chunks.
+  // Streaming batch driver (the document twice), bounded chunks: each
+  // (document, unique query) segment is copied into that document's routed
+  // sinks as the frontier hands it over.
   {
     parallel::ThreadPool pool(3);
     parallel::StreamOptions sopts;
@@ -170,8 +181,12 @@ void ExpectAllDriversIdentical(const MultiQuery& mq, std::string_view doc,
       mq.RouteSinks(ptrs, &owned[d], &doc_sinks[d]);
     }
     std::vector<std::vector<core::QueryRunStats>> doc_qstats;
-    std::vector<Status> statuses = parallel::MultiQueryBatchRunStreaming(
-        mq.tables(), docs, doc_sinks, &doc_qstats, nullptr, &pool, sopts);
+    std::vector<Status> statuses = parallel::BatchRunStreaming(
+        mq.tables(), docs,
+        [&doc_sinks](size_t d, size_t u, SpillSink* seg) {
+          return seg != nullptr ? seg->CopyTo(doc_sinks[d][u]) : Status::Ok();
+        },
+        &doc_qstats, nullptr, &pool, sopts);
     for (size_t d = 0; d < 2; ++d) {
       ASSERT_TRUE(statuses[d].ok()) << statuses[d].ToString();
       std::vector<core::QueryRunStats> qstats;
@@ -436,7 +451,7 @@ TEST(MultiQueryTest, SingleQueryDriversRejectProductTables) {
   MultiQuery mq = CompileMix(dtd, {"/a/b", "/a/c#"});
   const std::string doc = "<a><b>x</b><c><b>y</b></c></a>";
 
-  {  // ShardedRun writes ONE output; product tables have N.
+  {  // The single-sink ShardedRun writes ONE output; product tables have N.
     parallel::ThreadPool pool(2);
     StringSink sink;
     Status s =
@@ -448,23 +463,108 @@ TEST(MultiQueryTest, SingleQueryDriversRejectProductTables) {
     auto idx = index::BoundaryIndex::Build(mq.tables(), doc, &pool, {});
     EXPECT_FALSE(idx.ok());
   }
-  {  // Wrong sink count fails closed.
+  {  // Wrong sink count fails closed, sharded and streaming alike.
     parallel::ThreadPool pool(2);
     StringSink sink;
     std::vector<OutputSink*> sinks = {&sink};
-    Status s = parallel::MultiQueryShardedRun(mq.tables(), doc, sinks,
-                                              nullptr, nullptr, &pool, {});
-    EXPECT_FALSE(s.ok());
-  }
-  {  // And the multi-query streaming driver rejects single-query tables.
-    auto pf = core::Prefilter::Compile(dtd, MustParse("/a/b"));
-    ASSERT_TRUE(pf.ok());
+    Status s = parallel::ShardedRun(mq.tables(), doc, sinks, nullptr, nullptr,
+                                    &pool, {});
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
     MemorySource src(doc);
+    s = parallel::StreamRun(mq.tables(), src, sinks, nullptr, nullptr, {});
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_TRUE(sink.str().empty());
+  }
+}
+
+TEST(MultiQueryTest, OneSinkOnSingleQueryTablesMatchesTheSingleSinkPath) {
+  // The N-sink drivers degenerate to N=1 on ordinary single-query tables:
+  // StreamRun, the N-sink ShardedRun and the batch driver, each given one
+  // sink, must emit the serial engine's bytes and RunStats, and the
+  // N-sink ShardedRun must equal the single-sink overload.
+  xmlgen::XmarkOptions gen;
+  gen.target_bytes = 48 << 10;
+  const std::string doc = xmlgen::GenerateXmark(gen);
+  auto pf = core::Prefilter::Compile(xmlgen::XmarkDtd(),
+                                     MustParse("/site/people/person/name#"));
+  ASSERT_TRUE(pf.ok()) << pf.status().ToString();
+  core::RunStats serial_stats;
+  auto serial = pf->RunOnBuffer(doc, &serial_stats);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+
+  auto expect_serial = [&](const std::string& out,
+                           const core::RunStats& stats,
+                           const std::vector<core::QueryRunStats>& qstats,
+                           const char* driver) {
+    SCOPED_TRACE(driver);
+    EXPECT_EQ(out, *serial);
+    EXPECT_EQ(stats.input_bytes, serial_stats.input_bytes);
+    EXPECT_EQ(stats.output_bytes, serial_stats.output_bytes);
+    EXPECT_EQ(stats.matches, serial_stats.matches);
+    EXPECT_EQ(stats.false_matches, serial_stats.false_matches);
+    EXPECT_EQ(stats.states_visited, serial_stats.states_visited);
+    ASSERT_EQ(qstats.size(), 1u);
+    EXPECT_EQ(qstats[0].matches, serial_stats.matches);
+    EXPECT_EQ(qstats[0].output_bytes, serial_stats.output_bytes);
+  };
+
+  MemorySource src(doc);
+  {
+    parallel::StreamOptions sopts;
+    sopts.chunk_bytes = 333;
     StringSink sink;
-    std::vector<OutputSink*> sinks = {&sink};
-    Status s = parallel::MultiQueryStreamRun(pf->tables(), src, sinks,
-                                             nullptr, nullptr, {});
-    EXPECT_FALSE(s.ok());
+    core::RunStats stats;
+    std::vector<core::QueryRunStats> qstats;
+    Status s =
+        parallel::StreamRun(pf->tables(), src, {&sink}, &qstats, &stats, sopts);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    expect_serial(sink.str(), stats, qstats, "StreamRun");
+  }
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    parallel::ThreadPool pool(threads);
+    parallel::ShardOptions popts;
+    popts.max_buffer_bytes = 512;
+    StringSink one, many;
+    core::RunStats one_stats, many_stats;
+    parallel::ShardReport one_report, many_report;
+    std::vector<core::QueryRunStats> qstats;
+    Status s = parallel::ShardedRun(pf->tables(), doc, &one, &one_stats,
+                                    &pool, popts, &one_report);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    s = parallel::ShardedRun(pf->tables(), doc, {&many}, &qstats, &many_stats,
+                             &pool, popts, &many_report);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    expect_serial(many.str(), many_stats, qstats, "ShardedRun");
+    EXPECT_EQ(many.str(), one.str());
+    EXPECT_EQ(many_stats.input_bytes, one_stats.input_bytes);
+    EXPECT_EQ(many_stats.output_bytes, one_stats.output_bytes);
+    EXPECT_EQ(many_stats.matches, one_stats.matches);
+    EXPECT_EQ(many_stats.states_visited, one_stats.states_visited);
+    EXPECT_EQ(many_report.shards, one_report.shards);
+    EXPECT_EQ(many_report.accepted, one_report.accepted);
+    EXPECT_EQ(many_report.reruns, one_report.reruns);
+  }
+  {
+    parallel::ThreadPool pool(3);
+    parallel::StreamOptions sopts;
+    sopts.chunk_bytes = 1000;
+    sopts.max_buffer_bytes = 64;
+    std::vector<const InputSource*> docs = {&src, &src, &src};
+    std::vector<StringSink> sinks(docs.size());
+    std::vector<std::vector<core::QueryRunStats>> qstats;
+    std::vector<core::RunStats> stats;
+    std::vector<Status> statuses = parallel::BatchRunStreaming(
+        pf->tables(), docs,
+        [&sinks](size_t d, size_t u, SpillSink* seg) {
+          EXPECT_EQ(u, 0u);
+          return seg != nullptr ? seg->CopyTo(&sinks[d]) : Status::Ok();
+        },
+        &qstats, &stats, &pool, sopts);
+    for (size_t d = 0; d < docs.size(); ++d) {
+      ASSERT_TRUE(statuses[d].ok()) << statuses[d].ToString();
+      expect_serial(sinks[d].str(), stats[d], qstats[d], "BatchRunStreaming");
+    }
   }
 }
 

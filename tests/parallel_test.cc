@@ -1052,64 +1052,36 @@ TEST(ShardedRunTest, TruncatedDocumentFailsLikeSerial) {
 
 // --- Batch driver ---------------------------------------------------------
 
-TEST(BatchRunTest, ManyDocumentsMatchPerDocumentSerialRuns) {
-  const char dtd[] =
-      "<!DOCTYPE a [ <!ELEMENT a (b|c)*>"
-      " <!ELEMENT b (#PCDATA)> <!ELEMENT c (#PCDATA)> ]>";
-  Prefilter pf = Compile(dtd, "/a/b#");
-  std::vector<std::string> docs;
-  for (int d = 0; d < 12; ++d) {
-    std::string doc = "<a>";
-    for (int i = 0; i <= d * 7; ++i) {
-      doc += "<b>d" + std::to_string(d) + "i" + std::to_string(i) + "</b>";
-      doc += "<c>skip</c>";
-    }
-    doc += "</a>";
-    docs.push_back(doc);
-  }
-  std::vector<std::string_view> views(docs.begin(), docs.end());
-
-  std::string expected;
-  RunStats expected_stats;
-  for (const std::string& d : docs) {
-    RunStats st;
-    expected += SerialRun(pf, d, &st);
-    parallel::MergeRunStats(&expected_stats, st);
-  }
-
-  for (int threads : {1, 2, 4, 7}) {
-    SCOPED_TRACE(threads);
-    parallel::ThreadPool pool(threads);
-    StringSink sink;
-    RunStats stats;
-    Status s = parallel::BatchRunMerged(pf.tables(), views, &sink, &stats,
-                                        &pool);
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    EXPECT_EQ(sink.str(), expected);
-    EXPECT_EQ(stats.matches, expected_stats.matches);
-    EXPECT_EQ(stats.output_bytes, expected_stats.output_bytes);
-    EXPECT_EQ(stats.input_bytes, expected_stats.input_bytes);
-  }
-}
-
 TEST(BatchRunTest, PerDocumentErrorsAreIsolatedAndOrdered) {
   const char dtd[] =
       "<!DOCTYPE a [ <!ELEMENT a (b)*> <!ELEMENT b (#PCDATA)> ]>";
   Prefilter pf = Compile(dtd, "/a/b#");
-  std::vector<std::string_view> docs = {
+  std::vector<std::string> docs = {
       "<a><b>ok1</b></a>",
       "<a><b>truncated",  // invalid
       "<a><b>ok2</b></a>",
   };
+  std::vector<MemorySource> sources(docs.begin(), docs.end());
+  std::vector<const InputSource*> srcs;
+  for (const MemorySource& s : sources) srcs.push_back(&s);
   parallel::ThreadPool pool(3);
-  std::vector<parallel::BatchResult> results =
-      parallel::BatchRun(pf.tables(), docs, &pool);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].status.ok());
-  EXPECT_FALSE(results[1].status.ok());
-  EXPECT_TRUE(results[2].status.ok());
-  EXPECT_EQ(results[0].output, "<a><b>ok1</b></a>");
-  EXPECT_EQ(results[2].output, "<a><b>ok2</b></a>");
+  std::vector<std::string> outputs(docs.size());
+  std::vector<Status> statuses = parallel::BatchRunStreaming(
+      pf.tables(), srcs,
+      [&outputs](size_t doc, size_t query, SpillSink* seg) {
+        EXPECT_EQ(query, 0u);
+        StringSink sink;
+        Status s = seg != nullptr ? seg->CopyTo(&sink) : Status::Ok();
+        outputs[doc] = sink.TakeString();
+        return s;
+      },
+      nullptr, nullptr, &pool);
+  ASSERT_EQ(statuses.size(), 3u);
+  EXPECT_TRUE(statuses[0].ok());
+  EXPECT_FALSE(statuses[1].ok());
+  EXPECT_TRUE(statuses[2].ok());
+  EXPECT_EQ(outputs[0], "<a><b>ok1</b></a>");
+  EXPECT_EQ(outputs[2], "<a><b>ok2</b></a>");
 }
 
 TEST(BatchRunTest, StreamingMergedMatchesBufferedMergeAcrossBudgets) {
@@ -1160,8 +1132,8 @@ TEST(BatchRunTest, StreamingMergedMatchesBufferedMergeAcrossBudgets) {
 }
 
 TEST(BatchRunTest, StreamingMergedStopsAtTheFirstError) {
-  // BatchRunMerged semantics: the first (lowest-index) failing document is
-  // reported and only the clean prefix before it is emitted -- even though
+  // First-error-prefix semantics: the first (lowest-index) failing document
+  // is reported and only the clean prefix before it is emitted -- even though
   // later documents finish fine (possibly first) on other workers.
   const char dtd[] =
       "<!DOCTYPE a [ <!ELEMENT a (b)*> <!ELEMENT b (#PCDATA)> ]>";
@@ -1221,10 +1193,28 @@ TEST(BatchRunTest, StreamingToFilesWritesEveryDocumentWithErrorIsolation) {
     parallel::StreamOptions opts;
     opts.chunk_bytes = 13;
     opts.max_buffer_bytes = budget;
+    // The writer opens each document's file only when the frontier hands
+    // it the segment: calls arrive in document order, one at a time, so
+    // at most one output file is ever open.
+    std::atomic<int> open_files{0};
+    size_t next_doc = 0;
     std::vector<RunStats> stats;
-    std::vector<Status> statuses = parallel::BatchRunStreamingToFiles(
-        pf.tables(), srcs, out_paths, &stats, &pool, opts);
+    std::vector<Status> statuses = parallel::BatchRunStreaming(
+        pf.tables(), srcs,
+        [&](size_t doc, size_t query, SpillSink* seg) {
+          EXPECT_EQ(open_files.fetch_add(1), 0);
+          EXPECT_EQ(doc, next_doc++);
+          EXPECT_EQ(query, 0u);
+          auto file = BufferedFileSink::Open(out_paths[doc]);
+          Status s = file.status();
+          if (s.ok() && seg != nullptr) s = seg->CopyTo(file->get());
+          if (s.ok()) s = (*file)->Flush();
+          open_files.fetch_sub(1);
+          return s;
+        },
+        nullptr, &stats, &pool, opts);
     ASSERT_EQ(statuses.size(), docs.size());
+    EXPECT_EQ(next_doc, docs.size());
     for (size_t i = 0; i < docs.size(); ++i) {
       auto content = ReadFileToString(out_paths[i]);
       ASSERT_TRUE(content.ok()) << out_paths[i];
@@ -1239,6 +1229,36 @@ TEST(BatchRunTest, StreamingToFilesWritesEveryDocumentWithErrorIsolation) {
     }
   }
   for (const std::string& p : out_paths) std::remove(p.c_str());
+}
+
+TEST(BatchRunTest, WriterErrorStopsTheFrontierAndIsReported) {
+  // A writer failure is sticky: the frontier stops at the failing segment,
+  // documents before it keep their status, and every document at or past
+  // it reports the writer's error (its output was never fully written).
+  const char dtd[] =
+      "<!DOCTYPE a [ <!ELEMENT a (b)*> <!ELEMENT b (#PCDATA)> ]>";
+  Prefilter pf = Compile(dtd, "/a/b#");
+  std::vector<std::string> docs(6, "<a><b>x</b></a>");
+  std::vector<MemorySource> sources(docs.begin(), docs.end());
+  std::vector<const InputSource*> srcs;
+  for (const MemorySource& s : sources) srcs.push_back(&s);
+  parallel::ThreadPool pool(3);
+  std::vector<size_t> written;
+  std::vector<Status> statuses = parallel::BatchRunStreaming(
+      pf.tables(), srcs,
+      [&written](size_t doc, size_t, SpillSink*) {
+        if (doc == 2) return Status::IoError("disk full");
+        written.push_back(doc);
+        return Status::Ok();
+      },
+      nullptr, nullptr, &pool);
+  EXPECT_EQ(written, (std::vector<size_t>{0, 1}));
+  ASSERT_EQ(statuses.size(), docs.size());
+  EXPECT_TRUE(statuses[0].ok());
+  EXPECT_TRUE(statuses[1].ok());
+  for (size_t i = 2; i < docs.size(); ++i) {
+    EXPECT_EQ(statuses[i].code(), StatusCode::kIoError) << i;
+  }
 }
 
 TEST(InputSourceTest, MemorySourceRoundTrip) {

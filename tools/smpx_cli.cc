@@ -8,6 +8,8 @@
 //   smpx --dtd schema.dtd --paths ... --batch a.xml b.xml --out all.xml
 //   smpx --dtd schema.dtd --paths ... --index-build big.idx big.xml
 //   smpx --dtd schema.dtd --paths ... --index big.idx --seek 512M big.xml
+//   smpx --dtd schema.dtd --query-file mix.txt in.xml out.xml  # out.q1.xml ...
+//   smpx --dtd schema.dtd --query-file mix.txt --batch a.xml b.xml
 //
 // Reads stdin/writes stdout when files are omitted; all output goes
 // through a write-coalescing BufferedFileSink. File inputs are mmap'ed
@@ -24,6 +26,12 @@
 // file is open at a time regardless of batch size. --stats prints the
 // paper's measurement columns to stderr (per document and as a total in
 // batch mode). --tables dumps the compiled A/V/J/T tables and exits.
+//
+// Multi-query mode (--query-file, or --paths repeated) compiles N queries
+// into one product automaton and writes one output per query (out.xml ->
+// out.q1.xml, ...). It runs on the same drivers as a single query: one
+// serial pass, --threads sharding, and --batch through the same
+// one-file-at-a-time ordered-commit writer (in.xml -> in.proj.q1.xml, ...).
 //
 // Random access: --index-build FILE runs the speculative indexing pass
 // over one document and saves a boundary skip-index (--index-granularity
@@ -88,7 +96,8 @@ int Usage(const char* argv0) {
       "                  (query order). Repeating --paths enters the same\n"
       "                  mode, one query per occurrence. Works with\n"
       "                  --threads (sharded one-pass) and --batch\n"
-      "                  (in.xml -> in.proj.q1.xml, ...)\n"
+      "                  (in.xml -> in.proj.q1.xml, ...; like single-query\n"
+      "                  --batch, one output file open at a time)\n"
       "  --fused         multi-query mode: emit ONE superset projection\n"
       "                  (union of all queries' paths, safe for each of\n"
       "                  them) instead of per-query outputs\n"
@@ -153,6 +162,44 @@ std::string QueryOutputPath(const std::string& base, size_t q) {
     return base + suffix;
   }
   return base.substr(0, dot) + suffix + base.substr(dot);
+}
+
+/// --batch with per-input output files: every (document, unique query)
+/// projection segment is written, when the document-order commit frontier
+/// reaches it, to each of its files -- opened, written, flushed and closed
+/// one at a time, so at most one output file is open at any moment however
+/// large the batch. `files[i][u]` names document i's files for unique
+/// query u (several when duplicate queries collapsed into one). File
+/// errors are isolated per document: the returned per-document status is
+/// the run's error, else that document's first file error.
+std::vector<smpx::Status> RunBatchToFiles(
+    const smpx::core::RuntimeTables& tables,
+    const std::vector<const smpx::InputSource*>& srcs,
+    const std::vector<std::vector<std::vector<std::string>>>& files,
+    std::vector<std::vector<smpx::core::QueryRunStats>>* query_stats,
+    std::vector<smpx::core::RunStats>* stats, int threads,
+    const smpx::parallel::StreamOptions& sopts) {
+  smpx::parallel::ThreadPool pool(threads);
+  std::vector<smpx::Status> file_status(srcs.size());
+  std::vector<smpx::Status> statuses = smpx::parallel::BatchRunStreaming(
+      tables, srcs,
+      [&](size_t doc, size_t query, smpx::SpillSink* segment) {
+        for (const std::string& path : files[doc][query]) {
+          auto file = smpx::BufferedFileSink::Open(path);
+          smpx::Status s = file.status();
+          if (s.ok() && segment != nullptr) s = segment->CopyTo(file->get());
+          if (s.ok()) s = (*file)->Flush();
+          if (file_status[doc].ok()) file_status[doc] = s;
+        }
+        // Recorded, not returned: one unwritable file must not stop the
+        // frontier for the rest of the batch.
+        return smpx::Status::Ok();
+      },
+      query_stats, stats, &pool, sopts);
+  for (size_t i = 0; i < statuses.size(); ++i) {
+    if (statuses[i].ok()) statuses[i] = file_status[i];
+  }
+  return statuses;
 }
 
 /// Reads all of stdin.
@@ -588,45 +635,28 @@ int main(int argc, char** argv) {
       // Per-input per-query files: in.xml -> in.proj.q1.xml, ... A merged
       // --out has no meaning when each query owns its byte stream.
       if (!out_file.empty()) return Usage(argv[0]);
-      smpx::parallel::ThreadPool pool(threads);
       smpx::parallel::StreamOptions sopts;
       sopts.engine = eopts;
       sopts.chunk_bytes = chunk;
       sopts.max_buffer_bytes = max_buffer;
       std::vector<const smpx::InputSource*> srcs;
-      std::vector<std::vector<std::unique_ptr<smpx::BufferedFileSink>>>
-          files(mq_docs.size());
-      std::vector<std::vector<std::unique_ptr<smpx::FanoutSink>>> owned(
-          mq_docs.size());
-      std::vector<std::vector<smpx::OutputSink*>> doc_sinks(mq_docs.size());
-      std::vector<std::vector<std::string>> names(mq_docs.size());
+      std::vector<std::vector<std::vector<std::string>>> files;
+      std::vector<std::vector<std::string>> names(mq_sources.size());
       for (size_t i = 0; i < mq_sources.size(); ++i) {
         srcs.push_back(mq_sources[i].get());
-        std::vector<smpx::OutputSink*> originals;
+        files.emplace_back(static_cast<size_t>(mq->num_unique()));
         for (int j = 0; j < nq; ++j) {
           names[i].push_back(QueryOutputPath(
               smpx::ProjectedOutputPath(inputs[i]), static_cast<size_t>(j) + 1));
-          auto f = smpx::BufferedFileSink::Open(names[i].back());
-          if (!f.ok()) {
-            std::fprintf(stderr, "%s\n", f.status().ToString().c_str());
-            return 1;
-          }
-          originals.push_back(f->get());
-          files[i].push_back(std::move(*f));
+          files[i][static_cast<size_t>(mq->unique_of(j))].push_back(
+              names[i].back());
         }
-        mq->RouteSinks(originals, &owned[i], &doc_sinks[i]);
       }
       std::vector<std::vector<smpx::core::QueryRunStats>> doc_qstats;
       std::vector<smpx::core::RunStats> doc_stats;
-      std::vector<smpx::Status> statuses =
-          smpx::parallel::MultiQueryBatchRunStreaming(
-              mq->tables(), srcs, doc_sinks, &doc_qstats, &doc_stats, &pool,
-              sopts);
+      std::vector<smpx::Status> statuses = RunBatchToFiles(
+          mq->tables(), srcs, files, &doc_qstats, &doc_stats, threads, sopts);
       for (size_t i = 0; i < statuses.size(); ++i) {
-        for (auto& f : files[i]) {
-          smpx::Status fs = f->Flush();
-          if (statuses[i].ok() && !fs.ok()) statuses[i] = fs;
-        }
         if (!statuses[i].ok()) {
           std::fprintf(stderr, "%s: %s\n", inputs[i].c_str(),
                        statuses[i].ToString().c_str());
@@ -678,13 +708,11 @@ int main(int argc, char** argv) {
         std::vector<smpx::OutputSink*> unique_sinks;
         mq->RouteSinks(originals, &owned, &unique_sinks);
         std::vector<smpx::core::QueryRunStats> uq_stats;
-        s = smpx::parallel::MultiQueryShardedRun(mq->tables(), mq_docs[0],
-                                                 unique_sinks, &uq_stats,
-                                                 &stats, &pool, popts);
+        s = smpx::parallel::ShardedRun(mq->tables(), mq_docs[0], unique_sinks,
+                                       &uq_stats, &stats, &pool, popts);
         if (s.ok()) mq->ExpandStats(uq_stats, &qstats);
       } else {
-        smpx::MemoryInputStream in(mq_docs[0]);
-        s = mq->Run(&in, originals, &qstats, &stats, eopts, chunk);
+        s = mq->RunOnBuffer(mq_docs[0], originals, &qstats, &stats, eopts);
       }
       for (auto& f : files) {
         if (s.ok()) s = f->Flush();
@@ -921,13 +949,13 @@ int main(int argc, char** argv) {
     // output file open at a time, so thousand-document batches do not
     // exhaust fd limits, and peak memory never depends on document size.
     // Errors are isolated per document; stats stay in argument order.
-    smpx::parallel::ThreadPool pool(threads);
     smpx::parallel::StreamOptions sopts;
     sopts.engine = eopts;
     sopts.chunk_bytes = chunk;
     sopts.max_buffer_bytes = max_buffer;
     std::vector<const smpx::InputSource*> srcs;
     std::vector<std::string> out_paths;
+    std::vector<std::vector<std::vector<std::string>>> files;
     for (size_t i = 0; i < sources.size(); ++i) {
       out_paths.push_back(smpx::ProjectedOutputPath(inputs[i]));
       // Repeated inputs would collapse two documents onto one output file.
@@ -941,12 +969,11 @@ int main(int argc, char** argv) {
         }
       }
       srcs.push_back(sources[i].get());
+      files.push_back({{out_paths.back()}});
     }
     std::vector<smpx::core::RunStats> doc_stats;
-    std::vector<smpx::Status> statuses =
-        smpx::parallel::BatchRunStreamingToFiles(pf->tables(), srcs,
-                                                 out_paths, &doc_stats,
-                                                 &pool, sopts);
+    std::vector<smpx::Status> statuses = RunBatchToFiles(
+        pf->tables(), srcs, files, nullptr, &doc_stats, threads, sopts);
     for (size_t i = 0; i < statuses.size(); ++i) {
       if (!statuses[i].ok()) {
         std::fprintf(stderr, "%s: %s\n", inputs[i].c_str(),
