@@ -2,8 +2,9 @@
 // document costs, versus the streaming alternative of prefiltering the
 // whole prefix.
 //
-//   build    index-build throughput (MB/s of document indexed) and index
-//            size per granularity -- the one-time cost per corpus file.
+//   build    index-build throughput (MB/s of document indexed, one serial
+//            streaming pass over the in-memory document) and index size
+//            per granularity -- the one-time cost per corpus file.
 //   seek     latency of Cursor::OpenAt + Next(1) (serve one record) at
 //            evenly spread byte targets, per granularity, with the
 //            content-digest verification hashed once up front the way a
@@ -31,7 +32,6 @@
 #include "core/prefilter.h"
 #include "index/boundary_index.h"
 #include "index/cursor.h"
-#include "parallel/thread_pool.h"
 #include "xmlgen/medline.h"
 
 namespace smpx::bench {
@@ -56,7 +56,6 @@ int Run() {
     std::fprintf(stderr, "compile: %s\n", pf.status().ToString().c_str());
     return 1;
   }
-  parallel::ThreadPool pool(4);
   const int reps = Reps();
 
   std::printf("== boundary skip-index: build + seek (MEDLINE, %s) ==\n",
@@ -88,7 +87,8 @@ int Run() {
     Result<index::BoundaryIndex> idx = Status::Internal("unset");
     for (int r = 0; r < reps; ++r) {
       WallTimer t;
-      idx = index::BoundaryIndex::Build(pf->tables(), doc, &pool, iopts);
+      idx = index::BoundaryIndex::Build(pf->tables(), MemorySource(doc),
+                                        iopts);
       build_secs = std::min(build_secs, t.Seconds());
       if (!idx.ok()) {
         std::fprintf(stderr, "build: %s\n", idx.status().ToString().c_str());

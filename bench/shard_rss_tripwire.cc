@@ -14,6 +14,12 @@
 // reference, making this the end-to-end acceptance check for spill +
 // ordered commit on a document that does not fit the budget.
 //
+// One more child indexes the same document at granularity 1
+// (--index-build --index-granularity 1, an entry per record) and is held
+// to input_size + slack: beyond the mapped input, the index build keeps
+// only its entries. Its peak RSS and MB/s (document bytes over the child's
+// wall time) are reported next to the shard rows.
+//
 // Knobs:
 //   SMPX_CLI           path to the smpx binary (default "./smpx")
 //   SMPX_DATASET       medline (default) or xmark
@@ -39,6 +45,7 @@
 
 #include "bench/bench_util.h"
 #include "common/io.h"
+#include "common/timer.h"
 #include "xmlgen/medline.h"
 #include "xmlgen/xmark.h"
 
@@ -163,6 +170,7 @@ int Run() {
   const std::string doc_path = "tripwire." + dataset + ".xml";
   const std::string ref_path = "tripwire." + dataset + ".ref.xml";
   const std::string out_path = "tripwire." + dataset + ".out.xml";
+  const std::string idx_path = "tripwire." + dataset + ".idx";
   if (!WriteStringToFile(dtd_path, dtd_text).ok()) {
     std::fprintf(stderr, "cannot write %s\n", dtd_path.c_str());
     return 1;
@@ -202,26 +210,45 @@ int Run() {
     }
   }
 
-  TablePrinter table({"threads", "peakMB", "limitMB", "identical", "ok"});
+  TablePrinter table({"run", "threads", "peakMB", "limitMB", "MBps",
+                      "identical", "ok"});
   bool all_ok = true;
+  auto add_row = [&](const char* run, int t, uint64_t rss, uint64_t limit,
+                     double secs, const char* identical, bool ok) {
+    all_ok = all_ok && ok;
+    table.AddRow({run, std::to_string(t),
+                  Fmt("%.1f", static_cast<double>(rss) / (1 << 20)),
+                  Fmt("%.1f", static_cast<double>(limit) / (1 << 20)),
+                  Fmt("%.1f", static_cast<double>(scale) / (1 << 20) / secs),
+                  identical, ok ? "yes" : "NO"});
+  };
   for (int t : threads) {
     uint64_t rss = 0;
+    WallTimer w;
     bool ran = RunChild(
         cli,
         {"--dtd", dtd_path, "--paths", paths, "--threads",
          std::to_string(t), "--max-buffer", std::to_string(budget),
          doc_path, out_path},
         &rss);
+    const double secs = w.Seconds();
     bool identical = ran && FilesIdentical(ref_path, out_path);
     const uint64_t limit =
         scale + slack +
         multiple * static_cast<uint64_t>(t) * (budget + window);
-    bool ok = ran && identical && rss <= limit;
-    all_ok = all_ok && ok;
-    table.AddRow({std::to_string(t),
-                  Fmt("%.1f", static_cast<double>(rss) / (1 << 20)),
-                  Fmt("%.1f", static_cast<double>(limit) / (1 << 20)),
-                  identical ? "yes" : "NO", ok ? "yes" : "NO"});
+    add_row("shard", t, rss, limit, secs, identical ? "yes" : "NO",
+            ran && identical && rss <= limit);
+  }
+  {
+    uint64_t rss = 0;
+    WallTimer w;
+    bool ran = RunChild(cli,
+                        {"--dtd", dtd_path, "--paths", paths, "--index-build",
+                         idx_path, "--index-granularity", "1", doc_path},
+                        &rss);
+    const double secs = w.Seconds();
+    const uint64_t limit = scale + slack;
+    add_row("index-build", 1, rss, limit, secs, "-", ran && rss <= limit);
   }
   table.Print("shard_rss_tripwire");
 
@@ -229,14 +256,17 @@ int Run() {
   std::remove(doc_path.c_str());
   std::remove(ref_path.c_str());
   std::remove(out_path.c_str());
+  std::remove(idx_path.c_str());
   if (!all_ok) {
     std::fprintf(stderr,
                  "RSS tripwire FAILED: a sharded run exceeded the memory "
-                 "bound or diverged from the serial output\n");
+                 "bound or diverged from the serial output, or the index "
+                 "build exceeded input + slack\n");
     return 1;
   }
   std::printf("tripwire ok: sharded peak RSS within input + slack + "
-              "%llu x threads x (budget + window), outputs byte-identical\n",
+              "%llu x threads x (budget + window), outputs byte-identical; "
+              "index build within input + slack\n",
               static_cast<unsigned long long>(multiple));
   return 0;
 }

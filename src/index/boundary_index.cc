@@ -4,10 +4,8 @@
 #include <limits>
 
 #include "common/hash.h"
-#include "common/strings.h"
 #include "index/wire.h"
-#include "parallel/shard.h"
-#include "simd/simd.h"
+#include "parallel/boundary_scan.h"
 
 namespace smpx::index {
 namespace {
@@ -21,209 +19,17 @@ constexpr size_t kFooterBytes = 8;
 constexpr uint8_t kFlagPrologDone = 1;
 constexpr uint8_t kFlagJumpPending = 2;
 
-/// Floor for the chunked build's rolling buffer: the structural scan
-/// peeks up to 9 bytes ("<![CDATA[") and the pattern searches need room
-/// to make progress past their overlap.
-constexpr uint64_t kMinChunkBytes = 64;
+/// Cap on the entry count whatever the granularity: past it the split
+/// targets spread evenly over the document instead.
+constexpr uint64_t kMaxEntries = 1 << 20;
+
+/// Smallest serialized entry: eight varints, the flag byte and ten
+/// stats-prefix varints, one byte each at least.
+constexpr uint64_t kMinEntryBytes = 8 + 1 + 10;
 
 Status Corrupt(const std::string& what) {
   return Status::ParseError("corrupt boundary index: " + what);
 }
-
-/// The shared stride arithmetic of both build paths: how many split
-/// targets the (granularity, max_entries, size) triple yields. The two
-/// overloads must agree exactly for their boundary sets to coincide.
-uint64_t MaxSplitsFor(uint64_t doc_size, const BoundaryIndexOptions& opts) {
-  const uint64_t gran = std::max<uint64_t>(1, opts.granularity_bytes);
-  uint64_t max_splits = std::min<uint64_t>(doc_size / gran, opts.max_entries);
-  if (doc_size > 0) {
-    // FindTopLevelBoundaries needs a stride of at least one byte.
-    max_splits = std::min<uint64_t>(max_splits, doc_size - 1);
-  }
-  return max_splits;
-}
-
-/// Rolling-window structural scan primitives over an InputSource: the
-/// subset of shard.cc's StructScanner the chunked build needs, with
-/// transparent refill so no more than one chunk is resident. Positions
-/// are absolute document offsets; every primitive returns size() when the
-/// sought byte/pattern is absent -- or on a read error, which sticks in
-/// status() and is surfaced once by the caller after the pass.
-class StreamScanner {
- public:
-  StreamScanner(const InputSource& src, uint64_t chunk)
-      : src_(src),
-        size_(src.size()),
-        chunk_(static_cast<size_t>(
-            std::max<uint64_t>(chunk, kMinChunkBytes))) {}
-
-  uint64_t size() const { return size_; }
-  const Status& status() const { return status_; }
-
-  uint64_t NextOpen(uint64_t pos) { return FindByteAt(pos, '<'); }
-
-  /// Up to `n` bytes at `pos` (short only at end of input or on error).
-  /// `n` must stay below kMinChunkBytes so one refill always suffices.
-  std::string_view PeekAt(uint64_t pos, size_t n) {
-    if (pos >= size_ || !Ensure(pos)) return {};
-    std::string_view w = WindowFrom(pos);
-    if (w.size() < n && base_ + buf_len_ < size_) {
-      // `pos` sits in the window's tail: refill from it so a peek short
-      // of `n` bytes means end of input, never end of buffer.
-      if (!Refill(pos)) return {};
-      w = WindowFrom(pos);
-    }
-    return w.substr(0, std::min(n, w.size()));
-  }
-
-  char ByteAt(uint64_t pos) {
-    std::string_view b = PeekAt(pos, 1);
-    return b.empty() ? '\0' : b[0];
-  }
-
-  /// Mirrors StructScanner::TagEnd: the '>' closing the tag whose '<'
-  /// sits at `from`, skipping quoted attribute values.
-  uint64_t TagEnd(uint64_t from) {
-    static constexpr simd::ByteSet kTagEnd(">\"'");
-    uint64_t r = from + 1;
-    for (;;) {
-      const uint64_t hit = FindAnyAt(r, kTagEnd);
-      if (hit >= size_) return size_;
-      const char hc = ByteAt(hit);
-      if (hc == '>') return hit;
-      const uint64_t end = FindByteAt(hit + 1, hc);
-      if (end >= size_) return size_;
-      r = end + 1;
-    }
-  }
-
-  /// Mirrors StructScanner::SkipMarkupConstruct (comment, CDATA, PI,
-  /// DOCTYPE-style declaration).
-  uint64_t SkipMarkupConstruct(uint64_t t, char next) {
-    if (next == '?') return SkipPastTerm(t + 2, "?>");
-    std::string_view rest = PeekAt(t, 9);
-    if (rest.substr(0, 4) == "<!--") return SkipPastTerm(t + 4, "-->");
-    if (rest == "<![CDATA[") return SkipPastTerm(t + 9, "]]>");
-    return SkipDeclaration(t);
-  }
-
- private:
-  uint64_t SkipPastTerm(uint64_t from, std::string_view term) {
-    const uint64_t hit = FindPatternAt(from, term);
-    if (hit >= size_) return size_;
-    return hit + term.size();
-  }
-
-  uint64_t SkipDeclaration(uint64_t from) {
-    static constexpr simd::ByteSet kStructural("[]>\"'");
-    uint64_t r = from + 2;
-    int bracket = 0;
-    while (r < size_) {
-      const uint64_t hit = FindAnyAt(r, kStructural);
-      if (hit >= size_) return size_;
-      const char hc = ByteAt(hit);
-      if (hc == '[') {
-        ++bracket;
-        r = hit + 1;
-      } else if (hc == ']') {
-        --bracket;
-        r = hit + 1;
-      } else if (hc == '>') {
-        if (bracket <= 0) return hit + 1;
-        r = hit + 1;
-      } else {
-        const uint64_t end = FindByteAt(hit + 1, hc);
-        if (end >= size_) return size_;
-        r = end + 1;
-      }
-    }
-    return size_;
-  }
-
-  uint64_t FindByteAt(uint64_t from, char c) {
-    while (from < size_) {
-      if (!Ensure(from)) return size_;
-      std::string_view w = WindowFrom(from);
-      const size_t i =
-          simd::FindByte(w.data(), w.size(), static_cast<unsigned char>(c));
-      if (i < w.size()) return from + i;
-      from += w.size();
-    }
-    return size_;
-  }
-
-  uint64_t FindAnyAt(uint64_t from, const simd::ByteSet& set) {
-    while (from < size_) {
-      if (!Ensure(from)) return size_;
-      std::string_view w = WindowFrom(from);
-      const size_t i = simd::FindAny(w.data(), w.size(), set);
-      if (i < w.size()) return from + i;
-      from += w.size();
-    }
-    return size_;
-  }
-
-  uint64_t FindPatternAt(uint64_t from, std::string_view term) {
-    // Windows overlap by term.size()-1 bytes so a straddling occurrence
-    // is seen whole in the next window.
-    while (from + term.size() <= size_) {
-      if (!Ensure(from)) return size_;
-      std::string_view w = WindowFrom(from);
-      if (w.size() < term.size()) return size_;  // EOF tail too short
-      const size_t i = simd::FindPattern(w.data(), w.size(), term);
-      if (i + term.size() <= w.size()) return from + i;
-      from += w.size() - (term.size() - 1);
-    }
-    return size_;
-  }
-
-  /// Makes the window contain `pos`; refills from `pos` when it does not.
-  bool Ensure(uint64_t pos) {
-    if (!status_.ok()) return false;
-    if (pos >= base_ && pos < base_ + buf_len_) return true;
-    return Refill(pos);
-  }
-
-  /// Unconditionally reloads the window to start at `pos`.
-  bool Refill(uint64_t pos) {
-    if (!status_.ok()) return false;
-    const size_t want =
-        static_cast<size_t>(std::min<uint64_t>(chunk_, size_ - pos));
-    buf_.resize(std::max(buf_.size(), want));
-    size_t done = 0;
-    while (done < want) {
-      auto n = src_.ReadAt(pos + done, buf_.data() + done, want - done);
-      if (!n.ok()) {
-        status_ = n.status();
-        return false;
-      }
-      if (*n == 0) break;  // source shrank under us; scan what we have
-      done += *n;
-    }
-    base_ = pos;
-    buf_len_ = done;
-    if (done == 0) {
-      status_ = Status::IoError(
-          "input source returned no data at offset " + std::to_string(pos) +
-          " (size " + std::to_string(size_) + ")");
-      return false;
-    }
-    return true;
-  }
-
-  std::string_view WindowFrom(uint64_t pos) const {
-    const size_t skip = static_cast<size_t>(pos - base_);
-    return std::string_view(buf_.data() + skip, buf_len_ - skip);
-  }
-
-  const InputSource& src_;
-  const uint64_t size_;
-  const size_t chunk_;
-  std::vector<char> buf_;
-  uint64_t base_ = 0;
-  size_t buf_len_ = 0;
-  Status status_ = Status::Ok();
-};
 
 }  // namespace
 
@@ -257,90 +63,14 @@ void StatsPrefix::AccumulateInto(core::RunStats* s) const {
 
 Result<BoundaryIndex> BoundaryIndex::Build(const core::RuntimeTables& tables,
                                            std::string_view doc,
-                                           parallel::ThreadPool* pool,
+                                           parallel::ThreadPool*,
                                            const BoundaryIndexOptions& opts) {
-  if (tables.states.empty()) {
-    return Status::InvalidArgument("empty runtime tables");
-  }
-  if (tables.multi != nullptr) {
-    return Status::Unsupported(
-        "boundary indexing over multi-query product tables is not supported; "
-        "index each query's single-query tables instead");
-  }
-  BoundaryIndex idx;
-  idx.doc_size_ = doc.size();
-  idx.doc_digest_ = Hash64(doc);
-  idx.tables_fingerprint_ = tables.Fingerprint();
-
-  const uint64_t max_splits = MaxSplitsFor(doc.size(), opts);
-  std::vector<uint64_t> bounds;
-  if (max_splits > 0) {
-    bounds = pool->size() > 1
-                 ? parallel::FindTopLevelBoundariesParallel(
-                       doc, static_cast<size_t>(max_splits), pool)
-                 : parallel::FindTopLevelBoundaries(
-                       doc, static_cast<size_t>(max_splits));
-  }
-
-  // The sharded execution pipeline with the output thrown away: speculate
-  // every inter-boundary segment in one wave, then resolve the chain in
-  // order. Each resolved exit is the serial engine's state at the next
-  // boundary -- verified, not assumed -- and the per-segment output byte
-  // counts accumulate into the projection offsets.
-  parallel::SpeculativeResolver::Options ropts;
-  ropts.max_candidate_states = opts.max_candidate_states;
-  ropts.capture_output = false;
-  ropts.engine = opts.engine;
-  parallel::SpeculativeResolver resolver(tables, doc, bounds, ropts);
-  const size_t n = resolver.segments();
-  resolver.LaunchWave(pool);
-  idx.entries_.reserve(bounds.size());
-  uint64_t out_offset = 0;
-  core::RunStats prefix_stats;
-  for (size_t k = 0; k < n; ++k) {
-    parallel::ShardResult& r = resolver.Resolve(k);
-    if (!r.status.ok()) return r.status;
-    out_offset += r.stats.output_bytes;
-    parallel::MergeRunStats(&prefix_stats, r.stats);
-    if (r.finished) break;  // serial run ends; later boundaries unreachable
-    if (k + 1 < n) {
-      IndexEntry e;
-      e.offset = resolver.seg_begin(k + 1);
-      e.out_offset = out_offset;
-      e.checkpoint = r.exit;
-      e.stats = StatsPrefix::FromRunStats(prefix_stats);
-      idx.entries_.push_back(e);
-    }
-  }
-
-  // Record ordinals: count top-level starts per inter-entry segment in
-  // parallel, then prefix-sum. Entry i sits at the start of segment i+1,
-  // so its ordinal is the count over segments 0..i. Segment 0 enters at
-  // the document start (depth 0); every other segment at a boundary
-  // (depth 1, the record at the boundary itself still uncounted).
-  const size_t ne = idx.entries_.size();
-  if (ne > 0) {
-    std::vector<uint64_t> counts(ne);
-    pool->RunAndWait(ne, [&](size_t j) {
-      const uint64_t begin = j == 0 ? 0 : idx.entries_[j - 1].offset;
-      const uint64_t end = idx.entries_[j].offset;
-      counts[j] =
-          parallel::CountTopLevelStarts(doc, begin, end, j == 0 ? 0 : 1);
-    });
-    uint64_t total = 0;
-    for (size_t j = 0; j < ne; ++j) {
-      total += counts[j];
-      idx.entries_[j].record_ordinal = total;
-    }
-  }
-  return idx;
+  return Build(tables, MemorySource(doc), opts);
 }
 
 Result<BoundaryIndex> BoundaryIndex::Build(const core::RuntimeTables& tables,
                                            const InputSource& src,
-                                           parallel::ThreadPool* pool,
                                            const BoundaryIndexOptions& opts) {
-  (void)pool;  // single-threaded by design: bounded memory beats wave speed
   if (tables.states.empty()) {
     return Status::InvalidArgument("empty runtime tables");
   }
@@ -354,20 +84,21 @@ Result<BoundaryIndex> BoundaryIndex::Build(const core::RuntimeTables& tables,
   idx.doc_size_ = size;
   idx.tables_fingerprint_ = tables.Fingerprint();
 
-  const uint64_t max_splits = MaxSplitsFor(size, opts);
-  const uint64_t stride = max_splits > 0 ? size / (max_splits + 1) : 0;
-  const uint64_t chunk = std::max<uint64_t>(opts.chunk_bytes, kMinChunkBytes);
+  // One split target per granularity step; at most size-1 of them, so the
+  // target stride is at least one byte.
+  const uint64_t gran = std::max<uint64_t>(1, opts.granularity_bytes);
+  const uint64_t max_splits =
+      size == 0 ? 0 : std::min({size / gran, kMaxEntries, size - 1});
+  const uint64_t chunk =
+      std::max<uint64_t>(opts.chunk_bytes, parallel::kMinScanChunkBytes);
+  const std::string_view whole = src.Contiguous();
 
-  // One interleaved pass. The structural scan (same rules and target
-  // arithmetic as FindTopLevelBoundaries) runs ahead finding selected
-  // boundaries and counting records; whenever it selects one, the feed
-  // catches the engine up to exactly that offset and the suspension
-  // checkpoint becomes the entry. The feed also streams every byte
-  // through the content digest. Scan reads and feed reads are separate
-  // ReadAt streams, so the source is read about twice -- the price of
-  // O(chunk) memory without a shared sliding window between two
-  // differently-paced consumers.
-  StreamScanner sc(src, chunk);
+  // The structural scan runs ahead selecting boundaries and counting
+  // records; at each selected boundary the feed catches the engine up to
+  // exactly that offset and the suspended session's checkpoint becomes the
+  // entry. The feed also streams every byte through the content digest.
+  // A non-contiguous source is read by two independent ReadAt streams,
+  // scan and feed, each through its own rolling buffer.
   Hash64Stream hasher;
   CountingSink discard;
   core::RunStats stats;
@@ -376,68 +107,49 @@ Result<BoundaryIndex> BoundaryIndex::Build(const core::RuntimeTables& tables,
   std::vector<char> feed_buf;
   Status run_status = Status::Ok();
 
-  // Reads [feed_pos, to) in chunks: every byte goes through the digest,
-  // and through the engine until it reports itself finished.
+  // Feeds [feed_pos, to): every byte goes through the digest, and through
+  // the engine until it reports itself finished.
   auto feed_to = [&](uint64_t to) -> Status {
-    feed_buf.resize(static_cast<size_t>(
-        std::min<uint64_t>(chunk, std::max<uint64_t>(to - feed_pos, 1))));
     while (feed_pos < to) {
-      const size_t want = static_cast<size_t>(
-          std::min<uint64_t>(feed_buf.size(), to - feed_pos));
-      size_t done = 0;
-      while (done < want) {
-        SMPX_ASSIGN_OR_RETURN(
-            size_t n, src.ReadAt(feed_pos + done, feed_buf.data() + done,
-                                 want - done));
-        if (n == 0) {
-          return Status::IoError("input source shrank at offset " +
-                                 std::to_string(feed_pos + done));
+      std::string_view piece;
+      if (whole.size() == size) {
+        piece = whole.substr(static_cast<size_t>(feed_pos),
+                             static_cast<size_t>(to - feed_pos));
+      } else {
+        feed_buf.resize(
+            static_cast<size_t>(std::min<uint64_t>(chunk, to - feed_pos)));
+        size_t done = 0;
+        while (done < feed_buf.size()) {
+          SMPX_ASSIGN_OR_RETURN(
+              size_t n, src.ReadAt(feed_pos + done, feed_buf.data() + done,
+                                   feed_buf.size() - done));
+          if (n == 0) {
+            return Status::IoError("input source shrank at offset " +
+                                   std::to_string(feed_pos + done));
+          }
+          done += n;
         }
-        done += n;
+        piece = std::string_view(feed_buf.data(), done);
       }
-      std::string_view piece(feed_buf.data(), done);
       hasher.Update(piece);
       if (run_status.ok() && !session.finished()) {
         run_status = session.Resume(piece);
       }
-      feed_pos += done;
+      feed_pos += piece.size();
     }
     return Status::Ok();
   };
 
-  uint64_t scan_pos = 0;
-  uint64_t depth = 0;
-  uint64_t records = 0;
-  uint64_t target_idx = 1;
-  uint64_t splits_found = 0;
+  Status feed_status = Status::Ok();
   uint64_t prev_boundary = 0;
-  const bool scan_enabled = stride > 0 && size >= 2;
-  while (scan_enabled && splits_found < max_splits && scan_pos < size) {
-    const uint64_t t = sc.NextOpen(scan_pos);
-    if (t >= size) break;
-    std::string_view head = sc.PeekAt(t, 2);
-    if (head.size() < 2) break;
-    const char next = head[1];
-    if (next == '!' || next == '?') {
-      scan_pos = sc.SkipMarkupConstruct(t, next);
-      continue;
-    }
-    if (next == '/') {
-      const uint64_t end = sc.TagEnd(t);
-      if (depth > 0) --depth;
-      scan_pos = end + 1;
-      continue;
-    }
-    if (!IsNameChar(next)) {
-      scan_pos = t + 1;  // stray '<' in text
-      continue;
-    }
-    if (depth == 1) {
-      if (t >= target_idx * stride) {
-        // A selected boundary: bring the engine here and snapshot it.
-        SMPX_RETURN_IF_ERROR(feed_to(t));
-        if (!run_status.ok()) return run_status;
-        if (session.finished()) break;  // later boundaries unreachable
+  SMPX_RETURN_IF_ERROR(parallel::ForEachTopLevelBoundary(
+      src, chunk, max_splits, [&](uint64_t t, uint64_t records) {
+        feed_status = feed_to(t);
+        // A finished run ignores later bytes: later boundaries are
+        // unreachable.
+        if (!feed_status.ok() || !run_status.ok() || session.finished()) {
+          return false;
+        }
         IndexEntry e;
         e.offset = t;
         // The engine finalizes stats.output_bytes only at the end of a
@@ -446,35 +158,23 @@ Result<BoundaryIndex> BoundaryIndex::Build(const core::RuntimeTables& tables,
         e.record_ordinal = records;
         e.checkpoint = session.checkpoint();
         if (e.checkpoint.copy_depth == 0) {
-          // Out of copy mode, copy_flushed is dormant bookkeeping (the
-          // next copy entry resets it) but its VALUE differs by history:
-          // the wave's segment runs start it at the segment begin, a
-          // serial session leaves the last flush position. Canonicalize
-          // to the wave's value so the two builders agree field-for-field
-          // and chunked output is chunk-size-invariant.
+          // Out of copy mode, copy_flushed is dormant bookkeeping (the next
+          // copy entry resets it), but its value depends on where earlier
+          // feeds cut the input. Canonicalize it so the file does not
+          // depend on the source kind or chunk size.
           e.checkpoint.copy_flushed =
               std::max(e.checkpoint.copy_flushed, prev_boundary);
         }
         e.stats = StatsPrefix::FromRunStats(stats);
         idx.entries_.push_back(e);
         prev_boundary = t;
-        ++splits_found;
-        while (target_idx <= max_splits && target_idx * stride <= t) {
-          ++target_idx;  // collapse targets this boundary already covers
-        }
-      }
-      ++records;
-    }
-    const uint64_t end = sc.TagEnd(t);
-    const bool bachelor =
-        end < size && end > t + 1 && sc.ByteAt(end - 1) == '/';
-    if (!bachelor) ++depth;
-    scan_pos = end + 1;
-  }
-  SMPX_RETURN_IF_ERROR(sc.status());
+        return true;
+      }));
+  SMPX_RETURN_IF_ERROR(feed_status);
+  if (!run_status.ok()) return run_status;
 
   // Tail: engine to end-of-document (a broken document must fail the
-  // build, exactly like the in-memory path), digest over every byte.
+  // build), digest over every byte.
   SMPX_RETURN_IF_ERROR(feed_to(size));
   if (!run_status.ok()) return run_status;
   if (!session.finished()) {
@@ -622,9 +322,15 @@ Result<BoundaryIndex> BoundaryIndex::Load(std::string_view bytes) {
   if (r.failed()) return Corrupt("truncated header");
   if (count > idx.doc_size_) {
     // More entries than document bytes is impossible (offsets are
-    // strictly increasing); rejecting early also bounds the allocation.
+    // strictly increasing).
     return Corrupt("entry count " + std::to_string(count) +
                    " exceeds document size");
+  }
+  if (count > r.remaining() / kMinEntryBytes) {
+    // Bounds the allocation below by the file's own size: a resealed
+    // header may claim any count up to the (equally claimed) doc size.
+    return Corrupt("entry count " + std::to_string(count) + " exceeds the " +
+                   std::to_string(r.remaining()) + " entry bytes");
   }
   idx.entries_.reserve(static_cast<size_t>(count));
   uint64_t prev_offset = 0;

@@ -1,18 +1,16 @@
 // Boundary skip-index: random access into huge prefiltered documents.
 //
 // The paper's prefilter is strictly streaming -- entering a document at
-// byte k requires prefiltering bytes [0, k) first. The static
-// boundary-state analysis (RuntimeTables::boundary_states) plus the
-// speculative wave/verify machinery (parallel::SpeculativeResolver) remove
-// that restriction: one indexing pass runs the region-parallel top-level
-// boundary scan, speculates every inter-boundary segment in a single
-// parallel wave, and verifies the chain exit-vs-entry -- exactly the
-// ShardedRun pipeline with the projected output discarded. What survives
-// is, per boundary, the byte offset, the cumulative projected-output
-// offset, and the verified SessionCheckpoint: provably the serial engine's
-// state at that offset. A session resumed from any entry therefore
-// projects the document's remainder byte-identically to the suffix of a
-// full serial run (see cursor.h), without ever touching the prefix.
+// byte k requires prefiltering bytes [0, k) first. The index removes that
+// restriction with one serial pass: the structural boundary scan
+// (parallel/boundary_scan.h) runs ahead selecting top-level element starts,
+// and the engine is fed exactly up to each selected start and suspended
+// there. What survives is, per boundary, the byte offset, the cumulative
+// projected-output offset, the record ordinal, and the suspended session's
+// SessionCheckpoint: the state of a serial run fed exactly up to that
+// offset. A session resumed from any entry therefore projects the
+// document's remainder byte-identically to the suffix of a full serial run
+// (see cursor.h), without ever touching the prefix.
 //
 // On-disk format (version 2, little-endian, built for mmap-and-go):
 //
@@ -38,11 +36,11 @@
 // re-running the indexing pass, and inventing zeros would silently turn
 // record seeks and seek-point stats into lies. Rebuild old indexes.
 //
-// Loading validates structure (magic, version, monotonicity, exact
-// trailing hash, no trailing bytes); *using* an index additionally
-// requires Matches(doc, tables) -- size, content digest, and table
-// fingerprint -- so a stale or foreign index fails closed with a clear
-// Status instead of resuming into garbage.
+// Loading validates structure (magic, version, an entry count the file
+// can hold, monotonicity, exact trailing hash, no trailing bytes); *using*
+// an index additionally requires Matches(doc, tables) -- size, content
+// digest, and table fingerprint -- so a stale or foreign index fails
+// closed with a clear Status instead of resuming into garbage.
 
 #ifndef SMPX_INDEX_BOUNDARY_INDEX_H_
 #define SMPX_INDEX_BOUNDARY_INDEX_H_
@@ -65,9 +63,10 @@ namespace smpx::index {
 /// before an entry, so a seek can report meaningful totals instead of
 /// zeros. `matches` and `false_matches` are exact serial-run prefix
 /// counts; the search-effort counters (comparisons, shifts, searches,
-/// jumps, scan chars) are as executed by the indexing pass, which
-/// restarts its keyword search at every indexed boundary -- within one
-/// search-restart of the uninterrupted serial run, close enough for the
+/// jumps, scan chars) are as executed by the indexing pass, whose engine
+/// restarts its keyword search wherever its input was cut (every indexed
+/// boundary, plus every refill of a non-contiguous source) -- within a few
+/// search-restarts of the uninterrupted serial run, close enough for the
 /// paper's percentage columns. Field order here is the on-disk varint
 /// order.
 struct StatsPrefix {
@@ -124,53 +123,40 @@ struct BoundaryIndexOptions {
   /// Target byte spacing between consecutive index entries. The scan
   /// places one entry at the first top-level boundary at or after each
   /// `granularity_bytes`-spaced target, so entries are approximately this
-  /// far apart; 1 indexes EVERY top-level boundary.
+  /// far apart; 1 indexes EVERY top-level boundary (up to 2^20 entries:
+  /// past that the targets spread evenly over the document).
   uint64_t granularity_bytes = 1 << 20;
-  /// Hard cap on the number of entries regardless of granularity.
-  uint64_t max_entries = 1 << 20;
-  /// See parallel::SpeculativeResolver::Options.
-  size_t max_candidate_states = 4;
-  /// Rolling-buffer size for the chunked (InputSource) build overload:
-  /// peak resident memory of that path is O(chunk_bytes + window), never
-  /// O(document). Ignored by the in-memory overload.
+  /// Rolling-buffer size for sources that are not contiguous in memory:
+  /// peak resident memory is then O(chunk_bytes + window), never
+  /// O(document). Contiguous sources are read in place and ignore it.
   uint64_t chunk_bytes = 64 << 20;
   core::EngineOptions engine;
 };
 
 class BoundaryIndex {
  public:
-  /// Builds the index for `doc` against `tables` on `pool`: one
-  /// region-parallel boundary scan plus one speculative verification wave
-  /// over the whole document. Fails with the engine's Status if the
-  /// document does not prefilter cleanly (the checkpoints of a broken run
-  /// would be meaningless). Must not be called from a pool thread.
-  static Result<BoundaryIndex> Build(const core::RuntimeTables& tables,
-                                     std::string_view doc,
-                                     parallel::ThreadPool* pool,
-                                     const BoundaryIndexOptions& opts = {});
-
-  /// Chunked build: streams `src` through a rolling buffer of
-  /// `opts.chunk_bytes`, so documents larger than the address space (or
-  /// any mmap window) can be indexed -- the resident set is
-  /// O(chunk + engine window) regardless of document size. One serial
-  /// pass: the structural boundary scan, the record count, the content
-  /// digest, and the engine feed advance together, with the engine
-  /// suspended exactly at each selected boundary to capture its
-  /// checkpoint. Selects the same boundaries as the in-memory overload
-  /// (same stride arithmetic, same structural rules) and agrees with it
-  /// on every durable field -- offsets, projection offsets, record
-  /// ordinals, checkpoints -- and on the exact StatsPrefix counters
-  /// (matches, false matches); only the approximate search-effort
-  /// counters differ, because the two builders suspend the engine with
-  /// different histories. Chunked builds themselves are fully
-  /// deterministic: any two chunk sizes (or sources) produce
-  /// byte-identical files as long as no inter-entry span exceeds the
-  /// chunk (a larger span forces an extra mid-span suspension, again
-  /// perturbing only search counters). Reads the source about twice
-  /// (scan + feed), trading I/O for bounded memory. `pool` may be null;
-  /// the chunked path is single-threaded.
+  /// Builds the index for `src` against `tables` in one serial pass: the
+  /// structural boundary scan, the record count, the content digest, and
+  /// the engine feed advance together, with the engine suspended exactly
+  /// at each selected boundary to capture its checkpoint. A contiguous
+  /// source (MemorySource, MmapSource) is scanned and fed in place; any
+  /// other is read through rolling buffers of `opts.chunk_bytes`, so
+  /// documents larger than the address space stay indexable, at the price
+  /// of reading the source about twice (scan + feed). Offsets, projection
+  /// offsets, record ordinals, checkpoints and the exact StatsPrefix
+  /// counters do not depend on the source kind or chunk size; the
+  /// search-effort counters do only when an inter-entry span exceeds the
+  /// chunk (the engine's input is then cut mid-span). Fails with the
+  /// engine's Status if the document does not prefilter cleanly (the
+  /// checkpoints of a broken run would be meaningless).
   static Result<BoundaryIndex> Build(const core::RuntimeTables& tables,
                                      const InputSource& src,
+                                     const BoundaryIndexOptions& opts = {});
+
+  /// Builds over in-memory bytes: Build(tables, MemorySource(doc), opts).
+  /// `pool` is ignored; the overload stays because smpx-bench/src calls it.
+  static Result<BoundaryIndex> Build(const core::RuntimeTables& tables,
+                                     std::string_view doc,
                                      parallel::ThreadPool* pool,
                                      const BoundaryIndexOptions& opts = {});
 

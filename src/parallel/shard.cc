@@ -1,263 +1,17 @@
 #include "parallel/shard.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <utility>
 
-#include "common/strings.h"
 #include "parallel/session.h"
-#include "simd/simd.h"
 
 namespace smpx::parallel {
 namespace {
 
-// The helpers below form a second, simplified structural scanner over
-// contiguous input, paired with (but independent from) the engine's
-// window-based scanning in core/engine.cc (SkipPast/SkipDoctype/the tag
-// scan in HandleMatch). The pairing is advisory only: a boundary this
-// scanner gets "wrong" relative to the engine's view of the document can
-// only mis-speculate a shard's entry state, which the verification pass in
-// ShardedRun detects and repairs by re-running -- correctness never
-// depends on the two scanners agreeing, only throughput does.
-
-/// Structural scan context over one contiguous document: a cached
-/// per-block '<' bitmap for the candidate scan plus the dispatched per-call
-/// kernels for the construct skips. One scanner per scan call: region
-/// workers on the pool each build their own (the '<' block cache is not
-/// thread-safe).
-class StructScanner {
- public:
-  explicit StructScanner(std::string_view doc)
-      : doc_(doc), open_scan_(doc.data(), doc.size(), '<') {}
-
-  /// Next '<' at or after `pos`; doc.size() when none.
-  size_t NextOpen(size_t pos) { return open_scan_.Next(pos); }
-
-  /// Position one past the next occurrence of `term` at or after `from`;
-  /// doc.size() when absent.
-  size_t SkipPastTerm(size_t from, std::string_view term) {
-    if (from >= doc_.size()) return doc_.size();
-    const size_t hit = FindPatternAt(from, term);
-    if (hit == doc_.size()) return doc_.size();
-    return hit + term.size();
-  }
-
-  /// Position of the '>' closing the tag whose '<' sits at `from`, skipping
-  /// quoted attribute values; doc.size() when unterminated.
-  size_t TagEnd(size_t from) {
-    static constexpr simd::ByteSet kTagEnd(">\"'");
-    size_t r = from + 1;
-    for (;;) {
-      if (r >= doc_.size()) return doc_.size();
-      const size_t hit = FindAnyAt(r, kTagEnd);
-      if (hit == doc_.size()) return doc_.size();
-      if (doc_[hit] == '>') return hit;
-      const size_t end =
-          FindByteAt(hit + 1, static_cast<unsigned char>(doc_[hit]));
-      if (end == doc_.size()) return doc_.size();
-      r = end + 1;
-    }
-  }
-
-  /// Position one past the '>' closing a "<!DOCTYPE"-style construct at
-  /// `from` (pointing at "<!"), honoring [...] subsets and quoted literals.
-  /// Bitmap-driven, mirroring the engine's SkipDoctype: one vectorized
-  /// any-of classification per structural step, so a pathological
-  /// multi-megabyte internal subset does not serialize the boundary scan.
-  size_t SkipDeclaration(size_t from) {
-    static constexpr simd::ByteSet kStructural("[]>\"'");
-    size_t r = from + 2;
-    int bracket = 0;
-    while (r < doc_.size()) {
-      const size_t hit = FindAnyAt(r, kStructural);
-      if (hit == doc_.size()) return doc_.size();
-      const char hc = doc_[hit];
-      if (hc == '[') {
-        ++bracket;
-        r = hit + 1;
-      } else if (hc == ']') {
-        --bracket;
-        r = hit + 1;
-      } else if (hc == '>') {
-        if (bracket <= 0) return hit + 1;
-        r = hit + 1;
-      } else {
-        const size_t end =
-            FindByteAt(hit + 1, static_cast<unsigned char>(hc));
-        if (end == doc_.size()) return doc_.size();
-        r = end + 1;
-      }
-    }
-    return doc_.size();
-  }
-
-  /// Position one past the opaque markup construct whose '<' sits at `t`
-  /// (`next` = doc[t+1], '!' or '?'): comment, CDATA section, DOCTYPE-style
-  /// declaration, or processing instruction. Shared by the serial and the
-  /// region-parallel scanner so their construct handling cannot diverge.
-  size_t SkipMarkupConstruct(size_t t, char next) {
-    if (next == '?') return SkipPastTerm(t + 2, "?>");
-    std::string_view rest = doc_.substr(t);
-    if (rest.substr(0, 4) == "<!--") return SkipPastTerm(t + 4, "-->");
-    if (rest.substr(0, 9) == "<![CDATA[") {
-      return SkipPastTerm(t + 9, "]]>");
-    }
-    return SkipDeclaration(t);
-  }
-
- private:
-  // Absolute-position primitives: first hit at or after `from`, doc.size()
-  // when absent (the kernels return len-when-absent, so from + len lands
-  // exactly on doc.size()).
-  size_t FindByteAt(size_t from, unsigned char c) {
-    if (from >= doc_.size()) return doc_.size();
-    return from + simd::FindByte(doc_.data() + from, doc_.size() - from, c);
-  }
-  size_t FindAnyAt(size_t from, const simd::ByteSet& set) {
-    if (from >= doc_.size()) return doc_.size();
-    return from + simd::FindAny(doc_.data() + from, doc_.size() - from, set);
-  }
-  size_t FindPatternAt(size_t from, std::string_view term) {
-    if (from >= doc_.size()) return doc_.size();
-    return from +
-           simd::FindPattern(doc_.data() + from, doc_.size() - from, term);
-  }
-
-  std::string_view doc_;
-  simd::MaskScanner open_scan_;
-};
-
-constexpr uint64_t kNoPos = ~uint64_t{0};
-
 /// Candidate class sentinel: the candidate is never speculated on (e.g. an
 /// in-copy candidate over multi-query product tables).
 constexpr size_t kNoClass = ~size_t{0};
-
-/// Deepest region-start element depth the lazy scan can resolve; regions
-/// starting deeper than this simply report no boundary (safe: shards just
-/// get fewer split candidates there).
-constexpr int64_t kMaxRelDepth = 256;
-
-/// What one region's independent scan learned, relative to the (unknown at
-/// scan time) element depth at its start.
-struct RegionSummary {
-  /// first_open[d + kMaxRelDepth]: absolute position of the first element
-  /// start encountered at relative depth d, for d in [-kMaxRelDepth, 1];
-  /// kNoPos when none. A start at relative depth d is a top-level boundary
-  /// iff d + (absolute depth at scan start) == 1.
-  std::vector<uint64_t> first_open;
-  int64_t depth_delta = 0;   ///< net element-depth change across the scan
-  uint64_t resume_pos = 0;   ///< one past the last byte the scan consumed
-};
-
-/// Scans every construct *starting* in [begin, end), assuming the scan
-/// starts in content (not inside a tag/comment/CDATA/PI/DOCTYPE/quote) at
-/// an unknown absolute depth. Construct skips use the full document, so a
-/// construct straddling `end` is consumed completely and resume_pos tells
-/// the fix-up how far this region's view actually reached.
-RegionSummary ScanRegion(std::string_view doc, uint64_t begin, uint64_t end) {
-  RegionSummary sum;
-  sum.first_open.assign(static_cast<size_t>(kMaxRelDepth + 2), kNoPos);
-  int64_t depth = 0;
-  size_t pos = static_cast<size_t>(begin);
-  const size_t stop = static_cast<size_t>(end);
-  StructScanner sc(doc);
-  while (pos < stop) {
-    size_t t = sc.NextOpen(pos);
-    if (t >= stop) {
-      pos = stop;
-      break;
-    }
-    std::string_view rest = doc.substr(t);
-    if (rest.size() < 2) {
-      pos = doc.size();
-      break;
-    }
-    char next = rest[1];
-    if (next == '!' || next == '?') {
-      pos = sc.SkipMarkupConstruct(t, next);
-      continue;
-    }
-    if (next == '/') {
-      size_t tag_end = sc.TagEnd(t);
-      --depth;  // may go negative: the region started below its closers
-      pos = tag_end + 1;
-      continue;
-    }
-    if (!IsNameChar(next)) {
-      pos = t + 1;  // stray '<' in text
-      continue;
-    }
-    // An opening (or bachelor) element tag at relative depth `depth`.
-    if (depth <= 1 && depth >= -kMaxRelDepth) {
-      size_t slot = static_cast<size_t>(depth + kMaxRelDepth);
-      if (sum.first_open[slot] == kNoPos) sum.first_open[slot] = t;
-    }
-    size_t tag_end = sc.TagEnd(t);
-    bool bachelor =
-        tag_end < doc.size() && tag_end > t + 1 && doc[tag_end - 1] == '/';
-    if (!bachelor) ++depth;
-    pos = tag_end + 1;
-  }
-  sum.depth_delta = depth;
-  sum.resume_pos = std::max<uint64_t>(std::min<uint64_t>(pos, doc.size()),
-                                      end);
-  return sum;
-}
-
-/// First element start at absolute depth 1 at or after `begin`, entering
-/// the scan at absolute element depth `depth` (known from the region
-/// fix-up); kNoPos when none. Unlike ScanRegion this stops at the first
-/// hit, so the tail of the document past the last chosen boundary is never
-/// read -- the early-exit the serial scanner gets for free. `scanned`
-/// accumulates the bytes consumed.
-uint64_t FirstTopLevelOpenAt(std::string_view doc, uint64_t begin,
-                             int64_t depth, uint64_t* scanned) {
-  size_t pos = static_cast<size_t>(begin);
-  uint64_t found = kNoPos;
-  StructScanner sc(doc);
-  while (pos < doc.size()) {
-    size_t t = sc.NextOpen(pos);
-    if (t == doc.size()) {
-      pos = doc.size();
-      break;
-    }
-    std::string_view rest = doc.substr(t);
-    if (rest.size() < 2) {
-      pos = doc.size();
-      break;
-    }
-    char next = rest[1];
-    if (next == '!' || next == '?') {
-      pos = sc.SkipMarkupConstruct(t, next);
-      continue;
-    }
-    if (next == '/') {
-      --depth;
-      pos = sc.TagEnd(t) + 1;
-      continue;
-    }
-    if (!IsNameChar(next)) {
-      pos = t + 1;  // stray '<' in text
-      continue;
-    }
-    if (depth == 1) {
-      found = t;
-      pos = t;
-      break;
-    }
-    size_t tag_end = sc.TagEnd(t);
-    bool bachelor =
-        tag_end < doc.size() && tag_end > t + 1 && doc[tag_end - 1] == '/';
-    if (!bachelor) ++depth;
-    pos = tag_end + 1;
-  }
-  if (scanned != nullptr) {
-    *scanned += std::min<uint64_t>(pos, doc.size()) - begin;
-  }
-  return found;
-}
 
 /// True when a resumed session behaves identically from state `a` and `b`:
 /// same frontier vocabulary (hence matcher behavior and search counters),
@@ -290,179 +44,6 @@ bool SameRuntimeBehavior(const core::RuntimeTables& t, int a, int b) {
 }
 
 }  // namespace
-
-std::vector<uint64_t> FindTopLevelBoundaries(std::string_view doc,
-                                             size_t max_splits) {
-  std::vector<uint64_t> splits;
-  if (max_splits == 0 || doc.size() < 2) return splits;
-  const size_t stride = doc.size() / (max_splits + 1);
-  if (stride == 0) return splits;
-
-  size_t pos = 0;
-  size_t depth = 0;        // number of currently open elements
-  size_t target_idx = 1;   // next split target = target_idx * stride
-  StructScanner sc(doc);
-  while (pos < doc.size() && splits.size() < max_splits) {
-    size_t t = sc.NextOpen(pos);
-    if (t == doc.size()) break;
-    std::string_view rest = doc.substr(t);
-    if (rest.size() < 2) break;
-    char next = rest[1];
-    if (next == '!' || next == '?') {
-      pos = sc.SkipMarkupConstruct(t, next);
-      continue;
-    }
-    if (next == '/') {
-      size_t end = sc.TagEnd(t);
-      if (depth > 0) --depth;
-      pos = end + 1;
-      continue;
-    }
-    if (!IsNameChar(next)) {
-      pos = t + 1;  // stray '<' in text
-      continue;
-    }
-    // An opening (or bachelor) element tag. depth == 1 means its parent is
-    // the document root: a top-level boundary.
-    if (depth == 1 && t >= target_idx * stride) {
-      splits.push_back(t);
-      while (target_idx <= max_splits && target_idx * stride <= t) {
-        ++target_idx;  // collapse targets this boundary already covers
-      }
-    }
-    size_t end = sc.TagEnd(t);
-    bool bachelor = end < doc.size() && end > t + 1 && doc[end - 1] == '/';
-    if (!bachelor) ++depth;
-    pos = end + 1;
-  }
-  return splits;
-}
-
-uint64_t CountTopLevelStarts(std::string_view doc, uint64_t begin,
-                             uint64_t end, int64_t depth_at_begin) {
-  uint64_t count = 0;
-  int64_t depth = depth_at_begin;
-  size_t pos = static_cast<size_t>(begin);
-  const size_t stop = static_cast<size_t>(std::min<uint64_t>(end, doc.size()));
-  StructScanner sc(doc);
-  while (pos < stop) {
-    size_t t = sc.NextOpen(pos);
-    if (t >= stop) break;
-    std::string_view rest = doc.substr(t);
-    if (rest.size() < 2) break;
-    char next = rest[1];
-    if (next == '!' || next == '?') {
-      pos = sc.SkipMarkupConstruct(t, next);
-      continue;
-    }
-    if (next == '/') {
-      size_t tag_end = sc.TagEnd(t);
-      if (depth > 0) --depth;
-      pos = tag_end + 1;
-      continue;
-    }
-    if (!IsNameChar(next)) {
-      pos = t + 1;  // stray '<' in text
-      continue;
-    }
-    if (depth == 1) ++count;
-    size_t tag_end = sc.TagEnd(t);
-    bool bachelor =
-        tag_end < doc.size() && tag_end > t + 1 && doc[tag_end - 1] == '/';
-    if (!bachelor) ++depth;
-    pos = tag_end + 1;
-  }
-  return count;
-}
-
-std::vector<uint64_t> FindTopLevelBoundariesParallel(
-    std::string_view doc, size_t max_splits, ThreadPool* pool,
-    uint64_t* scanned_bytes, bool) {
-  if (scanned_bytes != nullptr) *scanned_bytes = 0;
-  std::vector<uint64_t> splits;
-  if (max_splits == 0 || doc.size() < 2) return splits;
-  const uint64_t stride = doc.size() / (max_splits + 1);
-  if (stride == 0) return splits;
-  if (pool->size() <= 1) {
-    // A one-worker wave degenerates to a sequential whole-document scan;
-    // the serial scanner is strictly better (it stops at the last chosen
-    // boundary).
-    splits = FindTopLevelBoundaries(doc, max_splits);
-    if (scanned_bytes != nullptr) {
-      *scanned_bytes =
-          splits.size() == max_splits ? splits.back() : doc.size();
-    }
-    return splits;
-  }
-
-  // One region per split target; region j = [j*stride, (j+1)*stride). The
-  // interior regions are scanned independently on the pool with relative
-  // depths; the tail region [max_splits*stride, doc.size()) is *not* part
-  // of the wave -- after the fix-up resolves the absolute depth at its
-  // start it is scanned lazily, stopping at the first top-level element
-  // start (which covers every split target still unfulfilled, all of which
-  // sit at or before the tail's begin).
-  const size_t interior = max_splits;  // regions 0 .. max_splits-1
-  auto region_begin = [stride](size_t j) { return stride * j; };
-  auto region_end = [stride](size_t j) { return stride * (j + 1); };
-  std::vector<RegionSummary> sums(interior);
-  pool->RunAndWait(interior, [&doc, &sums, &region_begin, &region_end](
-                                 size_t j) {
-    sums[j] = ScanRegion(doc, region_begin(j), region_end(j));
-  });
-  if (scanned_bytes != nullptr) {
-    for (size_t j = 0; j < interior; ++j) {
-      *scanned_bytes += sums[j].resume_pos - region_begin(j);
-    }
-  }
-
-  // Sequential fix-up: thread the actual scan position and absolute depth
-  // through the summaries. A region whose start was consumed by a construct
-  // straddling in from an earlier region scanned garbage (it assumed its
-  // start was content), so it is re-scanned from the construct's true end;
-  // a region consumed entirely holds no element starts at all.
-  std::vector<uint64_t> boundary(interior, kNoPos);
-  uint64_t pos = 0;
-  int64_t depth = 0;
-  for (size_t j = 0; j < interior; ++j) {
-    uint64_t b = region_begin(j);
-    uint64_t e = region_end(j);
-    if (pos >= e) continue;
-    if (pos > b) {
-      sums[j] = ScanRegion(doc, pos, e);
-      if (scanned_bytes != nullptr) {
-        *scanned_bytes += sums[j].resume_pos - pos;
-      }
-    }
-    int64_t want = 1 - depth;  // relative depth of an absolute depth-1 start
-    if (want >= -kMaxRelDepth && want <= 1) {
-      boundary[j] =
-          sums[j].first_open[static_cast<size_t>(want + kMaxRelDepth)];
-    }
-    depth += sums[j].depth_delta;
-    pos = std::max(pos, sums[j].resume_pos);
-  }
-
-  // Target selection, matching the serial scanner: for each evenly spaced
-  // target, the first top-level element start at or after it; a chosen
-  // boundary collapses every target it already covers.
-  size_t target_idx = 1;
-  while (target_idx <= max_splits) {
-    size_t j = target_idx;
-    while (j < interior && boundary[j] == kNoPos) ++j;
-    if (j >= interior) break;  // remaining targets fall through to the tail
-    splits.push_back(boundary[j]);
-    target_idx = static_cast<size_t>(boundary[j] / stride) + 1;
-  }
-  if (target_idx <= max_splits) {
-    uint64_t begin = std::max<uint64_t>(pos, region_begin(interior));
-    if (begin < doc.size()) {
-      uint64_t hit = FirstTopLevelOpenAt(doc, begin, depth, scanned_bytes);
-      if (hit != kNoPos) splits.push_back(hit);
-    }
-  }
-  return splits;
-}
 
 SpeculativeResolver::SpeculativeResolver(const core::RuntimeTables& tables,
                                          std::string_view doc,
@@ -537,20 +118,14 @@ void SpeculativeResolver::RunSegment(size_t k,
   core::EngineOptions eopts = opts_.engine;
   eopts.mark_start_state_visited = mark_start;
   eopts.cancel = cancel;
-  // One output per query: budget-bounded segments in capture mode (the
-  // aggregate budget split evenly across the queries), byte counters in
-  // discard mode.
+  // One budget-bounded output segment per query (the aggregate budget
+  // split evenly across the queries).
   const size_t m = QueryCount(tables_);
   const size_t budget = opts_.max_buffer_bytes != 0
                             ? std::max<size_t>(opts_.max_buffer_bytes / m, 1)
                             : SpillSink::kUnlimited;
-  std::vector<CountingSink> counters(opts_.capture_output ? 0 : m);
   std::vector<OutputSink*> outs;
   for (size_t u = 0; u < m; ++u) {
-    if (!opts_.capture_output) {
-      outs.push_back(&counters[u]);
-      continue;
-    }
     auto seg = std::make_unique<SpillSink>(budget, opts_.arena);
     outs.push_back(seg.get());
     if (tables_.multi != nullptr) {
@@ -869,9 +444,7 @@ Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
                            : static_cast<size_t>(std::max(1, pool->size()));
   std::vector<uint64_t> bounds;
   if (max_shards > 1) {
-    bounds = pool->size() > 1
-                 ? FindTopLevelBoundariesParallel(doc, max_shards - 1, pool)
-                 : FindTopLevelBoundaries(doc, max_shards - 1);
+    bounds = FindTopLevelBoundariesParallel(doc, max_shards - 1, pool);
   }
 
   SpeculativeResolver::Options ropts;

@@ -21,10 +21,7 @@
 //
 // The boundary scan itself is off the critical path too: the document is
 // cut into per-target regions that are scanned concurrently on the pool
-// (relative element depths, unknown absolute base), and a cheap sequential
-// fix-up resolves absolute depths region by region -- re-scanning only
-// regions whose start lies inside a construct (comment/CDATA/DOCTYPE/tag)
-// that straddles a region boundary.
+// (FindTopLevelBoundariesParallel, parallel/boundary_scan.h).
 
 #ifndef SMPX_PARALLEL_SHARD_H_
 #define SMPX_PARALLEL_SHARD_H_
@@ -41,6 +38,7 @@
 #include "common/status.h"
 #include "core/engine.h"
 #include "core/tables.h"
+#include "parallel/boundary_scan.h"
 #include "parallel/thread_pool.h"
 
 namespace smpx::parallel {
@@ -101,13 +99,13 @@ struct ShardReport {
 };
 
 /// One segment's execution record: the session's exit checkpoint, stats,
-/// and (in capture mode) its buffered output segment. Accepted segments
-/// replay the serial run exactly, so `exit` is provably the serial
-/// engine's checkpoint at the segment's end offset.
+/// and its buffered output segment. Accepted segments replay the serial
+/// run exactly, so `exit` is provably the serial engine's checkpoint at
+/// the segment's end offset.
 struct ShardResult {
-  /// Budget-bounded output segment; null in discard mode (indexing) and
-  /// after the caller moved it into an ordered committer. Single-query
-  /// tables only; multi-query segments fill `mq_sinks` instead.
+  /// Budget-bounded output segment; null after the caller moved it into an
+  /// ordered committer. Single-query tables only; multi-query segments
+  /// fill `mq_sinks` instead.
   std::unique_ptr<SpillSink> sink;
   /// Multi-query tables: one budget-bounded segment per unique query, in
   /// MultiQueryInfo order (the per-query budget is max_buffer_bytes divided
@@ -134,29 +132,26 @@ struct ShardResult {
   uint64_t tail_end = 0;
 };
 
-/// The speculative wave/verify machinery shared by single-document
-/// sharding (ShardedRun) and boundary-index construction
-/// (index::BoundaryIndex::Build): given a document cut at top-level
-/// boundaries into segments, it launches every segment in one parallel
-/// wave -- the head for real, each later segment once per candidate entry
-/// *behavior class* from the static boundary-state analysis -- and then
-/// resolves segments in order, accepting the attempt whose assumed entry
-/// matches the predecessor's verified exit and deterministically re-running
-/// the segment otherwise. The resolved sequence replays the serial engine
-/// byte-for-byte no matter where the boundaries fall or how speculation
-/// fared; tables without a usable candidate set fall back to seeding
-/// speculation from the head's actual exit state (the PR-2 scheme).
+/// The speculative wave/verify machinery behind single-document sharding
+/// (ShardedRun; smpx-bench's sharded phase probe assembles it by hand):
+/// given a document cut at top-level boundaries into segments, it launches
+/// every segment in one parallel wave -- the head for real, each later
+/// segment once per candidate entry *behavior class* from the static
+/// boundary-state analysis -- and then resolves segments in order,
+/// accepting the attempt whose assumed entry matches the predecessor's
+/// verified exit and deterministically re-running the segment otherwise.
+/// The resolved sequence replays the serial engine byte-for-byte no matter
+/// where the boundaries fall or how speculation fared; tables without a
+/// usable candidate set fall back to seeding speculation from the head's
+/// actual exit state (the PR-2 scheme). Every attempt captures its
+/// projected output in budget-bounded SpillSink segments.
 class SpeculativeResolver {
  public:
   struct Options {
     /// See ShardOptions::max_candidate_states.
     size_t max_candidate_states = 4;
-    /// Per-segment SpillSink budget in capture mode; 0 = unbounded.
+    /// Per-segment SpillSink budget; 0 = unbounded.
     size_t max_buffer_bytes = 0;
-    /// Capture each segment's projected output in ShardResult::sink.
-    /// False discards output (byte counts still reach the stats) -- the
-    /// indexing mode, which only wants the verified exit checkpoints.
-    bool capture_output = true;
     /// Shared spill file for budgeted segment sinks (see SpillArena); may
     /// be null (each overflowing sink then opens its own tmpfile). Must
     /// outlive the resolver.
@@ -267,52 +262,6 @@ class SpeculativeResolver {
   std::condition_variable cv_;
   ShardReport report_;
 };
-
-/// Structural scan for shard split points: returns at most `max_splits`
-/// strictly increasing offsets, each the position of the '<' opening a
-/// child element of the document root at the first top-level boundary at
-/// or after the corresponding evenly spaced target offset. The scan is
-/// memchr-driven and tracks element depth through comments, CDATA
-/// sections, processing instructions, DOCTYPE internal subsets, and quoted
-/// attribute values, so a candidate never lands mid-tag or inside opaque
-/// markup. Documents with few top-level children simply yield fewer splits
-/// (possibly none).
-std::vector<uint64_t> FindTopLevelBoundaries(std::string_view doc,
-                                             size_t max_splits);
-
-/// Region-parallel variant of FindTopLevelBoundaries: each target's region
-/// is scanned concurrently on `pool` (relative depths), then a sequential
-/// fix-up resolves absolute depths and selects the same boundaries the
-/// serial scan would. The tail region past the last split target is not
-/// part of the wave: it is scanned lazily after the fix-up (its absolute
-/// entry depth is then known) and the scan stops at the first top-level
-/// element start, which covers every remaining target -- so, like the
-/// serial scanner, nothing past the last selected boundary is ever read.
-/// A pool of one worker delegates to the serial scan outright. Results are
-/// byte-identical to the serial scanner for well-formed documents whose
-/// element depth at interior region starts stays within the scanner's
-/// relative range (256); outside that -- or on non-well-formed input --
-/// the two scanners may place boundaries differently (both remain safe:
-/// ShardedRun verification never trusts a boundary). `scanned_bytes` (may
-/// be null) receives the approximate number of document bytes the scan
-/// actually consumed, the early-exit observable. Must not be called from
-/// a pool thread.
-std::vector<uint64_t> FindTopLevelBoundariesParallel(
-    std::string_view doc, size_t max_splits, ThreadPool* pool,
-    uint64_t* scanned_bytes = nullptr,
-    bool = false);  // ignored; kept because smpx-bench/src still passes it
-
-/// Counts top-level record starts -- element starts (opening or bachelor
-/// tags) whose parent is the document root -- in doc[begin, end), using
-/// the same structural rules as FindTopLevelBoundaries. `depth_at_begin`
-/// is the number of elements open at `begin` (0 at the document start, 1
-/// at a top-level boundary), and the scan must enter at a content
-/// position, which every top-level boundary is. Construct skips use the
-/// full document, but no construct straddles a top-level boundary, so
-/// per-segment counts over a boundary partition sum exactly. Feeds the
-/// boundary index's record ordinals.
-uint64_t CountTopLevelStarts(std::string_view doc, uint64_t begin,
-                             uint64_t end, int64_t depth_at_begin);
 
 /// Prefilters `doc` by sharding it across `pool`, writing one output per
 /// query: `sinks` holds one sink per unique query of multi-query product

@@ -36,8 +36,7 @@ void StatFile(const std::string& path, uint64_t* size, int64_t* mtime_ns) {
 
 }  // namespace
 
-Cache::Cache(const CacheOptions& opts)
-    : opts_(opts), pool_(opts.build_threads) {}
+Cache::Cache(const CacheOptions& opts) : opts_(opts) {}
 
 Result<std::shared_ptr<const core::Prefilter>> Cache::GetTables(
     const std::string& dtd_text, const std::string& paths_text) {
@@ -93,8 +92,7 @@ Result<std::shared_ptr<const IndexedDoc>> Cache::GetIndexedDoc(
   entry->source = std::move(*src);
   index::BoundaryIndexOptions bopts;
   bopts.granularity_bytes = opts_.index_granularity;
-  auto idx =
-      index::BoundaryIndex::Build(pf.tables(), entry->doc(), &pool_, bopts);
+  auto idx = index::BoundaryIndex::Build(pf.tables(), *entry->source, bopts);
   if (!idx.ok()) return idx.status();
   entry->index = std::move(*idx);
   // Fail-closed sanity on the freshly built pair; catches a document

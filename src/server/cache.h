@@ -34,7 +34,6 @@
 #include "common/result.h"
 #include "core/prefilter.h"
 #include "index/boundary_index.h"
-#include "parallel/thread_pool.h"
 
 namespace smpx::server {
 
@@ -56,7 +55,8 @@ struct CacheOptions {
   /// Granularity for indexes built on a miss (1 = every record boundary,
   /// the pagination-friendly default for server workloads).
   uint64_t index_granularity = 1;
-  /// Threads for in-memory index builds (<=0: hardware concurrency).
+  /// Inert: index builds are one serial streaming pass. Kept only because
+  /// smpx-bench/src/serve.cc still sets it.
   int build_threads = 0;
 };
 
@@ -137,9 +137,8 @@ class Cache {
   };
 
   CacheOptions opts_;
-  parallel::ThreadPool pool_;
-  // Serializes index builds: one build at a time owns pool_, and a miss
-  // observed by several connections costs one build, not N.
+  // Serializes index builds: a miss observed by several connections costs
+  // one build, not N.
   std::mutex build_mu_;
   mutable std::mutex mu_;
   Lru<TablesKey, core::Prefilter> tables_;

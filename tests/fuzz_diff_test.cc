@@ -4,9 +4,11 @@
 // 1/2/4/7 threads, the per-document batch driver (BatchRunStreaming, its
 // segments copied out through the writer callback), the merged batch
 // driver (BatchRunStreamingMerged), and an index-resume mode
-// (BoundaryIndex at random granularity, cursors opened at random byte
-// targets plus token round-trips, each drained against the serial
-// projection's suffix), at randomized window, chunk, shard, and
+// (BoundaryIndex at random granularity, built in place and through
+// rolling buffers -- the two must agree on every durable field -- then
+// cursors opened at random byte targets plus token round-trips, each
+// drained against the serial projection's suffix), at randomized window,
+// chunk, shard, and
 // output-buffer budget geometries (tiny budgets force the SpillSink
 // overflow and ordered-commit paths on nearly every case) -- outputs must
 // be byte-identical and the semantic statistics must match. Family 4
@@ -106,6 +108,39 @@ std::vector<uint64_t> TokenizerTopLevelStarts(std::string_view doc) {
   return starts;
 }
 
+/// A source that hides its contiguity, forcing the index build through
+/// its rolling buffers.
+class RollingSource : public MemorySource {
+ public:
+  using MemorySource::MemorySource;
+  std::string_view Contiguous() const override { return {}; }
+};
+
+/// Index entries agree on every field that does not depend on where the
+/// build cut the engine's input (the search-effort counters do).
+void ExpectSameDurableEntries(const index::BoundaryIndex& a,
+                              const index::BoundaryIndex& b) {
+  EXPECT_EQ(a.doc_digest(), b.doc_digest());
+  ASSERT_EQ(a.entries().size(), b.entries().size());
+  for (size_t i = 0; i < a.entries().size(); ++i) {
+    SCOPED_TRACE(i);
+    const index::IndexEntry& x = a.entries()[i];
+    const index::IndexEntry& y = b.entries()[i];
+    EXPECT_EQ(x.offset, y.offset);
+    EXPECT_EQ(x.out_offset, y.out_offset);
+    EXPECT_EQ(x.record_ordinal, y.record_ordinal);
+    EXPECT_EQ(x.checkpoint.state, y.checkpoint.state);
+    EXPECT_EQ(x.checkpoint.cursor, y.checkpoint.cursor);
+    EXPECT_EQ(x.checkpoint.nesting_depth, y.checkpoint.nesting_depth);
+    EXPECT_EQ(x.checkpoint.copy_depth, y.checkpoint.copy_depth);
+    EXPECT_EQ(x.checkpoint.copy_flushed, y.checkpoint.copy_flushed);
+    EXPECT_EQ(x.checkpoint.prolog_done, y.checkpoint.prolog_done);
+    EXPECT_EQ(x.checkpoint.jump_pending, y.checkpoint.jump_pending);
+    EXPECT_EQ(x.stats.matches, y.stats.matches);
+    EXPECT_EQ(x.stats.false_matches, y.stats.false_matches);
+  }
+}
+
 /// Runs every execution mode over `doc` and asserts byte-identical output
 /// and matching semantic stats against the serial engine.
 void ExpectAllModesIdentical(const Prefilter& pf, const std::string& doc,
@@ -196,13 +231,26 @@ void ExpectAllModesIdentical(const Prefilter& pf, const std::string& doc,
   // offset, and a token round-trip at the resume point must not change a
   // byte. This is the differential property the skip-index exists for.
   {
-    parallel::ThreadPool pool(3);
     index::BoundaryIndexOptions iopts;
     iopts.granularity_bytes = static_cast<uint64_t>(xmlgen::Uniform(
         rng, 1, std::max<int64_t>(2, static_cast<int64_t>(doc.size() / 3))));
     iopts.engine = eopts;
-    auto idx = index::BoundaryIndex::Build(pf.tables(), doc, &pool, iopts);
+    auto idx =
+        index::BoundaryIndex::Build(pf.tables(), MemorySource(doc), iopts);
     ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+    // The same build through rolling buffers, at a chunk derived from the
+    // drawn granularity rather than a fresh draw, so every seed still
+    // replays the same case.
+    iopts.chunk_bytes =
+        parallel::kMinScanChunkBytes + iopts.granularity_bytes % 193;
+    auto rolled =
+        index::BoundaryIndex::Build(pf.tables(), RollingSource(doc), iopts);
+    ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
+    {
+      SCOPED_TRACE(testing::Message()
+                   << "rolling build, chunk=" << iopts.chunk_bytes);
+      ExpectSameDurableEntries(*idx, *rolled);
+    }
     std::vector<uint64_t> targets = {0, doc.size()};
     for (int t = 0; t < 3; ++t) {
       targets.push_back(static_cast<uint64_t>(

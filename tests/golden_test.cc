@@ -105,10 +105,10 @@ TEST(GoldenCorpusTest, IndexedCursorsServeCheckedInSuffixes) {
     core::Prefilter pf = CompileGolden(c);
     std::string doc = DataFile(std::string(c.name) + "_tiny.xml");
     std::string expected = DataFile(std::string(c.name) + "_tiny.proj.xml");
-    parallel::ThreadPool pool(2);
     index::BoundaryIndexOptions opts;
     opts.granularity_bytes = 1;
-    auto idx = index::BoundaryIndex::Build(pf.tables(), doc, &pool, opts);
+    auto idx =
+        index::BoundaryIndex::Build(pf.tables(), MemorySource(doc), opts);
     ASSERT_TRUE(idx.ok()) << idx.status().ToString();
     for (const index::IndexEntry& e : idx->entries()) {
       auto cur = index::Cursor::OpenAt(*idx, pf.tables(), doc, e.offset);

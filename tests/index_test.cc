@@ -1,18 +1,23 @@
 // Exhaustive tests for the boundary skip-index and its cursors:
 //  - random access at EVERY top-level boundary of XMark and MEDLINE
-//    documents (granularity-1 index) drains byte-identically to the
+//    documents (granularity-1 index, built in place and through rolling
+//    buffers at several chunk sizes) drains byte-identically to the
 //    corresponding suffix of the serial projection, with the index's
 //    projection offsets agreeing with the drained byte counts;
-//  - the granularity-1 entry offsets are exactly the tokenizer's
-//    top-level element starts;
+//  - the granularity-1 entry offsets and record ordinals are exactly the
+//    tokenizer's top-level element starts, on generated documents and on
+//    hand-built construct edges (comments, CDATA, PIs, DOCTYPE subsets,
+//    quoted '>' and '/', bachelor tags) under every SIMD tier, with
+//    constructs straddling the rolling buffer's refills;
 //  - cursor pagination (Next) re-assembles the serial projection from
 //    spans, and serialized cursor tokens restore mid-stream without
 //    losing or duplicating a byte;
 //  - persistence round-trips through Save/Load; corrupted, truncated,
-//    version-bumped, stale-digest, and stale-tables index files (and
-//    tampered cursor tokens) all fail closed with a clear Status, never
-//    wrong bytes.
+//    version-bumped, over-counted, stale-digest, and stale-tables index
+//    files (and tampered cursor tokens) all fail closed with a clear
+//    Status, never wrong bytes.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -25,7 +30,8 @@
 #include "core/prefilter.h"
 #include "index/boundary_index.h"
 #include "index/cursor.h"
-#include "parallel/thread_pool.h"
+#include "parallel/boundary_scan.h"
+#include "simd/simd.h"
 #include "xml/tokenizer.h"
 #include "xmlgen/medline.h"
 #include "xmlgen/xmark.h"
@@ -92,34 +98,54 @@ std::vector<uint64_t> TokenizerTopLevelStarts(std::string_view doc) {
   return starts;
 }
 
-Result<BoundaryIndex> BuildEveryBoundary(const core::Prefilter& pf,
-                                         const std::string& doc) {
-  parallel::ThreadPool pool(3);
+/// A source that hides its contiguity, forcing the rolling-buffer reads a
+/// file too large to map would take.
+class RollingSource : public MemorySource {
+ public:
+  using MemorySource::MemorySource;
+  std::string_view Contiguous() const override { return {}; }
+};
+
+/// Builds over `doc` read in place (`contiguous`) or through rolling
+/// buffers of `chunk` bytes.
+Result<BoundaryIndex> BuildIndex(
+    const core::Prefilter& pf, std::string_view doc, uint64_t granularity,
+    bool contiguous = true,
+    uint64_t chunk = BoundaryIndexOptions{}.chunk_bytes) {
   BoundaryIndexOptions opts;
-  opts.granularity_bytes = 1;
-  return BoundaryIndex::Build(pf.tables(), doc, &pool, opts);
+  opts.granularity_bytes = granularity;
+  opts.chunk_bytes = chunk;
+  if (contiguous) {
+    return BoundaryIndex::Build(pf.tables(), MemorySource(doc), opts);
+  }
+  return BoundaryIndex::Build(pf.tables(), RollingSource(doc), opts);
 }
 
-/// The core differential property at every boundary of `doc`.
-void ExpectEveryBoundaryResumes(const core::Prefilter& pf,
-                                const std::string& doc) {
+Result<BoundaryIndex> BuildEveryBoundary(const core::Prefilter& pf,
+                                         const std::string& doc) {
+  return BuildIndex(pf, doc, /*granularity=*/1);
+}
+
+/// Oracle for an index of any granularity over `doc`: every entry sits on
+/// a tokenizer top-level element start and carries that start's ordinal,
+/// and a cursor opened there drains exactly the serial projection's suffix
+/// from the entry's projection offset.
+void ExpectEntriesResume(const core::Prefilter& pf, const std::string& doc,
+                         const BoundaryIndex& idx) {
   auto serial = pf.RunOnBuffer(doc);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  auto idx = BuildEveryBoundary(pf, doc);
-  ASSERT_TRUE(idx.ok()) << idx.status().ToString();
-  EXPECT_EQ(idx->doc_size(), doc.size());
-
-  std::vector<uint64_t> truth = TokenizerTopLevelStarts(doc);
-  ASSERT_FALSE(truth.empty());
-  ASSERT_EQ(idx->entries().size(), truth.size())
-      << "granularity-1 index must hold every top-level boundary";
-  for (size_t i = 0; i < truth.size(); ++i) {
-    EXPECT_EQ(idx->entries()[i].offset, truth[i]) << "entry " << i;
-  }
-
-  for (size_t i = 0; i < idx->entries().size(); ++i) {
-    const IndexEntry& e = idx->entries()[i];
-    auto cur = Cursor::OpenAt(*idx, pf.tables(), doc, e.offset);
+  EXPECT_EQ(idx.doc_size(), doc.size());
+  EXPECT_TRUE(idx.Matches(doc, pf.tables()).ok());
+  const std::vector<uint64_t> truth = TokenizerTopLevelStarts(doc);
+  for (size_t i = 0; i < idx.entries().size(); ++i) {
+    const IndexEntry& e = idx.entries()[i];
+    auto at = std::lower_bound(truth.begin(), truth.end(), e.offset);
+    ASSERT_TRUE(at != truth.end() && *at == e.offset)
+        << "entry " << i << " at " << e.offset
+        << " is not a top-level element start";
+    EXPECT_EQ(e.record_ordinal, static_cast<uint64_t>(at - truth.begin()))
+        << "entry " << i;
+    auto cur = Cursor::OpenAt(idx, pf.tables(), doc, e.offset);
     ASSERT_TRUE(cur.ok()) << cur.status().ToString();
     EXPECT_EQ(cur->position(), e.offset);
     EXPECT_EQ(cur->output_position(), e.out_offset);
@@ -127,10 +153,31 @@ void ExpectEveryBoundaryResumes(const core::Prefilter& pf,
     StringSink sink;
     ASSERT_TRUE(cur->Drain(&sink).ok());
     EXPECT_EQ(sink.str(), serial->substr(static_cast<size_t>(e.out_offset)))
-        << "resume at boundary " << i << " (offset " << e.offset
+        << "resume at entry " << i << " (offset " << e.offset
         << ") diverged from the serial suffix";
     EXPECT_TRUE(cur->at_end());
     EXPECT_EQ(cur->output_position(), serial->size());
+  }
+}
+
+/// The core differential property at every boundary of `doc`, with the
+/// document read in place and through rolling buffers of 256 B, 4 KiB and
+/// the default chunk.
+void ExpectEveryBoundaryResumes(const core::Prefilter& pf,
+                                const std::string& doc) {
+  const std::vector<uint64_t> truth = TokenizerTopLevelStarts(doc);
+  ASSERT_FALSE(truth.empty());
+  for (uint64_t chunk : {uint64_t{256}, uint64_t{4} << 10,
+                         BoundaryIndexOptions{}.chunk_bytes}) {
+    for (bool contiguous : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "chunk=" << chunk
+                                      << " contiguous=" << contiguous);
+      auto idx = BuildIndex(pf, doc, /*granularity=*/1, contiguous, chunk);
+      ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+      ASSERT_EQ(idx->entries().size(), truth.size())
+          << "granularity-1 index must hold every top-level boundary";
+      ExpectEntriesResume(pf, doc, *idx);
+    }
   }
 }
 
@@ -142,6 +189,76 @@ TEST(BoundaryIndexTest, XmarkEveryBoundaryResumesByteIdentically) {
 TEST(BoundaryIndexTest, MedlineEveryBoundaryResumesByteIdentically) {
   core::Prefilter pf = CompileMedline();
   ExpectEveryBoundaryResumes(pf, MedlineDoc(16 << 10));
+}
+
+TEST(BoundaryIndexTest, EntriesAreTokenizerRecordStartsUnderEveryTier) {
+  // Hand-built edges: every construct the structural scan must skip
+  // carries fake tags (harmless to the engine, which matches them as
+  // DTD-valid elements or not at all), and the bachelor cases exercise
+  // the '/' checks at both depths.
+  auto dtd = dtd::Dtd::Parse(
+      "<!DOCTYPE a [ <!ELEMENT a (#PCDATA|b|c)*> <!ELEMENT b (#PCDATA)>"
+      " <!ELEMENT c (#PCDATA|b)*> ]>");
+  ASSERT_TRUE(dtd.ok()) << dtd.status().ToString();
+  auto paths = paths::ProjectionPath::ParseList("/a/b# /a/c/b#");
+  ASSERT_TRUE(paths.ok());
+  auto edge_pf = core::Prefilter::Compile(std::move(*dtd), std::move(*paths));
+  ASSERT_TRUE(edge_pf.ok()) << edge_pf.status().ToString();
+  const std::vector<std::string> edges = {
+      "<a><!-- <b>fake</b> <b/> --><b>x</b><!----></a>",
+      "<a><![CDATA[<b>fake</b></zz><zz>]]><b/><c><![CDATA[]]></c></a>",
+      "<?xml version=\"1.0\"?><?pi <b/>?><a><?pi <b>?><b>y</b><?x?></a>",
+      "<!DOCTYPE a [ <!ELEMENT a (b|c)*> <!ENTITY g \"x>y\">"
+      " <!-- <b> --> ]>\n<a><b/><c><b/></c><b>z</b></a>",
+      "<a><b at=\"x>/y\">1</b><b at='/>'>2</b><c q=\"a/\"/>"
+      "<b at=\"/\">3</b><c><b k='>'/></c></a>",
+      "<a><b/><c/><b></b><c><b/><b/></c><b/></a>",
+      "<a/>",
+      "<a>text only</a>",
+      "<a>\n  <b>1</b>\n  <c>2 &lt; 3 <b>3</b></c>\n</a>\n",
+  };
+  struct Case {
+    const core::Prefilter* pf;
+    std::string doc;
+  };
+  core::Prefilter xmark = CompileXmark();
+  core::Prefilter medline = CompileMedline();
+  std::vector<Case> cases = {{&xmark, XmarkDoc(256 << 10)},
+                             {&medline, MedlineDoc(256 << 10)}};
+  for (const std::string& doc : edges) {
+    // Padding inside the root shifts every construct across the rolling
+    // buffer's refill points, so each straddles a refill somewhere.
+    const size_t root = doc.find("<a>");
+    for (size_t pad = 0; pad < parallel::kMinScanChunkBytes; ++pad) {
+      std::string padded = doc;
+      if (root != std::string::npos) padded.insert(root + 3, pad, ' ');
+      cases.push_back({&*edge_pf, padded});
+      if (root == std::string::npos) break;
+    }
+  }
+
+  const simd::Isa saved = simd::ActiveIsa();
+  for (simd::Isa isa : simd::AvailableIsas()) {
+    SCOPED_TRACE(simd::IsaName(isa));
+    ASSERT_EQ(simd::SetIsa(isa), isa);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.doc.size() < 200 ? c.doc : c.doc.substr(0, 40));
+      const std::vector<uint64_t> truth = TokenizerTopLevelStarts(c.doc);
+      for (bool contiguous : {true, false}) {
+        SCOPED_TRACE(contiguous ? "contiguous" : "rolling");
+        auto idx = BuildIndex(*c.pf, c.doc, /*granularity=*/1, contiguous,
+                              parallel::kMinScanChunkBytes);
+        ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+        std::vector<uint64_t> offsets;
+        for (size_t i = 0; i < idx->entries().size(); ++i) {
+          offsets.push_back(idx->entries()[i].offset);
+          EXPECT_EQ(idx->entries()[i].record_ordinal, i);
+        }
+        EXPECT_EQ(offsets, truth);
+      }
+    }
+  }
+  simd::SetIsa(saved);
 }
 
 TEST(BoundaryIndexTest, OpenAtMidRecordTargetsResumeAtPrecedingBoundary) {
@@ -392,10 +509,7 @@ TEST(BoundaryIndexTest, BoundarylessDocumentsStillServeCursors) {
   auto serial = pf->RunOnBuffer(doc);
   ASSERT_TRUE(serial.ok());
 
-  parallel::ThreadPool pool(2);
-  BoundaryIndexOptions opts;
-  opts.granularity_bytes = 1;
-  auto idx = BoundaryIndex::Build(pf->tables(), doc, &pool, opts);
+  auto idx = BuildIndex(*pf, doc, /*granularity=*/1);
   ASSERT_TRUE(idx.ok()) << idx.status().ToString();
   EXPECT_TRUE(idx->entries().empty());
 
@@ -411,11 +525,10 @@ TEST(BoundaryIndexTest, BuildFailsOnDocumentsThatDoNotPrefilter) {
   core::Prefilter pf = CompileMedline();
   std::string doc = MedlineDoc(4 << 10);
   doc.resize(doc.size() / 2);  // truncated document: serial run fails too
-  parallel::ThreadPool pool(2);
-  BoundaryIndexOptions opts;
-  opts.granularity_bytes = 256;
-  auto idx = BoundaryIndex::Build(pf.tables(), doc, &pool, opts);
-  EXPECT_FALSE(idx.ok());
+  EXPECT_FALSE(BuildIndex(pf, doc, /*granularity=*/256).ok());
+  EXPECT_FALSE(BuildIndex(pf, doc, /*granularity=*/256, /*contiguous=*/false,
+                          /*chunk=*/512)
+                   .ok());
 }
 
 TEST(BoundaryIndexTest, CoarseGranularityMatchesFineResumes) {
@@ -425,10 +538,7 @@ TEST(BoundaryIndexTest, CoarseGranularityMatchesFineResumes) {
   std::string doc = MedlineDoc(16 << 10);
   auto serial = pf.RunOnBuffer(doc);
   ASSERT_TRUE(serial.ok());
-  parallel::ThreadPool pool(3);
-  BoundaryIndexOptions coarse_opts;
-  coarse_opts.granularity_bytes = 2048;
-  auto coarse = BoundaryIndex::Build(pf.tables(), doc, &pool, coarse_opts);
+  auto coarse = BuildIndex(pf, doc, /*granularity=*/2048);
   ASSERT_TRUE(coarse.ok());
   auto fine = BuildEveryBoundary(pf, doc);
   ASSERT_TRUE(fine.ok());
@@ -464,10 +574,7 @@ TEST(BoundaryIndexTest, RecordOrdinalsMatchTokenizerTruth) {
     EXPECT_EQ(fine->entries()[i].record_ordinal, i) << "entry " << i;
   }
 
-  parallel::ThreadPool pool(3);
-  BoundaryIndexOptions coarse_opts;
-  coarse_opts.granularity_bytes = 2048;
-  auto coarse = BoundaryIndex::Build(pf.tables(), doc, &pool, coarse_opts);
+  auto coarse = BuildIndex(pf, doc, /*granularity=*/2048);
   ASSERT_TRUE(coarse.ok());
   ASSERT_FALSE(coarse->entries().empty());
   for (const IndexEntry& e : coarse->entries()) {
@@ -511,10 +618,7 @@ TEST(BoundaryIndexTest, FindRecordAndOpenAtRecordPaginateBySerialRecord) {
   }
 
   // A coarse index lands on the nearest preceding indexed boundary.
-  parallel::ThreadPool pool(2);
-  BoundaryIndexOptions coarse_opts;
-  coarse_opts.granularity_bytes = 2048;
-  auto coarse = BoundaryIndex::Build(pf.tables(), doc, &pool, coarse_opts);
+  auto coarse = BuildIndex(pf, doc, /*granularity=*/2048);
   ASSERT_TRUE(coarse.ok());
   ASSERT_FALSE(coarse->entries().empty());
   uint64_t target = coarse->entries().back().record_ordinal + 1;
@@ -539,35 +643,41 @@ TEST(BoundaryIndexTest, StatsPrefixCompletesResumedRunsToSerialTotals) {
       ASSERT_TRUE(s.Finish().ok());
     }
   }
-  auto idx = BuildEveryBoundary(pf, doc);
-  ASSERT_TRUE(idx.ok());
-  ASSERT_GE(idx->entries().size(), 2u);
+  // In place, and through rolling buffers smaller than a record (the
+  // engine's input is then cut mid-span as well as at every boundary).
+  for (bool contiguous : {true, false}) {
+    SCOPED_TRACE(contiguous ? "contiguous" : "rolling");
+    auto idx = BuildIndex(pf, doc, /*granularity=*/1, contiguous,
+                          /*chunk=*/256);
+    ASSERT_TRUE(idx.ok());
+    ASSERT_GE(idx->entries().size(), 2u);
 
-  for (size_t i : {size_t{0}, idx->entries().size() / 2,
-                   idx->entries().size() - 1}) {
-    auto cur = Cursor::OpenAt(*idx, pf.tables(), doc,
-                              idx->entries()[i].offset);
-    ASSERT_TRUE(cur.ok());
-    StatsPrefix prefix = cur->stats_prefix();
-    // Re-run the suffix serially to get the resumed portion's stats.
-    core::RunStats suffix_stats;
-    {
-      CountingSink discard;
-      const core::SessionCheckpoint ckpt = idx->entries()[i].checkpoint;
-      core::PrefilterSession s(pf.tables(), &discard, &suffix_stats, {},
-                               &ckpt);
-      ASSERT_TRUE(s.Resume(doc.substr(
-                              static_cast<size_t>(ckpt.feed_begin())))
-                      .ok());
-      if (!s.finished()) {
-      ASSERT_TRUE(s.Finish().ok());
+    for (size_t i : {size_t{0}, idx->entries().size() / 2,
+                     idx->entries().size() - 1}) {
+      auto cur = Cursor::OpenAt(*idx, pf.tables(), doc,
+                                idx->entries()[i].offset);
+      ASSERT_TRUE(cur.ok());
+      StatsPrefix prefix = cur->stats_prefix();
+      // Re-run the suffix serially to get the resumed portion's stats.
+      core::RunStats suffix_stats;
+      {
+        CountingSink discard;
+        const core::SessionCheckpoint ckpt = idx->entries()[i].checkpoint;
+        core::PrefilterSession s(pf.tables(), &discard, &suffix_stats, {},
+                                 &ckpt);
+        ASSERT_TRUE(s.Resume(doc.substr(
+                                static_cast<size_t>(ckpt.feed_begin())))
+                        .ok());
+        if (!s.finished()) {
+          ASSERT_TRUE(s.Finish().ok());
+        }
+      }
+      core::RunStats total = suffix_stats;
+      prefix.AccumulateInto(&total);
+      EXPECT_EQ(total.matches, serial_stats.matches) << "entry " << i;
+      EXPECT_EQ(total.false_matches, serial_stats.false_matches)
+          << "entry " << i;
     }
-    }
-    core::RunStats total = suffix_stats;
-    prefix.AccumulateInto(&total);
-    EXPECT_EQ(total.matches, serial_stats.matches) << "entry " << i;
-    EXPECT_EQ(total.false_matches, serial_stats.false_matches)
-        << "entry " << i;
   }
 }
 
@@ -592,135 +702,93 @@ TEST(BoundaryIndexTest, VersionOneFilesFailClosedAsUnsupported) {
       << r.status().ToString();
 }
 
-/// Chunked-build differential helper: entries must be identical to the
-/// in-memory build's in every durable field (offsets, ordinals,
-/// checkpoints, exact match counters); only the approximate search-effort
-/// counters may differ, because the two builders suspend the engine with
-/// different histories.
-void ExpectChunkedMatchesInMemory(const core::Prefilter& pf,
-                                  const std::string& doc,
-                                  uint64_t granularity, uint64_t chunk) {
-  parallel::ThreadPool pool(3);
-  BoundaryIndexOptions opts;
-  opts.granularity_bytes = granularity;
-  auto mem = BoundaryIndex::Build(pf.tables(), doc, &pool, opts);
-  ASSERT_TRUE(mem.ok()) << mem.status().ToString();
-
-  MemorySource src(doc);
-  BoundaryIndexOptions copts = opts;
-  copts.chunk_bytes = chunk;
-  auto chunked = BoundaryIndex::Build(pf.tables(), src, nullptr, copts);
-  ASSERT_TRUE(chunked.ok()) << chunked.status().ToString();
-
-  EXPECT_EQ(chunked->doc_size(), mem->doc_size());
-  EXPECT_EQ(chunked->doc_digest(), mem->doc_digest());
-  EXPECT_EQ(chunked->tables_fingerprint(), mem->tables_fingerprint());
-  ASSERT_EQ(chunked->entries().size(), mem->entries().size());
-  for (size_t i = 0; i < mem->entries().size(); ++i) {
-    const IndexEntry& a = mem->entries()[i];
-    const IndexEntry& b = chunked->entries()[i];
-    EXPECT_EQ(a.offset, b.offset) << "entry " << i;
-    EXPECT_EQ(a.out_offset, b.out_offset) << "entry " << i;
-    EXPECT_EQ(a.record_ordinal, b.record_ordinal) << "entry " << i;
-    EXPECT_EQ(a.checkpoint.state, b.checkpoint.state) << "entry " << i;
-    EXPECT_EQ(a.checkpoint.cursor, b.checkpoint.cursor) << "entry " << i;
-    EXPECT_EQ(a.checkpoint.nesting_depth, b.checkpoint.nesting_depth);
-    EXPECT_EQ(a.checkpoint.copy_depth, b.checkpoint.copy_depth);
-    EXPECT_EQ(a.checkpoint.copy_flushed, b.checkpoint.copy_flushed);
-    EXPECT_EQ(a.checkpoint.prolog_done, b.checkpoint.prolog_done);
-    EXPECT_EQ(a.checkpoint.jump_pending, b.checkpoint.jump_pending);
-    EXPECT_EQ(a.stats.matches, b.stats.matches) << "entry " << i;
-    EXPECT_EQ(a.stats.false_matches, b.stats.false_matches) << "entry " << i;
-  }
+/// A resealed header: the given document size and entry count, no entry
+/// bytes, and a valid trailing hash, so only the structural checks can
+/// reject it.
+std::string ResealedHeader(uint64_t doc_size, uint64_t count) {
+  std::string bytes("SMPXBIX1", 8);
+  auto put = [&bytes](uint64_t v, int n) {
+    for (int i = 0; i < n; ++i) {
+      bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  put(2, 4);  // version
+  put(0, 4);  // reserved
+  put(doc_size, 8);
+  put(0, 8);  // content digest
+  put(0, 8);  // tables fingerprint
+  put(count, 8);
+  put(Hash64(bytes), 8);
+  return bytes;
 }
 
-TEST(BoundaryIndexTest, ChunkedBuildMatchesInMemoryOnEveryDurableField) {
-  core::Prefilter xm = CompileXmark();
-  ExpectChunkedMatchesInMemory(xm, XmarkDoc(16 << 10), /*granularity=*/1,
-                               /*chunk=*/4 << 10);
-  core::Prefilter ml = CompileMedline();
-  ExpectChunkedMatchesInMemory(ml, MedlineDoc(16 << 10), /*granularity=*/1,
-                               /*chunk=*/4 << 10);
+TEST(BoundaryIndexTest, EntryCountsTheFileCannotHoldFailClosed) {
+  // A 56-byte file claiming 10^12 (or 2^62) entries of an equally large
+  // document must fail as corrupt before anything is allocated for them.
+  for (uint64_t count : {uint64_t{1000000000000}, uint64_t{1} << 62}) {
+    SCOPED_TRACE(count);
+    const std::string bytes = ResealedHeader(count, count);
+    ASSERT_EQ(bytes.size(), 56u);
+    auto r = BoundaryIndex::Load(bytes);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError)
+        << r.status().ToString();
+  }
+  // The empty index the same header shape describes still loads.
+  EXPECT_TRUE(BoundaryIndex::Load(ResealedHeader(1000, 0)).ok());
 }
 
 TEST(BoundaryIndexTest, ChunkedBuildsAreByteIdenticalAcrossChunkSizes) {
-  // The chunked path is deterministic in itself: as long as no
-  // inter-entry span exceeds the chunk, the chunk size cannot leak into
-  // the file -- the engine suspends at exactly the same boundaries.
+  // The rolling-buffer reads cannot leak into the file: as long as no
+  // inter-entry span exceeds the chunk, the engine suspends at exactly the
+  // same boundaries as when the document is read in place.
   core::Prefilter pf = CompileMedline();
   std::string doc = MedlineDoc(16 << 10);
-  MemorySource src(doc);
-  BoundaryIndexOptions opts;
-  opts.granularity_bytes = 1;
-  opts.chunk_bytes = 4 << 10;
-  auto a = BoundaryIndex::Build(pf.tables(), src, nullptr, opts);
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
-  opts.chunk_bytes = 8 << 10;
-  auto b = BoundaryIndex::Build(pf.tables(), src, nullptr, opts);
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->Serialize(), b->Serialize());
+  auto in_place = BuildIndex(pf, doc, /*granularity=*/1);
+  ASSERT_TRUE(in_place.ok()) << in_place.status().ToString();
+  for (uint64_t chunk : {uint64_t{4} << 10, uint64_t{8} << 10}) {
+    SCOPED_TRACE(chunk);
+    auto rolled = BuildIndex(pf, doc, /*granularity=*/1,
+                             /*contiguous=*/false, chunk);
+    ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
+    EXPECT_EQ(rolled->Serialize(), in_place->Serialize());
+  }
 }
 
 TEST(BoundaryIndexTest, ChunkedBuildSurvivesSpansLargerThanTheChunk) {
-  // Coarse granularity with a tiny chunk forces mid-span suspensions:
-  // everything except the approximate search counters must still agree,
-  // and cursors over the chunked index must serve identical bytes.
+  // Coarse granularity with a tiny chunk cuts the engine's input mid-span;
+  // every entry must still be a true record start whose cursor serves the
+  // serial suffix.
   core::Prefilter pf = CompileMedline();
   std::string doc = MedlineDoc(16 << 10);
-  ExpectChunkedMatchesInMemory(pf, doc, /*granularity=*/4096,
-                               /*chunk=*/256);
-
-  MemorySource src(doc);
-  BoundaryIndexOptions opts;
-  opts.granularity_bytes = 4096;
-  opts.chunk_bytes = 256;
-  auto idx = BoundaryIndex::Build(pf.tables(), src, nullptr, opts);
-  ASSERT_TRUE(idx.ok());
-  auto serial = pf.RunOnBuffer(doc);
-  ASSERT_TRUE(serial.ok());
-  for (const IndexEntry& e : idx->entries()) {
-    auto cur = Cursor::OpenAt(*idx, pf.tables(), doc, e.offset);
-    ASSERT_TRUE(cur.ok()) << cur.status().ToString();
-    StringSink sink;
-    ASSERT_TRUE(cur->Drain(&sink).ok());
-    EXPECT_EQ(sink.str(), serial->substr(static_cast<size_t>(e.out_offset)))
-        << "chunked-index resume at offset " << e.offset;
-  }
+  auto idx = BuildIndex(pf, doc, /*granularity=*/4096, /*contiguous=*/false,
+                        /*chunk=*/256);
+  ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+  ASSERT_GE(idx->entries().size(), 2u);
+  ExpectEntriesResume(pf, doc, *idx);
 }
 
 TEST(BoundaryIndexTest, ChunkedBuildFromFileSourceNeverMapsTheDocument) {
   core::Prefilter pf = CompileMedline();
   std::string doc = MedlineDoc(16 << 10);
-  std::string path = "/tmp/smpx_chunked_index_input.xml";
+  std::string path = ::testing::TempDir() + "/smpx_chunked_index_input.xml";
   ASSERT_TRUE(WriteStringToFile(path, doc).ok());
   auto src = FileSource::Open(path);
   ASSERT_TRUE(src.ok()) << src.status().ToString();
   ASSERT_EQ((*src)->Contiguous().data(), nullptr);
 
-  // The pread-backed build must be byte-identical to the same chunked
+  // The pread-backed build must be byte-identical to the same rolling
   // build over in-memory bytes, and its digest must satisfy Matches.
-  MemorySource mem_src(doc);
   BoundaryIndexOptions opts;
   opts.granularity_bytes = 1;
   opts.chunk_bytes = 1 << 10;
-  auto mem = BoundaryIndex::Build(pf.tables(), mem_src, nullptr, opts);
+  auto mem = BoundaryIndex::Build(pf.tables(), RollingSource(doc), opts);
   ASSERT_TRUE(mem.ok());
-  auto chunked = BoundaryIndex::Build(pf.tables(), **src, nullptr, opts);
+  auto chunked = BoundaryIndex::Build(pf.tables(), **src, opts);
   ASSERT_TRUE(chunked.ok()) << chunked.status().ToString();
   EXPECT_EQ(chunked->Serialize(), mem->Serialize());
   ASSERT_TRUE(chunked->Matches(doc, pf.tables()).ok());
   std::remove(path.c_str());
-}
-
-TEST(BoundaryIndexTest, ChunkedBuildFailsOnDocumentsThatDoNotPrefilter) {
-  core::Prefilter pf = CompileMedline();
-  std::string doc = MedlineDoc(4 << 10);
-  doc.resize(doc.size() / 2);
-  MemorySource src(doc);
-  BoundaryIndexOptions opts;
-  opts.granularity_bytes = 256;
-  opts.chunk_bytes = 512;
-  EXPECT_FALSE(BoundaryIndex::Build(pf.tables(), src, nullptr, opts).ok());
 }
 
 }  // namespace

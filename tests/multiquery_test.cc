@@ -459,8 +459,7 @@ TEST(MultiQueryTest, SingleQueryDriversRejectProductTables) {
     EXPECT_FALSE(s.ok());
   }
   {  // Boundary indexing over product tables is unsupported.
-    parallel::ThreadPool pool(2);
-    auto idx = index::BoundaryIndex::Build(mq.tables(), doc, &pool, {});
+    auto idx = index::BoundaryIndex::Build(mq.tables(), MemorySource(doc));
     EXPECT_FALSE(idx.ok());
   }
   {  // Wrong sink count fails closed, sharded and streaming alike.

@@ -19,8 +19,6 @@
 #include "parallel/batch.h"
 #include "parallel/shard.h"
 #include "parallel/thread_pool.h"
-#include "simd/simd.h"
-#include "xml/tokenizer.h"
 #include "xmlgen/medline.h"
 #include "xmlgen/xmark.h"
 
@@ -434,99 +432,6 @@ TEST(SharderTest, ParallelScanEarlyExitsPastTheLastBoundary) {
       doc, 2, &serial_pool, &scanned);
   EXPECT_EQ(par, parallel::FindTopLevelBoundaries(doc, 2));
   EXPECT_LT(scanned, doc.size());
-}
-
-// --- Record counting -------------------------------------------------------
-
-/// Ground truth for CountTopLevelStarts: offsets of every element start
-/// (opening or bachelor tag) whose parent is the root, per the full
-/// tokenizer.
-std::vector<uint64_t> TokenizerRecordStarts(std::string_view doc) {
-  auto tokens = xml::TokenizeAll(doc);
-  EXPECT_TRUE(tokens.ok()) << tokens.status().ToString();
-  std::vector<uint64_t> starts;
-  if (!tokens.ok()) return starts;
-  int64_t depth = 0;
-  for (const xml::Token& t : *tokens) {
-    if (t.type == xml::TokenType::kStartTag ||
-        t.type == xml::TokenType::kEmptyTag) {
-      if (depth == 1) starts.push_back(t.begin);
-      if (t.type == xml::TokenType::kStartTag) ++depth;
-    } else if (t.type == xml::TokenType::kEndTag) {
-      --depth;
-    }
-  }
-  return starts;
-}
-
-TEST(SharderTest, CountTopLevelStartsMatchesTokenizerUnderEveryTier) {
-  std::vector<std::string> docs;
-  {
-    xmlgen::XmarkOptions gen;
-    gen.target_bytes = 256 << 10;
-    docs.push_back(xmlgen::GenerateXmark(gen));
-  }
-  {
-    xmlgen::MedlineOptions gen;
-    gen.target_bytes = 256 << 10;
-    docs.push_back(xmlgen::GenerateMedline(gen));
-  }
-  // Hand-built edges: every construct the structural scanner must skip
-  // carries fake top-level tags, and the bachelor cases exercise the
-  // '/' checks at both depths.
-  docs.push_back("<a><!-- <b>fake</b> <b/> --><b>x</b><!----></a>");
-  docs.push_back("<a><![CDATA[<b>fake</b></a><b>]]><b/><c><![CDATA[]]>"
-                 "</c></a>");
-  docs.push_back("<?xml version=\"1.0\"?><?pi <b/>?><a><?pi <b>?><b>y</b>"
-                 "<?x?></a>");
-  docs.push_back("<!DOCTYPE a [ <!ELEMENT a (b|c)*> <!ENTITY g \"x>y\">"
-                 " <!-- <b> --> ]>\n<a><b/><c><b/></c><b>z</b></a>");
-  docs.push_back("<a><b at=\"x>/y\">1</b><b at='/>'>2</b><c q=\"a/\"/>"
-                 "<b at=\"/\">3</b><c><b k='>'/></c></a>");
-  docs.push_back("<a><b/><c/><b></b><c><b/><b/></c><b/></a>");
-  docs.push_back("<a/>");
-  docs.push_back("<a>text only</a>");
-  docs.push_back("<a>\n  <b>1</b>\n  <c>2 &lt; 3 <b>3</b></c>\n</a>\n");
-
-  const simd::Isa saved = simd::ActiveIsa();
-  for (size_t di = 0; di < docs.size(); ++di) {
-    SCOPED_TRACE(di);
-    const std::string& doc = docs[di];
-    const std::vector<uint64_t> starts = TokenizerRecordStarts(doc);
-    const uint64_t total = starts.size();
-    if (di < 2) {
-      ASSERT_GT(total, 2u);  // generated documents hold several records
-    }
-    for (simd::Isa isa : simd::AvailableIsas()) {
-      SCOPED_TRACE(simd::IsaName(isa));
-      ASSERT_EQ(simd::SetIsa(isa), isa);
-      EXPECT_EQ(parallel::CountTopLevelStarts(doc, 0, doc.size(), 0), total);
-      for (size_t splits : {1u, 3u, 16u}) {
-        SCOPED_TRACE(splits);
-        const std::vector<uint64_t> bounds =
-            parallel::FindTopLevelBoundaries(doc, splits);
-        // Every boundary is a record start, and the prefix before it
-        // holds exactly the records the tokenizer places there.
-        uint64_t sum = 0;
-        uint64_t begin = 0;
-        for (uint64_t b : bounds) {
-          EXPECT_TRUE(std::binary_search(starts.begin(), starts.end(), b))
-              << "boundary " << b << " is not a record start";
-          const uint64_t before = static_cast<uint64_t>(
-              std::lower_bound(starts.begin(), starts.end(), b) -
-              starts.begin());
-          EXPECT_EQ(parallel::CountTopLevelStarts(doc, 0, b, 0), before);
-          sum += parallel::CountTopLevelStarts(doc, begin, b,
-                                               begin == 0 ? 0 : 1);
-          begin = b;
-        }
-        sum += parallel::CountTopLevelStarts(doc, begin, doc.size(),
-                                             begin == 0 ? 0 : 1);
-        EXPECT_EQ(sum, total);
-      }
-    }
-  }
-  simd::SetIsa(saved);
 }
 
 // --- Static boundary-state analysis ---------------------------------------

@@ -20,7 +20,6 @@
 #include "core/prefilter.h"
 #include "index/boundary_index.h"
 #include "index/cursor.h"
-#include "parallel/thread_pool.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -73,10 +72,10 @@ struct Fixture {
     auto out = pf.RunOnBuffer(doc);
     EXPECT_TRUE(out.ok());
     projected = std::move(*out);
-    parallel::ThreadPool pool(3);
     index::BoundaryIndexOptions bopts;
     bopts.granularity_bytes = 1;
-    auto built = index::BoundaryIndex::Build(pf.tables(), doc, &pool, bopts);
+    auto built =
+        index::BoundaryIndex::Build(pf.tables(), MemorySource(doc), bopts);
     EXPECT_TRUE(built.ok()) << built.status().ToString();
     idx = std::move(*built);
   }

@@ -33,13 +33,14 @@
 // serial pass, --threads sharding, and --batch through the same
 // one-file-at-a-time ordered-commit writer (in.xml -> in.proj.q1.xml, ...).
 //
-// Random access: --index-build FILE runs the speculative indexing pass
-// over one document and saves a boundary skip-index (--index-granularity
-// sets the entry spacing); --index FILE --seek OFF [--count N] then
-// resumes a cursor at the nearest indexed boundary at or before OFF --
-// without prefiltering the prefix -- and emits N indexed spans (one
-// top-level record each at granularity 1; or everything to the end),
-// byte-identical to the corresponding slice of a full serial run.
+// Random access: --index-build FILE runs one serial indexing pass over
+// one document -- mapped, or with --index-chunk streamed through rolling
+// buffers -- and saves a boundary skip-index (--index-granularity sets the
+// entry spacing); --index FILE --seek OFF [--count N] then resumes a
+// cursor at the nearest indexed boundary at or before OFF -- without
+// prefiltering the prefix -- and emits N indexed spans (one top-level
+// record each at granularity 1; or everything to the end), byte-identical
+// to the corresponding slice of a full serial run.
 
 #include <cstdio>
 #include <cstdlib>
@@ -123,18 +124,18 @@ int Usage(const char* argv0) {
       "                  --max-buffer (and --chunk) to shard multi-GB\n"
       "                  documents on small machines, grow them to avoid\n"
       "                  spill I/O when memory is plentiful\n"
-      "  --index-build F index one document for random access: record the\n"
-      "                  verified engine checkpoint at top-level element\n"
-      "                  boundaries (one per --index-granularity bytes,\n"
-      "                  default 1M) and save the skip-index to F\n"
-      "  --index-chunk S build the index through a rolling buffer of S\n"
-      "                  bytes instead of mapping the whole document:\n"
-      "                  resident memory stays O(S + window) however large\n"
-      "                  the input, so documents beyond the address space\n"
-      "                  (or any mmap window) stay indexable. Identical\n"
-      "                  entries, single-threaded, about twice the read\n"
-      "                  I/O. 0 (default) maps the document and runs the\n"
-      "                  parallel speculative wave\n"
+      "  --index-build F index one document for random access in one\n"
+      "                  serial pass: record the engine checkpoint at\n"
+      "                  top-level element boundaries (one per\n"
+      "                  --index-granularity bytes, default 1M) and save\n"
+      "                  the skip-index to F (--threads does not apply)\n"
+      "  --index-chunk S read the document through rolling buffers of S\n"
+      "                  bytes instead of mapping it: resident memory\n"
+      "                  stays O(S + window) however large the input, so\n"
+      "                  documents beyond the address space (or any mmap\n"
+      "                  window) stay indexable, at about twice the read\n"
+      "                  I/O. Same entries as the mapped build. 0\n"
+      "                  (default) maps the document\n"
       "  --index F       load the skip-index F for the input document and\n"
       "                  resume at the nearest indexed boundary at or\n"
       "                  before --seek OFFSET (default 0) -- or, as\n"
@@ -232,7 +233,7 @@ int main(int argc, char** argv) {
   std::string index_build_file;
   std::string index_file;
   size_t index_granularity = 1 << 20;
-  size_t index_chunk = 0;  // 0 = in-memory build
+  size_t index_chunk = 0;  // 0 = map the document
   size_t seek_offset = 0;
   bool seek_by_record = false;
   bool seek_given = false;
@@ -758,31 +759,37 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (!index_build_file.empty() && index_chunk > 0) {
-    // Chunked index build: the document is never mapped -- it streams
-    // through a rolling buffer, so this path works for inputs larger
-    // than the address space. Placed before the mmap plumbing on
-    // purpose.
-    smpx::WallTimer chunked_timer;
+  if (!index_build_file.empty()) {
+    // One serial indexing pass, then the versioned skip-index file; the
+    // projection itself is discarded. The file is mapped and scanned in
+    // place, or with --index-chunk read through rolling buffers and never
+    // mapped (inputs larger than the address space stay indexable).
+    smpx::WallTimer build_timer;
     std::string stdin_buffer;
     std::unique_ptr<smpx::InputSource> src;
     if (inputs.empty()) {
       stdin_buffer = ReadStdin();
       src = std::make_unique<smpx::MemorySource>(stdin_buffer);
-    } else {
+    } else if (index_chunk > 0) {
       auto f = smpx::FileSource::Open(inputs[0]);
       if (!f.ok()) {
         std::fprintf(stderr, "%s\n", f.status().ToString().c_str());
         return 1;
       }
       src = std::move(*f);
+    } else {
+      auto m = smpx::MmapSource::Open(inputs[0]);
+      if (!m.ok()) {
+        std::fprintf(stderr, "%s\n", m.status().ToString().c_str());
+        return 1;
+      }
+      src = std::move(*m);
     }
     smpx::index::BoundaryIndexOptions iopts;
     iopts.granularity_bytes = index_granularity;
-    iopts.chunk_bytes = index_chunk;
+    if (index_chunk > 0) iopts.chunk_bytes = index_chunk;
     iopts.engine.window_capacity = window;
-    auto idx = smpx::index::BoundaryIndex::Build(pf->tables(), *src,
-                                                 /*pool=*/nullptr, iopts);
+    auto idx = smpx::index::BoundaryIndex::Build(pf->tables(), *src, iopts);
     if (!idx.ok()) {
       std::fprintf(stderr, "index build: %s\n",
                    idx.status().ToString().c_str());
@@ -795,7 +802,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (stats_flag) {
-      double secs = chunked_timer.Seconds();
+      double secs = build_timer.Seconds();
       std::fprintf(
           stderr,
           "index: entries=%zu index_bytes=%zu doc_bytes=%llu chunked=%zu "
@@ -834,39 +841,6 @@ int main(int argc, char** argv) {
   smpx::WallTimer run_timer;
   smpx::CpuTimer cpu_timer;
   int failures = 0;
-
-  if (!index_build_file.empty()) {
-    // One speculative indexing pass over the document, then the versioned
-    // skip-index file; the projection itself is discarded.
-    smpx::parallel::ThreadPool pool(threads);
-    smpx::index::BoundaryIndexOptions iopts;
-    iopts.granularity_bytes = index_granularity;
-    iopts.engine = eopts;
-    auto idx = smpx::index::BoundaryIndex::Build(pf->tables(), docs[0],
-                                                 &pool, iopts);
-    if (!idx.ok()) {
-      std::fprintf(stderr, "index build: %s\n",
-                   idx.status().ToString().c_str());
-      return 1;
-    }
-    std::string serialized = idx->Serialize();
-    smpx::Status s = smpx::WriteStringToFile(index_build_file, serialized);
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-    if (stats_flag) {
-      double secs = run_timer.Seconds();
-      std::fprintf(
-          stderr,
-          "index: entries=%zu index_bytes=%zu doc_bytes=%zu "
-          "build=%.3fs (%.1f MB/s)\n",
-          idx->entries().size(), serialized.size(), docs[0].size(), secs,
-          secs > 0 ? static_cast<double>(docs[0].size()) / 1048576.0 / secs
-                   : 0.0);
-    }
-    return 0;
-  }
 
   if (!index_file.empty()) {
     auto idx = smpx::index::BoundaryIndex::LoadFromFile(index_file);

@@ -6,7 +6,11 @@
 //
 //   smpxd --socket /tmp/smpx.sock [--port 7070] [--max-buffer 64M]
 //         [--request-buffer 4M] [--window 1M] [--cache 16]
-//         [--index-granularity 1] [--threads N]
+//         [--index-granularity 1]
+//
+// A document's boundary index is built on its first request, in one serial
+// streaming pass over the mapped file (--index-granularity sets the entry
+// spacing; 1 = every top-level record).
 //
 // Prints one "smpxd ready ..." line on stdout once the listeners are
 // bound (test and bench harnesses wait for it), then runs until SIGINT
@@ -28,9 +32,12 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s [--socket PATH] [--port N] [--max-buffer SIZE]\n"
       "          [--request-buffer SIZE] [--window SIZE] [--cache N]\n"
-      "          [--index-granularity SIZE] [--threads N]\n"
+      "          [--index-granularity SIZE]\n"
       "At least one of --socket / --port is required; --port 0 picks an\n"
-      "ephemeral port (printed on the ready line).\n",
+      "ephemeral port (printed on the ready line). A document's boundary\n"
+      "index is built on its first request, in one serial pass over the\n"
+      "mapped file, with one entry per --index-granularity bytes (default\n"
+      "1: every top-level record).\n",
       argv0);
   return 2;
 }
@@ -83,10 +90,6 @@ int main(int argc, char** argv) {
       uint64_t g = 1;
       if (!next_size(&g)) return Usage(argv[0]);
       opts.cache.index_granularity = g;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      opts.cache.build_threads = std::atoi(v);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return Usage(argv[0]);
