@@ -26,6 +26,25 @@ constexpr uint64_t kInf = std::numeric_limits<uint64_t>::max();
 /// resolver just re-runs those shards.
 constexpr int kMaxCopyDepth = 64;
 
+/// RuntimeTables::boundary_keywords: "<name" for every child element of
+/// the root, or none when such a name can also occur elsewhere in a
+/// DTD-valid document -- below the root's children, as the root itself,
+/// or anywhere inside an opaque region (whose interior the instance tree
+/// does not unfold).
+std::vector<std::string> RootChildKeywords(const DtdAutomaton& aut) {
+  std::set<std::string> names;
+  for (const DtdAutomaton::Instance& inst : aut.instances()) {
+    if (inst.opaque) return {};
+    if (inst.parent == 0) names.insert(inst.label);
+  }
+  for (const DtdAutomaton::Instance& inst : aut.instances()) {
+    if (inst.parent != 0 && names.count(inst.label) != 0) return {};
+  }
+  std::vector<std::string> keywords;
+  for (const std::string& name : names) keywords.push_back("<" + name);
+  return keywords;
+}
+
 }  // namespace
 
 /// Computes J[q] for one DFA state: the minimum, over all documents valid
@@ -129,6 +148,9 @@ uint64_t ComputeStateJump(const DtdAutomaton& aut, dtd::MinSerial* ms,
 /// checkpoint (the resolver compares depths exactly), so saturation can
 /// only cost a re-run, never correctness. The true (state, depth) of a
 /// valid document's boundary below the cap is always contained.
+///
+/// The boundary keywords come from the instance tree alone (see
+/// RootChildKeywords), so every table built over one DTD carries the same.
 BoundaryAnalysis ComputeBoundaryStates(const DtdAutomaton& aut,
                                        const RuntimeTables& tables) {
   const uint64_t nq = tables.states.size();
@@ -189,6 +211,7 @@ BoundaryAnalysis ComputeBoundaryStates(const DtdAutomaton& aut,
     out.states.push_back(q);
     out.copy_depths.push_back(d);
   }
+  out.keywords = RootChildKeywords(aut);
   return out;
 }
 
@@ -381,6 +404,7 @@ Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
     BoundaryAnalysis ba = ComputeBoundaryStates(aut, tables);
     tables.boundary_states = std::move(ba.states);
     tables.boundary_copy_depths = std::move(ba.copy_depths);
+    tables.boundary_keywords = std::move(ba.keywords);
     return tables;
   }
 
@@ -421,6 +445,7 @@ Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
   BoundaryAnalysis ba = ComputeBoundaryStates(aut, tables);
   tables.boundary_states = std::move(ba.states);
   tables.boundary_copy_depths = std::move(ba.copy_depths);
+  tables.boundary_keywords = std::move(ba.keywords);
   return tables;
 }
 

@@ -196,6 +196,18 @@ struct RuntimeTables {
   /// which only costs speculation accuracy, never soundness -- acceptance
   /// is an exact exit-vs-entry comparison in the resolver.
   std::vector<int> boundary_copy_depths;
+  /// Keywords that find top-level boundaries by search instead of by a
+  /// structural walk: "<name" for every child element of the root, sorted.
+  /// Empty unless every occurrence of such a keyword followed by
+  /// whitespace, '>' or '/' outside comments, CDATA sections, PIs and the
+  /// DOCTYPE declaration opens a top-level element in any DTD-valid
+  /// document, i.e. unless the DTD automaton has no opaque (recursive)
+  /// instance and no instance of these names below the root's children.
+  /// The sharder then picks its split points with
+  /// parallel::ProbeTopLevelBoundaries. Not part of Fingerprint(): split
+  /// points are advisory, so the field changes no engine behavior, and
+  /// hashing it would invalidate every persisted index and cursor token.
+  std::vector<std::string> boundary_keywords;
 
   /// Non-null iff these are multi-query product tables (see MultiQueryInfo).
   /// Shared because RuntimeTables moves/copies around freely and the info
@@ -262,11 +274,13 @@ uint64_t ComputeStateJump(const dtd::DtdAutomaton& aut, dtd::MinSerial* ms,
                           const std::set<int>& vocab_tokens);
 
 /// Static boundary-state analysis over arbitrary runtime tables (see
-/// RuntimeTables::boundary_states / boundary_copy_depths). Public so the
-/// multi-query product compiler can run it over the merged DFA.
+/// RuntimeTables::boundary_states / boundary_copy_depths /
+/// boundary_keywords). Public so the multi-query product compiler can run
+/// it over the merged DFA.
 struct BoundaryAnalysis {
   std::vector<int> states;       ///< candidate DFA states, one per pair
   std::vector<int> copy_depths;  ///< active copy regions at that boundary
+  std::vector<std::string> keywords;  ///< see boundary_keywords
 };
 BoundaryAnalysis ComputeBoundaryStates(const dtd::DtdAutomaton& aut,
                                        const RuntimeTables& tables);

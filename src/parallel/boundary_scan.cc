@@ -1,11 +1,13 @@
 #include "parallel/boundary_scan.h"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <string>
 
 #include "common/strings.h"
 #include "simd/simd.h"
+#include "strmatch/matcher.h"
 
 namespace smpx::parallel {
 namespace {
@@ -322,6 +324,22 @@ uint64_t FirstTopLevelOpenAt(std::string_view doc, uint64_t begin,
   return found;
 }
 
+/// True when one of `keywords` occurs at `pos` followed by whitespace, '>'
+/// or '/', i.e. names a whole tag rather than a prefix of a longer one
+/// ("<b" in "<bb>"). Checks every keyword because the matcher reports the
+/// shortest of several keywords sharing a start.
+bool OpensKeywordTag(std::string_view doc, size_t pos,
+                     const std::vector<std::string>& keywords) {
+  for (const std::string& kw : keywords) {
+    const size_t end = pos + kw.size();
+    if (end < doc.size() && doc.compare(pos, kw.size(), kw) == 0 &&
+        (IsXmlWhitespace(doc[end]) || doc[end] == '>' || doc[end] == '/')) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 Status ForEachTopLevelBoundary(
@@ -457,6 +475,34 @@ std::vector<uint64_t> FindTopLevelBoundariesParallel(
       uint64_t hit = FirstTopLevelOpenAt(doc, begin, depth, scanned_bytes);
       if (hit != kNoPos) splits.push_back(hit);
     }
+  }
+  return splits;
+}
+
+std::vector<uint64_t> ProbeTopLevelBoundaries(
+    std::string_view doc, const std::vector<std::string>& keywords,
+    size_t max_splits) {
+  std::vector<uint64_t> splits;
+  if (max_splits == 0 || doc.size() < 2 || keywords.empty()) return splits;
+  const uint64_t stride = doc.size() / (max_splits + 1);
+  if (stride == 0) return splits;
+  const std::unique_ptr<strmatch::Matcher> matcher =
+      strmatch::MakeMatcher(keywords);
+  if (matcher == nullptr) return splits;  // an empty keyword
+  uint64_t target_idx = 1;  // next split target = target_idx * stride
+  size_t from = static_cast<size_t>(stride);
+  while (splits.size() < max_splits) {
+    const strmatch::Match m = matcher->Search(doc, from, nullptr);
+    if (!m.found()) break;
+    if (!OpensKeywordTag(doc, m.pos, keywords)) {
+      from = m.pos + 1;
+      continue;
+    }
+    splits.push_back(m.pos);
+    while (target_idx <= max_splits && target_idx * stride <= m.pos) {
+      ++target_idx;  // collapse targets this boundary already covers
+    }
+    from = static_cast<size_t>(target_idx * stride);
   }
   return splits;
 }

@@ -1,24 +1,40 @@
-// Structural boundary scan: finds top-level element starts (children of the
-// document root) without parsing. One scanner and one element walk serve
-// both consumers -- shard split points (ShardedRun, over a contiguous
-// document, optionally region-parallel) and boundary-index entries
-// (index::BoundaryIndex::Build, one streaming pass over any InputSource).
+// Top-level boundary finders: offsets of element starts that are children of
+// the document root, found without parsing. Two finders serve two needs.
 //
-// The scan is memchr/bitmap-driven and tracks element depth through
-// comments, CDATA sections, processing instructions, DOCTYPE internal
-// subsets and quoted attribute values, so a boundary never lands mid-tag or
-// inside opaque markup. It is paired with, but independent from, the
-// engine's window-based scanning in core/engine.cc: a boundary it places
-// "wrong" relative to the engine's view can only mis-speculate a shard
-// (verification re-runs it) or put an index entry at a non-record offset
-// (its checkpoint is still the engine's true state there). Correctness
-// never depends on the two scanners agreeing, only throughput does.
+// The keyword probe (ProbeTopLevelBoundaries) is the paper's approach
+// applied to split points: a Boyer-Moore (one keyword) or Commentz-Walter
+// (several) search for "<name" of the root's child elements, started at
+// each split target. It reads only from each target to the next delimited
+// occurrence. ShardedRun uses it whenever the tables carry
+// RuntimeTables::boundary_keywords, i.e. when the DTD guarantees that such
+// an occurrence outside comments, CDATA sections, PIs and the DOCTYPE
+// declaration opens a top-level element.
+//
+// The structural scan (ForEachTopLevelBoundary, FindTopLevelBoundaries and
+// the region-parallel FindTopLevelBoundariesParallel) walks every tag. It
+// tracks element depth through comments, CDATA sections, processing
+// instructions, DOCTYPE internal subsets and quoted attribute values, so a
+// boundary never lands mid-tag or inside opaque markup, for any DTD. It is
+// ShardedRun's finder when the tables carry no keywords (a root-child name
+// that recurs deeper or under recursion) and the boundary index's only
+// one (index::BoundaryIndex::Build, one streaming pass over any
+// InputSource), since the index needs every record, not a few split
+// points. One scanner and one element walk serve all of its callers.
+//
+// Both are independent of the engine's window-based scanning in
+// core/engine.cc. A boundary placed "wrong" relative to the engine's view
+// -- a keyword inside a comment, or any boundary in a DTD-invalid document
+// -- can only mis-speculate a shard (verification re-runs it) or put an
+// index entry at a non-record offset (its checkpoint is still the engine's
+// true state there). Correctness never depends on where boundaries fall,
+// only throughput does.
 
 #ifndef SMPX_PARALLEL_BOUNDARY_SCAN_H_
 #define SMPX_PARALLEL_BOUNDARY_SCAN_H_
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -76,6 +92,21 @@ std::vector<uint64_t> FindTopLevelBoundariesParallel(
     std::string_view doc, size_t max_splits, ThreadPool* pool,
     uint64_t* scanned_bytes = nullptr,
     bool = false);  // ignored; kept because smpx-bench/src still passes it
+
+/// Keyword-search boundary selection: for each evenly spaced target, as in
+/// ForEachTopLevelBoundary, the first occurrence at or after it of one of
+/// `keywords` ("<name" strings, typically RuntimeTables::
+/// boundary_keywords) followed by whitespace, '>' or '/'; a selected
+/// boundary covers every target at or before it. Runs on the calling
+/// thread and reads only from each target to its hit. Equals
+/// FindTopLevelBoundaries when every such occurrence opens a top-level
+/// element -- guaranteed for a DTD-valid document whose keywords name the
+/// root's children and that holds none of them inside a comment, CDATA
+/// section, PI or DOCTYPE declaration. Otherwise a boundary may land on
+/// such an occurrence, which costs ShardedRun a re-run, never output.
+std::vector<uint64_t> ProbeTopLevelBoundaries(
+    std::string_view doc, const std::vector<std::string>& keywords,
+    size_t max_splits);
 
 }  // namespace smpx::parallel
 

@@ -444,7 +444,10 @@ Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
                            : static_cast<size_t>(std::max(1, pool->size()));
   std::vector<uint64_t> bounds;
   if (max_shards > 1) {
-    bounds = FindTopLevelBoundariesParallel(doc, max_shards - 1, pool);
+    bounds = tables.boundary_keywords.empty()
+                 ? FindTopLevelBoundariesParallel(doc, max_shards - 1, pool)
+                 : ProbeTopLevelBoundaries(doc, tables.boundary_keywords,
+                                           max_shards - 1);
   }
 
   SpeculativeResolver::Options ropts;

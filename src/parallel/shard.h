@@ -19,9 +19,14 @@
 // Tables without a usable candidate set fall back to the PR-2 scheme that
 // seeds speculation from shard 0's actual exit state.
 //
-// The boundary scan itself is off the critical path too: the document is
-// cut into per-target regions that are scanned concurrently on the pool
-// (FindTopLevelBoundariesParallel, parallel/boundary_scan.h).
+// Split points come from a keyword search when the DTD allows one: the
+// tables' boundary_keywords ("<name" of every child of the root) are
+// probed with BM/CW from each split target (ProbeTopLevelBoundaries,
+// parallel/boundary_scan.h), which reads a few records per target instead
+// of every tag up to the last boundary. Tables without keywords (a
+// root-child name that recurs deeper or under recursion) fall back to the
+// structural scan, cut into per-target regions scanned concurrently on the
+// pool (FindTopLevelBoundariesParallel).
 
 #ifndef SMPX_PARALLEL_SHARD_H_
 #define SMPX_PARALLEL_SHARD_H_
@@ -77,8 +82,9 @@ struct ShardReport {
   /// Bytes prefiltered on the sequential verification path (re-runs, plus
   /// shard 0 in dynamic-fallback mode). The wave itself is perfectly
   /// parallel, so serial_bytes / document size bounds the Amdahl fraction
-  /// of a sharded run (the memchr boundary scan is not counted; it runs
-  /// region-parallel and costs a small constant per byte).
+  /// of a sharded run. The boundary search before the wave is not counted:
+  /// the keyword probe reads a few records per split target, and the
+  /// structural fallback runs region-parallel.
   uint64_t serial_bytes = 0;
   /// Bytes prefiltered inside the parallel wave, including rejected
   /// speculative attempts (total wave work, not just accepted output).
@@ -160,10 +166,10 @@ class SpeculativeResolver {
   };
 
   /// `boundaries` are strictly increasing offsets inside `doc` (typically
-  /// from FindTopLevelBoundaries*); segment k then covers
-  /// [seg_begin(k), seg_begin(k+1)) with seg_begin(0) = 0 and the last
-  /// segment ending at doc.size(). `tables` and `doc` must outlive the
-  /// resolver.
+  /// from ProbeTopLevelBoundaries or FindTopLevelBoundaries*); segment k
+  /// then covers [seg_begin(k), seg_begin(k+1)) with seg_begin(0) = 0 and
+  /// the last segment ending at doc.size(). `tables` and `doc` must
+  /// outlive the resolver.
   SpeculativeResolver(const core::RuntimeTables& tables, std::string_view doc,
                       const std::vector<uint64_t>& boundaries,
                       const Options& opts);

@@ -749,6 +749,7 @@ Result<MultiQuery> MultiQuery::Compile(
   core::BoundaryAnalysis ba = core::ComputeBoundaryStates(aut, tables);
   tables.boundary_states = std::move(ba.states);
   tables.boundary_copy_depths = std::move(ba.copy_depths);
+  tables.boundary_keywords = std::move(ba.keywords);
 
   // Flatten the per-state masks into the MultiQueryInfo.
   auto info = std::make_shared<MultiQueryInfo>();

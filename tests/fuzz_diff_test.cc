@@ -24,7 +24,8 @@
 // The suite doubles as the property harness for the speculation machinery:
 //  - every boundary the sharder reports coincides with a real top-level
 //    element start per the src/xml tokenizer (serial and region-parallel
-//    scanners agree);
+//    scanners agree, and on DTD-valid documents so does the keyword probe
+//    whenever the tables carry boundary keywords);
 //  - the static candidate-state set (RuntimeTables::boundary_states)
 //    contains the true entry state at every top-level boundary of a
 //    DTD-valid document;
@@ -303,17 +304,24 @@ void ExpectAllModesIdentical(const Prefilter& pf, const std::string& doc,
 }
 
 /// Asserts the boundary-scanner properties and, when `dtd_valid`, the
-/// candidate-state containment property.
+/// candidate-state containment property and (for tables with boundary
+/// keywords) the keyword probe's agreement with the structural scan.
 void ExpectBoundaryProperties(const Prefilter& pf, const std::string& doc,
                               bool dtd_valid) {
   std::vector<uint64_t> truth = TokenizerTopLevelStarts(doc);
   parallel::ThreadPool pool(3);
+  const std::vector<std::string>& keywords = pf.tables().boundary_keywords;
   for (size_t splits : {1u, 3u, 7u}) {
     std::vector<uint64_t> serial_bounds =
         parallel::FindTopLevelBoundaries(doc, splits);
     EXPECT_EQ(parallel::FindTopLevelBoundariesParallel(doc, splits, &pool),
               serial_bounds)
         << "scanners disagree at splits=" << splits;
+    if (dtd_valid && !keywords.empty()) {
+      EXPECT_EQ(parallel::ProbeTopLevelBoundaries(doc, keywords, splits),
+                serial_bounds)
+          << "keyword probe disagrees at splits=" << splits;
+    }
     for (uint64_t b : serial_bounds) {
       EXPECT_TRUE(std::find(truth.begin(), truth.end(), b) != truth.end())
           << "boundary " << b << " is not a top-level element start";

@@ -19,6 +19,8 @@
 #include "parallel/batch.h"
 #include "parallel/shard.h"
 #include "parallel/thread_pool.h"
+#include "query/multiquery.h"
+#include "simd/simd.h"
 #include "xmlgen/medline.h"
 #include "xmlgen/xmark.h"
 
@@ -434,6 +436,97 @@ TEST(SharderTest, ParallelScanEarlyExitsPastTheLastBoundary) {
   EXPECT_LT(scanned, doc.size());
 }
 
+TEST(SharderTest, KeywordProbeMatchesStructuralScan) {
+  // On DTD-valid documents that hold no root-child keyword inside a
+  // comment, CDATA section or PI, the BM/CW probe must pick exactly the
+  // structural scan's boundaries -- under every SIMD tier, since both
+  // matchers probe their candidates through the dispatched kernels.
+  struct Case {
+    std::string name;
+    std::vector<std::string> keywords;
+    std::string doc;
+  };
+  std::vector<Case> cases;
+  const std::vector<std::string> medline_kw =
+      Compile(xmlgen::MedlineDtdText(),
+              "/MedlineCitationSet/MedlineCitation/MedlineJournalInfo#")
+          .tables()
+          .boundary_keywords;
+  const std::vector<std::string> xmark_kw =
+      Compile(xmlgen::XmarkDtdText(), "/site/people/person/name#")
+          .tables()
+          .boundary_keywords;
+  for (uint64_t bytes : {uint64_t{256} << 10, uint64_t{8} << 20}) {
+    xmlgen::MedlineOptions mgen;
+    mgen.target_bytes = bytes;
+    cases.push_back({"medline " + std::to_string(bytes), medline_kw,
+                     xmlgen::GenerateMedline(mgen)});
+    xmlgen::XmarkOptions xgen;
+    xgen.target_bytes = bytes;
+    cases.push_back({"xmark " + std::to_string(bytes), xmark_kw,
+                     xmlgen::GenerateXmark(xgen)});
+  }
+  // DOCTYPE internal subset, quoted '>' and '/' in attribute values,
+  // bachelor root children.
+  const std::string quoted_dtd =
+      "<!DOCTYPE a [ <!ELEMENT a (b|c)*> <!ELEMENT b (#PCDATA)>"
+      " <!ELEMENT c (#PCDATA)> <!ATTLIST b at CDATA #IMPLIED>"
+      " <!ATTLIST c at CDATA #IMPLIED> ]>";
+  std::string quoted = "<?xml version=\"1.0\"?>" + quoted_dtd + "<a>";
+  for (int i = 0; i < 150; ++i) {
+    quoted += "<b at=\"q>r/s\">one " + std::to_string(i) + "</b><b/>";
+    quoted += "<c at='/>'>two</c>\n<c\tat=\"x\"/>";
+  }
+  quoted += "</a>";
+  cases.push_back(
+      {"quoted", Compile(quoted_dtd, "/a/b#").tables().boundary_keywords,
+       quoted});
+  // Root-child names that prefix each other: "<b" must not take "<bb".
+  const std::string prefix_dtd =
+      "<!DOCTYPE a [ <!ELEMENT a (b|bb)*> <!ELEMENT b (#PCDATA)>"
+      " <!ELEMENT bb (#PCDATA)> ]>";
+  std::string prefixed = "<a>";
+  for (int i = 0; i < 200; ++i) {
+    prefixed += i % 3 == 0 ? "<bb>xx</bb><bb/>" : "<bb >x</bb><b>y</b>";
+  }
+  prefixed += "</a>";
+  cases.push_back(
+      {"prefix", Compile(prefix_dtd, "/a/b#").tables().boundary_keywords,
+       prefixed});
+  // A nested "<bb" below a root child: only "<b" and "<c" are keywords.
+  const std::string nested_dtd =
+      "<!DOCTYPE a [ <!ELEMENT a (b|c)*> <!ELEMENT b (#PCDATA)>"
+      " <!ELEMENT c (bb*)> <!ELEMENT bb (#PCDATA)> ]>";
+  std::string nested = "<a>";
+  for (int i = 0; i < 200; ++i) {
+    nested += "<c><bb>n</bb><bb/><bb>m</bb></c><b>k</b>";
+  }
+  nested += "</a>";
+  cases.push_back(
+      {"nested", Compile(nested_dtd, "/a/b#").tables().boundary_keywords,
+       nested});
+
+  const simd::Isa saved = simd::ActiveIsa();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_FALSE(c.keywords.empty());
+    for (size_t splits : {1u, 2u, 3u, 7u, 16u}) {
+      SCOPED_TRACE(splits);
+      const std::vector<uint64_t> ref =
+          parallel::FindTopLevelBoundaries(c.doc, splits);
+      ASSERT_FALSE(ref.empty());
+      for (simd::Isa isa : simd::AvailableIsas()) {
+        SCOPED_TRACE(simd::IsaName(isa));
+        ASSERT_EQ(simd::SetIsa(isa), isa);
+        EXPECT_EQ(
+            parallel::ProbeTopLevelBoundaries(c.doc, c.keywords, splits),
+            ref);
+      }
+      simd::SetIsa(saved);  // the next reference scan runs on the default
+    }
+  }
+}
+
 // --- Static boundary-state analysis ---------------------------------------
 
 TEST(BoundaryStatesTest, StarRootEnumeratesBoundaryPhases) {
@@ -524,6 +617,55 @@ TEST(BoundaryStatesTest, MapDispatchGetsTheSameAnalysis) {
   Prefilter modern = Compile(kPaperDtd, "/a/b#");
   EXPECT_EQ(legacy.tables().boundary_states,
             modern.tables().boundary_states);
+
+  // The boundary keywords depend on the DTD alone: map dispatch, interned
+  // dispatch and a multi-query product over one DTD carry the same.
+  const std::string xmark_paths[] = {
+      "/site/people/person@ /site/people/person/name#",
+      "/site/regions/africa/item/name#"};
+  Prefilter xlegacy = Compile(xmlgen::XmarkDtdText(), xmark_paths[0], copts);
+  Prefilter xmodern = Compile(xmlgen::XmarkDtdText(), xmark_paths[0]);
+  std::vector<std::vector<paths::ProjectionPath>> queries;
+  for (const std::string& p : xmark_paths) {
+    auto parsed = paths::ProjectionPath::ParseList(p);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    queries.push_back(std::move(*parsed));
+  }
+  auto mq = query::MultiQuery::Compile(xmlgen::XmarkDtd(), queries);
+  ASSERT_TRUE(mq.ok()) << mq.status().ToString();
+  ASSERT_FALSE(xmodern.tables().boundary_keywords.empty());
+  EXPECT_EQ(xlegacy.tables().boundary_keywords,
+            xmodern.tables().boundary_keywords);
+  EXPECT_EQ(mq->tables().boundary_keywords,
+            xmodern.tables().boundary_keywords);
+}
+
+TEST(BoundaryStatesTest, BoundaryKeywordsNameTheRootChildren) {
+  // Star MEDLINE root: one child name, which occurs nowhere else (the
+  // root's own "<MedlineCitationSet" only shares its prefix).
+  Prefilter medline = Compile(
+      xmlgen::MedlineDtdText(),
+      "/MedlineCitationSet/MedlineCitation/MedlineJournalInfo#");
+  EXPECT_EQ(medline.tables().boundary_keywords,
+            std::vector<std::string>{"<MedlineCitation"});
+  // Sectioned XMark root: the six section names, sorted.
+  Prefilter xmark = Compile(xmlgen::XmarkDtdText(),
+                            "/site/people/person@ /site/people/person/name#");
+  EXPECT_EQ(xmark.tables().boundary_keywords,
+            (std::vector<std::string>{"<categories", "<catgraph",
+                                      "<closed_auctions", "<open_auctions",
+                                      "<people", "<regions"}));
+  // b is a root child and also c's child: "<b" can open a nested element.
+  EXPECT_TRUE(Compile(kPaperDtd, "/a/b#").tables().boundary_keywords.empty());
+  // An opaque (recursive) region may hold any reachable name.
+  CompileOptions copts;
+  copts.allow_recursion = true;
+  Prefilter opaque = Compile(
+      "<!DOCTYPE a [ <!ELEMENT a (item*)>"
+      " <!ELEMENT item (name, tree)> <!ELEMENT name (#PCDATA)>"
+      " <!ELEMENT tree (leaf | tree)*> <!ELEMENT leaf (#PCDATA)> ]>",
+      "//name#", copts);
+  EXPECT_TRUE(opaque.tables().boundary_keywords.empty());
 }
 
 // --- Sharded execution ----------------------------------------------------
@@ -932,6 +1074,34 @@ TEST(ShardedRunTest, MisplacedBoundariesRerunAndStayIdentical) {
   EXPECT_GE(report.reruns, 1u);
   EXPECT_EQ(report.accepted + report.reruns, report.speculated);
   EXPECT_GT(report.serial_bytes, 0u);
+}
+
+TEST(ShardedRunTest, ProbeBoundariesInsideCdataRerun) {
+  // b and c occur only as root children, so the tables carry keywords and
+  // ShardedRun probes for "<b"/"<c" -- which finds the fake tags inside
+  // the CDATA section, where every split target lands. Those shards
+  // mis-speculate and re-run; the output must still equal the serial run.
+  const char dtd[] =
+      "<!DOCTYPE a [ <!ELEMENT a (b|c)*>"
+      " <!ELEMENT b (#PCDATA)> <!ELEMENT c (#PCDATA)> ]>";
+  Prefilter pf = Compile(dtd, "/a/c#");
+  ASSERT_FALSE(pf.tables().boundary_keywords.empty());
+  std::string doc = "<a><b>start</b><c><![CDATA[";
+  for (int i = 0; i < 300; ++i) doc += "<b>x</b>";
+  doc += "]]></c><b>end</b></a>";
+  std::string serial = SerialRun(pf, doc);
+
+  parallel::ThreadPool pool(4);
+  parallel::ShardOptions opts;
+  opts.max_shards = 4;
+  parallel::ShardReport report;
+  StringSink sink;
+  Status s = parallel::ShardedRun(pf.tables(), doc, &sink, nullptr, &pool,
+                                  opts, &report);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(sink.str(), serial);
+  EXPECT_GE(report.reruns, 1u);
+  EXPECT_EQ(report.accepted + report.reruns, report.speculated);
 }
 
 TEST(ShardedRunTest, TruncatedDocumentFailsLikeSerial) {
