@@ -146,7 +146,6 @@ class PrefilterSession::Impl {
       jump_pending_ = start->jump_pending;
     } else {
       q_ = tables_.initial;
-      prolog_done_ = !opts_.skip_prolog;
     }
     if (start == nullptr || opts_.mark_start_state_visited) MarkVisited();
     lock_floor_ = cursor_;

@@ -73,10 +73,6 @@ struct QueryRunStats {
 struct EngineOptions {
   /// Sliding window capacity; the paper uses 8x the system page size.
   size_t window_capacity = SlidingWindow::kDefaultCapacity;
-  /// Skip an XML prolog (<?xml?>, <!DOCTYPE ...>, comments) before matching;
-  /// keyword search would treat prolog bytes as opaque text otherwise, which
-  /// is correct but slower and can trip on DTD-internal quoted tags.
-  bool skip_prolog = true;
   /// Count the checkpoint's start state in visited()/states_visited. The
   /// parallel sharder disables this for speculative sessions launched from
   /// a *representative* of several behavior-equivalent candidate states:

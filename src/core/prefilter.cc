@@ -3,39 +3,31 @@
 #include <algorithm>
 #include <set>
 
-#include "dtd/dtd_automaton.h"
 #include "paths/relevance.h"
 
 namespace smpx::core {
 
-Result<Prefilter> Prefilter::Compile(dtd::Dtd dtd,
-                                     std::vector<paths::ProjectionPath> paths,
-                                     const CompileOptions& opts) {
-  // The default path "/*" preserves the top-level node so the output is
-  // well-formed (Section III: "we extract the path /* by default").
+std::vector<paths::ProjectionPath> WithStarPath(
+    std::vector<paths::ProjectionPath> paths) {
   paths::ProjectionPath star;
   paths::PathStep step;
   step.axis = paths::PathStep::Axis::kChild;
   step.wildcard = true;
   star.steps.push_back(step);
   if (std::find(paths.begin(), paths.end(), star) == paths.end()) {
-    paths.push_back(star);
+    paths.push_back(std::move(star));
   }
+  return paths;
+}
 
-  Prefilter pf;
-  pf.dtd_ = std::make_shared<const dtd::Dtd>(std::move(dtd));
-  pf.paths_ = std::move(paths);
-
-  SMPX_ASSIGN_OR_RETURN(
-      dtd::DtdAutomaton aut,
-      dtd::DtdAutomaton::Build(*pf.dtd_, opts.max_instances,
-                               opts.allow_recursion));
-
+Result<RuntimeTables> CompileTables(
+    const dtd::DtdAutomaton& aut,
+    const std::vector<paths::ProjectionPath>& paths, const TableOptions& opts) {
   std::vector<std::string> alphabet;
-  for (const dtd::ElementDecl& decl : pf.dtd_->elements()) {
+  for (const dtd::ElementDecl& decl : aut.dtd().elements()) {
     alphabet.push_back(decl.name);
   }
-  paths::RelevanceAnalyzer analyzer(pf.paths_, std::move(alphabet));
+  paths::RelevanceAnalyzer analyzer(paths, std::move(alphabet));
 
   Selection sel = SelectStates(aut, analyzer);
 
@@ -58,7 +50,7 @@ Result<Prefilter> Prefilter::Compile(dtd::Dtd dtd,
     std::vector<std::string> branch =
         aut.BranchLabels(dtd::DtdAutomaton::OpenState(static_cast<int>(i)));
     std::set<std::string> inside;
-    for (std::string& n : pf.dtd_->ReachableFrom(inst.label)) {
+    for (std::string& n : aut.dtd().ReachableFrom(inst.label)) {
       inside.insert(std::move(n));
     }
     const paths::PathSetEvaluator& ev = analyzer.evaluator();
@@ -81,8 +73,20 @@ Result<Prefilter> Prefilter::Compile(dtd::Dtd dtd,
   }
 
   SubgraphAutomaton sub = BuildSubgraph(aut, sel);
+  return BuildTables(aut, sel, sub, opts);
+}
+
+Result<Prefilter> Prefilter::Compile(dtd::Dtd dtd,
+                                     std::vector<paths::ProjectionPath> paths,
+                                     const CompileOptions& opts) {
+  Prefilter pf;
+  pf.dtd_ = std::make_shared<const dtd::Dtd>(std::move(dtd));
+  pf.paths_ = WithStarPath(std::move(paths));
+  SMPX_ASSIGN_OR_RETURN(
+      dtd::DtdAutomaton aut,
+      dtd::DtdAutomaton::Build(*pf.dtd_, opts.allow_recursion));
   SMPX_ASSIGN_OR_RETURN(RuntimeTables tables,
-                        BuildTables(aut, sel, sub, opts.tables));
+                        CompileTables(aut, pf.paths_, opts.tables));
   pf.tables_ = std::make_shared<const RuntimeTables>(std::move(tables));
   return pf;
 }

@@ -26,15 +26,16 @@
 #include "core/engine.h"
 #include "core/tables.h"
 #include "dtd/dtd.h"
+#include "dtd/dtd_automaton.h"
 #include "paths/projection_path.h"
 
 namespace smpx::core {
 
-/// Static-analysis options (ablation hooks included).
+/// Static-analysis options (ablation hooks included), for one query
+/// (Prefilter::Compile) or a mix (query::MultiQuery::Compile, which
+/// rejects allow_recursion and use_map_dispatch).
 struct CompileOptions {
   TableOptions tables;
-  /// Cap on the DTD unfolding size.
-  size_t max_instances = 1 << 20;
   /// Accept recursive DTDs by treating recursive elements as *opaque
   /// regions*: their interiors are never navigated; the runtime tunnels
   /// over them by balancing open/close tags (the extension the paper
@@ -44,6 +45,22 @@ struct CompileOptions {
   /// without unfolding the recursion.
   bool allow_recursion = false;
 };
+
+/// `paths` plus the default path "/*" when absent: it preserves the
+/// top-level node so the output is well-formed (Section III: "we extract
+/// the path /* by default").
+std::vector<paths::ProjectionPath> WithStarPath(
+    std::vector<paths::ProjectionPath> paths);
+
+/// The static analysis of Section IV over a built DTD-automaton: relevance
+/// selection, the recursion-soundness check (kUnsupported when a path
+/// navigates into an opaque region that is not copied wholesale), the
+/// subgraph automaton and BuildTables. `paths` must already carry "/*"
+/// (see WithStarPath). Prefilter::Compile runs it once per query,
+/// query::MultiQuery::Compile once per component of a mix.
+Result<RuntimeTables> CompileTables(
+    const dtd::DtdAutomaton& aut,
+    const std::vector<paths::ProjectionPath>& paths, const TableOptions& opts);
 
 class Prefilter {
  public:

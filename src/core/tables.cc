@@ -45,8 +45,6 @@ std::vector<std::string> RootChildKeywords(const DtdAutomaton& aut) {
   return keywords;
 }
 
-}  // namespace
-
 /// Computes J[q] for one DFA state: the minimum, over all documents valid
 /// w.r.t. the DTD and all member NFA states, of the number of characters
 /// between the cursor (just past the matched tag) and the first possible
@@ -55,7 +53,10 @@ std::vector<std::string> RootChildKeywords(const DtdAutomaton& aut) {
 /// (bachelor form when nullable), skipped closing tags cost `</t>`.
 uint64_t ComputeStateJump(const DtdAutomaton& aut, dtd::MinSerial* ms,
                           const std::vector<int>& members,
-                          const std::set<int>& vocab_tokens) {
+                          const std::vector<int>& vocab_tokens) {
+  auto in_vocab = [&vocab_tokens](int token) {
+    return std::binary_search(vocab_tokens.begin(), vocab_tokens.end(), token);
+  };
   std::vector<uint64_t> dist(static_cast<size_t>(aut.num_states()), kInf);
   using Entry = std::pair<uint64_t, int>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
@@ -71,7 +72,7 @@ uint64_t ComputeStateJump(const DtdAutomaton& aut, dtd::MinSerial* ms,
     if (d >= best) break;  // no shorter candidate can appear
     for (const DtdAutomaton::Transition& t : aut.Out(s)) {
       const dtd::TagToken& tok = aut.token(t.token);
-      if (vocab_tokens.count(t.token) != 0) {
+      if (in_vocab(t.token)) {
         // A true keyword occurrence can start here, d characters away.
         best = std::min(best, d);
         continue;
@@ -92,7 +93,7 @@ uint64_t ComputeStateJump(const DtdAutomaton& aut, dtd::MinSerial* ms,
                aut.dtd().ReachableFrom(tok.name)) {
             for (bool closing : {false, true}) {
               int vt = aut.FindToken(name, closing);
-              if (vt >= 0 && vocab_tokens.count(vt) != 0) {
+              if (vt >= 0 && in_vocab(vt)) {
                 vocab_inside = true;
                 break;
               }
@@ -151,10 +152,10 @@ uint64_t ComputeStateJump(const DtdAutomaton& aut, dtd::MinSerial* ms,
 ///
 /// The boundary keywords come from the instance tree alone (see
 /// RootChildKeywords), so every table built over one DTD carries the same.
-BoundaryAnalysis ComputeBoundaryStates(const DtdAutomaton& aut,
-                                       const RuntimeTables& tables) {
+void ComputeBoundaryStates(const DtdAutomaton& aut, RuntimeTables* out) {
+  const RuntimeTables& tables = *out;
   const uint64_t nq = tables.states.size();
-  if (nq == 0) return {};
+  if (nq == 0) return;
   std::set<std::pair<int, int>> boundary;  // ordered (state, depth) pairs
   std::unordered_set<uint64_t> seen;
   std::vector<std::array<int, 3>> work;
@@ -204,16 +205,16 @@ BoundaryAnalysis ComputeBoundaryStates(const DtdAutomaton& aut,
       }
     }
   }
-  BoundaryAnalysis out;
-  out.states.reserve(boundary.size());
-  out.copy_depths.reserve(boundary.size());
+  out->boundary_states.reserve(boundary.size());
+  out->boundary_copy_depths.reserve(boundary.size());
   for (const auto& [q, d] : boundary) {
-    out.states.push_back(q);
-    out.copy_depths.push_back(d);
+    out->boundary_states.push_back(q);
+    out->boundary_copy_depths.push_back(d);
   }
-  out.keywords = RootChildKeywords(aut);
-  return out;
+  out->boundary_keywords = RootChildKeywords(aut);
 }
+
+}  // namespace
 
 TagInterner::TagInterner(const std::vector<std::string>& names) {
   for (const std::string& n : names) {
@@ -249,12 +250,10 @@ Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
     if (b) ++tables.nfa_states_selected;
   }
 
-  dtd::MinSerial ms(&aut.dtd());
-
   // Subset construction over D|S. Subsets are sorted state-id vectors.
   std::map<std::vector<int>, int> subset_ids;
   std::vector<std::vector<int>> subsets;
-  auto intern = [&subset_ids, &subsets](std::vector<int> subset) {
+  auto intern = [&subset_ids, &subsets, &tables](std::vector<int> subset) {
     std::sort(subset.begin(), subset.end());
     subset.erase(std::unique(subset.begin(), subset.end()), subset.end());
     auto it = subset_ids.find(subset);
@@ -262,19 +261,11 @@ Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
     int id = static_cast<int>(subsets.size());
     subset_ids[subset] = id;
     subsets.push_back(std::move(subset));
+    tables.states.emplace_back();
     return id;
   };
 
-  int initial = intern({0});
-  tables.initial = initial;
-
-  // Per-state transition maps. These are build-time scaffolding: the
-  // default (interned) tables ship only the flat id-indexed arrays, so the
-  // maps are moved into DfaState solely under use_map_dispatch, where the
-  // legacy engine path dispatches through them.
-  using TransitionMap = std::map<std::string, int, std::less<>>;
-  std::vector<TransitionMap> open_maps;
-  std::vector<TransitionMap> close_maps;
+  tables.initial = intern({0});
 
   // BFS over subsets, building transitions per token.
   for (size_t cur = 0; cur < subsets.size(); ++cur) {
@@ -287,64 +278,68 @@ Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
         by_token[e.token].push_back(e.to);
       }
     }
-    if (tables.states.size() <= cur) {
-      tables.states.resize(subsets.size());
-    }
     tables.states[cur].is_final = is_final;
     for (auto& [token, members] : by_token) {
-      int to = intern(std::move(members));
-      if (tables.states.size() < subsets.size()) {
-        tables.states.resize(subsets.size());
-      }
-      if (open_maps.size() < subsets.size()) {
-        open_maps.resize(subsets.size());
-        close_maps.resize(subsets.size());
-      }
+      const int to = intern(std::move(members));
       const dtd::TagToken& tok = aut.token(token);
-      if (tok.closing) {
-        close_maps[cur][tok.name] = to;
-      } else {
-        open_maps[cur][tok.name] = to;
-      }
-      // Record the entry token on the target (unique by homogeneity) and
-      // precompute the emission strings.
+      DfaState& from = tables.states[cur];
+      (tok.closing ? from.close_next : from.open_next)[tok.name] = to;
+      // Record the entry token on the target (unique by homogeneity).
       DfaState& target = tables.states[static_cast<size_t>(to)];
       if (target.entry_name.empty()) {
         target.entry_name = tok.name;
         target.entry_closing = tok.closing;
-        target.emit_tag = (tok.closing ? "</" : "<") + tok.name + ">";
-        if (!tok.closing) target.emit_bachelor = "<" + tok.name + "/>";
       }
     }
   }
-  tables.states.resize(subsets.size());
-  open_maps.resize(subsets.size());
-  close_maps.resize(subsets.size());
 
-  // Actions (join over members), vocabularies, jumps, matchers.
+  // Actions (join over members), nesting flags and the jump inputs: the
+  // members themselves and one token per outgoing transition.
   for (size_t q = 0; q < subsets.size(); ++q) {
     DfaState& state = tables.states[q];
-
-    Action action = Action::kNop;
     for (int s : subsets[q]) {
-      action = JoinActions(action, sel.action[static_cast<size_t>(s)]);
+      state.action =
+          JoinActions(state.action, sel.action[static_cast<size_t>(s)]);
       if (DtdAutomaton::IsOpenState(s) &&
           aut.instance(DtdAutomaton::InstanceOf(s)).opaque) {
         state.count_nesting = true;
       }
     }
-    state.action = action;
-
-    // Vocabulary: one keyword per outgoing token.
-    std::set<int> vocab_tokens;
-    for (const auto& [name, to] : open_maps[q]) {
-      state.keywords.push_back("<" + name);
-      vocab_tokens.insert(aut.FindToken(name, false));
+    for (const auto& [name, to] : state.open_next) {
+      state.vocab_tokens.push_back(aut.FindToken(name, false));
       (void)to;
     }
-    for (const auto& [name, to] : close_maps[q]) {
+    for (const auto& [name, to] : state.close_next) {
+      state.vocab_tokens.push_back(aut.FindToken(name, true));
+      (void)to;
+    }
+    std::sort(state.vocab_tokens.begin(), state.vocab_tokens.end());
+    state.subset_members = std::move(subsets[q]);
+  }
+
+  SMPX_RETURN_IF_ERROR(FinishTables(aut, opts, &tables));
+  return tables;
+}
+
+Status FinishTables(const dtd::DtdAutomaton& aut, const TableOptions& opts,
+                    RuntimeTables* tables) {
+  dtd::MinSerial ms(&aut.dtd());
+  for (size_t q = 0; q < tables->states.size(); ++q) {
+    DfaState& state = tables->states[q];
+    // Emission strings, so copy-tag actions are allocation-free.
+    const std::string& entry = state.entry_name;
+    if (!entry.empty()) {
+      state.emit_tag = (state.entry_closing ? "</" : "<") + entry + ">";
+      if (!state.entry_closing) state.emit_bachelor = "<" + entry + "/>";
+    }
+
+    // Vocabulary: one keyword per outgoing token.
+    for (const auto& [name, to] : state.open_next) {
+      state.keywords.push_back("<" + name);
+      (void)to;
+    }
+    for (const auto& [name, to] : state.close_next) {
       state.keywords.push_back("</" + name);
-      vocab_tokens.insert(aut.FindToken(name, true));
       (void)to;
     }
     if (state.count_nesting) {
@@ -376,9 +371,9 @@ Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
       }
       state.matcher->set_skip_loops(!opts.disable_matcher_skip_loops);
       if (state.keywords.size() == 1) {
-        ++tables.num_bm_states;
+        ++tables->num_bm_states;
       } else {
-        ++tables.num_cw_states;
+        ++tables->num_cw_states;
       }
     } else if (!state.is_final) {
       return Status::Internal(
@@ -387,66 +382,50 @@ Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
     }
 
     if (opts.enable_initial_jumps && !state.keywords.empty()) {
-      state.jump = ComputeStateJump(aut, &ms, subsets[q], vocab_tokens);
+      state.jump =
+          ComputeStateJump(aut, &ms, state.subset_members, state.vocab_tokens);
     }
-
-    // Retained for the multi-query product compiler (see DfaState doc).
-    state.subset_members = subsets[q];
-    state.vocab_tokens.assign(vocab_tokens.begin(), vocab_tokens.end());
   }
 
-  if (opts.use_map_dispatch) {
-    // Legacy engine path: ship the tree maps, skip the interner entirely.
-    for (size_t q = 0; q < subsets.size(); ++q) {
-      tables.states[q].open_next = std::move(open_maps[q]);
-      tables.states[q].close_next = std::move(close_maps[q]);
+  if (!opts.use_map_dispatch) {
+    // Interned dispatch (default): collapse every transition tag name into
+    // a dense id and ship flat arrays (-1 = no transition), so the engine
+    // resolves a matched tag with one hash + one array load. The tree maps
+    // are emptied -- they would be dead weight on this path.
+    std::vector<std::string> names;
+    for (const DfaState& state : tables->states) {
+      for (const auto& [name, to] : state.open_next) {
+        names.push_back(name);
+        (void)to;
+      }
+      for (const auto& [name, to] : state.close_next) {
+        names.push_back(name);
+        (void)to;
+      }
     }
-    BoundaryAnalysis ba = ComputeBoundaryStates(aut, tables);
-    tables.boundary_states = std::move(ba.states);
-    tables.boundary_copy_depths = std::move(ba.copy_depths);
-    tables.boundary_keywords = std::move(ba.keywords);
-    return tables;
+    tables->interner = TagInterner(names);
+    const size_t vocab = static_cast<size_t>(tables->interner.size());
+    for (DfaState& state : tables->states) {
+      state.open_next_id.assign(vocab, -1);
+      state.close_next_id.assign(vocab, -1);
+      for (const auto& [name, to] : state.open_next) {
+        state.open_next_id[static_cast<size_t>(
+            tables->interner.Find(name))] = to;
+      }
+      for (const auto& [name, to] : state.close_next) {
+        state.close_next_id[static_cast<size_t>(
+            tables->interner.Find(name))] = to;
+      }
+      if (!state.entry_name.empty()) {
+        state.entry_tag_id = tables->interner.Find(state.entry_name);
+      }
+      state.open_next.clear();
+      state.close_next.clear();
+    }
+    tables->interned_dispatch = true;
   }
-
-  // Interned dispatch (default): collapse every transition tag name into a
-  // dense id and ship flat arrays (-1 = no transition), so the engine
-  // resolves a matched tag with one hash + one array load. The tree maps
-  // stay build-local -- they would be dead weight on this path.
-  std::vector<std::string> names;
-  for (size_t q = 0; q < subsets.size(); ++q) {
-    for (const auto& [name, to] : open_maps[q]) {
-      names.push_back(name);
-      (void)to;
-    }
-    for (const auto& [name, to] : close_maps[q]) {
-      names.push_back(name);
-      (void)to;
-    }
-  }
-  tables.interner = TagInterner(names);
-  const size_t vocab = static_cast<size_t>(tables.interner.size());
-  for (size_t q = 0; q < subsets.size(); ++q) {
-    DfaState& state = tables.states[q];
-    state.open_next_id.assign(vocab, -1);
-    state.close_next_id.assign(vocab, -1);
-    for (const auto& [name, to] : open_maps[q]) {
-      state.open_next_id[static_cast<size_t>(
-          tables.interner.Find(name))] = to;
-    }
-    for (const auto& [name, to] : close_maps[q]) {
-      state.close_next_id[static_cast<size_t>(
-          tables.interner.Find(name))] = to;
-    }
-    if (!state.entry_name.empty()) {
-      state.entry_tag_id = tables.interner.Find(state.entry_name);
-    }
-  }
-  tables.interned_dispatch = true;
-  BoundaryAnalysis ba = ComputeBoundaryStates(aut, tables);
-  tables.boundary_states = std::move(ba.states);
-  tables.boundary_copy_depths = std::move(ba.copy_depths);
-  tables.boundary_keywords = std::move(ba.keywords);
-  return tables;
+  ComputeBoundaryStates(aut, tables);
+  return Status::Ok();
 }
 
 int RuntimeTables::NextState(int from, std::string_view name,

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,15 +21,11 @@
 #include "dtd/dtd_automaton.h"
 #include "strmatch/matcher.h"
 
-namespace smpx::dtd {
-class MinSerial;
-}  // namespace smpx::dtd
-
 namespace smpx::core {
 
 /// Maps the tag names of the runtime vocabulary to dense ids via a flat
 /// open-addressing hash over string_view (no allocation, no tree walk on
-/// lookup). Built once in BuildTables; the engine resolves every matched
+/// lookup). Built once in FinishTables; the engine resolves every matched
 /// tag name with one hash and at most a few contiguous probes.
 class TagInterner {
  public:
@@ -85,10 +80,11 @@ struct DfaState {
   std::vector<std::string> keywords;
   /// Compiled search structure over `keywords` (null iff keywords empty).
   std::unique_ptr<strmatch::Matcher> matcher;
-  /// A[q, <name>] / A[q, </name>] as tree maps: populated ONLY under
-  /// TableOptions::use_map_dispatch (the legacy engine path); dead weight
-  /// otherwise, so the default build leaves them empty. Use
-  /// RuntimeTables::NextState for mode-independent lookups.
+  /// A[q, <name>] / A[q, </name>] as tree maps: the transition input of
+  /// FinishTables, shipped ONLY under TableOptions::use_map_dispatch (the
+  /// legacy engine path); dead weight otherwise, so the default build
+  /// empties them. Use RuntimeTables::NextState for mode-independent
+  /// lookups.
   std::map<std::string, int, std::less<>> open_next;
   std::map<std::string, int, std::less<>> close_next;
   /// Interned-dispatch transition arrays: indexed by the tag id from
@@ -118,13 +114,13 @@ struct DfaState {
   /// only takes the closing transition when the balance returns to zero.
   bool count_nesting = false;
 
-  // Retained build analysis, consumed by the multi-query product compiler
-  // (query::MultiQuery): the DTD-automaton member states of this subset and
-  // the token ids of the frontier vocabulary. A product state's sound
-  // initial jump is recomputed from the UNION of its non-final components'
-  // members and vocabularies (taking the min of the component jumps is
-  // unsound: an idle component may have entered its state at an earlier
-  // cursor, so its jump window can already be spent).
+  // Build analysis, both sorted: the DTD-automaton states this state stands
+  // for and the token ids whose first occurrence bounds J[q] (FinishTables
+  // computes the jump from them). BuildTables derives them from the
+  // subset; the multi-query product compiler (query::MultiQuery) takes the
+  // UNION of its non-final components' sets -- the min of the component
+  // jumps is unsound, since an idle component may have entered its state
+  // at an earlier cursor, so its jump window can already be spent.
   std::vector<int> subset_members;
   std::vector<int> vocab_tokens;
 };
@@ -138,7 +134,7 @@ struct DfaState {
 /// product action (DfaState::action) is always kNop on multi tables; the
 /// engine applies the per-query actions from these masks instead.
 struct MultiQueryInfo {
-  int num_queries = 0;  ///< unique queries after equivalence collapse
+  int num_queries = 0;  ///< unique queries after query collapse
   int words = 0;        ///< ceil(num_queries / 64) mask words per state
   std::vector<uint64_t> moved;          ///< components that took the token
   std::vector<uint64_t> copy_tag;      ///< per-query Action::kCopyTag
@@ -258,32 +254,23 @@ struct TableOptions {
   bool disable_matcher_skip_loops = false;
 };
 
-/// Determinizes the subgraph automaton and builds all tables.
+/// Determinizes the subgraph automaton and builds all tables: the subset
+/// construction describes each state, FinishTables renders them.
 Result<RuntimeTables> BuildTables(const dtd::DtdAutomaton& aut,
                                   const Selection& sel,
                                   const SubgraphAutomaton& sub,
                                   const TableOptions& opts = {});
 
-/// J-computation for one runtime state: the minimum, over all DTD-valid
-/// documents and all member NFA states, of the characters between the
-/// cursor and the first possible keyword occurrence. Public so the
-/// multi-query product compiler can recompute sound jumps for merged
-/// states (union of members, union of vocabularies).
-uint64_t ComputeStateJump(const dtd::DtdAutomaton& aut, dtd::MinSerial* ms,
-                          const std::vector<int>& members,
-                          const std::set<int>& vocab_tokens);
-
-/// Static boundary-state analysis over arbitrary runtime tables (see
-/// RuntimeTables::boundary_states / boundary_copy_depths /
-/// boundary_keywords). Public so the multi-query product compiler can run
-/// it over the merged DFA.
-struct BoundaryAnalysis {
-  std::vector<int> states;       ///< candidate DFA states, one per pair
-  std::vector<int> copy_depths;  ///< active copy regions at that boundary
-  std::vector<std::string> keywords;  ///< see boundary_keywords
-};
-BoundaryAnalysis ComputeBoundaryStates(const dtd::DtdAutomaton& aut,
-                                       const RuntimeTables& tables);
+/// The table renderer shared by one query (BuildTables) and many
+/// (query::MultiQuery's product DFA). Every state of `tables` arrives
+/// described by its transition maps (open_next / close_next), entry token,
+/// is_final, action, count_nesting, subset_members and vocab_tokens. From
+/// those it renders the emission strings, keywords V, matchers, jumps J,
+/// the dispatch (tree maps kept under use_map_dispatch, interned id arrays
+/// otherwise) and the boundary analysis. Report metadata and `multi` are
+/// left to the caller.
+Status FinishTables(const dtd::DtdAutomaton& aut, const TableOptions& opts,
+                    RuntimeTables* tables);
 
 }  // namespace smpx::core
 

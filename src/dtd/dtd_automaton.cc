@@ -7,6 +7,9 @@ namespace smpx::dtd {
 
 namespace {
 const std::string kEmptyLabel;
+/// Cap on the unfolding size: a DTD whose instance tree outgrows it fails
+/// with kResourceExhausted instead of exhausting memory.
+constexpr size_t kMaxInstances = size_t{1} << 20;
 }  // namespace
 
 int DtdAutomaton::InternToken(const std::string& name, bool closing) {
@@ -53,7 +56,6 @@ const Glushkov& DtdAutomaton::GlushkovOf(std::string_view label) const {
 }
 
 Result<DtdAutomaton> DtdAutomaton::Build(const Dtd& dtd,
-                                         size_t max_instances,
                                          bool allow_recursion) {
   SMPX_RETURN_IF_ERROR(dtd.Validate());
   std::set<std::string> recursive;
@@ -96,9 +98,9 @@ Result<DtdAutomaton> DtdAutomaton::Build(const Dtd& dtd,
     const Glushkov& g = a.glushkov_.find(a.instances_[i].label)->second;
     a.children_[i].assign(g.num_positions(), -1);
     for (size_t p = 0; p < g.num_positions(); ++p) {
-      if (a.instances_.size() >= max_instances) {
+      if (a.instances_.size() >= kMaxInstances) {
         return Status::ResourceExhausted(
-            "DTD unfolding exceeds " + std::to_string(max_instances) +
+            "DTD unfolding exceeds " + std::to_string(kMaxInstances) +
             " instances");
       }
       int child = static_cast<int>(a.instances_.size());

@@ -64,9 +64,8 @@ class DtdAutomaton {
   /// (unless `allow_recursion`, which turns recursive elements into opaque
   /// instances) or reachable ANY content, with kInvalidArgument for
   /// inconsistent DTDs, and with kResourceExhausted if the unfolding
-  /// exceeds `max_instances`.
+  /// exceeds 2^20 instances.
   static Result<DtdAutomaton> Build(const Dtd& dtd,
-                                    size_t max_instances = 1 << 20,
                                     bool allow_recursion = false);
 
   // --- State numbering ----------------------------------------------------

@@ -74,16 +74,4 @@ bool PathSetEvaluator::PathAccepts(size_t index, const State& state) const {
   return nfas_[index].Accepts(state.sets[index]);
 }
 
-PathSetEvaluator::AcceptFlags PathSetEvaluator::Flags(
-    const State& state) const {
-  AcceptFlags f;
-  for (size_t i = 0; i < nfas_.size(); ++i) {
-    if (!nfas_[i].Accepts(state.sets[i])) continue;
-    f.select = true;
-    if ((*paths_)[i].descendants) f.descendants = true;
-    if ((*paths_)[i].attributes) f.attributes = true;
-  }
-  return f;
-}
-
 }  // namespace smpx::paths

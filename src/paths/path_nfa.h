@@ -44,7 +44,8 @@ bool PathMatchesBranch(const ProjectionPath& path,
 
 /// A set of paths evaluated in lockstep over a branch, exposing which paths
 /// accept after every prefix. This is the workhorse behind relevance
-/// analysis (relevance.h) and the projection-safety oracle (query module).
+/// analysis (relevance.h), the recursion-soundness check of
+/// core::CompileTables and the SAX baseline projector.
 class PathSetEvaluator {
  public:
   /// `paths` must outlive the evaluator.
@@ -62,26 +63,6 @@ class PathSetEvaluator {
   std::vector<size_t> Accepting(const State& state) const;
   bool AnyAccepting(const State& state) const;
   bool PathAccepts(size_t index, const State& state) const;
-
-  /// What the path set demands at a node whose branch drove the evaluator
-  /// into `state`: `select` -- some path selects the node itself;
-  /// `descendants` -- some selecting path carries '#' (keep the whole
-  /// subtree); `attributes` -- some selecting path carries '@'. Two path
-  /// sets inducing equal flag triples after every branch are equivalent
-  /// projection queries -- query::EquivalentProjectionQueries walks the
-  /// product of two evaluators over a DTD alphabet comparing exactly this.
-  struct AcceptFlags {
-    bool select = false;
-    bool descendants = false;
-    bool attributes = false;
-
-    bool operator==(const AcceptFlags& o) const {
-      return select == o.select && descendants == o.descendants &&
-             attributes == o.attributes;
-    }
-    bool operator!=(const AcceptFlags& o) const { return !(*this == o); }
-  };
-  AcceptFlags Flags(const State& state) const;
 
   const std::vector<ProjectionPath>& paths() const { return *paths_; }
 

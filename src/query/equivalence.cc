@@ -1,10 +1,7 @@
 #include "query/equivalence.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
-
-#include "paths/path_nfa.h"
 
 namespace smpx::query {
 
@@ -111,51 +108,6 @@ std::vector<paths::ProjectionPath> CanonicalizePathSet(
             });
   paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
   return paths;
-}
-
-bool EquivalentProjectionQueries(const std::vector<paths::ProjectionPath>& a,
-                                 const std::vector<paths::ProjectionPath>& b,
-                                 const std::vector<std::string>& alphabet,
-                                 size_t max_states) {
-  paths::PathSetEvaluator ea(&a);
-  paths::PathSetEvaluator eb(&b);
-  using State = paths::PathSetEvaluator::State;
-
-  // A state pair keyed by the concatenated NFA bit sets. Both evaluators
-  // have fixed shapes, so the flat bit string is unambiguous.
-  auto key = [](const State& sa, const State& sb) {
-    std::string k;
-    for (const State* s : {&sa, &sb}) {
-      for (const std::vector<bool>& set : s->sets) {
-        for (bool bit : set) k.push_back(bit ? '1' : '0');
-      }
-      k.push_back('|');
-    }
-    return k;
-  };
-
-  std::set<std::string> seen;
-  std::vector<std::pair<State, State>> work;
-  State ia = ea.Initial();
-  State ib = eb.Initial();
-  seen.insert(key(ia, ib));
-  work.emplace_back(std::move(ia), std::move(ib));
-  while (!work.empty()) {
-    if (seen.size() > max_states) return false;  // budget: conservative "no"
-    auto [sa, sb] = std::move(work.back());
-    work.pop_back();
-    if (ea.Flags(sa) != eb.Flags(sb)) return false;
-    for (const std::string& label : alphabet) {
-      State na = sa;
-      State nb = sb;
-      ea.Step(label, &na);
-      eb.Step(label, &nb);
-      if (seen.insert(key(na, nb)).second) {
-        work.emplace_back(std::move(na), std::move(nb));
-      }
-    }
-  }
-  return true;
 }
 
 }  // namespace smpx::query

@@ -4,7 +4,9 @@
 //    (Definition 2): every projection path evaluates top-level-equal on the
 //    original and the projected document.
 // This is the oracle behind the property tests and the differential tests
-// between the prefilter and the tokenizing projector.
+// between the prefilter and the tokenizing projector. Also here: the
+// canonical form of a path set, the syntactic tier of multi-query collapse
+// (query::MultiQuery collapses the rest on compiled-table identity).
 
 #ifndef SMPX_QUERY_EQUIVALENCE_H_
 #define SMPX_QUERY_EQUIVALENCE_H_
@@ -59,21 +61,6 @@ XPath ProjectionPathToXPath(const paths::ProjectionPath& path);
 /// forms are syntactically identical (the cheap tier of collapse).
 std::vector<paths::ProjectionPath> CanonicalizePathSet(
     std::vector<paths::ProjectionPath> paths);
-
-/// Semantic equivalence of two projection queries over documents whose
-/// element names come from `alphabet`: walks the product of the two
-/// PathSetEvaluators over every label sequence the alphabet can spell,
-/// comparing the demanded (select / '#' / '@') flag triple at every
-/// reachable state pair. Flag equality on every branch implies both
-/// queries keep exactly the same nodes, subtrees, and attributes of any
-/// such document -- i.e. identical projections, so the multi-query
-/// compiler can serve both from one compiled component. Conservative:
-/// returns false once more than `max_states` distinct state pairs have
-/// been explored (budget exceeded), never falsely true.
-bool EquivalentProjectionQueries(const std::vector<paths::ProjectionPath>& a,
-                                 const std::vector<paths::ProjectionPath>& b,
-                                 const std::vector<std::string>& alphabet,
-                                 size_t max_states = 1 << 14);
 
 }  // namespace smpx::query
 

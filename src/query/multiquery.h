@@ -1,11 +1,14 @@
 // Multi-query projection: compile N projection-path sets against one
 // nonrecursive DTD into a single shared product DFA whose actions carry
 // per-query bitmasks (core::MultiQueryInfo), so one pass over a document
-// serves the whole query mix. Equivalent and duplicate queries are
-// collapsed first (query/equivalence.cc: syntactic canonical forms, then a
-// semantic product walk over the DTD alphabet), and every original query's
-// output stays byte-identical to an independent single-query serial run --
-// duplicates are routed through FanoutSink, never re-executed.
+// serves the whole query mix. Each query compiles through the same
+// analysis and table renderer as a single-query core::Prefilter
+// (core::CompileTables, core::FinishTables renders the product too).
+// Queries collapse when their canonical path sets are equal
+// (query/equivalence.h) or their compiled tables are identical, and every
+// original query's output stays byte-identical to an independent
+// single-query serial run -- duplicates are routed through FanoutSink,
+// never re-executed.
 //
 // Execution: RunOnBuffer makes one serial pass over an in-memory
 // document. The product tables are ordinary RuntimeTables, so every
@@ -35,30 +38,17 @@
 
 namespace smpx::query {
 
-struct MultiQueryOptions {
-  /// Table knobs forwarded to every per-query component build and the
-  /// product's matchers. Recursive DTDs (allow_recursion) and map
-  /// dispatch are rejected: the product needs interned dispatch and
-  /// per-state build analysis.
-  core::CompileOptions compile;
-  /// State-pair budget per semantic equivalence check (see
-  /// EquivalentProjectionQueries); exceeded pairs stay un-collapsed.
-  size_t equivalence_budget = 1 << 14;
-  /// Also run the semantic equivalence walk when canonical forms differ
-  /// (duplicates by ToString always collapse).
-  bool semantic_collapse = true;
-  /// Cap on product-DFA states; compilation fails with kUnsupported beyond
-  /// it (a pathological mix, not a document property).
-  size_t max_product_states = 1 << 18;
-};
-
 /// A compiled multi-query mix: shared product tables plus the
-/// original-query -> unique-query routing produced by equivalence collapse.
+/// original-query -> unique-query routing produced by query collapse.
 class MultiQuery {
  public:
+  /// Compiles the mix. `opts` reaches every component build and the
+  /// product's matchers and jumps; recursive DTDs (allow_recursion) and
+  /// map dispatch are rejected, since the product needs interned dispatch
+  /// and no component may count nesting.
   static Result<MultiQuery> Compile(
       dtd::Dtd dtd, std::vector<std::vector<paths::ProjectionPath>> queries,
-      const MultiQueryOptions& opts = {});
+      const core::CompileOptions& opts = {});
 
   /// Number of original queries (the sink order of every driver).
   int num_queries() const { return static_cast<int>(unique_of_.size()); }

@@ -11,7 +11,14 @@
 // intentionally): rebuild the three documents with xmlgen seed 42 at
 // target_bytes 4096, re-run the serial engine, and replace the files --
 // then justify the diff in review like any other golden-file change.
+//
+// The compiled tables' fingerprints are pinned too. Index files and cursor
+// tokens record RuntimeTables::Fingerprint() and fail closed on a
+// mismatch, so a table change that still projects the same bytes would
+// nonetheless invalidate every saved index. Change a pinned value only
+// for an intentional table change, and say so in review.
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,17 +43,24 @@ namespace {
 struct GoldenCase {
   const char* name;
   const char* paths;
+  uint64_t fingerprint;  ///< of the compiled tables, in either dispatch mode
 };
 
 const GoldenCase kCases[] = {
-    {"xmark", "/site/people/person@ /site/people/person/name#"},
+    {"xmark", "/site/people/person@ /site/people/person/name#",
+     0x03cbdc6f5a56c477u},
     {"medline",
      "/MedlineCitationSet/MedlineCitation/MedlineJournalInfo# "
-     "/MedlineCitationSet/MedlineCitation/DateCompleted#"},
+     "/MedlineCitationSet/MedlineCitation/DateCompleted#",
+     0xe4c9651eac435f3au},
     {"protein",
      "/ProteinDatabase/ProteinEntry/protein/name# "
-     "/ProteinDatabase/ProteinEntry/header@"},
+     "/ProteinDatabase/ProteinEntry/header@",
+     0xb7ab14a0fca9fd41u},
 };
+
+/// Fingerprint of the product tables of tests/data/xmark_mix.queries.
+constexpr uint64_t kMixFingerprint = 0xdbf0d27bd4118292u;
 
 std::string DataFile(const std::string& name) {
   auto content = ReadFileToString(std::string(SMPX_TEST_DATA_DIR) + "/" +
@@ -56,14 +70,29 @@ std::string DataFile(const std::string& name) {
   return content.ok() ? *content : std::string();
 }
 
-core::Prefilter CompileGolden(const GoldenCase& c) {
+core::Prefilter CompileGolden(const GoldenCase& c,
+                              const core::CompileOptions& opts = {}) {
   auto dtd = dtd::Dtd::Parse(DataFile(std::string(c.name) + ".dtd"));
   EXPECT_TRUE(dtd.ok()) << dtd.status().ToString();
   auto paths = paths::ProjectionPath::ParseList(c.paths);
   EXPECT_TRUE(paths.ok());
-  auto pf = core::Prefilter::Compile(std::move(*dtd), std::move(*paths));
+  auto pf =
+      core::Prefilter::Compile(std::move(*dtd), std::move(*paths), opts);
   EXPECT_TRUE(pf.ok()) << pf.status().ToString();
   return std::move(*pf);
+}
+
+TEST(GoldenCorpusTest, TableFingerprintsArePinned) {
+  for (const GoldenCase& c : kCases) {
+    SCOPED_TRACE(c.name);
+    for (bool map_dispatch : {false, true}) {
+      core::CompileOptions opts;
+      opts.tables.use_map_dispatch = map_dispatch;
+      core::Prefilter pf = CompileGolden(c, opts);
+      EXPECT_EQ(pf.tables().Fingerprint(), c.fingerprint)
+          << "map_dispatch=" << map_dispatch;
+    }
+  }
 }
 
 TEST(GoldenCorpusTest, SerialProjectionsMatchCheckedInFiles) {
@@ -158,6 +187,7 @@ TEST(GoldenCorpusTest, MultiQueryMixMatchesCheckedInProjections) {
   ASSERT_TRUE(mq.ok()) << mq.status().ToString();
   EXPECT_EQ(mq->num_queries(), 4);
   EXPECT_EQ(mq->num_unique(), 3);  // the duplicate collapses
+  EXPECT_EQ(mq->tables().Fingerprint(), kMixFingerprint);
 
   std::string doc = DataFile("xmark_tiny.xml");
   ASSERT_FALSE(doc.empty());

@@ -5,8 +5,9 @@
 // output byte-identical to that query's independent single-query serial
 // run -- the paper's per-query projection semantics are the oracle, the
 // product automaton is the implementation under test. Also covered:
-// equivalence collapse (duplicates, order-permuted path lists, semantic
-// subsumption), the N=1 degenerate case against the single-query engine,
+// query collapse (duplicates, order-permuted path lists, queries that
+// compile to identical tables, and ones that must not collapse because
+// they do not), the N=1 degenerate case against the single-query engine,
 // N=65 mask-word spill (two uint64_t words per state), fused-superset
 // projection safety per Definition 2, the rejection surface (recursive
 // DTDs, map dispatch, sink counts that do not match the tables, boundary
@@ -72,11 +73,11 @@ std::vector<std::string> IndependentRuns(
   return expected;
 }
 
-MultiQuery CompileMix(const dtd::Dtd& dtd, const std::vector<std::string>& mix,
-                      const MultiQueryOptions& opts = {}) {
+MultiQuery CompileMix(const dtd::Dtd& dtd,
+                      const std::vector<std::string>& mix) {
   std::vector<std::vector<paths::ProjectionPath>> queries;
   for (const std::string& text : mix) queries.push_back(MustParse(text));
-  auto mq = MultiQuery::Compile(dtd, std::move(queries), opts);
+  auto mq = MultiQuery::Compile(dtd, std::move(queries));
   EXPECT_TRUE(mq.ok()) << mq.status().ToString();
   return std::move(*mq);
 }
@@ -267,19 +268,12 @@ TEST(MultiQueryTest, SemanticallySubsumedQueriesCollapse) {
   // "/a/zzz" matches nothing under this DTD (no zzz element), so the
   // second query projects exactly like plain "/a/b"; likewise "//b" and
   // "/a//b" reach the same b nodes because a is the only possible root.
-  // Both pairs also COMPILE to behaviorally identical tables, so the
-  // semantic tier may serve each pair from one component.
+  // Both pairs also COMPILE to behaviorally identical tables, so each
+  // pair shares one component.
   {
     const std::vector<std::string> mix = {"/a/b", "/a/b /a/zzz"};
     MultiQuery mq = CompileMix(dtd, mix);
     EXPECT_EQ(mq.num_unique(), 1);
-
-    // With the semantic tier disabled they stay separate (the canonical
-    // forms differ) -- and still project identically.
-    MultiQueryOptions opts;
-    opts.semantic_collapse = false;
-    MultiQuery mq2 = CompileMix(dtd, mix, opts);
-    EXPECT_EQ(mq2.num_unique(), 2);
 
     const std::string doc = "<a><b>x</b><c><b>deep</b></c><b>y</b></a>";
     std::vector<core::RunStats> ref_stats;
@@ -287,7 +281,6 @@ TEST(MultiQueryTest, SemanticallySubsumedQueriesCollapse) {
         IndependentRuns(dtd, mix, doc, &ref_stats);
     EXPECT_EQ(expected[0], expected[1]);
     ExpectAllDriversIdentical(mq, doc, expected, ref_stats);
-    ExpectAllDriversIdentical(mq2, doc, expected, ref_stats);
   }
   {
     // Descendant-axis flavor: "//zzz//b" needs a zzz ancestor that no
@@ -296,6 +289,33 @@ TEST(MultiQueryTest, SemanticallySubsumedQueriesCollapse) {
     MultiQuery mq = CompileMix(dtd, mix);
     EXPECT_EQ(mq.num_unique(), 1);
   }
+}
+
+TEST(MultiQueryTest, QueriesDifferingOnlyOnForbiddenBranchesCollapse) {
+  const dtd::Dtd dtd = MustDtd(kPaperDtd);
+  // b holds only text, so no document valid for this DTD has the branch
+  // /a/b/c. Over the bare element alphabet the two queries differ (only
+  // the second would keep a c below a b), but both compile to the same
+  // tables and therefore project the same bytes, so they share one
+  // component.
+  const std::vector<std::string> mix = {"/a/b#", "/a/b# /a/b/c#"};
+  auto first = core::Prefilter::Compile(dtd, MustParse(mix[0]));
+  auto second = core::Prefilter::Compile(dtd, MustParse(mix[1]));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(first->tables().Fingerprint(), second->tables().Fingerprint());
+
+  MultiQuery mq = CompileMix(dtd, mix);
+  EXPECT_EQ(mq.num_queries(), 2);
+  EXPECT_EQ(mq.num_unique(), 1);
+
+  const std::string doc =
+      "<a><b>x</b><c><b>deep</b><b>er</b></c><b>y</b></a>";
+  std::vector<core::RunStats> ref_stats;
+  std::vector<std::string> expected =
+      IndependentRuns(dtd, mix, doc, &ref_stats);
+  EXPECT_EQ(expected[0], expected[1]);
+  ExpectAllDriversIdentical(mq, doc, expected, ref_stats);
 }
 
 TEST(MultiQueryTest, AbstractlyEquivalentButDifferentlyCompiledStaySeparate) {
@@ -433,14 +453,14 @@ TEST(MultiQueryTest, RejectsUnsupportedModesAndInputs) {
     EXPECT_FALSE(mq.ok());
   }
   {  // Opaque-recursion mode: per-query bitmask actions cannot tunnel.
-    MultiQueryOptions opts;
-    opts.compile.allow_recursion = true;
+    core::CompileOptions opts;
+    opts.allow_recursion = true;
     auto mq = MultiQuery::Compile(dtd, one, opts);
     EXPECT_FALSE(mq.ok());
   }
   {  // Legacy map dispatch: the product needs interned transition arrays.
-    MultiQueryOptions opts;
-    opts.compile.tables.use_map_dispatch = true;
+    core::CompileOptions opts;
+    opts.tables.use_map_dispatch = true;
     auto mq = MultiQuery::Compile(dtd, one, opts);
     EXPECT_FALSE(mq.ok());
   }
