@@ -16,10 +16,15 @@
 namespace smpx {
 
 Result<size_t> MemoryInputStream::Read(char* buf, size_t len) {
-  size_t n = std::min(len, data_.size() - pos_);
-  std::memcpy(buf, data_.data() + pos_, n);
-  pos_ += n;
-  return n;
+  const std::string_view piece = *Lend(len);
+  std::copy(piece.begin(), piece.end(), buf);
+  return piece.size();
+}
+
+std::optional<std::string_view> MemoryInputStream::Lend(size_t len) {
+  std::string_view piece = data_.substr(pos_, len);
+  pos_ += piece.size();
+  return piece;
 }
 
 Result<size_t> MemorySource::ReadAt(uint64_t offset, char* buf,
@@ -162,6 +167,17 @@ Result<size_t> SourceStream::Read(char* buf, size_t len) {
   SMPX_ASSIGN_OR_RETURN(size_t n, source_->ReadAt(pos_, buf, want));
   pos_ += n;
   return n;
+}
+
+std::optional<std::string_view> SourceStream::Lend(size_t len) {
+  const std::string_view whole = source_->Contiguous();
+  if (whole.size() != source_->size()) return std::nullopt;
+  if (pos_ >= end_ || pos_ >= whole.size()) return std::string_view();
+  std::string_view piece = whole.substr(
+      static_cast<size_t>(pos_),
+      static_cast<size_t>(std::min<uint64_t>(len, end_ - pos_)));
+  pos_ += piece.size();
+  return piece;
 }
 
 Result<std::unique_ptr<FileInputStream>> FileInputStream::Open(
@@ -664,26 +680,65 @@ Status OrderedCommitSink::status() const {
 SlidingWindow::SlidingWindow(InputStream* in, size_t capacity,
                              uint64_t origin)
     : in_(in),
-      buf_(std::max<size_t>(capacity, 64)),
+      capacity_(std::max<size_t>(capacity, 64)),
       origin_(origin),
       base_(origin),
-      lock_(origin) {
-  max_capacity_ = buf_.size();
+      lock_(origin),
+      max_capacity_(capacity_) {}
+
+char* SlidingWindow::Own(size_t n) {
+  if (!lent_ && own_cap_ >= n) return own_.get();
+  std::unique_ptr<char[]> fresh;
+  char* dst = own_.get();
+  if (own_cap_ < n) {
+    // Doubling toward the capacity keeps a run of small copies from
+    // reallocating per copy. new char[] leaves the bytes uninitialized.
+    own_cap_ = std::max(n, std::min(capacity_, 2 * own_cap_));
+    fresh.reset(new char[own_cap_]);
+    dst = fresh.get();
+  }
+  if (size_ > 0) std::memcpy(dst, data_, size_);
+  if (fresh != nullptr) own_ = std::move(fresh);
+  data_ = own_.get();
+  lent_ = false;
+  return own_.get();
+}
+
+void SlidingWindow::Materialize() {
+  if (lent_) Own(size_);
 }
 
 void SlidingWindow::Fill() {
-  while (!eof_ && size_ < buf_.size()) {
-    Result<size_t> n = in_->Read(buf_.data() + size_, buf_.size() - size_);
-    if (!n.ok()) {
-      status_ = n.status();
-      eof_ = true;
-      return;
+  while (!eof_ && size_ < capacity_) {
+    const size_t room = capacity_ - size_;
+    size_t n = 0;
+    if (std::optional<std::string_view> lent = in_->Lend(room)) {
+      n = lent->size();
+      if (n == 0) {
+        eof_ = true;
+        return;
+      }
+      if (size_ == 0) {
+        data_ = lent->data();
+        lent_ = true;
+      } else if (!lent_ || lent->data() != data_ + size_) {
+        // Not a continuation of the resident bytes in memory.
+        std::memcpy(Own(size_ + n) + size_, lent->data(), n);
+      }
+    } else {
+      Result<size_t> r = in_->Read(Own(capacity_) + size_, room);
+      if (!r.ok()) {
+        status_ = r.status();
+        eof_ = true;
+        return;
+      }
+      if (*r == 0) {
+        eof_ = true;
+        return;
+      }
+      n = *r;
     }
-    if (*n == 0) {
-      eof_ = true;
-      return;
-    }
-    size_ += *n;
+    size_ += n;
   }
 }
 
@@ -691,12 +746,12 @@ void SlidingWindow::SlideTo(uint64_t new_base) {
   if (new_base <= base_) return;
   uint64_t evict_end = std::min<uint64_t>(new_base, base_ + size_);
   if (evict_fn_ && evict_end > base_) {
-    evict_fn_(base_, std::string_view(buf_.data(),
+    evict_fn_(base_, std::string_view(data_,
                                       static_cast<size_t>(evict_end - base_)));
   }
   size_t drop = static_cast<size_t>(new_base - base_);
   if (drop >= size_) {
-    // Everything currently buffered is discarded; the gap (if any) is
+    // Everything currently resident is discarded; the gap (if any) is
     // bridged by reading and evicting, so absolute positions stay exact and
     // any pending copy output still sees every byte. If the stream ends
     // (or a chunk feed drains) inside the gap, base_ only advances as far
@@ -707,24 +762,35 @@ void SlidingWindow::SlideTo(uint64_t new_base) {
     size_ = 0;
     while (skip > 0 && !eof_) {
       size_t chunk = static_cast<size_t>(
-          std::min<uint64_t>(skip, buf_.size()));
-      Result<size_t> n = in_->Read(buf_.data(), chunk);
-      if (!n.ok()) {
-        status_ = n.status();
+          std::min<uint64_t>(skip, capacity_));
+      std::string_view piece;
+      if (std::optional<std::string_view> lent = in_->Lend(chunk)) {
+        piece = *lent;
+      } else {
+        char* buf = Own(chunk);
+        Result<size_t> n = in_->Read(buf, chunk);
+        if (!n.ok()) {
+          status_ = n.status();
+          eof_ = true;
+          break;
+        }
+        piece = std::string_view(buf, *n);
+      }
+      if (piece.empty()) {
         eof_ = true;
         break;
       }
-      if (*n == 0) {
-        eof_ = true;
-        break;
-      }
-      if (evict_fn_) evict_fn_(gap_pos, std::string_view(buf_.data(), *n));
-      gap_pos += *n;
-      skip -= *n;
+      if (evict_fn_) evict_fn_(gap_pos, piece);
+      gap_pos += piece.size();
+      skip -= piece.size();
     }
     base_ = gap_pos;
   } else {
-    std::memmove(buf_.data(), buf_.data() + drop, size_ - drop);
+    if (lent_) {
+      data_ += drop;
+    } else {
+      std::memmove(own_.get(), data_ + drop, size_ - drop);
+    }
     size_ -= drop;
     base_ = new_base;
   }
@@ -734,17 +800,12 @@ size_t SlidingWindow::Ensure(uint64_t pos, size_t len) {
   uint64_t want_end = pos + len;
   // Fast path: already resident.
   if (pos >= base_ && want_end <= base_ + size_) return len;
-  // Grow if the span from the lock (or pos) to want_end cannot fit.
+  // Grow if the span from the lock (or pos) to want_end cannot fit. Owned
+  // storage follows on its next copy; lent bytes need none.
   uint64_t keep_from = std::min(lock_, pos);
   if (keep_from < base_) keep_from = base_;  // already evicted; nothing to do
-  if (want_end - keep_from > buf_.size()) {
-    size_t new_cap = buf_.size();
-    while (want_end - keep_from > new_cap) new_cap *= 2;
-    std::vector<char> nbuf(new_cap);
-    std::memcpy(nbuf.data(), buf_.data(), size_);
-    buf_.swap(nbuf);
-    max_capacity_ = std::max(max_capacity_, buf_.size());
-  }
+  while (want_end - keep_from > capacity_) capacity_ *= 2;
+  max_capacity_ = std::max(max_capacity_, capacity_);
   if (keep_from > base_) SlideTo(keep_from);
   if (want_end > base_ + size_) Fill();
   uint64_t avail_end = base_ + size_;
@@ -755,7 +816,7 @@ size_t SlidingWindow::Ensure(uint64_t pos, size_t len) {
 std::string_view SlidingWindow::View(uint64_t pos, size_t len) {
   size_t got = Ensure(pos, len);
   if (got == 0) return {};
-  return std::string_view(buf_.data() + (pos - base_),
+  return std::string_view(data_ + (pos - base_),
                           static_cast<size_t>(base_ + size_ - pos));
 }
 

@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,6 +28,15 @@ class InputStream {
   /// Reads up to `len` bytes into `buf`. Returns the number of bytes read;
   /// 0 signals end of stream.
   virtual Result<size_t> Read(char* buf, size_t len) = 0;
+
+  /// Zero-copy Read: consumes the same bytes Read(buf, len) would and
+  /// returns a view of them in the stream's backing memory, which stays
+  /// valid as long as that memory does. An empty view signals end of
+  /// stream. A stream whose bytes are not resident returns std::nullopt
+  /// and consumes nothing; the caller then copies through Read.
+  virtual std::optional<std::string_view> Lend(size_t /*len*/) {
+    return std::nullopt;
+  }
 };
 
 /// Random-access view of a whole input of known size. Unlike InputStream,
@@ -134,6 +144,8 @@ class SourceStream : public InputStream {
         end_(end == 0 ? source->size() : end) {}
 
   Result<size_t> Read(char* buf, size_t len) override;
+  /// Lends from Contiguous() when the source has it; std::nullopt otherwise.
+  std::optional<std::string_view> Lend(size_t len) override;
 
  private:
   const InputSource* source_;
@@ -147,6 +159,7 @@ class MemoryInputStream : public InputStream {
   explicit MemoryInputStream(std::string_view data) : data_(data) {}
 
   Result<size_t> Read(char* buf, size_t len) override;
+  std::optional<std::string_view> Lend(size_t len) override;
 
  private:
   std::string_view data_;
@@ -463,17 +476,28 @@ class OrderedCommitSink {
 };
 
 /// A sliding window over an InputStream with absolute (whole-stream) byte
-/// positions, mirroring the paper's fixed-size chunked read buffer
+/// positions. Its geometry is the paper's fixed-size chunked read buffer
 /// (Section V: "a pre-allocated buffer to read the document in fixed-size
-/// chunks, which we set to eight times the system page size").
+/// chunks, which we set to eight times the system page size"): at most
+/// capacity() bytes are resident, and refills slide the window forward.
 ///
 /// The engine scans forward through the window and occasionally jumps back a
 /// bounded distance (right-to-left keyword verification, copy-region start
 /// positions). `set_lock()` marks the oldest absolute position that must
 /// stay resident; the window slides past everything older, invoking the
 /// eviction hook so that pending copy output can be flushed incrementally.
-/// The buffer grows only if the locked region itself outgrows the capacity
-/// (e.g. a single element copied as one piece larger than the window).
+/// The capacity grows only if the locked region itself outgrows it (e.g. a
+/// single element copied as one piece larger than the window).
+///
+/// Storage is borrowed, not pre-allocated. While the resident bytes form
+/// one range lent by the stream (InputStream::Lend), the window points into
+/// the stream's memory and copies nothing. It copies into owned storage
+/// only for a stream that cannot lend, or when a lent range does not
+/// continue the resident bytes in memory; that storage is allocated on
+/// first need, sized to what it holds (growing toward the capacity), and
+/// never zero-filled. Where the bytes live never changes the geometry:
+/// base, limit, capacity, eviction order and max_capacity_used() are the
+/// same for a lending and a copying stream over the same bytes.
 class SlidingWindow {
  public:
   /// Hook invoked with evicted bytes, in stream order, before discard.
@@ -502,7 +526,7 @@ class SlidingWindow {
   /// at span boundaries.
   std::string_view Span(uint64_t pos) const {
     if (pos < base_ || pos >= base_ + size_) return {};
-    return std::string_view(buf_.data() + (pos - base_),
+    return std::string_view(data_ + (pos - base_),
                             static_cast<size_t>(base_ + size_ - pos));
   }
 
@@ -511,11 +535,18 @@ class SlidingWindow {
   std::string_view RefillAt(uint64_t pos) { return View(pos, 1); }
 
   /// Byte at absolute position `pos`; caller must have Ensure()d it.
-  char At(uint64_t pos) const { return buf_[pos - base_]; }
+  char At(uint64_t pos) const { return data_[pos - base_]; }
 
   /// True once the underlying stream is exhausted *and* `pos` is at or past
   /// the last byte.
   bool AtEnd(uint64_t pos);
+
+  /// Copies the resident bytes into owned storage if they are lent, so the
+  /// window no longer refers to the stream's memory. A push-mode session
+  /// calls this before it returns suspended: its caller may reuse the
+  /// chunk's memory once Resume returns. Views obtained earlier are
+  /// invalidated; the geometry is unchanged.
+  void Materialize();
 
   /// Oldest absolute position that must remain resident (see class comment).
   void set_lock(uint64_t pos) { lock_ = pos; }
@@ -529,9 +560,10 @@ class SlidingWindow {
   uint64_t limit() const { return base_ + size_; }
   /// Total bytes pulled from the stream so far.
   uint64_t bytes_read() const { return base_ + size_; }
-  /// Current buffer capacity (grows only when the locked span forces it).
-  size_t capacity() const { return buf_.size(); }
-  /// High-water mark of the buffer capacity; proxy for peak memory.
+  /// Current capacity: the most bytes the window holds resident (grows
+  /// only when the locked span forces it). Not the bytes allocated.
+  size_t capacity() const { return capacity_; }
+  /// High-water mark of capacity(); bounds the window's memory.
   size_t max_capacity_used() const { return max_capacity_; }
   /// Absolute position of the first byte the stream delivered.
   uint64_t origin() const { return origin_; }
@@ -548,12 +580,19 @@ class SlidingWindow {
  private:
   void SlideTo(uint64_t new_base);
   void Fill();
+  /// Moves the resident bytes into owned storage with room for `n` bytes
+  /// in total (n >= size_) and returns its start.
+  char* Own(size_t n);
 
   InputStream* in_;
-  std::vector<char> buf_;
+  size_t capacity_;
+  std::unique_ptr<char[]> own_;  // owned storage, allocated on first need
+  size_t own_cap_ = 0;
+  const char* data_ = nullptr;   // byte at base_: in own_ or lent memory
+  bool lent_ = false;            // data_ points into the stream's memory
   uint64_t origin_ = 0; // absolute position of the stream's first byte
-  uint64_t base_ = 0;   // absolute position of buf_[0]
-  size_t size_ = 0;     // valid bytes in buf_
+  uint64_t base_ = 0;   // absolute position of data_[0]
+  size_t size_ = 0;     // resident bytes at data_
   uint64_t lock_ = 0;   // bytes >= lock_ must stay resident
   bool eof_ = false;
   size_t max_capacity_ = 0;

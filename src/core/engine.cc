@@ -1,8 +1,8 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "common/strings.h"
@@ -18,18 +18,24 @@ enum HandleResult {
   kNeedInput = 2    ///< scan hit the end of a non-final chunk; suspend
 };
 
-/// Serves the session's current chunk to the sliding window in push mode.
-/// Reading past the chunk looks like EOF until the next SetChunk +
-/// SlidingWindow::ClearEof.
+/// Serves the session's current chunk to the sliding window in push mode,
+/// lending it in place. Reading past the chunk looks like EOF until the
+/// next SetChunk + SlidingWindow::ClearEof. The chunk's memory is valid
+/// only during Resume, so a suspending Resume materializes the window.
 class FeedStream : public InputStream {
  public:
   void SetChunk(std::string_view chunk) { chunk_ = chunk; }
 
   Result<size_t> Read(char* buf, size_t len) override {
-    size_t n = std::min(len, chunk_.size());
-    std::memcpy(buf, chunk_.data(), n);
-    chunk_.remove_prefix(n);
-    return n;
+    const std::string_view piece = *Lend(len);
+    std::copy(piece.begin(), piece.end(), buf);
+    return piece.size();
+  }
+
+  std::optional<std::string_view> Lend(size_t len) override {
+    std::string_view piece = chunk_.substr(0, len);
+    chunk_.remove_prefix(piece.size());
+    return piece;
   }
 
  private:
@@ -158,6 +164,9 @@ class PrefilterSession::Impl {
     win_.ClearEof();
     Step s = Drive();
     if (s == Step::kError) return status_;
+    // The window may point into `chunk`, which the caller may reuse once
+    // we return; a suspended session keeps its own copy of what it holds.
+    if (s == Step::kNeedMore) win_.Materialize();
     if (s == Step::kNeedMore && copy_depth_ > 0) {
       // Hand-off invariant: everything below checkpoint().feed_begin()
       // has been emitted, so a successor session never needs our buffered

@@ -3,7 +3,7 @@
 // frontier vocabulary, verifies tag matches locally (including the
 // prefix-tagname check, e.g. Abstract vs AbstractText), performs initial
 // jumps, and executes copy actions -- all through a fixed-size sliding
-// window over the input stream.
+// window over the input stream, which scans resident input in place.
 //
 // Matched tags resolve through the interned fast path by default: the tag
 // name is scanned with pointer loops over whole resident window spans
@@ -41,7 +41,10 @@ struct RunStats {
   // each run a fresh search, so these can exceed the state-entry count).
   uint64_t bm_searches = 0;       ///< searches ran with a unary vocabulary
   uint64_t cw_searches = 0;       ///< searches ran with a multi vocabulary
-  size_t window_peak = 0;         ///< high-water mark of the window buffer
+  /// High-water mark of the window's capacity: the most bytes the window
+  /// could hold resident at once. Not bytes allocated -- over resident
+  /// input the window scans the caller's memory and allocates none.
+  size_t window_peak = 0;
 
   /// Fraction of input characters inspected (paper "Char Comp. %").
   double CharCompPct() const {
@@ -71,7 +74,11 @@ struct QueryRunStats {
 };
 
 struct EngineOptions {
-  /// Sliding window capacity; the paper uses 8x the system page size.
+  /// Sliding window capacity; the paper uses 8x the system page size. It
+  /// bounds how many bytes the engine keeps resident (and so the memory a
+  /// copying stream costs); over resident input -- MemoryInputStream,
+  /// SourceStream over a contiguous source, push-mode chunks -- the window
+  /// points into the caller's bytes and a large capacity costs nothing.
   size_t window_capacity = SlidingWindow::kDefaultCapacity;
   /// Count the checkpoint's start state in visited()/states_visited. The
   /// parallel sharder disables this for speculative sessions launched from
@@ -180,7 +187,11 @@ class PrefilterSession {
   /// Feeds the next contiguous bytes of the document. Returns Ok both when
   /// the run reached a final state (finished() becomes true; trailing bytes
   /// are ignored, as in a serial run) and when the session merely consumed
-  /// the chunk and suspended awaiting more input.
+  /// the chunk and suspended awaiting more input. The session scans
+  /// `chunk` in place and keeps no reference to it after the call: the
+  /// chunk need not outlive Resume, and the caller may overwrite or free
+  /// it as soon as Resume returns (a suspending session first copies the
+  /// few bytes it must keep).
   Status Resume(std::string_view chunk);
 
   /// Declares end of input. Fails with kParseError if the run is not in a

@@ -127,6 +127,17 @@ bool Server::ServeOne(const Fd& conn) {
     return false;
   }
 
+  if (req->window > opts_.per_request_bytes) {
+    // An explicit window is engine memory the admission reservation must
+    // cover; refuse a larger one before any work. The request is at fault,
+    // not the stream, so the connection stays open.
+    ErrorFrame e{StatusCode::kInvalidArgument,
+                 "window of " + std::to_string(req->window) +
+                     " bytes exceeds the per-request budget of " +
+                     std::to_string(opts_.per_request_bytes),
+                 false};
+    return WriteFrame(conn, kFrameError, e.Encode()).ok();
+  }
   if (!admission_.TryAcquire(opts_.per_request_bytes)) {
     // The retryable contract: nothing is wrong with the request, the
     // global buffer budget is momentarily full. Connection stays open.

@@ -43,9 +43,15 @@ struct ServerOptions {
   /// Global admission budget across all in-flight requests.
   uint64_t max_buffer_bytes = 64u << 20;
   /// Bytes one request reserves from the budget (engine window + frame
-  /// coalescing buffer + decode scratch, rounded up).
+  /// coalescing buffer + decode scratch, rounded up). Also the largest
+  /// window a request may ask for: a larger explicit `window` is refused
+  /// with kInvalidArgument before any work.
   uint64_t per_request_bytes = 4u << 20;
-  /// Default engine window when the request leaves `window` at 0.
+  /// Engine window capacity when the request leaves `window` at 0. Over
+  /// an mmapped document the window lends the mapping instead of
+  /// allocating this much; a session copies only what it holds when it
+  /// suspends (a cursor request holds about one record). smpxd refuses a
+  /// `--window` above `--request-buffer`.
   uint64_t default_window = 1u << 20;
   CacheOptions cache;
 };

@@ -2,7 +2,8 @@
 // against the legacy map-dispatch/per-byte baseline
 // (TableOptions::use_map_dispatch): over generator output and hand-built
 // edge documents, both engine paths must produce byte-identical
-// projections and identical match/jump statistics.
+// projections and identical match/jump statistics. The small-window sweep
+// also runs both paths over a stream that cannot lend its bytes.
 
 #include <string>
 #include <vector>
@@ -95,9 +96,55 @@ TEST(DispatchDiffTest, MedlineGeneratorOutputIsByteIdentical) {
   }
 }
 
+/// A stream that implements only Read: the window copies every byte into
+/// owned storage instead of scanning the caller's memory in place.
+class CopyOnlyStream : public InputStream {
+ public:
+  explicit CopyOnlyStream(std::string_view data) : in_(data) {}
+  Result<size_t> Read(char* buf, size_t len) override {
+    return in_.Read(buf, len);
+  }
+
+ private:
+  MemoryInputStream in_;
+};
+
+void ExpectSameRunStats(const RunStats& a, const RunStats& b) {
+  EXPECT_EQ(a.input_bytes, b.input_bytes);
+  EXPECT_EQ(a.output_bytes, b.output_bytes);
+  EXPECT_EQ(a.search.comparisons, b.search.comparisons);
+  EXPECT_EQ(a.search.shifts, b.search.shifts);
+  EXPECT_EQ(a.search.shift_chars, b.search.shift_chars);
+  EXPECT_EQ(a.scan_chars, b.scan_chars);
+  EXPECT_EQ(a.initial_jumps, b.initial_jumps);
+  EXPECT_EQ(a.initial_jump_chars, b.initial_jump_chars);
+  EXPECT_EQ(a.matches, b.matches);
+  EXPECT_EQ(a.false_matches, b.false_matches);
+  EXPECT_EQ(a.states_visited, b.states_visited);
+  EXPECT_EQ(a.bm_searches, b.bm_searches);
+  EXPECT_EQ(a.cw_searches, b.cw_searches);
+  EXPECT_EQ(a.window_peak, b.window_peak);
+}
+
+/// A run over a copy-only stream must equal the in-place run over the
+/// caller's buffer: same bytes, every RunStats field equal.
+void ExpectCopyOnlyIdentical(const Prefilter& pf, std::string_view doc,
+                             const EngineOptions& opts) {
+  RunStats lent_stats;
+  auto lent = pf.RunOnBuffer(doc, &lent_stats, opts);
+  ASSERT_TRUE(lent.ok()) << lent.status().ToString();
+  CopyOnlyStream in(doc);
+  StringSink sink;
+  RunStats copy_stats;
+  ASSERT_TRUE(pf.Run(&in, &sink, &copy_stats, opts).ok());
+  ASSERT_EQ(sink.str(), *lent);
+  ExpectSameRunStats(copy_stats, lent_stats);
+}
+
 TEST(DispatchDiffTest, SmallWindowStreamingStaysIdentical) {
   // Window refills hit the span-boundary fallbacks of the bulk scanner;
-  // a tiny window forces them constantly.
+  // a tiny window forces them constantly. Each window also runs with a
+  // copying stream, which must not change a byte or a counter.
   xmlgen::XmarkOptions gen;
   gen.target_bytes = 200 << 10;
   std::string doc = xmlgen::GenerateXmark(gen);
@@ -108,6 +155,8 @@ TEST(DispatchDiffTest, SmallWindowStreamingStaysIdentical) {
     EngineOptions opts;
     opts.window_capacity = window;
     ExpectIdentical(pf, doc, opts);
+    ExpectCopyOnlyIdentical(pf.interned, doc, opts);
+    ExpectCopyOnlyIdentical(pf.map_based, doc, opts);
   }
 }
 

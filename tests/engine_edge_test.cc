@@ -1,13 +1,17 @@
 // Edge-case and robustness tests for the runtime engine beyond the happy
 // paths of core_test: markup oddities, file-based streaming, deep nesting,
-// truncation fuzzing, and cross-API property checks.
+// truncation fuzzing, pushed chunks that do not outlive Resume, and
+// cross-API property checks.
 
+#include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/io.h"
+#include "core/engine.h"
 #include "core/prefilter.h"
 #include "paths/relevance.h"
 #include "paths/xquery_extract.h"
@@ -151,6 +155,49 @@ TEST(EngineEdgeTest, RunIsReusableAndDeterministic) {
   auto c = pf.RunOnBuffer("<a><c><b>skip</b></c></a>");
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(*c, "<a></a>");
+}
+
+TEST(EngineEdgeTest, ChunksNeedNotOutliveResume) {
+  // Resume's contract: the caller may reuse a chunk's memory as soon as
+  // the call returns. Every chunk here lives in its own heap buffer that
+  // is overwritten and freed right after Resume, so a session still
+  // pointing into it reads garbage (or, under ASan, fails hard).
+  xmlgen::XmarkOptions gen;
+  gen.target_bytes = 160 << 10;
+  const std::string doc = xmlgen::GenerateXmark(gen);
+  const char* queries[] = {
+      "/site/people/person@ /site/people/person/name#",  // XM1
+      "/site/regions//item@",                             // XM6
+      "//description //annotation //emailaddress",        // XM7
+      "/site/regions/australia/item/name# "
+      "/site/regions/australia/item/description#",        // XM13
+  };
+  for (const char* paths : queries) {
+    core::Prefilter pf = Compile(xmlgen::XmarkDtdText(), paths);
+    for (size_t window : {64u, 1000u, 32768u}) {
+      core::EngineOptions opts;
+      opts.window_capacity = window;
+      auto expected = pf.RunOnBuffer(doc, nullptr, opts);
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      for (size_t chunk : {1u, 7u, 97u, 4096u, 100000u}) {
+        SCOPED_TRACE(testing::Message() << paths << " window=" << window
+                                        << " chunk=" << chunk);
+        StringSink sink;
+        core::PrefilterSession session(pf.tables(), &sink, nullptr, opts);
+        for (size_t off = 0; off < doc.size(); off += chunk) {
+          const size_t n = std::min(chunk, doc.size() - off);
+          std::unique_ptr<char[]> buf(new char[n]);
+          std::copy(doc.data() + off, doc.data() + off + n, buf.get());
+          Status s = session.Resume(std::string_view(buf.get(), n));
+          std::fill(buf.get(), buf.get() + n, '<');
+          buf.reset();
+          ASSERT_TRUE(s.ok()) << s.ToString();
+        }
+        ASSERT_TRUE(session.Finish().ok());
+        EXPECT_EQ(sink.str(), *expected);
+      }
+    }
+  }
 }
 
 // --- cross-API property tests ----------------------------------------------

@@ -117,6 +117,19 @@ class RollingSource : public MemorySource {
   std::string_view Contiguous() const override { return {}; }
 };
 
+/// A stream that implements only Read: the engine's window then copies
+/// every byte into owned storage instead of scanning it in place.
+class CopyOnlyStream : public InputStream {
+ public:
+  explicit CopyOnlyStream(std::string_view data) : in_(data) {}
+  Result<size_t> Read(char* buf, size_t len) override {
+    return in_.Read(buf, len);
+  }
+
+ private:
+  MemoryInputStream in_;
+};
+
 /// Index entries agree on every field that does not depend on where the
 /// build cut the engine's input (the search-effort counters do).
 void ExpectSameDurableEntries(const index::BoundaryIndex& a,
@@ -489,7 +502,9 @@ TEST(FuzzDiffTest, ProteinSampledDocumentsAcrossAllModes) {
 // byte-identical and the full statistics -- matcher comparisons, shifts,
 // scan_chars -- must match, and the structural boundary scanner must pick
 // identical split points. Tiers change how fast structural bytes are
-// classified, never which bytes are classified.
+// classified, never which bytes are classified. Each case also runs over a
+// stream that cannot lend its bytes, so the window copies instead of
+// scanning in place; every RunStats field must still match.
 
 TEST(FuzzDiffTest, EveryDispatchTierReplaysByteIdentical) {
   const simd::Isa saved = simd::ActiveIsa();
@@ -530,6 +545,29 @@ TEST(FuzzDiffTest, EveryDispatchTierReplaysByteIdentical) {
       EXPECT_EQ(stats.output_bytes, ref_stats.output_bytes);
       EXPECT_EQ(parallel::FindTopLevelBoundaries(doc, 5), ref_bounds);
     }
+
+    // Copying instead of lending the bytes changes no byte and no counter.
+    SCOPED_TRACE("copy-only stream");
+    simd::SetIsa(simd::Isa::kScalar);
+    CopyOnlyStream in(doc);
+    StringSink sink;
+    RunStats stats;
+    ASSERT_TRUE(pf->Run(&in, &sink, &stats, eopts).ok());
+    ASSERT_EQ(sink.str(), *ref);
+    EXPECT_EQ(stats.input_bytes, ref_stats.input_bytes);
+    EXPECT_EQ(stats.output_bytes, ref_stats.output_bytes);
+    EXPECT_EQ(stats.search.comparisons, ref_stats.search.comparisons);
+    EXPECT_EQ(stats.search.shifts, ref_stats.search.shifts);
+    EXPECT_EQ(stats.search.shift_chars, ref_stats.search.shift_chars);
+    EXPECT_EQ(stats.scan_chars, ref_stats.scan_chars);
+    EXPECT_EQ(stats.initial_jumps, ref_stats.initial_jumps);
+    EXPECT_EQ(stats.initial_jump_chars, ref_stats.initial_jump_chars);
+    EXPECT_EQ(stats.matches, ref_stats.matches);
+    EXPECT_EQ(stats.false_matches, ref_stats.false_matches);
+    EXPECT_EQ(stats.states_visited, ref_stats.states_visited);
+    EXPECT_EQ(stats.bm_searches, ref_stats.bm_searches);
+    EXPECT_EQ(stats.cw_searches, ref_stats.cw_searches);
+    EXPECT_EQ(stats.window_peak, ref_stats.window_peak);
   }
   simd::SetIsa(saved);
 }

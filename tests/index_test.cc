@@ -15,11 +15,16 @@
 //  - persistence round-trips through Save/Load; corrupted, truncated,
 //    version-bumped, over-counted, stale-digest, and stale-tables index
 //    files (and tampered cursor tokens) all fail closed with a clear
-//    Status, never wrong bytes.
+//    Status, never wrong bytes;
+//  - one cursor step at smpxd's 1 MiB default window requests under
+//    64 KiB from the heap (a byte count from a counting operator new).
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -35,6 +40,26 @@
 #include "xml/tokenizer.h"
 #include "xmlgen/medline.h"
 #include "xmlgen/xmark.h"
+
+// A counting global operator new for the allocation guard below: while
+// g_count_new is set, every byte requested from the heap is tallied.
+namespace {
+std::atomic<bool> g_count_new{false};
+std::atomic<uint64_t> g_new_bytes{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_count_new.load(std::memory_order_relaxed)) {
+    g_new_bytes.fetch_add(n, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs an inlined free() with a new.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace smpx::index {
 namespace {
@@ -789,6 +814,37 @@ TEST(BoundaryIndexTest, ChunkedBuildFromFileSourceNeverMapsTheDocument) {
   EXPECT_EQ(chunked->Serialize(), mem->Serialize());
   ASSERT_TRUE(chunked->Matches(doc, pf.tables()).ok());
   std::remove(path.c_str());
+}
+
+TEST(CursorAllocationTest, NextAtServerWindowAllocatesNoWindowBuffer) {
+  // One cursor step at smpxd's default 1 MiB window, over an in-memory
+  // document: the window lends the document's bytes, and the suspending
+  // session copies only what it holds (about one record), so the step
+  // must not allocate anything near the window's capacity. A byte count,
+  // not a timing, so CI noise cannot hide the regression.
+  core::Prefilter pf = CompileMedline();
+  const std::string doc = MedlineDoc(1 << 20);
+  BoundaryIndexOptions bopts;
+  bopts.granularity_bytes = 1;
+  auto idx = BoundaryIndex::Build(pf.tables(), MemorySource(doc), bopts);
+  ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+  ASSERT_GT(idx->entries().size(), 100u);
+  CursorOptions copts;
+  copts.engine.window_capacity = 1 << 20;
+  for (uint64_t record : {1u, 50u, 100u}) {
+    SCOPED_TRACE(record);
+    auto cur = Cursor::OpenAtRecord(*idx, pf.tables(), doc, record, copts);
+    ASSERT_TRUE(cur.ok()) << cur.status().ToString();
+    CountingSink sink;
+    g_new_bytes = 0;
+    g_count_new = true;
+    auto n = cur->Next(1, &sink);
+    g_count_new = false;
+    ASSERT_TRUE(n.ok()) << n.status().ToString();
+    EXPECT_EQ(*n, 1u);
+    EXPECT_GT(cur->position(), 0u);
+    EXPECT_LT(g_new_bytes.load(), 64u << 10);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // smpxd server tests: concurrent clients differentially byte-identical
 // to the offline CLI, cross-connection cursor-token resume, and the
 // robustness matrix -- disconnect mid-stream, oversized and garbage
-// frames, admission rejection under a tiny memory budget. Most tests run
-// the Server in-process (same code path as the smpxd binary); one drives
-// the real daemon process end-to-end via the ready line.
+// frames, admission rejection under a tiny memory budget, and windows
+// beyond the per-request budget. Most tests run the Server in-process
+// (same code path as the smpxd binary); the process tests drive the real
+// daemon (end to end via the ready line, and its start-up checks).
+
+#include <sys/wait.h>
 
 #include <atomic>
 #include <chrono>
@@ -380,6 +383,46 @@ TEST(ServerTest, BudgetDrainsAndRefillsAcrossRequests) {
   EXPECT_TRUE(refilled(8192u));
 }
 
+TEST(ServerTest, WindowBeyondRequestBudgetIsRefusedAndConnectionSurvives) {
+  // A client-chosen window is engine memory the admission reservation
+  // must cover. A larger one is refused with a non-retryable error before
+  // any engine work -- a 2^62 window once aborted the whole daemon with
+  // std::bad_alloc -- and the connection keeps serving.
+  const Fixture& f = SharedFixture();
+  const uint64_t per_request = 1u << 20;
+  auto srv = StartServer(/*max_buffer=*/64u << 20, per_request);
+  auto client = Client::Connect("unix:" + srv->unix_path());
+  ASSERT_TRUE(client.ok());
+  Request seek = BaseRequest(f);
+  seek.op = Op::kSeek;
+  seek.by_record = true;
+  seek.target = 7;
+  seek.count = 1;
+  for (uint64_t window : {uint64_t{1} << 62, per_request + 1}) {
+    for (Op op : {Op::kSeek, Op::kProject}) {
+      SCOPED_TRACE(testing::Message() << "window=" << window
+                                      << " op=" << static_cast<int>(op));
+      Request bad = seek;
+      bad.op = op;
+      bad.window = window;
+      StringSink sink;
+      auto t = client->Call(bad, &sink);
+      ASSERT_FALSE(t.ok());
+      EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument)
+          << t.status().ToString();
+      EXPECT_FALSE(client->last_error_retryable());
+      EXPECT_TRUE(sink.str().empty());
+    }
+  }
+  // A window of exactly the budget is served on the same connection.
+  seek.window = per_request;
+  StringSink sink;
+  auto t = client->Call(seek, &sink);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(sink.str(), f.SeekSlice(7, 1));
+  EXPECT_FALSE(t->token.empty());
+}
+
 TEST(ServerTest, TcpListenerServesTheSameBytes) {
   const Fixture& f = SharedFixture();
   ServerOptions opts;
@@ -470,6 +513,20 @@ TEST(SmpxdProcessTest, CliConnectMatchesOfflineCli) {
   for (const auto& p : {sock, ready, pidf, offline, viasrv, dtd_path}) {
     std::remove(p.c_str());
   }
+}
+
+TEST(SmpxdProcessTest, RefusesWindowLargerThanRequestBuffer) {
+  // The admission reservation must cover the default window, so the daemon
+  // refuses to start otherwise (exit 2). `timeout` turns a daemon that
+  // starts anyway into a failure instead of a hang.
+  const std::string sock = ::testing::TempDir() + "/smpxd_window.sock";
+  const std::string cmd = std::string("timeout 10 \"") + SMPXD_PATH +
+                          "\" --socket \"" + sock +
+                          "\" --request-buffer 1M --window 2M 2>/dev/null";
+  const int rc = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(rc));
+  EXPECT_EQ(WEXITSTATUS(rc), 2);
+  std::remove(sock.c_str());
 }
 
 #endif  // SMPXD_PATH && SMPX_CLI_PATH

@@ -103,6 +103,12 @@ int main(int argc, char** argv) {
                  "ever be admitted\n");
     return 2;
   }
+  if (opts.default_window > opts.per_request_bytes) {
+    std::fprintf(stderr,
+                 "--window exceeds --request-buffer: the admission "
+                 "reservation would not cover a request's window\n");
+    return 2;
+  }
 
   // Block the shutdown signals before any thread exists so the accept and
   // connection threads inherit the mask; main() alone takes delivery.
