@@ -27,6 +27,27 @@ std::optional<std::string_view> MemoryInputStream::Lend(size_t len) {
   return piece;
 }
 
+Result<std::string_view> ReadRange(const InputSource& src, uint64_t offset,
+                                   size_t len, std::vector<char>* scratch) {
+  const std::string_view whole = src.Contiguous();
+  if (whole.size() == src.size() && offset + len <= whole.size()) {
+    return whole.substr(static_cast<size_t>(offset), len);
+  }
+  scratch->resize(len);
+  size_t done = 0;
+  while (done < len) {
+    SMPX_ASSIGN_OR_RETURN(size_t n, src.ReadAt(offset + done,
+                                               scratch->data() + done,
+                                               len - done));
+    if (n == 0) {
+      return Status::IoError("input source shrank at offset " +
+                             std::to_string(offset + done));
+    }
+    done += n;
+  }
+  return std::string_view(scratch->data(), len);
+}
+
 Result<size_t> MemorySource::ReadAt(uint64_t offset, char* buf,
                                     size_t len) const {
   if (offset >= data_.size()) return static_cast<size_t>(0);
@@ -215,41 +236,6 @@ Status ShortWriteError(size_t written, size_t expected) {
 
 }  // namespace
 
-Result<std::unique_ptr<FileSink>> FileSink::Open(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open '" + path + "': " +
-                           std::strerror(errno));
-  }
-  return std::unique_ptr<FileSink>(new FileSink(f));
-}
-
-FileSink::~FileSink() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-Status FileSink::Append(std::string_view data) {
-  if (!error_.ok()) return error_;
-  if (data.empty()) return Status::Ok();  // may carry a null data pointer
-  size_t n = std::fwrite(data.data(), 1, data.size(), file_);
-  bytes_written_ += n;
-  if (n != data.size()) {
-    error_ = ShortWriteError(n, data.size());
-    return error_;
-  }
-  return Status::Ok();
-}
-
-Status FileSink::Flush() {
-  if (!error_.ok()) return error_;  // idempotent after a failed Append
-  if (std::fflush(file_) != 0) {
-    error_ = Status::IoError("flush failed: " +
-                             std::string(std::strerror(errno)));
-    return error_;
-  }
-  return Status::Ok();
-}
-
 Result<std::unique_ptr<BufferedFileSink>> BufferedFileSink::Open(
     const std::string& path, size_t buffer_capacity) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -417,29 +403,7 @@ int SpillArena::open_files() const {
 }
 
 SpillSink::~SpillSink() {
-  if (spill_ != nullptr) std::fclose(spill_);
-  if (arena_ != nullptr && extent_bytes_ > 0) arena_->Release(extent_bytes_);
-}
-
-Status SpillSink::EnsureSpill() {
-  if (spill_ != nullptr) return Status::Ok();
-  // tmpfile() is created already unlinked: the bytes live only as long as
-  // the handle, and a crashed process leaks nothing on disk.
-  spill_ = std::tmpfile();
-  if (spill_ == nullptr) {
-    error_ = Status::IoError("cannot create spill file: " +
-                             std::string(std::strerror(errno)));
-    return error_;
-  }
-  if (!mem_.empty()) {
-    size_t n = std::fwrite(mem_.data(), 1, mem_.size(), spill_);
-    if (n != mem_.size()) {
-      error_ = ShortWriteError(n, mem_.size());
-      return error_;
-    }
-    std::string().swap(mem_);  // actually release the buffer capacity
-  }
-  return Status::Ok();
+  if (extent_bytes_ > 0) arena_->Release(extent_bytes_);
 }
 
 Status SpillSink::SpillToArena(std::string_view data) {
@@ -461,127 +425,82 @@ Status SpillSink::SpillToArena(std::string_view data) {
   return Status::Ok();
 }
 
+Status SpillSink::Spill(std::string_view data) {
+  if (arena_ == nullptr) {
+    own_arena_ = std::make_unique<SpillArena>();
+    arena_ = own_arena_.get();
+  }
+  spilled_ = true;
+  if (!mem_.empty()) {
+    SMPX_RETURN_IF_ERROR(SpillToArena(mem_));
+    std::string().swap(mem_);  // actually release the buffer capacity
+  }
+  return data.empty() ? Status::Ok() : SpillToArena(data);
+}
+
 Status SpillSink::Append(std::string_view data) {
   if (!error_.ok()) return error_;
   if (data.empty()) return Status::Ok();  // may carry a null data pointer
-  if (!spilled() && mem_.size() + data.size() <= budget_) {
+  if (!spilled_ && mem_.size() + data.size() <= budget_) {
     mem_.append(data);
-    bytes_written_ += data.size();
-    return Status::Ok();
+  } else {
+    SMPX_RETURN_IF_ERROR(Spill(data));
   }
-  if (arena_ != nullptr) {
-    arena_spilled_ = true;
-    if (!mem_.empty()) {
-      SMPX_RETURN_IF_ERROR(SpillToArena(mem_));
-      std::string().swap(mem_);  // actually release the buffer capacity
-    }
-    SMPX_RETURN_IF_ERROR(SpillToArena(data));
-    bytes_written_ += data.size();
-    return Status::Ok();
-  }
-  SMPX_RETURN_IF_ERROR(EnsureSpill());
-  size_t n = std::fwrite(data.data(), 1, data.size(), spill_);
-  bytes_written_ += n;
-  if (n != data.size()) {
-    error_ = ShortWriteError(n, data.size());
-    return error_;
-  }
+  bytes_written_ += data.size();
   return Status::Ok();
 }
 
 Status SpillSink::CopyTo(OutputSink* out) {
   if (!error_.ok()) return error_;
-  if (!spilled()) return out->Append(mem_);
-  if (arena_spilled_) {
-    char buf[1 << 16];
-    for (const Extent& e : extents_) {
-      uint64_t done = 0;
-      while (done < e.size) {
-        size_t n = static_cast<size_t>(
-            std::min<uint64_t>(sizeof(buf), e.size - done));
-        Status s = arena_->Read(e.offset + done, buf, n);
-        if (!s.ok()) {
-          error_ = s;
-          return error_;
-        }
-        // Downstream errors are the caller's, not sticky here.
-        SMPX_RETURN_IF_ERROR(out->Append(std::string_view(buf, n)));
-        done += n;
-      }
-    }
-    return mem_.empty() ? Status::Ok() : out->Append(mem_);
-  }
-  if (std::fseek(spill_, 0, SEEK_SET) != 0) {
-    error_ = Status::IoError("spill seek failed: " +
-                             std::string(std::strerror(errno)));
-    return error_;
-  }
   char buf[1 << 16];
-  Status replay;
-  for (;;) {
-    size_t n = std::fread(buf, 1, sizeof(buf), spill_);
-    if (n == 0) {
-      if (std::ferror(spill_)) {
-        error_ = Status::IoError("spill read failed: " +
-                                 std::string(std::strerror(errno)));
-        replay = error_;
+  for (const Extent& e : extents_) {
+    uint64_t done = 0;
+    while (done < e.size) {
+      size_t n = static_cast<size_t>(
+          std::min<uint64_t>(sizeof(buf), e.size - done));
+      Status s = arena_->Read(e.offset + done, buf, n);
+      if (!s.ok()) {
+        error_ = s;
+        return error_;
       }
-      break;
+      // Downstream errors are the caller's, not sticky here.
+      SMPX_RETURN_IF_ERROR(out->Append(std::string_view(buf, n)));
+      done += n;
     }
-    replay = out->Append(std::string_view(buf, n));
-    if (!replay.ok()) break;  // downstream error: not sticky here
   }
-  // Reposition at the end so later appends extend rather than overwrite.
-  if (std::fseek(spill_, 0, SEEK_END) != 0 && error_.ok()) {
-    error_ = Status::IoError("spill seek failed: " +
-                             std::string(std::strerror(errno)));
-    if (replay.ok()) replay = error_;
-  }
-  return replay;
+  return mem_.empty() ? Status::Ok() : out->Append(mem_);
 }
 
 void SpillSink::Clear() {
   std::string().swap(mem_);
-  if (spill_ != nullptr) {
-    std::fclose(spill_);
-    spill_ = nullptr;
-  }
-  if (arena_ != nullptr && extent_bytes_ > 0) arena_->Release(extent_bytes_);
+  if (extent_bytes_ > 0) arena_->Release(extent_bytes_);
   extents_.clear();
   extent_bytes_ = 0;
-  arena_spilled_ = false;
+  spilled_ = false;
   bytes_written_ = 0;
   error_ = Status::Ok();
 }
 
 Status SpillSink::ForceSpill() {
   if (!error_.ok()) return error_;
-  if (budget_ == kUnlimited || (!spilled() && mem_.empty())) {
+  if (budget_ == kUnlimited || (!spilled_ && mem_.empty())) {
     return Status::Ok();
   }
-  if (arena_ != nullptr) {
-    arena_spilled_ = true;
-    if (!mem_.empty()) {
-      SMPX_RETURN_IF_ERROR(SpillToArena(mem_));
-      std::string().swap(mem_);
-    }
-    return Status::Ok();
-  }
-  return EnsureSpill();
+  return Spill({});
 }
 
-OrderedCommitSink::OrderedCommitSink(OutputSink* down, size_t segments)
-    : down_(down),
+OrderedCommitSink::OrderedCommitSink(SegmentWriter writer, size_t segments)
+    : writer_(std::move(writer)),
       pending_(segments),
       ready_(segments, false),
       limit_(segments) {}
 
-OrderedCommitSink::OrderedCommitSink(SegmentWriter writer, size_t segments)
-    : down_(nullptr),
-      writer_(std::move(writer)),
-      pending_(segments),
-      ready_(segments, false),
-      limit_(segments) {}
+OrderedCommitSink::OrderedCommitSink(OutputSink* down, size_t segments)
+    : OrderedCommitSink(
+          [down](size_t, SpillSink* seg) {
+            return seg != nullptr ? seg->CopyTo(down) : Status::Ok();
+          },
+          segments) {}
 
 Status OrderedCommitSink::CommitReady(std::unique_lock<std::mutex>& lock) {
   if (committing_) return error_;  // the draining thread will pick ours up
@@ -591,22 +510,20 @@ Status OrderedCommitSink::CommitReady(std::unique_lock<std::mutex>& lock) {
   // hole instead of a clean prefix.
   while (error_.ok() && frontier_ < limit_ && ready_[frontier_]) {
     std::unique_ptr<SpillSink> seg = std::move(pending_[frontier_]);
-    if (seg != nullptr || writer_) {
-      uint64_t produced = seg != nullptr ? seg->bytes_written() : 0;
-      // Replay outside the lock -- the committing_ flag keeps commits
-      // single-threaded, and holding mu_ across a multi-GB spill replay
-      // would block every concurrently finishing producer in Install.
-      size_t k = frontier_;
-      lock.unlock();
-      Status s = writer_ ? writer_(k, seg.get()) : seg->CopyTo(down_);
-      lock.lock();
-      if (!s.ok()) {
-        if (error_.ok()) error_ = s;
-        break;
-      }
-      committed_bytes_ += produced;
+    const uint64_t produced = seg != nullptr ? seg->bytes_written() : 0;
+    // Write outside the lock -- the committing_ flag keeps commits
+    // single-threaded, and holding mu_ across a multi-GB spill replay
+    // would block every concurrently finishing producer in Install.
+    const size_t k = frontier_;
+    lock.unlock();
+    Status s = writer_(k, seg.get());
+    lock.lock();
+    if (!s.ok()) {
+      if (error_.ok()) error_ = s;
+      break;
     }
-    ++frontier_;  // seg (buffer and spill file) is freed here
+    committed_bytes_ += produced;
+    ++frontier_;  // seg (buffer and spill extents) is freed here
   }
   committing_ = false;
   return error_;
@@ -851,7 +768,10 @@ Result<std::string> ReadFileToString(const std::string& path) {
 }
 
 Status WriteStringToFile(const std::string& path, std::string_view data) {
-  SMPX_ASSIGN_OR_RETURN(std::unique_ptr<FileSink> sink, FileSink::Open(path));
+  // One Append of at least the buffer capacity writes straight through,
+  // so a one-byte buffer skips the default 1 MiB allocation.
+  SMPX_ASSIGN_OR_RETURN(std::unique_ptr<BufferedFileSink> sink,
+                        BufferedFileSink::Open(path, /*buffer_capacity=*/1));
   SMPX_RETURN_IF_ERROR(sink->Append(data));
   return sink->Flush();
 }

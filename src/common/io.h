@@ -63,6 +63,14 @@ class InputSource {
   virtual std::string_view Contiguous() const { return {}; }
 };
 
+/// Bytes [offset, offset + len) of `src`: a view into Contiguous() when the
+/// source is resident, otherwise read into `scratch` (resized to `len`) by
+/// as many ReadAt calls as it takes. The view stays valid until the source
+/// dies or `scratch` changes. Fails with kIoError when the source ends
+/// before offset + len (it shrank under the reader).
+Result<std::string_view> ReadRange(const InputSource& src, uint64_t offset,
+                                   size_t len, std::vector<char>* scratch);
+
 /// InputSource over caller-owned memory (zero copy).
 class MemorySource : public InputSource {
  public:
@@ -238,33 +246,15 @@ class FanoutSink : public OutputSink {
   std::vector<OutputSink*> sinks_;
 };
 
-/// Writes to a stdio FILE. Owns the handle.
-///
-/// A short write puts the sink into a sticky failed state: the Status
-/// reports how many bytes of the Append actually reached the file, and
-/// every later Append/Flush returns that same error without touching the
-/// stream again (so a caller retrying Flush after a failure cannot
-/// double-write or mask the original cause).
-class FileSink : public OutputSink {
- public:
-  static Result<std::unique_ptr<FileSink>> Open(const std::string& path);
-  ~FileSink() override;
-
-  Status Append(std::string_view data) override;
-  Status Flush();
-
- private:
-  explicit FileSink(std::FILE* f) : file_(f) {}
-  std::FILE* file_;
-  Status error_;  // first failure; sticky
-};
-
 /// Write-coalescing sink over a stdio FILE: appends accumulate in an owned
 /// buffer and reach the file in large fwrite calls, so the per-Append cost
 /// of a fine-grained producer (the engine emits one Append per copy-region
 /// flush safe-point) stays a memcpy. Appends at or above the buffer
-/// capacity bypass the buffer entirely. Failure semantics match FileSink:
-/// first error is sticky, Flush is idempotent after it.
+/// capacity bypass the buffer entirely. A short write puts the sink into a
+/// sticky failed state: the Status reports how many bytes of the write
+/// actually reached the file, and every later Append/Flush returns that
+/// same error without touching the stream again (so a caller retrying
+/// Flush after a failure cannot double-write or mask the original cause).
 class BufferedFileSink : public OutputSink {
  public:
   static constexpr size_t kDefaultBuffer = 1 << 20;  // 1 MiB
@@ -338,7 +328,7 @@ class SpillArena {
 };
 
 /// Bounded-memory accumulator: appends stay in an owned string up to
-/// `budget` bytes, then everything overflows to an unlinked temporary file
+/// `budget` bytes, then everything overflows to extents of a SpillArena
 /// and the string is freed -- so a segment of unknown size costs at most
 /// `budget` resident bytes no matter how large it grows. The accumulated
 /// bytes are replayed with CopyTo (repeatable; appends may continue after
@@ -347,9 +337,9 @@ class SpillArena {
 /// beyond it moves the whole content to disk. kUnlimited never spills
 /// (pure in-memory accumulation, like StringSink).
 ///
-/// With an arena, overflow goes to extents of the shared file instead of
-/// a private tmpfile -- same observable behavior, O(1) fds per driver
-/// instead of one per spilled segment.
+/// Overflow goes to the arena passed in -- drivers share one, so they cost
+/// O(1) fds however many segments spill -- or, without one, to a private
+/// arena the sink creates on its first overflow.
 class SpillSink : public OutputSink {
  public:
   static constexpr size_t kUnlimited = ~size_t{0};
@@ -367,8 +357,8 @@ class SpillSink : public OutputSink {
   /// when spilled). Repeatable; the sink stays appendable afterwards.
   Status CopyTo(OutputSink* out);
 
-  /// Drops all content (buffer and spill extents/file) and clears any
-  /// sticky error; the sink is reusable as if freshly constructed.
+  /// Drops all content (buffer and spill extents) and clears any sticky
+  /// error; the sink is reusable as if freshly constructed.
   /// bytes_written() resets too.
   void Clear();
 
@@ -379,7 +369,7 @@ class SpillSink : public OutputSink {
   Status ForceSpill();
 
   size_t budget() const { return budget_; }
-  bool spilled() const { return spill_ != nullptr || arena_spilled_; }
+  bool spilled() const { return spilled_; }
   /// Bytes currently held in memory (the spill file holds the rest).
   size_t resident_bytes() const { return mem_.size(); }
 
@@ -389,14 +379,15 @@ class SpillSink : public OutputSink {
     uint64_t size;
   };
 
-  Status EnsureSpill();  // opens the unlinked temp file, moves mem_ into it
+  /// Moves mem_ and then `data` to arena extents; the sink has spilled.
+  Status Spill(std::string_view data);
   Status SpillToArena(std::string_view data);  // append one extent
 
   size_t budget_;
   std::string mem_;
-  std::FILE* spill_ = nullptr;  // unlinked tmpfile; non-null once spilled
-  SpillArena* arena_;           // shared spill file; overrides tmpfile path
-  bool arena_spilled_ = false;  // overflow went to arena extents
+  SpillArena* arena_;  // shared spill file, or own_arena_ once created
+  std::unique_ptr<SpillArena> own_arena_;  // spill file of an arena-less sink
+  bool spilled_ = false;
   std::vector<Extent> extents_;
   uint64_t extent_bytes_ = 0;   // total extent space to release
   Status error_;                // first failure; sticky
@@ -424,15 +415,15 @@ class OrderedCommitSink {
   using SegmentWriter =
       std::function<Status(size_t k, SpillSink* segment)>;
 
-  /// `down` must outlive this object and is not written to concurrently
-  /// with direct use by the caller.
-  OrderedCommitSink(OutputSink* down, size_t segments);
-
-  /// Commits each segment through `writer` instead of replaying into one
-  /// downstream sink. At most one segment is being written at any moment,
-  /// which is what caps the number of simultaneously open output files in
-  /// the per-input batch driver no matter how large the batch is.
+  /// Commits each segment through `writer`. At most one segment is being
+  /// written at any moment, which is what caps the number of
+  /// simultaneously open output files in the per-input batch driver no
+  /// matter how large the batch is.
   OrderedCommitSink(SegmentWriter writer, size_t segments);
+
+  /// Replays every segment into `down`, which must outlive this object and
+  /// is not written to concurrently with direct use by the caller.
+  OrderedCommitSink(OutputSink* down, size_t segments);
 
   OrderedCommitSink(const OrderedCommitSink&) = delete;
   OrderedCommitSink& operator=(const OrderedCommitSink&) = delete;
@@ -463,7 +454,6 @@ class OrderedCommitSink {
   /// the lock (the committing_ flag keeps commits single-threaded).
   Status CommitReady(std::unique_lock<std::mutex>& lock);
 
-  OutputSink* down_;  // null in SegmentWriter mode
   SegmentWriter writer_;
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<SpillSink>> pending_;

@@ -47,104 +47,61 @@ class FeedStream : public InputStream {
 /// The engine proper: mutable run state shared by the helpers below. One
 /// instance backs both the serial pull-mode RunEngine (suspension disabled;
 /// behavior byte-identical to the historical one-shot engine) and the
-/// resumable push-mode PrefilterSession (suspension via snapshot/restore at
-/// the per-candidate safe points).
+/// resumable push-mode PrefilterSession (suspension via a stats snapshot
+/// at the per-candidate safe points).
 class PrefilterSession::Impl {
  public:
   enum class Step { kDone, kNeedMore, kError };
 
   /// `in` == nullptr selects push mode (chunks via Resume); otherwise the
-  /// engine pulls from `in` to completion and never suspends.
-  /// `multi_mode` selects the multi-query variant: `out` is null and every
-  /// query's bytes go to its own sink in `query_sinks` (MultiQueryInfo
-  /// order).
-  Impl(const RuntimeTables& tables, InputStream* in, OutputSink* out,
+  /// engine pulls from `in` to completion and never suspends. `sinks` holds
+  /// `num_sinks` sinks, one per unique query (QueryCount(tables),
+  /// MultiQueryInfo order).
+  Impl(const RuntimeTables& tables, InputStream* in, OutputSink* const* sinks,
+       size_t num_sinks, std::vector<QueryRunStats>* query_stats,
        RunStats* stats, const EngineOptions& opts,
-       const SessionCheckpoint* start, bool multi_mode = false,
-       std::vector<OutputSink*> query_sinks = {},
-       std::vector<QueryRunStats>* query_stats = nullptr)
+       const SessionCheckpoint* start)
       : tables_(tables),
         win_(in != nullptr ? in : &feed_, opts.window_capacity,
              start != nullptr ? start->feed_begin() : 0),
-        out_(out),
         stats_(stats != nullptr ? stats : &local_stats_),
+        query_stats_(query_stats),
         opts_(opts),
         interned_(tables.interned_dispatch),
         suspendable_(in == nullptr),
         final_input_(in != nullptr),
-        mq_sinks_(std::move(query_sinks)),
-        mq_qstats_(query_stats) {
+        mq_(tables.multi.get()) {
     win_.set_evict_fn([this](uint64_t begin, std::string_view data) {
       OnEvict(begin, data);
     });
     // Invalid construction makes the session inert: Resume/Finish surface
     // status_, finished() reports false, nothing ever indexes the tables.
-    if (tables_.states.empty()) {
-      status_ = Status::InvalidArgument("empty runtime tables");
-      visited_.assign(1, false);
+    status_ = CheckConstruction(tables_, num_sinks, start);
+    visited_.assign(std::max<size_t>(tables_.states.size(), 1), false);
+    if (!status_.ok()) {
       prolog_done_ = true;
       return;
     }
-    if (start != nullptr &&
-        (start->state < 0 ||
-         static_cast<size_t>(start->state) >= tables_.states.size())) {
-      status_ = Status::InvalidArgument("checkpoint state out of range");
-      visited_.assign(tables_.states.size(), false);
-      prolog_done_ = true;
-      return;
-    }
-    if (multi_mode || tables_.multi != nullptr) {
-      const MultiQueryInfo* mq = tables_.multi.get();
-      Status bad;
-      if (mq == nullptr) {
-        bad = Status::InvalidArgument(
-            "multi-query session requires product tables");
-      } else if (!multi_mode) {
-        bad = Status::InvalidArgument(
-            "multi-query tables require the per-query-sink session");
-      } else if (!tables_.interned_dispatch) {
-        bad = Status::InvalidArgument(
-            "multi-query tables require interned dispatch");
-      } else if (static_cast<int>(mq_sinks_.size()) != mq->num_queries) {
-        bad = Status::InvalidArgument(
-            "query sink count does not match the compiled query mix");
-      } else if (start != nullptr && !start->mq_copy_depth.empty() &&
-                 (static_cast<int>(start->mq_copy_depth.size()) !=
-                      mq->num_queries ||
-                  start->mq_copy_flushed.size() !=
-                      start->mq_copy_depth.size())) {
-        bad = Status::InvalidArgument(
-            "checkpoint per-query copy state does not match the query mix");
-      } else if (start != nullptr && start->copy_depth > 0 &&
-                 start->mq_copy_depth.empty()) {
-        bad = Status::InvalidArgument(
-            "multi-query checkpoint with active copies needs per-query "
-            "copy state");
-      }
-      if (!bad.ok()) {
-        status_ = bad;
-        visited_.assign(std::max<size_t>(tables_.states.size(), 1), false);
-        prolog_done_ = true;
-        return;
-      }
-      mq_ = mq;
-      const size_t n = static_cast<size_t>(mq->num_queries);
-      mq_matches_.assign(n, 0);
-      if (start != nullptr && !start->mq_copy_depth.empty()) {
-        mq_copy_depth_ = start->mq_copy_depth;
-        mq_copy_flushed_ = start->mq_copy_flushed;
-      } else {
-        mq_copy_depth_.assign(n, 0);
-        mq_copy_flushed_.assign(n, 0);
+    // Empty per-query vectors: every query starts from the aggregate
+    // fields (CheckConstruction allows that for one query, or for several
+    // when none is copying).
+    const bool per_query = start != nullptr && !start->mq_copy_depth.empty();
+    queries_.resize(num_sinks);
+    for (size_t qy = 0; qy < num_sinks; ++qy) {
+      QueryState& qs = queries_[qy];
+      qs.sink = sinks[qy];
+      if (per_query) {
+        qs.copy_depth = start->mq_copy_depth[qy];
+        qs.copy_flushed = start->mq_copy_flushed[qy];
+      } else if (start != nullptr) {
+        qs.copy_depth = start->copy_depth;
+        qs.copy_flushed = start->copy_flushed;
       }
     }
-    visited_.assign(tables_.states.size(), false);
     if (start != nullptr) {
       q_ = start->state;
       cursor_ = start->cursor;
       nesting_depth_ = start->nesting_depth;
-      copy_depth_ = start->copy_depth;
-      copy_flushed_ = start->copy_flushed;
       // The checkpoint says whether a prolog construct is still pending
       // and whether the current state's initial jump was already applied
       // (re-applying a consumed jump would skip live bytes).
@@ -164,21 +121,23 @@ class PrefilterSession::Impl {
     win_.ClearEof();
     Step s = Drive();
     if (s == Step::kError) return status_;
-    // The window may point into `chunk`, which the caller may reuse once
-    // we return; a suspended session keeps its own copy of what it holds.
-    if (s == Step::kNeedMore) win_.Materialize();
-    if (s == Step::kNeedMore && copy_depth_ > 0) {
+    if (s == Step::kNeedMore) {
+      // The window may point into `chunk`, which the caller may reuse once
+      // we return; a suspended session keeps its own copy of what it holds.
+      win_.Materialize();
       // Hand-off invariant: everything below checkpoint().feed_begin()
       // has been emitted, so a successor session never needs our buffered
       // bytes. The flush is clamped to the delivered input -- an initial
       // jump can park the cursor beyond it, and those copy bytes (not yet
       // received) are re-fed to the successor via feed_begin().
       const uint64_t end = std::min(cursor_, win_.limit());
-      Status flush = mq_ != nullptr ? FlushAllQueryCopies(end)
-                                    : EmitCopiedRange(end);
-      if (!flush.ok()) {
-        status_ = flush;
-        return status_;
+      for (QueryState& qs : queries_) {
+        if (qs.copy_depth == 0) continue;
+        Status flush = EmitCopiedRange(&qs, end);
+        if (!flush.ok()) {
+          status_ = flush;
+          return status_;
+        }
       }
     }
     return Status::Ok();
@@ -212,14 +171,28 @@ class PrefilterSession::Impl {
     cp.state = q_;
     cp.cursor = cursor_;
     cp.nesting_depth = nesting_depth_;
-    cp.copy_depth = copy_depth_;
-    cp.copy_flushed = copy_flushed_;
+    // copy_flushed: the lowest flushed position over the copying queries;
+    // with none copying, the latest one, which the next copy-on resets but
+    // index entries and cursor tokens still store.
+    uint64_t lowest_copying = std::numeric_limits<uint64_t>::max();
+    uint64_t latest = 0;
+    for (const QueryState& qs : queries_) {
+      cp.copy_depth += qs.copy_depth;
+      if (qs.copy_depth > 0) {
+        lowest_copying = std::min(lowest_copying, qs.copy_flushed);
+      }
+      latest = std::max(latest, qs.copy_flushed);
+    }
+    cp.copy_flushed = cp.copy_depth > 0 ? lowest_copying : latest;
+    // The aggregates carry one query's state whole.
+    if (queries_.size() > 1) {
+      for (const QueryState& qs : queries_) {
+        cp.mq_copy_depth.push_back(qs.copy_depth);
+        cp.mq_copy_flushed.push_back(qs.copy_flushed);
+      }
+    }
     cp.prolog_done = prolog_done_;
     cp.jump_pending = jump_pending_;
-    if (mq_ != nullptr) {
-      cp.mq_copy_depth = mq_copy_depth_;
-      cp.mq_copy_flushed = mq_copy_flushed_;
-    }
     return cp;
   }
 
@@ -227,19 +200,13 @@ class PrefilterSession::Impl {
 
   void FinalizeStats() {
     stats_->input_bytes = win_.bytes_read() - win_.origin();
-    if (mq_ != nullptr) {
-      uint64_t total = 0;
-      for (OutputSink* s : mq_sinks_) total += s->bytes_written();
-      stats_->output_bytes = total;
-      if (mq_qstats_ != nullptr) {
-        mq_qstats_->assign(mq_sinks_.size(), QueryRunStats{});
-        for (size_t qy = 0; qy < mq_sinks_.size(); ++qy) {
-          (*mq_qstats_)[qy].matches = mq_matches_[qy];
-          (*mq_qstats_)[qy].output_bytes = mq_sinks_[qy]->bytes_written();
-        }
+    stats_->output_bytes = 0;
+    if (query_stats_ != nullptr) query_stats_->clear();
+    for (const QueryState& qs : queries_) {
+      stats_->output_bytes += qs.sink->bytes_written();
+      if (query_stats_ != nullptr) {
+        query_stats_->push_back({qs.matches, qs.sink->bytes_written()});
       }
-    } else {
-      stats_->output_bytes = out_->bytes_written();
     }
     stats_->window_peak = win_.max_capacity_used();
     stats_->states_visited = 0;
@@ -251,23 +218,95 @@ class PrefilterSession::Impl {
   const std::vector<bool>& visited() const { return visited_; }
 
  private:
-  /// Everything a suspension must roll back to re-run a truncated candidate
-  /// scan after more input arrives. Output is never part of a snapshot:
-  /// suspension happens strictly before any emitting step.
-  struct Snapshot {
-    int q;
-    uint64_t cursor;
-    uint64_t nesting_depth;
-    int copy_depth;
-    uint64_t copy_flushed;
-    bool jump_pending;
-    RunStats stats;
-    // Multi-query state; the vector assignments reuse capacity, so a safe
-    // point stays allocation-free after the first one.
-    std::vector<int> mq_copy_depth;
-    std::vector<uint64_t> mq_copy_flushed;
-    std::vector<uint64_t> mq_matches;
+  /// One unique query's output and copy state; single-query tables have
+  /// exactly one.
+  struct QueryState {
+    OutputSink* sink = nullptr;
+    int copy_depth = 0;         ///< nesting depth of its active copy regions
+    uint64_t copy_flushed = 0;  ///< its copy output is emitted below this
+    uint64_t matches = 0;       ///< accepted transitions it took
   };
+
+  /// Why a session over `tables` writing `sinks` outputs from `start`
+  /// cannot run; Ok when it can.
+  static Status CheckConstruction(const RuntimeTables& tables, size_t sinks,
+                                  const SessionCheckpoint* start) {
+    if (tables.states.empty()) {
+      return Status::InvalidArgument("empty runtime tables");
+    }
+    if (start != nullptr &&
+        (start->state < 0 ||
+         static_cast<size_t>(start->state) >= tables.states.size())) {
+      return Status::InvalidArgument("checkpoint state out of range");
+    }
+    if (tables.multi != nullptr && !tables.interned_dispatch) {
+      return Status::InvalidArgument(
+          "multi-query tables require interned dispatch");
+    }
+    if (sinks != QueryCount(tables)) {
+      return Status::InvalidArgument(
+          "session needs one sink per unique query (" +
+          std::to_string(QueryCount(tables)) + "), got " +
+          std::to_string(sinks));
+    }
+    if (start == nullptr) return Status::Ok();
+    if (!start->mq_copy_depth.empty() &&
+        (start->mq_copy_depth.size() != sinks ||
+         start->mq_copy_flushed.size() != sinks)) {
+      return Status::InvalidArgument(
+          "checkpoint per-query copy state does not match the query mix");
+    }
+    if (start->mq_copy_depth.empty() && start->copy_depth > 0 && sinks > 1) {
+      return Status::InvalidArgument(
+          "multi-query checkpoint with active copies needs per-query copy "
+          "state");
+    }
+    return Status::Ok();
+  }
+
+  /// The one reader of table T. Calls act(qy, action, opened) for every
+  /// query qy that took `state`'s entry token, with its action on entering
+  /// `state` and its action at `open_state` (the opening half of a bachelor
+  /// pair; kNop when open_state < 0). On single-query tables the one query
+  /// takes every accepted tag and performs DfaState::action. Product tables
+  /// keep per-query masks (MultiQueryInfo; their shared DfaState::action is
+  /// always kNop), where only a query that moved can act.
+  template <typename Fn>
+  Status ForEachMovedQuery(int state, int open_state, Fn&& act) const {
+    if (mq_ == nullptr) {
+      return act(size_t{0}, tables_.states[static_cast<size_t>(state)].action,
+                 open_state >= 0
+                     ? tables_.states[static_cast<size_t>(open_state)].action
+                     : Action::kNop);
+    }
+    const MultiQueryInfo& mq = *mq_;
+    // Query 64 * w + i's action in the masks of state `s`.
+    auto action_at = [&mq](int s, int w, uint64_t bit) {
+      if ((mq.MaskAt(mq.copy_tag, s)[w] & bit) != 0) return Action::kCopyTag;
+      if ((mq.MaskAt(mq.copy_tag_atts, s)[w] & bit) != 0) {
+        return Action::kCopyTagAtts;
+      }
+      if ((mq.MaskAt(mq.copy_on, s)[w] & bit) != 0) return Action::kCopyOn;
+      if ((mq.MaskAt(mq.copy_off, s)[w] & bit) != 0) return Action::kCopyOff;
+      return Action::kNop;
+    };
+    for (int w = 0; w < mq.words; ++w) {
+      const uint64_t acting =
+          mq.MaskAt(mq.copy_tag, state)[w] |
+          mq.MaskAt(mq.copy_tag_atts, state)[w] |
+          mq.MaskAt(mq.copy_on, state)[w] | mq.MaskAt(mq.copy_off, state)[w];
+      for (uint64_t bits = mq.MaskAt(mq.moved, state)[w]; bits != 0;
+           bits &= bits - 1) {
+        const int b = __builtin_ctzll(bits);
+        const uint64_t bit = uint64_t{1} << b;
+        SMPX_RETURN_IF_ERROR(act(
+            static_cast<size_t>(w) * 64 + static_cast<size_t>(b),
+            (acting & bit) != 0 ? action_at(state, w, bit) : Action::kNop,
+            open_state >= 0 ? action_at(open_state, w, bit) : Action::kNop));
+      }
+    }
+    return Status::Ok();
+  }
 
   /// True when running in push mode and more chunks may still arrive --
   /// i.e. an exhausted scan means "suspend", not "the document ends here".
@@ -280,118 +319,45 @@ class PrefilterSession::Impl {
   }
 
   /// Marks the current position as a safe point: suspension at or after it
-  /// resumes from here. Also the lock floor (see Lock).
+  /// resumes from here. Also the lock floor (see Lock). Only the stats need
+  /// a snapshot: a truncated candidate scan returns kNeedInput before
+  /// FinishMatch touches the state, cursor, nesting or copy depths, and the
+  /// one other change an eviction makes -- flushing copy bytes and moving
+  /// copy_flushed past them -- is real output that Resume's hand-off flush
+  /// continues from.
   void MarkSafePoint() {
     lock_floor_ = cursor_;
-    if (suspendable_) {
-      snap_.q = q_;
-      snap_.cursor = cursor_;
-      snap_.nesting_depth = nesting_depth_;
-      snap_.copy_depth = copy_depth_;
-      snap_.copy_flushed = copy_flushed_;
-      snap_.jump_pending = jump_pending_;
-      snap_.stats = *stats_;
-      if (mq_ != nullptr) {
-        snap_.mq_copy_depth = mq_copy_depth_;
-        snap_.mq_copy_flushed = mq_copy_flushed_;
-        snap_.mq_matches = mq_matches_;
-      }
-    }
+    if (suspendable_) snap_stats_ = *stats_;
   }
 
-  void RestoreSafePoint() {
-    q_ = snap_.q;
-    cursor_ = snap_.cursor;
-    nesting_depth_ = snap_.nesting_depth;
-    copy_depth_ = snap_.copy_depth;
-    copy_flushed_ = snap_.copy_flushed;
-    jump_pending_ = snap_.jump_pending;
-    *stats_ = snap_.stats;
-    if (mq_ != nullptr) {
-      mq_copy_depth_ = snap_.mq_copy_depth;
-      mq_copy_flushed_ = snap_.mq_copy_flushed;
-      mq_matches_ = snap_.mq_matches;
-    }
-  }
+  void RestoreSafePoint() { *stats_ = snap_stats_; }
 
-  // Incremental flush of the active copy region when the window slides.
+  // Incremental flush of the active copy regions when the window slides.
   void OnEvict(uint64_t begin, std::string_view data) {
-    if (copy_depth_ == 0) return;
-    uint64_t end = begin + data.size();
-    if (mq_ != nullptr) {
-      for (size_t qy = 0; qy < mq_copy_depth_.size(); ++qy) {
-        if (mq_copy_depth_[qy] == 0 || end <= mq_copy_flushed_[qy]) continue;
-        uint64_t from = std::max(begin, mq_copy_flushed_[qy]);
-        Status s = mq_sinks_[qy]->Append(
-            data.substr(static_cast<size_t>(from - begin),
-                        static_cast<size_t>(end - from)));
-        if (!s.ok() && status_.ok()) status_ = s;
-        mq_copy_flushed_[qy] = end;
-      }
-      RecomputeMqCopyFlushed(end);
-      return;
+    const uint64_t end = begin + data.size();
+    for (QueryState& qs : queries_) {
+      if (qs.copy_depth == 0 || end <= qs.copy_flushed) continue;
+      const uint64_t from = std::max(begin, qs.copy_flushed);
+      Status s = qs.sink->Append(
+          data.substr(static_cast<size_t>(from - begin),
+                      static_cast<size_t>(end - from)));
+      if (!s.ok() && status_.ok()) status_ = s;
+      qs.copy_flushed = end;
     }
-    if (end <= copy_flushed_) return;
-    uint64_t from = std::max(begin, copy_flushed_);
-    Status s = out_->Append(
-        data.substr(static_cast<size_t>(from - begin),
-                    static_cast<size_t>(end - from)));
-    if (!s.ok() && status_.ok()) status_ = s;
-    copy_flushed_ = end;
   }
 
-  Status Emit(std::string_view data) { return out_->Append(data); }
-
-  /// Emits the still-buffered tail of [copy_flushed_, end).
-  Status EmitCopiedRange(uint64_t end) {
-    if (end <= copy_flushed_) return Status::Ok();
-    uint64_t from = std::max(copy_flushed_, win_.base());
+  /// Emits the still-buffered tail of `qs`'s copy region below `end`. The
+  /// lower clamp to win_.base() never re-emits bytes an eviction already
+  /// pushed out.
+  Status EmitCopiedRange(QueryState* qs, uint64_t end) {
+    if (end <= qs->copy_flushed) return Status::Ok();
+    uint64_t from = std::max(qs->copy_flushed, win_.base());
     std::string_view view = win_.View(from, static_cast<size_t>(end - from));
     if (view.size() < end - from) {
       return Status::Internal("copy region not resident");
     }
-    copy_flushed_ = end;
-    return Emit(view.substr(0, static_cast<size_t>(end - from)));
-  }
-
-  /// Per-query EmitCopiedRange: flushes the still-buffered tail of query
-  /// qy's active copy region into its own sink. The lower clamp to
-  /// win_.base() keeps a safe-point rollback from re-emitting bytes an
-  /// eviction already pushed out (exactly as in the aggregate path).
-  Status EmitCopiedRangeFor(size_t qy, uint64_t end) {
-    if (end <= mq_copy_flushed_[qy]) return Status::Ok();
-    uint64_t from = std::max(mq_copy_flushed_[qy], win_.base());
-    std::string_view view = win_.View(from, static_cast<size_t>(end - from));
-    if (view.size() < end - from) {
-      return Status::Internal("copy region not resident");
-    }
-    mq_copy_flushed_[qy] = end;
-    return mq_sinks_[qy]->Append(
-        view.substr(0, static_cast<size_t>(end - from)));
-  }
-
-  /// Flushes every actively-copying query up to `end` (suspension
-  /// hand-off), then re-establishes the aggregate invariant.
-  Status FlushAllQueryCopies(uint64_t end) {
-    for (size_t qy = 0; qy < mq_copy_depth_.size(); ++qy) {
-      if (mq_copy_depth_[qy] == 0) continue;
-      SMPX_RETURN_IF_ERROR(EmitCopiedRangeFor(qy, end));
-    }
-    RecomputeMqCopyFlushed(end);
-    return Status::Ok();
-  }
-
-  /// Aggregate invariant on multi-query sessions: copy_flushed_ is the
-  /// minimum flushed position over actively-copying queries (so
-  /// SessionCheckpoint::feed_begin and shard hand-off checks work
-  /// unchanged); `fallback` when no query is copying.
-  void RecomputeMqCopyFlushed(uint64_t fallback) {
-    uint64_t mn = std::numeric_limits<uint64_t>::max();
-    for (size_t qy = 0; qy < mq_copy_depth_.size(); ++qy) {
-      if (mq_copy_depth_[qy] > 0) mn = std::min(mn, mq_copy_flushed_[qy]);
-    }
-    copy_flushed_ = mn == std::numeric_limits<uint64_t>::max() ? fallback
-                                                               : mn;
+    qs->copy_flushed = end;
+    return qs->sink->Append(view.substr(0, static_cast<size_t>(end - from)));
   }
 
   Step Drive();
@@ -403,23 +369,23 @@ class PrefilterSession::Impl {
   Status FinishMatch(uint64_t pos, uint64_t tag_end, bool closing,
                      bool bachelor, bool counted_tag, int next_state,
                      int close_state);
-  Status ApplyAction(int state, uint64_t tag_begin, uint64_t tag_end,
+  Status ApplyAction(QueryState* qs, Action action, Action opened,
+                     const DfaState& st, uint64_t tag_begin, uint64_t tag_end,
                      bool closing, bool bachelor);
-  Status ApplyMulti(int state, uint64_t tag_begin, uint64_t tag_end,
-                    bool closing, bool bachelor, int suppress_open_state);
 
-  /// Attributes this accepted transition to every query that moved on the
-  /// entered product state's token (QueryRunStats::matches).
-  void BumpQueryMatches(int state) {
-    const uint64_t* moved = mq_->MaskAt(mq_->moved, state);
-    for (int w = 0; w < mq_->words; ++w) {
-      uint64_t bits = moved[w];
-      while (bits != 0) {
-        ++mq_matches_[static_cast<size_t>(w) * 64 +
-                      static_cast<size_t>(__builtin_ctzll(bits))];
-        bits &= bits - 1;
-      }
-    }
+  /// Fires T[state] for every query that moved into it (ApplyAction per
+  /// query) and counts the tag as their match -- once: the close half of a
+  /// bachelor pair opened at `open_state` >= 0 is the same match.
+  Status ApplyActions(int state, uint64_t tag_begin, uint64_t tag_end,
+                      bool closing, bool bachelor, int open_state) {
+    const DfaState& st = tables_.states[static_cast<size_t>(state)];
+    return ForEachMovedQuery(
+        state, open_state, [&](size_t qy, Action action, Action opened) {
+          QueryState& qs = queries_[qy];
+          if (open_state < 0) ++qs.matches;
+          return ApplyAction(&qs, action, opened, st, tag_begin, tag_end,
+                             closing, bachelor);
+        });
   }
 
   /// Common tail of the false-match returns: a scan that ran into the end
@@ -433,38 +399,27 @@ class PrefilterSession::Impl {
   const RuntimeTables& tables_;
   FeedStream feed_;
   SlidingWindow win_;
-  OutputSink* out_;
   RunStats* stats_;
   RunStats local_stats_;
+  std::vector<QueryRunStats>* query_stats_;
   EngineOptions opts_;
   const bool interned_;
   const bool suspendable_;
   bool final_input_;
+  const MultiQueryInfo* mq_;  // non-null on product tables
 
   int q_ = 0;
   uint64_t cursor_ = 0;        // next position to search from
   uint64_t nesting_depth_ = 0; // open <t> balance inside an opaque region
-  int copy_depth_ = 0;
-  uint64_t copy_flushed_ = 0;  // everything below this is already emitted
   bool prolog_done_ = false;
   bool jump_pending_ = true;   // J[q] not yet applied for this state entry
   bool scan_hit_end_ = false;  // a tag scan ran past the resident input
   bool drained_cleanly_ = true;
   uint64_t lock_floor_ = 0;
-  Snapshot snap_;
+  RunStats snap_stats_;        // stats at the last safe point
   Status status_;
   std::vector<bool> visited_;
-
-  // Multi-query mode (mq_ non-null): per-query sinks, copy regions, and
-  // match counters. The aggregate copy_depth_ above counts the actively
-  // copying queries, so every copy_depth_ == 0 check (hand-off cleanliness,
-  // evict short-circuit) keeps its meaning.
-  const MultiQueryInfo* mq_ = nullptr;
-  std::vector<OutputSink*> mq_sinks_;
-  std::vector<QueryRunStats>* mq_qstats_ = nullptr;
-  std::vector<int> mq_copy_depth_;
-  std::vector<uint64_t> mq_copy_flushed_;
-  std::vector<uint64_t> mq_matches_;
+  std::vector<QueryState> queries_;
 
   void MarkVisited() {
     if (!visited_[static_cast<size_t>(q_)]) {
@@ -606,149 +561,49 @@ bool PrefilterSession::Impl::SkipProlog() {
   }
 }
 
-Status PrefilterSession::Impl::ApplyAction(int state, uint64_t tag_begin,
+/// Performs `action` for one query on entering `st` by the tag at
+/// [tag_begin, tag_end], against the query's own sink and copy region.
+/// `opened` is the query's action at the opening half of a bachelor pair
+/// (kNop otherwise): a query whose opening action already emitted
+/// "<name/>" skips the duplicate "</name>".
+Status PrefilterSession::Impl::ApplyAction(QueryState* qs, Action action,
+                                           Action opened, const DfaState& st,
+                                           uint64_t tag_begin,
                                            uint64_t tag_end, bool closing,
                                            bool bachelor) {
-  const DfaState& st = tables_.states[static_cast<size_t>(state)];
-  switch (st.action) {
+  switch (action) {
     case Action::kNop:
       return Status::Ok();
     case Action::kCopyTag:
     case Action::kCopyTagAtts:
-      if (copy_depth_ > 0) return Status::Ok();  // already inside a copy
-      if (closing) return Emit(st.emit_tag);
-      if (st.action == Action::kCopyTagAtts) {
-        std::string_view raw = win_.View(
-            tag_begin, static_cast<size_t>(tag_end + 1 - tag_begin));
-        if (raw.size() < tag_end + 1 - tag_begin) {
+      if (qs->copy_depth > 0) return Status::Ok();  // already inside a copy
+      if (closing) {
+        if (action == Action::kCopyTag &&
+            (opened == Action::kCopyTag || opened == Action::kCopyTagAtts)) {
+          return Status::Ok();
+        }
+        return qs->sink->Append(st.emit_tag);
+      }
+      if (action == Action::kCopyTagAtts) {
+        const size_t len = static_cast<size_t>(tag_end + 1 - tag_begin);
+        std::string_view raw = win_.View(tag_begin, len);
+        if (raw.size() < len) {
           return Status::Internal("tag bytes not resident for copy");
         }
-        return Emit(raw.substr(0,
-                               static_cast<size_t>(tag_end + 1 - tag_begin)));
+        return qs->sink->Append(raw.substr(0, len));
       }
-      return Emit(bachelor ? st.emit_bachelor : st.emit_tag);
+      return qs->sink->Append(bachelor ? st.emit_bachelor : st.emit_tag);
     case Action::kCopyOn:
-      if (copy_depth_++ == 0) copy_flushed_ = tag_begin;
+      if (qs->copy_depth++ == 0) qs->copy_flushed = tag_begin;
       return Status::Ok();
     case Action::kCopyOff:
-      if (copy_depth_ == 0) {
+      if (qs->copy_depth == 0) {
         // Defensive: unmatched copy-off (possible only on invalid input);
         // emit the closing tag so output nesting stays balanced.
-        return Emit(st.emit_tag);
+        return qs->sink->Append(st.emit_tag);
       }
-      if (--copy_depth_ == 0) {
-        return EmitCopiedRange(tag_end + 1);
-      }
+      if (--qs->copy_depth == 0) return EmitCopiedRange(qs, tag_end + 1);
       return Status::Ok();
-  }
-  return Status::Ok();
-}
-
-/// Per-query mirror of ApplyAction over the product state's action masks:
-/// each query set in a mask performs its own action against its own sink
-/// and copy region. Masks are mutually exclusive per query (a component
-/// contributes exactly one action per state), so the per-mask loops never
-/// touch the same query twice. `suppress_open_state` >= 0 marks the close
-/// half of a bachelor pair: queries whose opening action already emitted
-/// the "<name/>" form skip the duplicate "</name>" (the single-query
-/// engine's bachelor suppression, per query).
-Status PrefilterSession::Impl::ApplyMulti(int state, uint64_t tag_begin,
-                                          uint64_t tag_end, bool closing,
-                                          bool bachelor,
-                                          int suppress_open_state) {
-  const MultiQueryInfo& mq = *mq_;
-  const DfaState& st = tables_.states[static_cast<size_t>(state)];
-  const int words = mq.words;
-  const uint64_t* copy_tag = mq.MaskAt(mq.copy_tag, state);
-  const uint64_t* copy_tag_atts = mq.MaskAt(mq.copy_tag_atts, state);
-  const uint64_t* copy_on = mq.MaskAt(mq.copy_on, state);
-  const uint64_t* copy_off = mq.MaskAt(mq.copy_off, state);
-  const uint64_t* sup_open = nullptr;
-  if (suppress_open_state >= 0) {
-    // Suppression needs "open action was kCopyTag/kCopyTagAtts"; fold the
-    // two masks up front.
-    sup_open = mq.MaskAt(mq.copy_tag, suppress_open_state);
-  }
-  const uint64_t* sup_open_atts =
-      suppress_open_state >= 0
-          ? mq.MaskAt(mq.copy_tag_atts, suppress_open_state)
-          : nullptr;
-
-  // Pass 1: copy-tag emissions. The raw-tag view is fetched at most once;
-  // passes are separated because the copy-off pass below may refill the
-  // window (EmitCopiedRangeFor) and invalidate it.
-  std::string_view raw;
-  bool raw_fetched = false;
-  for (int w = 0; w < words; ++w) {
-    uint64_t bits = copy_tag[w] | copy_tag_atts[w];
-    while (bits != 0) {
-      const int bit = __builtin_ctzll(bits);
-      bits &= bits - 1;
-      const size_t qy =
-          static_cast<size_t>(w) * 64 + static_cast<size_t>(bit);
-      const uint64_t qbit = 1ull << bit;
-      if (mq_copy_depth_[qy] > 0) continue;  // inside this query's copy
-      if (closing) {
-        if (sup_open != nullptr && (copy_tag[w] & qbit) != 0 &&
-            ((sup_open[w] | sup_open_atts[w]) & qbit) != 0) {
-          // Bachelor pair: this query's opening action already emitted
-          // "<name/>"; suppress the duplicate "</name>".
-          continue;
-        }
-        SMPX_RETURN_IF_ERROR(mq_sinks_[qy]->Append(st.emit_tag));
-        continue;
-      }
-      if ((copy_tag_atts[w] & qbit) != 0) {
-        if (!raw_fetched) {
-          raw = win_.View(tag_begin,
-                          static_cast<size_t>(tag_end + 1 - tag_begin));
-          if (raw.size() < tag_end + 1 - tag_begin) {
-            return Status::Internal("tag bytes not resident for copy");
-          }
-          raw = raw.substr(0, static_cast<size_t>(tag_end + 1 - tag_begin));
-          raw_fetched = true;
-        }
-        SMPX_RETURN_IF_ERROR(mq_sinks_[qy]->Append(raw));
-        continue;
-      }
-      SMPX_RETURN_IF_ERROR(
-          mq_sinks_[qy]->Append(bachelor ? st.emit_bachelor : st.emit_tag));
-    }
-  }
-  // Pass 2: copy-on.
-  for (int w = 0; w < words; ++w) {
-    uint64_t bits = copy_on[w];
-    while (bits != 0) {
-      const size_t qy = static_cast<size_t>(w) * 64 +
-                        static_cast<size_t>(__builtin_ctzll(bits));
-      bits &= bits - 1;
-      if (mq_copy_depth_[qy]++ == 0) {
-        mq_copy_flushed_[qy] = tag_begin;
-        if (copy_depth_++ == 0 || tag_begin < copy_flushed_) {
-          copy_flushed_ = tag_begin;
-        }
-      }
-    }
-  }
-  // Pass 3: copy-off.
-  for (int w = 0; w < words; ++w) {
-    uint64_t bits = copy_off[w];
-    while (bits != 0) {
-      const size_t qy = static_cast<size_t>(w) * 64 +
-                        static_cast<size_t>(__builtin_ctzll(bits));
-      bits &= bits - 1;
-      if (mq_copy_depth_[qy] == 0) {
-        // Defensive: unmatched copy-off (possible only on invalid input);
-        // emit the closing tag so output nesting stays balanced.
-        SMPX_RETURN_IF_ERROR(mq_sinks_[qy]->Append(st.emit_tag));
-        continue;
-      }
-      if (--mq_copy_depth_[qy] == 0) {
-        SMPX_RETURN_IF_ERROR(EmitCopiedRangeFor(qy, tag_end + 1));
-        --copy_depth_;
-        RecomputeMqCopyFlushed(tag_end + 1);
-      }
-    }
   }
   return Status::Ok();
 }
@@ -762,6 +617,9 @@ Status PrefilterSession::Impl::FinishMatch(uint64_t pos, uint64_t tag_end,
   ++stats_->matches;
 
   if (counted_tag) {
+    // Only single-query tables count nesting (product compiles reject
+    // recursion), so the tag is their one query's match.
+    ++queries_[0].matches;
     if (!closing) {
       if (!bachelor) ++nesting_depth_;
     } else {
@@ -775,43 +633,18 @@ Status PrefilterSession::Impl::FinishMatch(uint64_t pos, uint64_t tag_end,
   q_ = next_state;
   nesting_depth_ = 0;
   MarkVisited();
-  if (mq_ != nullptr) {
-    BumpQueryMatches(q_);
-    SMPX_RETURN_IF_ERROR(ApplyMulti(q_, pos, tag_end, closing, bachelor,
-                                    /*suppress_open_state=*/-1));
-    if (bachelor) {
-      // Fire the closing transition too; the product's bachelor successor
-      // moves exactly the opening transition's components (see
-      // MultiQueryInfo::bachelor_close).
-      const int open_state = q_;
-      q_ = close_state;
-      nesting_depth_ = 0;
-      MarkVisited();
-      SMPX_RETURN_IF_ERROR(ApplyMulti(q_, pos, tag_end, /*closing=*/true,
-                                      /*bachelor=*/false, open_state));
-    }
-    cursor_ = tag_end + 1;
-    jump_pending_ = true;
-    return Status::Ok();
-  }
-  SMPX_RETURN_IF_ERROR(ApplyAction(q_, pos, tag_end, closing, bachelor));
+  SMPX_RETURN_IF_ERROR(ApplyActions(q_, pos, tag_end, closing, bachelor,
+                                    /*open_state=*/-1));
   if (bachelor) {
-    // Fire the closing transition too (paper Fig. 4, bachelor case).
-    const DfaState& opened = tables_.states[static_cast<size_t>(q_)];
-    bool was_copy_tag = opened.action == Action::kCopyTag ||
-                        opened.action == Action::kCopyTagAtts;
+    // Fire the closing transition too (paper Fig. 4, bachelor case). On
+    // product tables the bachelor successor moves exactly the opening
+    // transition's components (see MultiQueryInfo::bachelor_close).
+    const int open_state = q_;
     q_ = close_state;
     nesting_depth_ = 0;
     MarkVisited();
-    const DfaState& closed = tables_.states[static_cast<size_t>(q_)];
-    if (was_copy_tag && closed.action == Action::kCopyTag &&
-        copy_depth_ == 0) {
-      // The opening action already emitted "<name/>"; suppress the
-      // duplicate "</name>".
-    } else {
-      SMPX_RETURN_IF_ERROR(ApplyAction(q_, pos, tag_end, /*closing=*/true,
-                                       /*bachelor=*/false));
-    }
+    SMPX_RETURN_IF_ERROR(ApplyActions(q_, pos, tag_end, /*closing=*/true,
+                                      /*bachelor=*/false, open_state));
   }
   cursor_ = tag_end + 1;
   jump_pending_ = true;
@@ -1199,17 +1032,17 @@ PrefilterSession::PrefilterSession(const RuntimeTables& tables,
                                    OutputSink* out, RunStats* stats,
                                    const EngineOptions& opts,
                                    const SessionCheckpoint* start)
-    : impl_(new Impl(tables, /*in=*/nullptr, out, stats, opts, start)) {}
+    : impl_(new Impl(tables, /*in=*/nullptr, &out, 1, nullptr, stats, opts,
+                     start)) {}
 
 PrefilterSession::PrefilterSession(const RuntimeTables& tables,
-                                   std::vector<OutputSink*> query_sinks,
+                                   const std::vector<OutputSink*>& query_sinks,
                                    std::vector<QueryRunStats>* query_stats,
                                    RunStats* stats,
                                    const EngineOptions& opts,
                                    const SessionCheckpoint* start)
-    : impl_(new Impl(tables, /*in=*/nullptr, /*out=*/nullptr, stats, opts,
-                     start, /*multi_mode=*/true, std::move(query_sinks),
-                     query_stats)) {}
+    : impl_(new Impl(tables, /*in=*/nullptr, query_sinks.data(),
+                     query_sinks.size(), query_stats, stats, opts, start)) {}
 
 PrefilterSession::~PrefilterSession() = default;
 
@@ -1241,8 +1074,8 @@ Status RunEngine(const RuntimeTables& tables, InputStream* in,
   if (tables.states.empty()) {
     return Status::InvalidArgument("empty runtime tables");
   }
-  PrefilterSession::Impl engine(tables, in, out, stats, opts,
-                                /*start=*/nullptr);
+  PrefilterSession::Impl engine(tables, in, &out, 1, /*query_stats=*/nullptr,
+                                stats, opts, /*start=*/nullptr);
   return engine.Run();
 }
 

@@ -64,10 +64,10 @@ struct RunStats {
   }
 };
 
-/// Per-query slice of a multi-query session's result statistics. The
-/// aggregate RunStats of a multi-query run counts the shared scan work
-/// (searches, jumps, scan chars) once; matches and output bytes are
-/// attributed per query here.
+/// Per-query slice of a session's result statistics. The aggregate
+/// RunStats counts the shared scan work (searches, jumps, scan chars) once;
+/// matches and output bytes are attributed per query here. On single-query
+/// tables the one entry equals the aggregate's matches and output_bytes.
 struct QueryRunStats {
   uint64_t matches = 0;       ///< accepted transitions this query took
   uint64_t output_bytes = 0;  ///< bytes emitted into this query's sink
@@ -115,12 +115,16 @@ struct SessionCheckpoint {
   /// initial state while the prolog is still being skipped).
   bool jump_pending = false;
 
-  /// Multi-query sessions only: per-unique-query copy depths and flushed
-  /// positions. Empty means all-zero (e.g. at a clean top-level boundary,
-  /// where no query is copying). The aggregate fields above remain valid
-  /// on multi-query checkpoints -- copy_depth counts the actively copying
-  /// queries and copy_flushed is the minimum flushed position over them --
-  /// so shard verification logic compares checkpoints unchanged.
+  /// Product tables only: per-unique-query copy depths and flushed
+  /// positions, in MultiQueryInfo order. A one-query checkpoint leaves them
+  /// empty -- copy_depth and copy_flushed above carry its one query whole
+  /// (so index entries and cursor tokens store no vectors); a session
+  /// restored from empty vectors starts every query from those fields,
+  /// which over several queries needs copy_depth 0. On several queries
+  /// copy_depth is the sum of the per-query depths (only whether it is
+  /// zero means anything) and copy_flushed the lowest flushed position over
+  /// the copying queries, so feed_begin() and shard verification read
+  /// every checkpoint the same way.
   std::vector<int> mq_copy_depth;
   std::vector<uint64_t> mq_copy_flushed;
 
@@ -158,26 +162,26 @@ struct SessionCheckpoint {
 class PrefilterSession {
  public:
   /// Starts a run at absolute byte offset `start.cursor` in checkpoint
-  /// `start` (default: offset 0, the initial DFA state). `tables`, `out`
-  /// and `stats` must outlive the session; `stats` may be null.
-  PrefilterSession(const RuntimeTables& tables, OutputSink* out,
-                   RunStats* stats, const EngineOptions& opts = {},
-                   const SessionCheckpoint* start = nullptr);
-
-  /// Multi-query session over product tables (`tables.multi` non-null,
-  /// interned dispatch only): one sink per unique query, in MultiQueryInfo
-  /// order. Each query's bytes go exclusively to its own sink, and each
-  /// query's output is byte-identical to an independent single-query run.
-  /// `query_stats` (may be null) receives per-query matches/output_bytes
-  /// on FinalizeStats; the aggregate `stats` counts shared scan work once,
-  /// with output_bytes summed over all sinks. Constructing with the
-  /// single-sink constructor above on multi tables -- or with this one on
-  /// single-query tables or a sink count != num_queries -- makes the
-  /// session inert with an InvalidArgument status.
+  /// `start` (default: offset 0, the initial DFA state). Every session
+  /// takes one sink per unique query: QueryCount(tables) sinks, one for
+  /// single-query tables and the MultiQueryInfo count, in its order, for
+  /// product tables. Each query's bytes go to its own sink only and equal
+  /// an independent single-query run. `query_stats` (may be null) receives
+  /// per-query matches and output bytes on FinalizeStats; `stats` (may be
+  /// null) counts the shared scan work once, with output_bytes summed over
+  /// the sinks. `tables`, the sinks and `stats` must outlive the session.
+  /// A wrong sink count, product tables under map dispatch, or a
+  /// checkpoint that does not fit the tables makes the session inert with
+  /// an InvalidArgument status.
   PrefilterSession(const RuntimeTables& tables,
-                   std::vector<OutputSink*> query_sinks,
+                   const std::vector<OutputSink*>& query_sinks,
                    std::vector<QueryRunStats>* query_stats, RunStats* stats,
                    const EngineOptions& opts = {},
+                   const SessionCheckpoint* start = nullptr);
+
+  /// The one-query case: `out` is the single sink of single-query tables.
+  PrefilterSession(const RuntimeTables& tables, OutputSink* out,
+                   RunStats* stats, const EngineOptions& opts = {},
                    const SessionCheckpoint* start = nullptr);
   ~PrefilterSession();
 

@@ -237,6 +237,15 @@ struct RuntimeTables {
   std::string DebugString() const;
 };
 
+/// Outputs a run over `tables` writes, one sink each: the unique query
+/// count of product tables, 1 for single-query tables. Sessions and every
+/// src/parallel driver take this many sinks.
+inline size_t QueryCount(const RuntimeTables& tables) {
+  return tables.multi != nullptr
+             ? static_cast<size_t>(tables.multi->num_queries)
+             : 1;
+}
+
 struct TableOptions {
   /// Algorithm for multi-keyword states (ablation hook); single-keyword
   /// states always honor it too when not kAuto.

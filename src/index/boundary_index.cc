@@ -91,7 +91,9 @@ Result<BoundaryIndex> BoundaryIndex::Build(const core::RuntimeTables& tables,
       size == 0 ? 0 : std::min({size / gran, kMaxEntries, size - 1});
   const uint64_t chunk =
       std::max<uint64_t>(opts.chunk_bytes, parallel::kMinScanChunkBytes);
-  const std::string_view whole = src.Contiguous();
+  // Resident sources feed each span between boundaries whole; others in
+  // reads of at most `chunk` bytes.
+  const uint64_t feed_chunk = src.Contiguous().size() == size ? size : chunk;
 
   // The structural scan runs ahead selecting boundaries and counting
   // records; at each selected boundary the feed catches the engine up to
@@ -111,26 +113,11 @@ Result<BoundaryIndex> BoundaryIndex::Build(const core::RuntimeTables& tables,
   // the engine until it reports itself finished.
   auto feed_to = [&](uint64_t to) -> Status {
     while (feed_pos < to) {
-      std::string_view piece;
-      if (whole.size() == size) {
-        piece = whole.substr(static_cast<size_t>(feed_pos),
-                             static_cast<size_t>(to - feed_pos));
-      } else {
-        feed_buf.resize(
-            static_cast<size_t>(std::min<uint64_t>(chunk, to - feed_pos)));
-        size_t done = 0;
-        while (done < feed_buf.size()) {
-          SMPX_ASSIGN_OR_RETURN(
-              size_t n, src.ReadAt(feed_pos + done, feed_buf.data() + done,
-                                   feed_buf.size() - done));
-          if (n == 0) {
-            return Status::IoError("input source shrank at offset " +
-                                   std::to_string(feed_pos + done));
-          }
-          done += n;
-        }
-        piece = std::string_view(feed_buf.data(), done);
-      }
+      SMPX_ASSIGN_OR_RETURN(
+          std::string_view piece,
+          ReadRange(src, feed_pos,
+                    static_cast<size_t>(std::min(feed_chunk, to - feed_pos)),
+                    &feed_buf));
       hasher.Update(piece);
       if (run_status.ok() && !session.finished()) {
         run_status = session.Resume(piece);

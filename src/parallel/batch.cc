@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/io.h"
-#include "parallel/session.h"
 #include "parallel/shard.h"
 
 namespace smpx::parallel {
@@ -15,29 +14,23 @@ Status StreamRun(const core::RuntimeTables& tables, const InputSource& src,
                  const std::vector<OutputSink*>& sinks,
                  std::vector<core::QueryRunStats>* query_stats,
                  core::RunStats* stats, const StreamOptions& opts) {
-  SMPX_RETURN_IF_ERROR(CheckSinkCount(tables, sinks.size()));
-  core::RunStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  std::unique_ptr<core::PrefilterSession> session =
-      NewSession(tables, sinks, query_stats, stats, opts.engine);
+  core::PrefilterSession session(tables, sinks, query_stats, stats,
+                                 opts.engine);
   const size_t chunk = std::max<size_t>(1, opts.chunk_bytes);
-  std::vector<char> buf(chunk);
+  std::vector<char> scratch;  // stays empty over resident sources
   const uint64_t total = src.size();
-  uint64_t offset = 0;
-  while (offset < total && !session->finished()) {
-    auto n = src.ReadAt(offset, buf.data(), buf.size());
-    if (!n.ok()) return n.status();
-    if (*n == 0) break;  // defensive: source shorter than advertised
-    SMPX_RETURN_IF_ERROR(session->Resume(std::string_view(buf.data(), *n)));
-    offset += *n;
+  for (uint64_t offset = 0; offset < total && !session.finished();) {
+    const size_t n =
+        static_cast<size_t>(std::min<uint64_t>(chunk, total - offset));
+    SMPX_ASSIGN_OR_RETURN(std::string_view piece,
+                          ReadRange(src, offset, n, &scratch));
+    SMPX_RETURN_IF_ERROR(session.Resume(piece));
+    offset += n;
   }
   // Trailing bytes past a final state are ignored, as in a serial run;
-  // Finish() on a finished session only fills the summary stats.
-  SMPX_RETURN_IF_ERROR(session->Finish());
-  if (tables.multi == nullptr && query_stats != nullptr) {
-    *query_stats = {{stats->matches, stats->output_bytes}};
-  }
-  return Status::Ok();
+  // Finish() on a finished session only fills the summary stats. A wrong
+  // sink count surfaces here too: the session is inert.
+  return session.Finish();
 }
 
 std::vector<Status> BatchRunStreaming(
@@ -47,7 +40,7 @@ std::vector<Status> BatchRunStreaming(
     std::vector<std::vector<core::QueryRunStats>>* query_stats,
     std::vector<core::RunStats>* stats, ThreadPool* pool,
     const StreamOptions& opts) {
-  const size_t m = QueryCount(tables);
+  const size_t m = core::QueryCount(tables);
   std::vector<Status> statuses(docs.size());
   if (query_stats != nullptr) query_stats->assign(docs.size(), {});
   if (stats != nullptr) stats->assign(docs.size(), core::RunStats{});

@@ -48,10 +48,13 @@ struct StreamOptions {
 /// `chunk_bytes` slices, writing one output per query into `sinks` (see
 /// ShardedRun for the sink contract; a wrong count fails with
 /// kInvalidArgument). Every query's output is byte-identical to its serial
-/// run, but no more than one chunk (plus the sliding window) is ever
-/// resident. Stops reading as soon as the run reaches a final state, like
-/// the serial engine. `query_stats` (per unique query; one entry for
-/// single-query tables) and `stats` may be null.
+/// run. A resident source (Contiguous()) is fed in place; any other is
+/// read one chunk at a time into one buffer, so no more than one chunk
+/// (plus the sliding window) is ever resident, and a source that shrinks
+/// under the run fails with kIoError. Stops reading as soon as the run
+/// reaches a final state, like the serial engine. `query_stats` (per
+/// unique query; one entry for single-query tables) and `stats` may be
+/// null.
 Status StreamRun(const core::RuntimeTables& tables, const InputSource& src,
                  const std::vector<OutputSink*>& sinks,
                  std::vector<core::QueryRunStats>* query_stats,

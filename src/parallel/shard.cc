@@ -4,8 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "parallel/session.h"
-
 namespace smpx::parallel {
 namespace {
 
@@ -120,7 +118,7 @@ void SpeculativeResolver::RunSegment(size_t k,
   eopts.cancel = cancel;
   // One budget-bounded output segment per query (the aggregate budget
   // split evenly across the queries).
-  const size_t m = QueryCount(tables_);
+  const size_t m = core::QueryCount(tables_);
   const size_t budget = opts_.max_buffer_bytes != 0
                             ? std::max<size_t>(opts_.max_buffer_bytes / m, 1)
                             : SpillSink::kUnlimited;
@@ -134,19 +132,19 @@ void SpeculativeResolver::RunSegment(size_t k,
       r->sink = std::move(seg);
     }
   }
-  std::unique_ptr<core::PrefilterSession> session = NewSession(
-      tables_, std::move(outs), &r->mq_stats, &r->stats, eopts, start);
-  r->status = session->Resume(doc_.substr(static_cast<size_t>(begin),
-                                          static_cast<size_t>(end - begin)));
-  if (r->status.ok() && k + 1 == n && !session->finished()) {
-    r->status = session->Finish();
+  core::PrefilterSession session(tables_, outs, &r->query_stats, &r->stats,
+                                 eopts, start);
+  r->status = session.Resume(doc_.substr(static_cast<size_t>(begin),
+                                         static_cast<size_t>(end - begin)));
+  if (r->status.ok() && k + 1 == n && !session.finished()) {
+    r->status = session.Finish();
   } else {
-    session->FinalizeStats();
+    session.FinalizeStats();
   }
-  r->finished = session->finished();
-  r->exit = session->checkpoint();
-  r->clean = session->drained_cleanly();
-  r->visited = session->visited();
+  r->finished = session.finished();
+  r->exit = session.checkpoint();
+  r->clean = session.drained_cleanly();
+  r->visited = session.visited();
   r->read_end = begin + r->stats.input_bytes;
 }
 
@@ -376,10 +374,13 @@ ShardResult& SpeculativeResolver::Resolve(size_t k) {
     if (prev.exit.copy_depth > 0) {
       ++report_.copy_handoffs;
       if (prev.exit.copy_flushed < seg_begin_[k]) {
-        results_[k].tail_begin = prev.exit.copy_flushed;
-        results_[k].tail_end = seg_begin_[k];
-        results_[k].stats.output_bytes +=
-            results_[k].tail_end - results_[k].tail_begin;
+        // In-copy hand-offs happen on single-query tables only, so the
+        // tail is query 0's.
+        ShardResult& r = results_[k];
+        r.tail_begin = prev.exit.copy_flushed;
+        r.tail_end = seg_begin_[k];
+        r.stats.output_bytes += r.tail_end - r.tail_begin;
+        r.query_stats[0].output_bytes += r.tail_end - r.tail_begin;
       }
     }
     ++report_.accepted;
@@ -437,8 +438,13 @@ Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
   if (tables.states.empty()) {
     return Status::InvalidArgument("empty runtime tables");
   }
-  SMPX_RETURN_IF_ERROR(CheckSinkCount(tables, sinks.size()));
   const size_t m = sinks.size();
+  if (m != core::QueryCount(tables)) {
+    return Status::InvalidArgument(
+        "run needs one sink per unique query (" +
+        std::to_string(core::QueryCount(tables)) + "), got " +
+        std::to_string(m));
+  }
   size_t max_shards =
       opts.max_shards != 0 ? opts.max_shards
                            : static_cast<size_t>(std::max(1, pool->size()));
@@ -507,17 +513,13 @@ Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
       if (!commit_status.ok()) break;
     }
     for (size_t u = 0; u < m; ++u) {
-      std::unique_ptr<SpillSink> seg;
-      core::QueryRunStats q;
-      if (tables.multi == nullptr) {
-        seg = std::move(r.sink);
-        q = {r.stats.matches, r.stats.output_bytes};
-      } else {
-        if (u < r.mq_sinks.size()) seg = std::move(r.mq_sinks[u]);
-        if (u < r.mq_stats.size()) q = r.mq_stats[u];
+      if (u < r.query_stats.size()) {
+        totals[u].matches += r.query_stats[u].matches;
+        totals[u].output_bytes += r.query_stats[u].output_bytes;
       }
-      totals[u].matches += q.matches;
-      totals[u].output_bytes += q.output_bytes;
+      std::unique_ptr<SpillSink> seg = tables.multi != nullptr
+                                           ? std::move(r.mq_sinks[u])
+                                           : std::move(r.sink);
       Status s = commits[u]->Install(k, std::move(seg));
       if (commit_status.ok() && !s.ok()) commit_status = s;
     }

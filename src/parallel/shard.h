@@ -117,8 +117,9 @@ struct ShardResult {
   /// MultiQueryInfo order (the per-query budget is max_buffer_bytes divided
   /// by the query count). Moved out by the per-query ordered committers.
   std::vector<std::unique_ptr<SpillSink>> mq_sinks;
-  /// Multi-query tables: this segment's per-query matches/output bytes.
-  std::vector<core::QueryRunStats> mq_stats;
+  /// This segment's matches and output bytes per unique query (one entry
+  /// on single-query tables, hand-off tail included).
+  std::vector<core::QueryRunStats> query_stats;
   core::RunStats stats;
   core::SessionCheckpoint exit;
   Status status;
@@ -159,8 +160,8 @@ class SpeculativeResolver {
     /// Per-segment SpillSink budget; 0 = unbounded.
     size_t max_buffer_bytes = 0;
     /// Shared spill file for budgeted segment sinks (see SpillArena); may
-    /// be null (each overflowing sink then opens its own tmpfile). Must
-    /// outlive the resolver.
+    /// be null (each overflowing sink then spills into a private arena of
+    /// its own). Must outlive the resolver.
     SpillArena* arena = nullptr;
     core::EngineOptions engine;
   };

@@ -79,8 +79,8 @@ Status WriteFrame(const Fd& fd, char kind, std::string_view payload);
 
 /// OutputSink that coalesces appends into data frames of at most
 /// `frame_bytes` and writes them to the socket. First write error is
-/// sticky (mirrors FileSink semantics) so an engine run aborts promptly
-/// when the client goes away.
+/// sticky (mirrors BufferedFileSink semantics) so an engine run aborts
+/// promptly when the client goes away.
 class FrameSink : public OutputSink {
  public:
   explicit FrameSink(const Fd* fd, size_t frame_bytes = kDataFrameBytes)

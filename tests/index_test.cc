@@ -17,7 +17,8 @@
 //    files (and tampered cursor tokens) all fail closed with a clear
 //    Status, never wrong bytes;
 //  - one cursor step at smpxd's 1 MiB default window requests under
-//    64 KiB from the heap (a byte count from a counting operator new).
+//    64 KiB from the heap (a byte count from a counting operator new), and
+//    a StreamRun over a resident 4 MB document well under one chunk.
 
 #include <algorithm>
 #include <atomic>
@@ -35,6 +36,7 @@
 #include "core/prefilter.h"
 #include "index/boundary_index.h"
 #include "index/cursor.h"
+#include "parallel/batch.h"
 #include "parallel/boundary_scan.h"
 #include "simd/simd.h"
 #include "xml/tokenizer.h"
@@ -845,6 +847,25 @@ TEST(CursorAllocationTest, NextAtServerWindowAllocatesNoWindowBuffer) {
     EXPECT_GT(cur->position(), 0u);
     EXPECT_LT(g_new_bytes.load(), 64u << 10);
   }
+}
+
+TEST(StreamRunAllocationTest, ResidentSourceAllocatesNoChunkBuffer) {
+  // StreamRun over a resident source feeds its chunks in place, so a run
+  // at the default chunk size must not allocate anything near one chunk.
+  // A byte count, not a timing, so CI noise cannot hide the regression.
+  core::Prefilter pf = CompileMedline();
+  const std::string doc = MedlineDoc(4 << 20);
+  const MemorySource src(doc);
+  CountingSink sink;
+  core::RunStats stats;
+  g_new_bytes = 0;
+  g_count_new = true;
+  Status s = parallel::StreamRun(pf.tables(), src, {&sink}, nullptr, &stats);
+  g_count_new = false;
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(stats.input_bytes, doc.size());
+  EXPECT_GT(sink.bytes_written(), 0u);
+  EXPECT_LT(g_new_bytes.load(), parallel::StreamOptions{}.chunk_bytes / 8);
 }
 
 }  // namespace

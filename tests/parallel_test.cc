@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +32,13 @@ constexpr char kPaperDtd[] =
     "<!DOCTYPE a [ <!ELEMENT a (b|c)*>"
     " <!ELEMENT b (#PCDATA)> <!ELEMENT c (b,b?)> ]>";
 
+/// Recursive: `tree` nests in itself, so under allow_recursion a copied
+/// tree ("//tree#") ends where its nesting count returns to zero.
+constexpr char kTreeDtd[] =
+    "<!DOCTYPE a [ <!ELEMENT a (item*)>"
+    " <!ELEMENT item (name, tree)> <!ELEMENT name (#PCDATA)>"
+    " <!ELEMENT tree (leaf | tree)*> <!ELEMENT leaf (#PCDATA)> ]>";
+
 Prefilter Compile(std::string_view dtd_text, std::string_view paths,
                   const CompileOptions& opts = {}) {
   auto dtd = dtd::Dtd::Parse(dtd_text);
@@ -48,6 +56,23 @@ std::string SerialRun(const Prefilter& pf, std::string_view doc,
   auto out = pf.RunOnBuffer(doc, stats, opts);
   EXPECT_TRUE(out.ok()) << out.status().ToString();
   return out.ok() ? *out : std::string();
+}
+
+void ExpectSameRunStats(const RunStats& a, const RunStats& b) {
+  EXPECT_EQ(a.input_bytes, b.input_bytes);
+  EXPECT_EQ(a.output_bytes, b.output_bytes);
+  EXPECT_EQ(a.search.comparisons, b.search.comparisons);
+  EXPECT_EQ(a.search.shifts, b.search.shifts);
+  EXPECT_EQ(a.search.shift_chars, b.search.shift_chars);
+  EXPECT_EQ(a.scan_chars, b.scan_chars);
+  EXPECT_EQ(a.initial_jumps, b.initial_jumps);
+  EXPECT_EQ(a.initial_jump_chars, b.initial_jump_chars);
+  EXPECT_EQ(a.matches, b.matches);
+  EXPECT_EQ(a.false_matches, b.false_matches);
+  EXPECT_EQ(a.states_visited, b.states_visited);
+  EXPECT_EQ(a.bm_searches, b.bm_searches);
+  EXPECT_EQ(a.cw_searches, b.cw_searches);
+  EXPECT_EQ(a.window_peak, b.window_peak);
 }
 
 /// Runs a push-mode session over `doc` in chunks of `chunk_len` bytes.
@@ -244,60 +269,162 @@ TEST(SessionTest, CheckpointHandoffContinuesByteIdentically) {
   EXPECT_EQ(sink1.str() + sink2.str(), serial);
 }
 
+TEST(SessionTest, PerQueryConstructorRunsSingleQueryTables) {
+  // Single-query tables are the one-query case of the per-query session:
+  // given one sink, the per-query constructor must reproduce the
+  // single-sink constructor byte for byte and on every RunStats field, in
+  // one Resume and in chunks, with one QueryRunStats entry holding the
+  // aggregate's matches and output bytes.
+  xmlgen::XmarkOptions gen;
+  gen.target_bytes = 48 << 10;
+  const std::string xmark = xmlgen::GenerateXmark(gen);
+  std::string trees = "<a>";
+  for (int i = 0; i < 40; ++i) {
+    trees += "<item><name>n" + std::to_string(i) + "</name><tree>";
+    for (int d = 0; d < i % 5; ++d) trees += "<tree><leaf>x</leaf>";
+    for (int d = 0; d < i % 5; ++d) trees += "<tree/></tree>";
+    trees += "</tree></item>";
+  }
+  trees += "</a>";
+  const std::string xm9 =
+      "/site/people/person@ /site/people/person/name# "
+      "/site/closed_auctions/closed_auction/buyer@ "
+      "/site/closed_auctions/closed_auction/itemref@ "
+      "/site/regions/europe/item@ /site/regions/europe/item/name#";
+  CompileOptions recursion;
+  recursion.allow_recursion = true;
+  CompileOptions maps;
+  maps.tables.use_map_dispatch = true;
+  struct Case {
+    const char* label;
+    std::string dtd;
+    std::string paths;
+    const std::string* doc;
+    CompileOptions opts;
+  };
+  const std::vector<Case> cases = {
+      {"copy regions and bachelor tags", xmlgen::XmarkDtdText(), xm9, &xmark,
+       {}},
+      {"copy-tag-atts", xmlgen::XmarkDtdText(),
+       "/site/people/person/profile@ "
+       "/site/open_auctions/open_auction/bidder/personref@ "
+       "/site/regions/europe/item/incategory",
+       &xmark, {}},
+      {"counted nesting", kTreeDtd, "//name# //tree#", &trees, recursion},
+      {"map dispatch", xmlgen::XmarkDtdText(), xm9, &xmark, maps},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    Prefilter pf = Compile(c.dtd, c.paths, c.opts);
+    if (c.opts.allow_recursion) {
+      bool counts = false;
+      for (const DfaState& st : pf.tables().states) counts |= st.count_nesting;
+      ASSERT_TRUE(counts);
+    }
+    const std::string_view doc = *c.doc;
+    for (size_t chunk : {doc.size(), size_t{1}, size_t{7}, size_t{4096}}) {
+      SCOPED_TRACE(chunk);
+      StringSink single_sink, sink;
+      RunStats single_stats, stats;
+      std::vector<QueryRunStats> qstats;
+      PrefilterSession single(pf.tables(), &single_sink, &single_stats);
+      PrefilterSession per_query(pf.tables(), {&sink}, &qstats, &stats);
+      for (size_t off = 0; off < doc.size(); off += chunk) {
+        ASSERT_TRUE(single.Resume(doc.substr(off, chunk)).ok());
+        ASSERT_TRUE(per_query.Resume(doc.substr(off, chunk)).ok());
+      }
+      ASSERT_TRUE(single.Finish().ok());
+      Status s = per_query.Finish();
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      EXPECT_FALSE(single_sink.str().empty());
+      EXPECT_EQ(sink.str(), single_sink.str());
+      ExpectSameRunStats(stats, single_stats);
+      ASSERT_EQ(qstats.size(), 1u);
+      EXPECT_EQ(qstats[0].matches, stats.matches);
+      EXPECT_EQ(qstats[0].output_bytes, stats.output_bytes);
+    }
+  }
+}
+
 TEST(SessionTest, ExhaustiveSuspendResumeAtEveryByteOffset) {
   // For a corpus of small documents covering every construct the session
   // can suspend inside (prolog, DOCTYPE subset, comments, CDATA, PIs,
-  // quoted attributes, bachelor tags, opaque recursion), suspend at EVERY
-  // byte offset and resume in a fresh session built from the checkpoint:
-  // the concatenated output must be byte-identical to the serial run.
+  // quoted attributes, bachelor tags, opaque recursion, a product mix),
+  // suspend at EVERY byte offset and resume in a fresh session built from
+  // the checkpoint (per-query copy state included): each query's
+  // concatenated output must be byte-identical to its own serial run.
   struct Case {
     const char* dtd;
-    const char* paths;
+    std::vector<std::string> queries;
     std::string doc;
     bool recursion = false;
   };
+  const std::string paper_doc =
+      "<?xml version=\"1.0\"?><!-- lead --><a><b>one</b>"
+      "<c><b>shielded</b></c><b at=\"x>y\">two</b><b/><c><b/></c></a>";
   std::vector<Case> corpus;
+  corpus.push_back({kPaperDtd, {"/a/b#"}, paper_doc});
   corpus.push_back(
-      {kPaperDtd, "/a/b#",
-       "<?xml version=\"1.0\"?><!-- lead --><a><b>one</b>"
-       "<c><b>shielded</b></c><b at=\"x>y\">two</b><b/><c><b/></c></a>"});
-  corpus.push_back(
-      {kPaperDtd, "/a/b#",
+      {kPaperDtd, {"/a/b#"},
        "<!DOCTYPE a [ <!-- <a><b>fake</b></a> --> <!ENTITY e \"q>r\"> ]>"
        "<a><![CDATA[ <b>cdata</b> ]]><b>real</b><?pi <b>no</b> ?></a>"});
   corpus.push_back(
-      {"<!DOCTYPE a [ <!ELEMENT a (item*)>"
-       " <!ELEMENT item (name, tree)> <!ELEMENT name (#PCDATA)>"
-       " <!ELEMENT tree (leaf | tree)*> <!ELEMENT leaf (#PCDATA)> ]>",
-       "//name#",
+      {kTreeDtd, {"//name# //tree#"},
        "<a><item><name>n</name><tree><tree><leaf>d</leaf></tree>"
        "<leaf>x</leaf></tree></item><item><name>m</name><tree/>"
        "</item></a>",
        /*recursion=*/true});
+  corpus.push_back({kPaperDtd, {"/a/b#", "/a/c/b"}, paper_doc});
   for (size_t ci = 0; ci < corpus.size(); ++ci) {
     SCOPED_TRACE(ci);
     const Case& c = corpus[ci];
     CompileOptions copts;
     copts.allow_recursion = c.recursion;
-    Prefilter pf = Compile(c.dtd, c.paths, copts);
-    std::string serial = SerialRun(pf, c.doc);
+    std::vector<std::string> serial;
+    std::vector<std::vector<paths::ProjectionPath>> queries;
+    for (const std::string& q : c.queries) {
+      serial.push_back(SerialRun(Compile(c.dtd, q, copts), c.doc));
+      queries.push_back(*paths::ProjectionPath::ParseList(q));
+    }
+    // One query runs on its own tables, several on their product.
+    std::optional<Prefilter> pf;
+    std::optional<query::MultiQuery> mq;
+    if (queries.size() == 1) {
+      pf.emplace(Compile(c.dtd, c.queries[0], copts));
+    } else {
+      auto compiled =
+          query::MultiQuery::Compile(*dtd::Dtd::Parse(c.dtd), queries, copts);
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      ASSERT_EQ(compiled->num_unique(), compiled->num_queries());
+      mq.emplace(std::move(*compiled));
+    }
+    const RuntimeTables& tables = pf ? pf->tables() : mq->tables();
+    const size_t n = queries.size();
     for (size_t cut = 0; cut <= c.doc.size(); ++cut) {
       SCOPED_TRACE(cut);
-      StringSink sink1;
+      std::vector<StringSink> first_sinks(n), second_sinks(n);
+      std::vector<OutputSink*> first_ptrs, second_ptrs;
+      for (size_t q = 0; q < n; ++q) {
+        first_ptrs.push_back(&first_sinks[q]);
+        second_ptrs.push_back(&second_sinks[q]);
+      }
       RunStats stats1;
-      PrefilterSession first(pf.tables(), &sink1, &stats1);
+      PrefilterSession first(tables, first_ptrs, nullptr, &stats1);
       ASSERT_TRUE(
           first.Resume(std::string_view(c.doc).substr(0, cut)).ok());
       SessionCheckpoint cp = first.checkpoint();
-      StringSink sink2;
+      EXPECT_EQ(cp.mq_copy_depth.size(), n > 1 ? n : 0);
       RunStats stats2;
-      PrefilterSession second(pf.tables(), &sink2, &stats2, {}, &cp);
+      PrefilterSession second(tables, second_ptrs, nullptr, &stats2, {}, &cp);
       ASSERT_TRUE(second
                       .Resume(std::string_view(c.doc).substr(
                           static_cast<size_t>(cp.feed_begin())))
                       .ok());
       ASSERT_TRUE(second.Finish().ok());
-      EXPECT_EQ(sink1.str() + sink2.str(), serial);
+      for (size_t q = 0; q < n; ++q) {
+        SCOPED_TRACE(q);
+        EXPECT_EQ(first_sinks[q].str() + second_sinks[q].str(), serial[q]);
+      }
     }
   }
 }

@@ -1,9 +1,8 @@
 // Unit tests for the composable sink layer: SpillSink budget edges (0, 1,
 // exactly-at-budget, spill-then-replay, reuse after Clear), BufferedFileSink
-// write coalescing and sticky-failure semantics, FileSink short-write
-// reporting with idempotent Flush, OrderedCommitSink in-order/out-of-order
-// commit, truncation, duplicate installs, and concurrent installs from a
-// thread pool.
+// write coalescing and sticky short-write failures with idempotent Flush,
+// OrderedCommitSink in-order/out-of-order commit, truncation, duplicate
+// installs, and concurrent installs from a thread pool.
 
 #include <cstdio>
 #include <memory>
@@ -171,41 +170,39 @@ TEST(BufferedFileSinkTest, DestructorFlushesWithoutExplicitFlush) {
 
 #ifdef __linux__
 TEST(BufferedFileSinkTest, FailureIsStickyOnFullDevice) {
+  // Two inputs: a wrapped handle with a tiny buffer, and a handle opened
+  // by path with the default buffer. Each append is at least the buffer
+  // capacity, so it bypasses the buffer and hits the device.
   std::FILE* f = std::fopen("/dev/full", "wb");
   if (f == nullptr) GTEST_SKIP() << "/dev/full unavailable";
-  auto sink = BufferedFileSink::Wrap(f, /*buffer_capacity=*/16);
-  std::string big(1 << 16, 'z');
-  Status s = sink->Append(big);  // bypasses the buffer, hits the device
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("of " + std::to_string(big.size()) + " bytes"),
-            std::string_view::npos)
-      << s.ToString();
-  // Sticky and idempotent: identical error, no further writes attempted.
-  EXPECT_EQ(sink->Flush(), s);
-  EXPECT_EQ(sink->Flush(), s);
-  EXPECT_EQ(sink->Append("more"), s);
-  sink.reset();
+  auto opened = BufferedFileSink::Open("/dev/full");
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  struct Input {
+    std::unique_ptr<BufferedFileSink> sink;
+    size_t bytes;
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({BufferedFileSink::Wrap(f, /*buffer_capacity=*/16),
+                    size_t{1} << 16});
+  inputs.push_back({std::move(*opened), BufferedFileSink::kDefaultBuffer});
+  for (Input& in : inputs) {
+    SCOPED_TRACE(in.bytes);
+    std::string big(in.bytes, 'z');
+    Status s = in.sink->Append(big);
+    ASSERT_FALSE(s.ok());
+    EXPECT_NE(s.message().find("short write"), std::string_view::npos)
+        << s.ToString();
+    EXPECT_NE(s.message().find("of " + std::to_string(big.size()) + " bytes"),
+              std::string_view::npos)
+        << s.ToString();
+    // Sticky and idempotent: the original cause, not a new flush error,
+    // and no further writes attempted.
+    EXPECT_EQ(in.sink->Flush(), s);
+    EXPECT_EQ(in.sink->Flush(), s);
+    EXPECT_EQ(in.sink->Append("more"), s);
+  }
+  inputs.clear();
   std::fclose(f);
-}
-
-TEST(FileSinkTest, ShortWriteReportsByteCountsAndFlushIsIdempotent) {
-  // FileSink::Open cannot open /dev/full for "wb" truncation? It can --
-  // opening succeeds, writes fail with ENOSPC once stdio flushes.
-  auto sink = FileSink::Open("/dev/full");
-  if (!sink.ok()) GTEST_SKIP() << "/dev/full unavailable";
-  std::string big(1 << 20, 'q');  // larger than any stdio buffer
-  Status s = (*sink)->Append(big);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("short write"), std::string_view::npos)
-      << s.ToString();
-  EXPECT_NE(s.message().find("of " + std::to_string(big.size()) + " bytes"),
-            std::string_view::npos)
-      << s.ToString();
-  Status f1 = (*sink)->Flush();
-  Status f2 = (*sink)->Flush();
-  EXPECT_EQ(f1, s);  // the original cause, not a new flush error
-  EXPECT_EQ(f2, f1);
-  EXPECT_EQ((*sink)->Append("x"), s);
 }
 #endif  // __linux__
 
