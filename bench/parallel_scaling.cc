@@ -4,12 +4,12 @@
 //   batch    many documents prefiltered concurrently (one session per
 //            document, shared tables) -- the multi-document server shape;
 //            an XMark workload over a 16-document batch.
-//   shard    one document split at top-level element boundaries and run
+//   shard    one document split at element boundaries and run
 //            speculatively shard-by-shard -- the huge-single-file shape;
-//            a MEDLINE workload (star-shaped root: one behavior class, so
-//            speculation hits on every boundary) plus an XMark workload
-//            (sectioned root: several behavior classes, so the wave
-//            carries losers for early-kill to reclaim).
+//            a MEDLINE workload plus an XMark workload. Both split at
+//            record-level split keywords (<MedlineCitation, <person,
+//            <item, ...), whose entry class is known statically, so each
+//            shard runs once.
 //
 // Outputs are cross-checked against the serial engine before timing.
 //
@@ -252,8 +252,9 @@ int Run() {
   // parallel wave (speculation misses re-run sequentially; with the static
   // candidate set the head no longer serializes, so a full hit rate shows
   // 0.0 serial%). accept is speculative shards verified / launched.
-  // classes is the behavior-class count of the static candidate set (wave
-  // width per segment before early-kill); wavex is total prefiltered bytes
+  // classes is the most behavior classes any segment speculated on (wave
+  // width per segment before early-kill; 1 when every boundary opens a
+  // split keyword); wavex is total prefiltered bytes
   // (wave attempts + serial reruns) over document bytes -- with early-kill
   // it should sit near 1.0 instead of the classes multiple, and killed
   // counts the attempts reclaimed to get there (timing-dependent, like
@@ -335,9 +336,8 @@ int Run() {
       "/MedlineCitationSet/MedlineCitation/DateCompleted#");
   if (int rc = shard_sweep("parallel_shard", mpf, medline)) return rc;
 
-  // XMark's sectioned root has few top-level children but several
-  // behavior classes -- the workload where early-kill reclaims the most
-  // wave work (MEDLINE's star root collapses to one class).
+  // XMark's sectioned root has six top-level children in three behavior
+  // classes, so it shards well only at record-level split keywords.
   if (int rc = shard_sweep("parallel_shard_xmark", xpf, xmark)) return rc;
 
   std::printf(

@@ -272,20 +272,20 @@ Status BufferedFileSink::Drain() {
   size_t n = fill_;
   fill_ = 0;  // even on failure: the buffered bytes' fate is recorded in
               // error_, retrying them would double-write the prefix
-  return WriteOut(buf_.data(), n);
+  return WriteOut(buf_.get(), n);
 }
 
 Status BufferedFileSink::Append(std::string_view data) {
   if (!error_.ok()) return error_;
   if (data.empty()) return Status::Ok();  // may carry a null data pointer
   bytes_written_ += data.size();
-  if (data.size() >= buf_.size()) {
+  if (data.size() >= capacity_) {
     // Large append: flush what's pending, then write through.
     SMPX_RETURN_IF_ERROR(Drain());
     return WriteOut(data.data(), data.size());
   }
-  if (fill_ + data.size() > buf_.size()) SMPX_RETURN_IF_ERROR(Drain());
-  std::memcpy(buf_.data() + fill_, data.data(), data.size());
+  if (fill_ + data.size() > capacity_) SMPX_RETURN_IF_ERROR(Drain());
+  std::memcpy(buf_.get() + fill_, data.data(), data.size());
   fill_ += data.size();
   return Status::Ok();
 }

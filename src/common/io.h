@@ -273,14 +273,21 @@ class BufferedFileSink : public OutputSink {
   Status Flush();
 
  private:
+  // The buffer is left uninitialized: only bytes below fill_ are ever
+  // read, and zero-filling a 1 MiB buffer would make every opened sink
+  // touch (and keep resident) all of it before its first byte.
   BufferedFileSink(std::FILE* f, bool owns, size_t capacity)
-      : file_(f), owns_(owns), buf_(capacity > 0 ? capacity : 1) {}
+      : file_(f),
+        owns_(owns),
+        capacity_(capacity > 0 ? capacity : 1),
+        buf_(new char[capacity_]) {}
   Status WriteOut(const char* data, size_t len);  // fwrite + short-write check
   Status Drain();
 
   std::FILE* file_;
   bool owns_;
-  std::vector<char> buf_;
+  size_t capacity_;
+  std::unique_ptr<char[]> buf_;
   size_t fill_ = 0;
   Status error_;  // first failure; sticky
 };

@@ -26,25 +26,6 @@ constexpr uint64_t kInf = std::numeric_limits<uint64_t>::max();
 /// resolver just re-runs those shards.
 constexpr int kMaxCopyDepth = 64;
 
-/// RuntimeTables::boundary_keywords: "<name" for every child element of
-/// the root, or none when such a name can also occur elsewhere in a
-/// DTD-valid document -- below the root's children, as the root itself,
-/// or anywhere inside an opaque region (whose interior the instance tree
-/// does not unfold).
-std::vector<std::string> RootChildKeywords(const DtdAutomaton& aut) {
-  std::set<std::string> names;
-  for (const DtdAutomaton::Instance& inst : aut.instances()) {
-    if (inst.opaque) return {};
-    if (inst.parent == 0) names.insert(inst.label);
-  }
-  for (const DtdAutomaton::Instance& inst : aut.instances()) {
-    if (inst.parent != 0 && names.count(inst.label) != 0) return {};
-  }
-  std::vector<std::string> keywords;
-  for (const std::string& name : names) keywords.push_back("<" + name);
-  return keywords;
-}
-
 /// Computes J[q] for one DFA state: the minimum, over all documents valid
 /// w.r.t. the DTD and all member NFA states, of the number of characters
 /// between the cursor (just past the matched tag) and the first possible
@@ -150,13 +131,28 @@ uint64_t ComputeStateJump(const DtdAutomaton& aut, dtd::MinSerial* ms,
 /// only cost a re-run, never correctness. The true (state, depth) of a
 /// valid document's boundary below the cap is always contained.
 ///
-/// The boundary keywords come from the instance tree alone (see
-/// RootChildKeywords), so every table built over one DTD carries the same.
+/// The same walk finds the split keywords (RuntimeTables::split_keywords):
+/// every product edge that opens an element below the root records the
+/// node's (state, depth) for that element name, and a name qualifies when
+/// its pairs are all at depth 0 and of one behavior class. Opaque regions
+/// may hold any reachable name in any balance, so a DTD automaton with an
+/// opaque instance gets no split keywords at all.
 void ComputeBoundaryStates(const DtdAutomaton& aut, RuntimeTables* out) {
   const RuntimeTables& tables = *out;
   const uint64_t nq = tables.states.size();
   if (nq == 0) return;
   std::set<std::pair<int, int>> boundary;  // ordered (state, depth) pairs
+  // Per opening token: the states seen on its '<' so far, or `inside_copy`
+  // once some opening sits inside a copy region.
+  struct OpenSites {
+    bool inside_copy = false;
+    std::vector<int> states;
+  };
+  bool track_sites = true;
+  for (const DtdAutomaton::Instance& inst : aut.instances()) {
+    if (inst.opaque) track_sites = false;
+  }
+  std::vector<OpenSites> sites(track_sites ? aut.num_tokens() : 0);
   std::unordered_set<uint64_t> seen;
   std::vector<std::array<int, 3>> work;
   auto push = [&seen, &work, nq](int s, int q, int d) {
@@ -187,6 +183,16 @@ void ComputeBoundaryStates(const DtdAutomaton& aut, RuntimeTables* out) {
       if (!tok.closing && aut.IsTopLevelOpenState(t.to)) {
         boundary.insert({q, d});
       }
+      if (track_sites && !tok.closing &&
+          aut.instance(DtdAutomaton::InstanceOf(t.to)).parent >= 0) {
+        OpenSites& site = sites[static_cast<size_t>(t.token)];
+        if (d != 0) {
+          site.inside_copy = true;
+        } else if (std::find(site.states.begin(), site.states.end(), q) ==
+                   site.states.end()) {
+          site.states.push_back(q);
+        }
+      }
       if (st.count_nesting && tok.name == st.entry_name) {
         // The engine balances the region's own tag: openings always stay
         // inside; a closing leaves only when the balance hits zero.
@@ -211,10 +217,66 @@ void ComputeBoundaryStates(const DtdAutomaton& aut, RuntimeTables* out) {
     out->boundary_states.push_back(q);
     out->boundary_copy_depths.push_back(d);
   }
-  out->boundary_keywords = RootChildKeywords(aut);
+  std::vector<std::pair<std::string, std::vector<int>>> split;
+  for (size_t token = 0; token < sites.size(); ++token) {
+    OpenSites& site = sites[token];
+    if (site.inside_copy || site.states.empty()) continue;
+    bool one_class = true;
+    for (int q : site.states) {
+      one_class = one_class && SameRuntimeBehavior(tables, site.states[0], q);
+    }
+    if (!one_class) continue;
+    std::sort(site.states.begin(), site.states.end());
+    split.emplace_back("<" + aut.token(static_cast<int>(token)).name,
+                       std::move(site.states));
+  }
+  std::sort(split.begin(), split.end());
+  std::vector<std::string> keywords;
+  std::vector<std::vector<int>> members;
+  for (auto& [keyword, states] : split) {
+    keywords.push_back(std::move(keyword));
+    members.push_back(std::move(states));
+  }
+  out->split_keywords = SplitKeywords(std::move(keywords), std::move(members));
 }
 
 }  // namespace
+
+bool SameRuntimeBehavior(const RuntimeTables& t, int a, int b) {
+  const DfaState& A = t.states[static_cast<size_t>(a)];
+  const DfaState& B = t.states[static_cast<size_t>(b)];
+  return A.keywords == B.keywords && A.is_final == B.is_final &&
+         A.jump == B.jump && A.count_nesting == B.count_nesting &&
+         // The entry tag matters only while tag-balancing an opaque region.
+         (!A.count_nesting || A.entry_name == B.entry_name) &&
+         A.open_next_id == B.open_next_id &&
+         A.close_next_id == B.close_next_id && A.open_next == B.open_next &&
+         A.close_next == B.close_next;
+}
+
+SplitKeywords::SplitKeywords(std::vector<std::string> keywords,
+                             std::vector<std::vector<int>> states)
+    : keywords_(std::move(keywords)), states_(std::move(states)) {}
+
+int SplitKeywords::Find(std::string_view name) const {
+  // Sorted "<name" strings order like their names.
+  auto it = std::lower_bound(
+      keywords_.begin(), keywords_.end(), name,
+      [](const std::string& kw, std::string_view n) {
+        return std::string_view(kw).substr(1) < n;
+      });
+  return it != keywords_.end() && std::string_view(*it).substr(1) == name
+             ? static_cast<int>(it - keywords_.begin())
+             : -1;
+}
+
+const strmatch::Matcher* SplitKeywords::matcher() const {
+  if (keywords_.empty() || lazy_ == nullptr) return nullptr;
+  std::call_once(lazy_->once, [this] {
+    lazy_->matcher = strmatch::MakeMatcher(keywords_);
+  });
+  return lazy_->matcher.get();
+}
 
 TagInterner::TagInterner(const std::vector<std::string>& names) {
   for (const std::string& n : names) {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -155,6 +156,55 @@ struct MultiQueryInfo {
   }
 };
 
+/// Split keywords: element names at whose opening tag the runtime state is
+/// known statically, so a sharded run can cut a document there and launch
+/// each shard once. "<name" is a split keyword when the DTD automaton has
+/// no opaque (recursive) instance and, over every DTD-valid document, each
+/// opening of a `name` element below the root finds the run outside every
+/// copy region in one of a set of states that share one behavior class
+/// (SameRuntimeBehavior). The boundary-state walk of FinishTables records
+/// those states. In a valid document every occurrence of such a keyword
+/// followed by whitespace, '>' or '/' outside comments, CDATA sections, PIs
+/// and the DOCTYPE declaration opens such an element, wherever in the tree
+/// it sits -- root children included, when they qualify.
+///
+/// The BM/CW matcher over the keywords is built on the first call to
+/// matcher(), once per tables, not at compile time: only sharded runs
+/// probe for split points, and a CW matcher over a few dozen keywords
+/// costs about a millisecond and several hundred KB, which table caches,
+/// multi-query mixes and every serial run would otherwise pay.
+class SplitKeywords {
+ public:
+  SplitKeywords() = default;
+  /// `keywords` sorted and unique; `states[i]` the sorted member states of
+  /// keywords[i].
+  SplitKeywords(std::vector<std::string> keywords,
+                std::vector<std::vector<int>> states);
+
+  bool empty() const { return keywords_.empty(); }
+  size_t size() const { return keywords_.size(); }
+  /// "<name" strings, sorted.
+  const std::vector<std::string>& keywords() const { return keywords_; }
+  /// The DFA states a run can be in on the '<' of keywords()[i], sorted;
+  /// all of one behavior class, at copy depth 0.
+  const std::vector<int>& states(size_t i) const { return states_[i]; }
+  /// Index of the keyword naming element `name` (no '<'), or -1.
+  int Find(std::string_view name) const;
+  /// The matcher over keywords(), built on first use; safe to call from
+  /// several threads at once. Null when there are no keywords.
+  const strmatch::Matcher* matcher() const;
+
+ private:
+  struct Lazy {
+    std::once_flag once;
+    std::unique_ptr<strmatch::Matcher> matcher;
+  };
+  std::vector<std::string> keywords_;
+  std::vector<std::vector<int>> states_;
+  // Behind a pointer so the tables stay movable; null only when moved from.
+  std::unique_ptr<Lazy> lazy_ = std::make_unique<Lazy>();
+};
+
 /// The complete set of runtime tables; self-contained (the DTD-automaton
 /// can be discarded after construction).
 struct RuntimeTables {
@@ -192,18 +242,12 @@ struct RuntimeTables {
   /// which only costs speculation accuracy, never soundness -- acceptance
   /// is an exact exit-vs-entry comparison in the resolver.
   std::vector<int> boundary_copy_depths;
-  /// Keywords that find top-level boundaries by search instead of by a
-  /// structural walk: "<name" for every child element of the root, sorted.
-  /// Empty unless every occurrence of such a keyword followed by
-  /// whitespace, '>' or '/' outside comments, CDATA sections, PIs and the
-  /// DOCTYPE declaration opens a top-level element in any DTD-valid
-  /// document, i.e. unless the DTD automaton has no opaque (recursive)
-  /// instance and no instance of these names below the root's children.
-  /// The sharder then picks its split points with
-  /// parallel::ProbeTopLevelBoundaries. Not part of Fingerprint(): split
-  /// points are advisory, so the field changes no engine behavior, and
-  /// hashing it would invalidate every persisted index and cursor token.
-  std::vector<std::string> boundary_keywords;
+  /// Record-level split points for the parallel sharder (see
+  /// SplitKeywords). Not part of Fingerprint(): split points are advisory
+  /// and a speculation that trusts them is verified exactly, so the field
+  /// changes no engine behavior, and hashing it would invalidate every
+  /// persisted index and cursor token.
+  SplitKeywords split_keywords;
 
   /// Non-null iff these are multi-query product tables (see MultiQueryInfo).
   /// Shared because RuntimeTables moves/copies around freely and the info
@@ -236,6 +280,25 @@ struct RuntimeTables {
 
   std::string DebugString() const;
 };
+
+/// True when a run resumed in state `a` behaves exactly as one resumed in
+/// state `b`: same frontier vocabulary (hence matcher behavior and search
+/// counters), same transitions, same opaque-nesting semantics, same
+/// finality, same re-entry jump. Entry *actions* are deliberately excluded
+/// -- they fire only on transitions, never at a resume point -- so such
+/// states (e.g. "after <root>" / "after </record>" in a star root) share
+/// one speculative run in the sharder, and a split keyword may stand for
+/// several of them.
+///
+/// The partition is as coarse as exact replay allows. Successors must be
+/// the *same states*, not merely equivalent ones: an accepted speculative
+/// run stands in for the serial run byte-for-byte, including match
+/// counters and the states_visited set, and a run routed through a twin
+/// state would already diverge on those. Nor is there slack in the
+/// transition domain: a state's keyword vocabulary is derived from its
+/// transition function, so `keywords` equality plus per-tag successor
+/// equality covers every transition the keyword search can reach.
+bool SameRuntimeBehavior(const RuntimeTables& t, int a, int b);
 
 /// Outputs a run over `tables` writes, one sink each: the unique query
 /// count of product tables, 1 for single-query tables. Sessions and every

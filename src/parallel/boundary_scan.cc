@@ -479,20 +479,18 @@ std::vector<uint64_t> FindTopLevelBoundariesParallel(
   return splits;
 }
 
-std::vector<uint64_t> ProbeTopLevelBoundaries(
-    std::string_view doc, const std::vector<std::string>& keywords,
-    size_t max_splits) {
+std::vector<uint64_t> ProbeKeywordBoundaries(std::string_view doc,
+                                             const strmatch::Matcher& matcher,
+                                             size_t max_splits) {
   std::vector<uint64_t> splits;
-  if (max_splits == 0 || doc.size() < 2 || keywords.empty()) return splits;
+  if (max_splits == 0 || doc.size() < 2) return splits;
   const uint64_t stride = doc.size() / (max_splits + 1);
   if (stride == 0) return splits;
-  const std::unique_ptr<strmatch::Matcher> matcher =
-      strmatch::MakeMatcher(keywords);
-  if (matcher == nullptr) return splits;  // an empty keyword
+  const std::vector<std::string>& keywords = matcher.patterns();
   uint64_t target_idx = 1;  // next split target = target_idx * stride
   size_t from = static_cast<size_t>(stride);
   while (splits.size() < max_splits) {
-    const strmatch::Match m = matcher->Search(doc, from, nullptr);
+    const strmatch::Match m = matcher.Search(doc, from, nullptr);
     if (!m.found()) break;
     if (!OpensKeywordTag(doc, m.pos, keywords)) {
       from = m.pos + 1;

@@ -1,23 +1,27 @@
-// Top-level boundary finders: offsets of element starts that are children of
-// the document root, found without parsing. Two finders serve two needs.
+// Split-point finders: offsets of element starts a document can be cut at,
+// found without parsing. Two finders serve two needs.
 //
-// The keyword probe (ProbeTopLevelBoundaries) is the paper's approach
+// The keyword probe (ProbeKeywordBoundaries) is the paper's approach
 // applied to split points: a Boyer-Moore (one keyword) or Commentz-Walter
-// (several) search for "<name" of the root's child elements, started at
-// each split target. It reads only from each target to the next delimited
-// occurrence. ShardedRun uses it whenever the tables carry
-// RuntimeTables::boundary_keywords, i.e. when the DTD guarantees that such
-// an occurrence outside comments, CDATA sections, PIs and the DOCTYPE
-// declaration opens a top-level element.
+// (several) search, started at each split target, for the "<name" of
+// elements whose entry state the tables know statically
+// (core::SplitKeywords). Those are record-level names as often as root
+// children -- XMark's "<person", "<item" and "<open_auction", MEDLINE's
+// "<MedlineCitation" -- so the probe reads only from each target to the
+// nearest delimited occurrence, typically a few hundred bytes. ShardedRun
+// uses it whenever the tables carry split keywords, i.e. when the DTD
+// guarantees that such an occurrence outside comments, CDATA sections, PIs
+// and the DOCTYPE declaration opens an element whose entry class is known.
 //
 // The structural scan (ForEachTopLevelBoundary, FindTopLevelBoundaries and
-// the region-parallel FindTopLevelBoundariesParallel) walks every tag. It
+// the region-parallel FindTopLevelBoundariesParallel) walks every tag and
+// returns only top-level element starts (children of the root). It
 // tracks element depth through comments, CDATA sections, processing
 // instructions, DOCTYPE internal subsets and quoted attribute values, so a
 // boundary never lands mid-tag or inside opaque markup, for any DTD. It is
-// ShardedRun's finder when the tables carry no keywords (a root-child name
-// that recurs deeper or under recursion) and the boundary index's only
-// one (index::BoundaryIndex::Build, one streaming pass over any
+// ShardedRun's finder when the tables carry no split keywords (a DTD with
+// recursion, or no name with one entry class) and the boundary index's
+// only one (index::BoundaryIndex::Build, one streaming pass over any
 // InputSource), since the index needs every record, not a few split
 // points. One scanner and one element walk serve all of its callers.
 //
@@ -41,6 +45,7 @@
 #include "common/io.h"
 #include "common/status.h"
 #include "parallel/thread_pool.h"
+#include "strmatch/matcher.h"
 
 namespace smpx::parallel {
 
@@ -95,18 +100,18 @@ std::vector<uint64_t> FindTopLevelBoundariesParallel(
 
 /// Keyword-search boundary selection: for each evenly spaced target, as in
 /// ForEachTopLevelBoundary, the first occurrence at or after it of one of
-/// `keywords` ("<name" strings, typically RuntimeTables::
-/// boundary_keywords) followed by whitespace, '>' or '/'; a selected
-/// boundary covers every target at or before it. Runs on the calling
-/// thread and reads only from each target to its hit. Equals
-/// FindTopLevelBoundaries when every such occurrence opens a top-level
-/// element -- guaranteed for a DTD-valid document whose keywords name the
-/// root's children and that holds none of them inside a comment, CDATA
-/// section, PI or DOCTYPE declaration. Otherwise a boundary may land on
-/// such an occurrence, which costs ShardedRun a re-run, never output.
-std::vector<uint64_t> ProbeTopLevelBoundaries(
-    std::string_view doc, const std::vector<std::string>& keywords,
-    size_t max_splits);
+/// `matcher`'s patterns ("<name" strings, typically core::SplitKeywords::
+/// matcher()) followed by whitespace, '>' or '/'; a selected boundary
+/// covers every target at or before it. Runs on the calling thread and
+/// reads only from each target to its hit. With the root's child names for
+/// patterns it equals FindTopLevelBoundaries when every such occurrence
+/// opens a top-level element -- guaranteed for a DTD-valid document in
+/// which those names occur nowhere else and none of them inside a comment,
+/// CDATA section, PI or DOCTYPE declaration. A boundary that lands on such
+/// an occurrence costs ShardedRun a re-run, never output.
+std::vector<uint64_t> ProbeKeywordBoundaries(std::string_view doc,
+                                             const strmatch::Matcher& matcher,
+                                             size_t max_splits);
 
 }  // namespace smpx::parallel
 

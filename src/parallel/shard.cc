@@ -4,6 +4,8 @@
 #include <memory>
 #include <utility>
 
+#include "common/strings.h"
+
 namespace smpx::parallel {
 namespace {
 
@@ -11,34 +13,17 @@ namespace {
 /// in-copy candidate over multi-query product tables).
 constexpr size_t kNoClass = ~size_t{0};
 
-/// True when a resumed session behaves identically from state `a` and `b`:
-/// same frontier vocabulary (hence matcher behavior and search counters),
-/// same transitions, same opaque-nesting semantics, same finality, same
-/// re-entry jump. Entry *actions* are deliberately excluded -- they fire
-/// only on transitions, never at a resume point -- so behavior-equivalent
-/// boundary candidates (e.g. "after <root>" / "after </record>" in a star
-/// root) collapse into a single speculative run.
-///
-/// This partition is as coarse as exact replay allows. Successors must be
-/// the *same states*, not merely equivalent ones: an accepted attempt
-/// stands in for the serial run byte-for-byte, including match counters
-/// and the states_visited set, and a run routed through a twin state
-/// would already diverge on those. Nor is there slack in the transition
-/// domain: a state's keyword vocabulary is derived from its transition
-/// function, so `keywords` equality plus per-tag successor equality
-/// covers every transition the keyword search can reach. Classes that
-/// remain distinct (e.g. the phases of an ordered root) differ
-/// observably, and the wave cost they add is what early-kill reclaims.
-bool SameRuntimeBehavior(const core::RuntimeTables& t, int a, int b) {
-  const core::DfaState& A = t.states[static_cast<size_t>(a)];
-  const core::DfaState& B = t.states[static_cast<size_t>(b)];
-  return A.keywords == B.keywords && A.is_final == B.is_final &&
-         A.jump == B.jump && A.count_nesting == B.count_nesting &&
-         // The entry tag matters only while tag-balancing an opaque region.
-         (!A.count_nesting || A.entry_name == B.entry_name) &&
-         A.open_next_id == B.open_next_id &&
-         A.close_next_id == B.close_next_id && A.open_next == B.open_next &&
-         A.close_next == B.close_next;
+/// The element name whose tag opens at `pos` ("" unless doc[pos] is '<'
+/// followed by a name).
+std::string_view TagNameAt(std::string_view doc, uint64_t pos) {
+  if (pos >= doc.size() || doc[pos] != '<') return {};
+  size_t end = static_cast<size_t>(pos) + 1;
+  while (end < doc.size() && !IsXmlWhitespace(doc[end]) && doc[end] != '>' &&
+         doc[end] != '/') {
+    ++end;
+  }
+  return doc.substr(static_cast<size_t>(pos) + 1,
+                    end - static_cast<size_t>(pos) - 1);
 }
 
 }  // namespace
@@ -54,6 +39,17 @@ SpeculativeResolver::SpeculativeResolver(const core::RuntimeTables& tables,
   seg_begin_.push_back(doc.size());
   const size_t n = segments();
 
+  // A boundary that opens a split keyword's element has one statically
+  // known entry class; every other boundary is taken for a top-level one
+  // and speculates over the classes of the boundary-state analysis.
+  seg_keyword_.assign(n, -1);
+  bool all_keywords = true;
+  for (size_t k = 1; k < n; ++k) {
+    seg_keyword_[k] =
+        tables_.split_keywords.Find(TagNameAt(doc_, seg_begin_[k]));
+    all_keywords = all_keywords && seg_keyword_[k] >= 0;
+  }
+
   // Collapse the static candidate set into behavior classes; candidates
   // whose vocabulary and transitions coincide (they differ only in entry
   // actions, which never re-fire at a resume point) share one speculative
@@ -63,7 +59,7 @@ SpeculativeResolver::SpeculativeResolver(const core::RuntimeTables& tables,
   // depth-0 resume of the same state.
   const std::vector<int>& boundary_states = tables_.boundary_states;
   class_of_.assign(boundary_states.size(), kNoClass);
-  if (n > 1) {
+  if (!all_keywords) {
     for (size_t i = 0; i < boundary_states.size(); ++i) {
       const int depth = i < tables_.boundary_copy_depths.size()
                             ? tables_.boundary_copy_depths[i]
@@ -76,8 +72,8 @@ SpeculativeResolver::SpeculativeResolver(const core::RuntimeTables& tables,
       size_t c = 0;
       while (c < class_reps_.size() &&
              !(class_rep_depths_[c] == depth &&
-               SameRuntimeBehavior(tables_, class_reps_[c],
-                                   boundary_states[i]))) {
+               core::SameRuntimeBehavior(tables_, class_reps_[c],
+                                         boundary_states[i]))) {
         ++c;
       }
       if (c == class_reps_.size()) {
@@ -95,13 +91,23 @@ SpeculativeResolver::SpeculativeResolver(const core::RuntimeTables& tables,
       class_of_[i] = c;
     }
   }
-  static_spec_ = n > 1 && !class_reps_.empty() &&
-                 class_reps_.size() <= opts_.max_candidate_states;
+  static_spec_ = n > 1 && (all_keywords || !class_reps_.empty());
 
   results_.resize(n);
   report_.shards = n;
-  report_.candidate_states = static_spec_ ? boundary_states.size() : 0;
-  report_.candidate_classes = static_spec_ ? class_reps_.size() : 0;
+  if (static_spec_) {
+    for (size_t k = 1; k < n; ++k) {
+      const int kw = seg_keyword_[k];
+      const size_t states =
+          kw >= 0 ? tables_.split_keywords.states(static_cast<size_t>(kw))
+                        .size()
+                  : boundary_states.size();
+      const size_t classes = kw >= 0 ? 1 : class_reps_.size();
+      report_.candidate_states = std::max(report_.candidate_states, states);
+      report_.candidate_classes =
+          std::max(report_.candidate_classes, classes);
+    }
+  }
 }
 
 SpeculativeResolver::~SpeculativeResolver() { Abort(); }
@@ -111,8 +117,8 @@ void SpeculativeResolver::RunSegment(size_t k,
                                      ShardResult* r, bool mark_start,
                                      const std::atomic<bool>* cancel) {
   const size_t n = segments();
-  uint64_t begin = start != nullptr ? start->feed_begin() : seg_begin_[k];
-  uint64_t end = seg_begin_[k + 1];
+  const uint64_t begin = start != nullptr ? start->feed_begin() : seg_begin_[k];
+  const uint64_t end = seg_begin_[k + 1];
   core::EngineOptions eopts = opts_.engine;
   eopts.mark_start_state_visited = mark_start;
   eopts.cancel = cancel;
@@ -134,8 +140,12 @@ void SpeculativeResolver::RunSegment(size_t k,
   }
   core::PrefilterSession session(tables_, outs, &r->query_stats, &r->stats,
                                  eopts, start);
-  r->status = session.Resume(doc_.substr(static_cast<size_t>(begin),
-                                         static_cast<size_t>(end - begin)));
+  // A re-run whose checkpoint lies past the segment's end (an initial jump
+  // crossed the whole segment) has nothing to read here.
+  r->status = session.Resume(
+      begin < end ? doc_.substr(static_cast<size_t>(begin),
+                                static_cast<size_t>(end - begin))
+                  : std::string_view());
   if (r->status.ok() && k + 1 == n && !session.finished()) {
     r->status = session.Finish();
   } else {
@@ -148,34 +158,24 @@ void SpeculativeResolver::RunSegment(size_t k,
   r->read_end = begin + r->stats.input_bytes;
 }
 
-void SpeculativeResolver::RunAttempt(size_t idx, Attempt* a) {
-  if (static_spec_) {
-    if (idx == 0) {
-      RunSegment(0, nullptr, &a->result, /*mark_start=*/true, &a->cancel);
-      return;
-    }
-    const size_t classes = class_reps_.size();
-    size_t k = 1 + (idx - 1) / classes;
-    size_t c = (idx - 1) % classes;
-    core::SessionCheckpoint start;
-    start.state = class_reps_[c];
-    // In-copy candidates resume mid-copy with nothing flushed yet: the
-    // session emits [boundary, ...) itself and the driver owes the
-    // predecessor's unflushed tail below the boundary (ShardResult::
-    // tail_begin/tail_end, recorded on acceptance).
-    start.copy_depth = class_rep_depths_[c];
-    start.cursor = seg_begin_[k];
-    start.copy_flushed = seg_begin_[k];
-    // The representative may differ from the true entry state (whose
-    // visited bit the predecessor's hand-off owns); don't count it.
-    RunSegment(k, &start, &a->result, /*mark_start=*/false, &a->cancel);
-  } else {
-    size_t k = idx + 1;
-    core::SessionCheckpoint start = dynamic_guess_;
-    start.cursor = seg_begin_[k];
-    start.copy_flushed = seg_begin_[k];
-    RunSegment(k, &start, &a->result, /*mark_start=*/true, &a->cancel);
-  }
+void SpeculativeResolver::RunAttempt(Attempt* a) {
+  RunSegment(a->segment, a->segment == 0 ? nullptr : &a->entry, &a->result,
+             a->mark_start, &a->cancel);
+}
+
+void SpeculativeResolver::AddAttempt(size_t k, core::SessionCheckpoint entry,
+                                     bool mark_start) {
+  auto a = std::make_unique<Attempt>();
+  a->segment = k;
+  // Speculative entries resume with nothing flushed yet: an in-copy one
+  // emits [boundary, ...) itself and the driver owes the predecessor's
+  // unflushed tail below the boundary (ShardResult::tail_begin/tail_end,
+  // recorded on acceptance).
+  entry.cursor = seg_begin_[k];
+  entry.copy_flushed = seg_begin_[k];
+  a->entry = std::move(entry);
+  a->mark_start = mark_start;
+  attempts_.push_back(std::move(a));
 }
 
 void SpeculativeResolver::KillLocked(Attempt* a) {
@@ -215,7 +215,7 @@ void SpeculativeResolver::AttemptTask(size_t idx) {
     }
     a.started = true;
   }
-  RunAttempt(idx, &a);
+  RunAttempt(&a);
   std::unique_lock<std::mutex> lock(mu_);
   report_.wave_bytes += a.result.stats.input_bytes;
   if (a.result.status.code() == StatusCode::kCancelled) ++report_.killed;
@@ -238,7 +238,7 @@ void SpeculativeResolver::WaitDone(size_t idx) {
     // pool task sees `started` and backs off.
     a.started = true;
     lock.unlock();
-    RunAttempt(idx, &a);
+    RunAttempt(&a);
     lock.lock();
     ++report_.stolen;
     report_.wave_bytes += a.result.stats.input_bytes;
@@ -252,24 +252,31 @@ void SpeculativeResolver::WaitDone(size_t idx) {
 void SpeculativeResolver::LaunchWave(ThreadPool* pool) {
   const size_t n = segments();
   if (static_spec_) {
-    // One fully parallel wave: the head plus |classes| speculative runs
-    // per non-head segment. Nothing serializes ahead of the wave, and
-    // nothing waits for it either -- Resolve picks attempts up as their
-    // exits land.
-    const size_t classes = class_reps_.size();
-    const size_t total = 1 + (n - 1) * classes;
-    attempts_.reserve(total);
-    for (size_t i = 0; i < total; ++i) {
-      attempts_.push_back(std::make_unique<Attempt>());
+    // One fully parallel wave: the head plus one run per candidate class
+    // of every later segment -- one for a split-keyword boundary. Nothing
+    // serializes ahead of the wave, and nothing waits for it either --
+    // Resolve picks attempts up as their exits land.
+    first_attempt_.assign(n + 1, 0);
+    AddAttempt(0, {}, /*mark_start=*/true);
+    for (size_t k = 1; k < n; ++k) {
+      first_attempt_[k] = attempts_.size();
+      core::SessionCheckpoint entry;
+      const int kw = seg_keyword_[k];
+      if (kw >= 0) {
+        // Any member stands for the class; the true entry state's visited
+        // bit is the predecessor's, so the representative's is not counted.
+        entry.state =
+            tables_.split_keywords.states(static_cast<size_t>(kw)).front();
+        AddAttempt(k, entry, /*mark_start=*/false);
+        continue;
+      }
+      for (size_t c = 0; c < class_reps_.size(); ++c) {
+        entry.state = class_reps_[c];
+        entry.copy_depth = class_rep_depths_[c];
+        AddAttempt(k, entry, /*mark_start=*/false);
+      }
     }
-    report_.speculated = n - 1;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      outstanding_ = total;
-    }
-    for (size_t idx = 0; idx < total; ++idx) {
-      pool->Submit([this, idx] { AttemptTask(idx); });
-    }
+    first_attempt_[n] = attempts_.size();
   } else {
     // Dynamic fallback (PR-2 scheme): the document head runs for real --
     // its exit state is the speculation seed for every other segment.
@@ -283,22 +290,87 @@ void SpeculativeResolver::LaunchWave(ThreadPool* pool) {
     dynamic_spec_ = n > 1 && head.status.ok() && !head.finished &&
                     head.clean && head.exit.nesting_depth == 0 &&
                     (head.exit.copy_depth == 0 || tables_.multi == nullptr);
-    if (dynamic_spec_) {
-      dynamic_guess_ = head.exit;
-      attempts_.reserve(n - 1);
-      for (size_t i = 0; i + 1 < n; ++i) {
-        attempts_.push_back(std::make_unique<Attempt>());
-      }
-      report_.speculated = n - 1;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        outstanding_ = n - 1;
-      }
-      for (size_t idx = 0; idx + 1 < n; ++idx) {
-        pool->Submit([this, idx] { AttemptTask(idx); });
-      }
+    if (!dynamic_spec_) return;
+    dynamic_guess_ = head.exit;
+    first_attempt_.assign(n + 1, 0);
+    for (size_t k = 1; k < n; ++k) {
+      first_attempt_[k] = attempts_.size();
+      AddAttempt(k, dynamic_guess_, /*mark_start=*/true);
+    }
+    first_attempt_[n] = attempts_.size();
+  }
+  report_.speculated = n - 1;
+  report_.attempts = attempts_.size();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    outstanding_ = attempts_.size();
+  }
+  for (size_t idx = 0; idx < attempts_.size(); ++idx) {
+    pool->Submit([this, idx] { AttemptTask(idx); });
+  }
+}
+
+bool SpeculativeResolver::SkipsLiveBytes(
+    size_t k, const core::SessionCheckpoint& exit) const {
+  const uint64_t boundary = seg_begin_[k];
+  const uint64_t stop = std::min<uint64_t>(exit.cursor, doc_.size());
+  if (stop <= boundary) return false;
+  // The serial run's initial jump carried its cursor past the boundary: an
+  // attempt starting at the boundary stands in for it only if the jumped
+  // bytes hold no occurrence (true or false match) of the exit state's
+  // keywords, which the attempt would see and the serial run skips.
+  const core::DfaState& st = tables_.states[static_cast<size_t>(exit.state)];
+  if (st.matcher == nullptr) return false;
+  const size_t len = static_cast<size_t>(std::min<uint64_t>(
+      stop - boundary + st.max_keyword - 1, doc_.size() - boundary));
+  const strmatch::Match m = st.matcher->Search(
+      doc_.substr(static_cast<size_t>(boundary), len), 0, nullptr);
+  return m.found() && m.pos < stop - boundary;
+}
+
+size_t SpeculativeResolver::MatchingAttempt(size_t k,
+                                            const ShardResult& prev) const {
+  // Why an entry match suffices: a clean drain means no keyword completed
+  // in the overlap tail, and no keyword can straddle the boundary's '<'
+  // (keywords contain '<' only at position 0), so state, copy depth and
+  // opaque nesting are all constant from the exit cursor through the
+  // boundary -- (state, depth, nesting 0) IS the serial engine's entry
+  // configuration there, unless an initial jump carried the cursor past
+  // the boundary (SkipsLiveBytes). Multi-query product tables keep the
+  // re-run fallback when copies are active: a candidate would need the
+  // full per-query depth vector, which the static analysis does not
+  // enumerate.
+  const core::SessionCheckpoint& exit = prev.exit;
+  if (!prev.clean || exit.nesting_depth != 0 ||
+      (exit.copy_depth != 0 && tables_.multi != nullptr) ||
+      SkipsLiveBytes(k, exit)) {
+    return kNoClass;
+  }
+  if (dynamic_spec_) {
+    return exit.state == dynamic_guess_.state &&
+                   exit.copy_depth == dynamic_guess_.copy_depth
+               ? 0
+               : kNoClass;
+  }
+  if (!static_spec_) return kNoClass;
+  if (seg_keyword_[k] >= 0) {
+    const std::vector<int>& members =
+        tables_.split_keywords.states(static_cast<size_t>(seg_keyword_[k]));
+    return exit.copy_depth == 0 &&
+                   std::binary_search(members.begin(), members.end(),
+                                      exit.state)
+               ? 0
+               : kNoClass;
+  }
+  const std::vector<int>& boundary_states = tables_.boundary_states;
+  const std::vector<int>& depths = tables_.boundary_copy_depths;
+  for (size_t c = 0; c < boundary_states.size(); ++c) {
+    const int depth = c < depths.size() ? depths[c] : 0;
+    if (boundary_states[c] == exit.state && depth == exit.copy_depth) {
+      return class_of_[c];
     }
   }
+  return kNoClass;
 }
 
 ShardResult& SpeculativeResolver::Resolve(size_t k) {
@@ -311,72 +383,44 @@ ShardResult& SpeculativeResolver::Resolve(size_t k) {
     return results_[0];  // dynamic mode ran the head synchronously
   }
   ShardResult& prev = results_[k - 1];
-  // Accept the speculative attempt whose assumed entry (state, copy depth)
-  // matches the predecessor's actual hand-off; otherwise re-run the
-  // segment from the true checkpoint. Deterministic by construction -- the
-  // accepted sequence replays the serial run (early-kill only cancels
-  // attempts that were never going to be part of it).
-  //
-  // Why a copy-depth match suffices: a clean drain means no keyword
-  // completed in the overlap tail, and no keyword can straddle a
-  // top-level '<' (keywords contain '<' only at position 0), so state,
-  // copy depth and opaque nesting are all constant from the exit cursor
-  // through the boundary -- (state, depth, nesting 0) IS the serial
-  // engine's entry configuration there. An in-copy hand-off additionally
-  // owes the unflushed copy bytes [exit.copy_flushed, boundary) that the
-  // predecessor's suspension withheld; the accepted attempt started
-  // flushing at the boundary, so they are recorded as the segment's
-  // hand-off tail for the driver and folded into its output stats.
-  // Multi-query product tables keep the re-run fallback when copies are
-  // active: a candidate would need the full per-query depth vector, which
-  // the static analysis does not enumerate.
-  const bool maybe_speculated =
-      prev.clean && prev.exit.nesting_depth == 0 &&
-      (prev.exit.copy_depth == 0 || tables_.multi == nullptr);
-  size_t hit = kNoClass;
-  if (maybe_speculated) {
-    if (static_spec_) {
-      const std::vector<int>& boundary_states = tables_.boundary_states;
-      const std::vector<int>& depths = tables_.boundary_copy_depths;
-      for (size_t c = 0; c < boundary_states.size(); ++c) {
-        const int depth = c < depths.size() ? depths[c] : 0;
-        if (boundary_states[c] == prev.exit.state &&
-            depth == prev.exit.copy_depth && class_of_[c] != kNoClass) {
-          hit = class_of_[c];
-          break;
-        }
-      }
-    } else if (dynamic_spec_ && prev.exit.state == dynamic_guess_.state &&
-               prev.exit.copy_depth == dynamic_guess_.copy_depth) {
-      hit = 0;
-    }
-  }
-  const size_t classes = static_spec_ ? class_reps_.size()
-                        : dynamic_spec_ ? 1
-                                        : 0;
+  // Accept the speculative attempt whose assumed entry matches the
+  // predecessor's actual hand-off; otherwise re-run the segment from the
+  // true checkpoint. Deterministic by construction -- the accepted
+  // sequence replays the serial run (early-kill only cancels attempts
+  // that were never going to be part of it).
+  const size_t first = first_attempt_.empty() ? 0 : first_attempt_[k];
+  const size_t count =
+      first_attempt_.empty() ? 0 : first_attempt_[k + 1] - first;
+  const size_t hit = MatchingAttempt(k, prev);
   if (hit != kNoClass) {
     // Kill the losing attempts of this segment before waiting on the
     // winner: a running loser aborts at its next safe point and frees its
     // buffered output mid-wave.
     {
       std::lock_guard<std::mutex> lock(mu_);
-      for (size_t c = 0; c < classes; ++c) {
-        if (c != hit) {
-          KillLocked(attempts_[AttemptIndex(k, c)].get());
-        }
+      for (size_t c = 0; c < count; ++c) {
+        if (c != hit) KillLocked(attempts_[first + c].get());
       }
     }
-    WaitDone(AttemptIndex(k, hit));
+    WaitDone(first + hit);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      results_[k] = std::move(attempts_[AttemptIndex(k, hit)]->result);
+      results_[k] = std::move(attempts_[first + hit]->result);
     }
+    ShardResult& r = results_[k];
+    // An attempt that took no transition still sits in its assumed entry
+    // state, which may be another member of the class than the serial
+    // run's; hand the true one on.
+    if (r.stats.matches == 0) r.exit.state = prev.exit.state;
     if (prev.exit.copy_depth > 0) {
+      // An in-copy hand-off owes the unflushed copy bytes
+      // [exit.copy_flushed, boundary) that the predecessor's suspension
+      // withheld; the accepted attempt started flushing at the boundary,
+      // so they are recorded as the segment's hand-off tail for the driver
+      // and folded into its output stats. In-copy hand-offs happen on
+      // single-query tables only, so the tail is query 0's.
       ++report_.copy_handoffs;
       if (prev.exit.copy_flushed < seg_begin_[k]) {
-        // In-copy hand-offs happen on single-query tables only, so the
-        // tail is query 0's.
-        ShardResult& r = results_[k];
         r.tail_begin = prev.exit.copy_flushed;
         r.tail_end = seg_begin_[k];
         r.stats.output_bytes += r.tail_end - r.tail_begin;
@@ -387,10 +431,10 @@ ShardResult& SpeculativeResolver::Resolve(size_t k) {
   } else {
     // Mis-speculation: every attempt of this segment lost. Kill them all,
     // then re-run from the true checkpoint on this thread.
-    if (classes > 0) {
+    if (count > 0) {
       std::lock_guard<std::mutex> lock(mu_);
-      for (size_t c = 0; c < classes; ++c) {
-        KillLocked(attempts_[AttemptIndex(k, c)].get());
+      for (size_t c = 0; c < count; ++c) {
+        KillLocked(attempts_[first + c].get());
       }
     }
     ShardResult rerun;
@@ -450,10 +494,10 @@ Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
                            : static_cast<size_t>(std::max(1, pool->size()));
   std::vector<uint64_t> bounds;
   if (max_shards > 1) {
-    bounds = tables.boundary_keywords.empty()
+    const strmatch::Matcher* split = tables.split_keywords.matcher();
+    bounds = split == nullptr
                  ? FindTopLevelBoundariesParallel(doc, max_shards - 1, pool)
-                 : ProbeTopLevelBoundaries(doc, tables.boundary_keywords,
-                                           max_shards - 1);
+                 : ProbeKeywordBoundaries(doc, *split, max_shards - 1);
   }
 
   SpeculativeResolver::Options ropts;

@@ -1,32 +1,35 @@
-// Single-document sharding: split one document at top-level element
-// boundaries (children of the root) and prefilter the shards concurrently,
-// one PrefilterSession per shard against the shared immutable RuntimeTables.
-//
-// Execution is *fully speculative*: the static boundary-state analysis of
-// BuildTables (RuntimeTables::boundary_states) enumerates every DFA state a
-// run can be in at a top-level boundary, so all shards -- including the
-// document head -- launch in one parallel wave, each non-head shard once
-// per candidate entry state. The verification pass resolves segments in
-// order *while the wave is still running*: it accepts the run whose
-// assumed entry matches its predecessor's actual exit, cancels the
-// segment's losing attempts mid-flight (cooperative kill at session safe
-// points, buffered output freed on the spot -- wave work is proportional
-// to what speculation actually needed, not to shards x classes), and
-// deterministically re-runs any shard whose speculation failed
-// (mis-placed boundaries, hand-offs inside copy regions, opaque recursion
-// balances, DTD-invalid input), so the merged output is ALWAYS
-// byte-identical to the serial engine, no matter where the boundaries fall.
-// Tables without a usable candidate set fall back to the PR-2 scheme that
-// seeds speculation from shard 0's actual exit state.
+// Single-document sharding: split one document at element boundaries and
+// prefilter the shards concurrently, one PrefilterSession per shard against
+// the shared immutable RuntimeTables.
 //
 // Split points come from a keyword search when the DTD allows one: the
-// tables' boundary_keywords ("<name" of every child of the root) are
-// probed with BM/CW from each split target (ProbeTopLevelBoundaries,
-// parallel/boundary_scan.h), which reads a few records per target instead
-// of every tag up to the last boundary. Tables without keywords (a
-// root-child name that recurs deeper or under recursion) fall back to the
-// structural scan, cut into per-target regions scanned concurrently on the
-// pool (FindTopLevelBoundariesParallel).
+// tables' split keywords (core::SplitKeywords -- "<name" of every element
+// whose entry state is one behavior class at copy depth 0, wherever it
+// sits: XMark's "<person", "<item", "<open_auction", MEDLINE's
+// "<MedlineCitation") are probed with one BM/CW matcher from each split
+// target (ProbeKeywordBoundaries, parallel/boundary_scan.h), which reads a
+// few hundred bytes per target. The matcher is built on the first sharded
+// run over the tables and reused by every later one. Tables without split
+// keywords (a DTD with recursion, or no name with one entry class) fall
+// back to the structural scan for top-level elements, cut into per-target
+// regions scanned concurrently on the pool (FindTopLevelBoundariesParallel).
+//
+// Execution is *fully speculative*: every shard -- the document head
+// included -- launches in one parallel wave. A shard whose boundary opens
+// a split keyword runs once, from the keyword's class; any other boundary
+// is taken for a top-level one and runs once per behavior class of the
+// static boundary-state analysis (RuntimeTables::boundary_states). The
+// verification pass resolves segments in order *while the wave is still
+// running*: it accepts the run whose assumed entry matches its
+// predecessor's actual exit, cancels the segment's losing attempts
+// mid-flight (cooperative kill at session safe points, buffered output
+// freed on the spot), and deterministically re-runs any shard whose
+// speculation failed (mis-placed boundaries, an initial jump past the
+// boundary over live keywords, hand-offs inside copy regions of product
+// tables, opaque recursion balances, DTD-invalid input), so the merged
+// output is ALWAYS byte-identical to the serial engine, no matter where
+// the boundaries fall. Tables without a usable candidate set fall back to
+// seeding speculation from shard 0's actual exit state.
 
 #ifndef SMPX_PARALLEL_SHARD_H_
 #define SMPX_PARALLEL_SHARD_H_
@@ -51,13 +54,14 @@ namespace smpx::parallel {
 struct ShardOptions {
   /// Upper bound on the number of shards; 0 means the pool size.
   size_t max_shards = 0;
-  /// Largest number of *behavior classes* worth speculating on. Candidate
-  /// states whose vocabulary and transitions coincide (they differ only in
-  /// entry actions, which never re-fire at a resume point) are collapsed
-  /// into one speculative run; every non-head shard runs once per class,
-  /// so class counts beyond this bound cost more in wasted wave work than
-  /// the removed serialization saves. Such tables fall back to exit-state
-  /// speculation seeded by shard 0.
+  /// Largest number of top-level *behavior classes* worth speculating on.
+  /// Candidate states whose vocabulary and transitions coincide (they
+  /// differ only in entry actions, which never re-fire at a resume point)
+  /// are collapsed into one speculative run; a shard whose boundary does
+  /// not open a split keyword runs once per class, so class counts beyond
+  /// this bound cost more in wasted wave work than the removed
+  /// serialization saves. Such runs fall back to exit-state speculation
+  /// seeded by shard 0 (split-keyword boundaries need no classes).
   size_t max_candidate_states = 4;
   /// Per-segment output buffering budget in bytes; a shard's projected
   /// output beyond it overflows to an unlinked temp file (SpillSink) until
@@ -75,10 +79,17 @@ struct ShardOptions {
 struct ShardReport {
   size_t shards = 0;             ///< segments the document was split into
   size_t speculated = 0;         ///< non-head shards launched in the wave
+  /// Attempts launched in the wave: the head plus one per later segment
+  /// whose boundary opens a split keyword and one per candidate class of
+  /// every other; in dynamic-fallback mode (head run first, on the
+  /// calling thread) one per later segment.
+  size_t attempts = 0;
   size_t accepted = 0;           ///< speculative shards whose entry verified
   size_t reruns = 0;             ///< shards re-run sequentially after the wave
-  size_t candidate_states = 0;   ///< boundary candidate set size (0 = dynamic)
-  size_t candidate_classes = 0;  ///< behavior classes speculated per shard
+  /// Largest candidate-state set any segment speculated on (0 = dynamic).
+  size_t candidate_states = 0;
+  /// Most behavior classes any segment speculated on (0 = dynamic).
+  size_t candidate_classes = 0;
   /// Bytes prefiltered on the sequential verification path (re-runs, plus
   /// shard 0 in dynamic-fallback mode). The wave itself is perfectly
   /// parallel, so serial_bytes / document size bounds the Amdahl fraction
@@ -141,17 +152,23 @@ struct ShardResult {
 
 /// The speculative wave/verify machinery behind single-document sharding
 /// (ShardedRun; smpx-bench's sharded phase probe assembles it by hand):
-/// given a document cut at top-level boundaries into segments, it launches
-/// every segment in one parallel wave -- the head for real, each later
-/// segment once per candidate entry *behavior class* from the static
-/// boundary-state analysis -- and then resolves segments in order,
-/// accepting the attempt whose assumed entry matches the predecessor's
-/// verified exit and deterministically re-running the segment otherwise.
-/// The resolved sequence replays the serial engine byte-for-byte no matter
-/// where the boundaries fall or how speculation fared; tables without a
-/// usable candidate set fall back to seeding speculation from the head's
-/// actual exit state (the PR-2 scheme). Every attempt captures its
-/// projected output in budget-bounded SpillSink segments.
+/// given a document cut into segments, it reads the element name at each
+/// boundary and launches every segment in one parallel wave -- the head
+/// for real, a segment whose boundary opens a split keyword once from that
+/// keyword's class, any other segment once per top-level candidate entry
+/// *behavior class* from the static boundary-state analysis -- and then
+/// resolves segments in order, accepting the attempt whose assumed entry
+/// matches the predecessor's verified exit and deterministically re-running
+/// the segment otherwise. A split-keyword attempt is accepted when the
+/// predecessor drained cleanly outside every copy and opaque region in one
+/// of the keyword's member states, and every attempt only when the
+/// predecessor's initial jump did not carry its cursor past the boundary
+/// over an occurrence of its state's keywords. The resolved sequence
+/// replays the serial engine byte-for-byte no matter where the boundaries
+/// fall or how speculation fared; tables without a usable candidate set
+/// fall back to seeding speculation from the head's actual exit state.
+/// Every attempt captures its projected output in budget-bounded SpillSink
+/// segments.
 class SpeculativeResolver {
  public:
   struct Options {
@@ -167,7 +184,7 @@ class SpeculativeResolver {
   };
 
   /// `boundaries` are strictly increasing offsets inside `doc` (typically
-  /// from ProbeTopLevelBoundaries or FindTopLevelBoundaries*); segment k
+  /// from ProbeKeywordBoundaries or FindTopLevelBoundaries*); segment k
   /// then covers [seg_begin(k), seg_begin(k+1)) with seg_begin(0) = 0 and
   /// the last segment ending at doc.size(). `tables` and `doc` must
   /// outlive the resolver.
@@ -229,15 +246,20 @@ class SpeculativeResolver {
     bool started = false;  ///< a thread owns the run (guarded by mu_)
     bool done = false;     ///< result is final (guarded by mu_)
     bool loser = false;    ///< resolved against; free on sight (mu_)
+    size_t segment = 0;    ///< the segment it runs; 0 is the head
+    core::SessionCheckpoint entry;  ///< assumed entry (not for the head)
+    bool mark_start = false;        ///< count the entry state as visited
     ShardResult result;
   };
 
   void RunSegment(size_t k, const core::SessionCheckpoint* start,
                   ShardResult* r, bool mark_start,
                   const std::atomic<bool>* cancel);
-  /// Replays the launch parameters of attempt `idx` (segment, entry
-  /// checkpoint, visited marking) into its slot.
-  void RunAttempt(size_t idx, Attempt* a);
+  /// Runs attempt `a` into its slot.
+  void RunAttempt(Attempt* a);
+  /// Appends an attempt of segment k entering in `entry`'s state, copy
+  /// depth and per-query vectors at the segment's first byte.
+  void AddAttempt(size_t k, core::SessionCheckpoint entry, bool mark_start);
   /// Pool task wrapper: skips killed-before-start attempts, publishes
   /// completion, frees the sink of an attempt that lost while running.
   void AttemptTask(size_t idx);
@@ -248,9 +270,12 @@ class SpeculativeResolver {
   /// running session aborts at its next safe point, and its buffered
   /// output is freed as soon as it stops (immediately when already done).
   void KillLocked(Attempt* a);
-  size_t AttemptIndex(size_t k, size_t c) const {
-    return static_spec_ ? 1 + (k - 1) * class_reps_.size() + c : k - 1;
-  }
+  /// True when `exit` lies past segment k's boundary and the bytes its
+  /// initial jump skipped hold an occurrence of its state's keywords.
+  bool SkipsLiveBytes(size_t k, const core::SessionCheckpoint& exit) const;
+  /// Which of segment k's attempts (0-based within the segment) replays
+  /// the serial run after `prev`, or ~0 when none does.
+  size_t MatchingAttempt(size_t k, const ShardResult& prev) const;
 
   const core::RuntimeTables& tables_;
   std::string_view doc_;
@@ -259,6 +284,12 @@ class SpeculativeResolver {
   std::vector<int> class_reps_;        // representative state per class
   std::vector<int> class_rep_depths_;  // entry copy depth per class
   std::vector<size_t> class_of_;       // candidate index -> class
+  // Per segment: the split keyword whose element its boundary opens, or
+  // -1 (the head; boundaries speculated over the top-level classes).
+  std::vector<int> seg_keyword_;
+  // Per segment: its first attempt in attempts_, segments()+1 fenceposts;
+  // empty when no attempt was launched.
+  std::vector<size_t> first_attempt_;
   bool static_spec_ = false;
   bool dynamic_spec_ = false;
   core::SessionCheckpoint dynamic_guess_;

@@ -22,13 +22,17 @@
 // changing what the engine projects.
 //
 // The suite doubles as the property harness for the speculation machinery:
-//  - every boundary the sharder reports coincides with a real top-level
-//    element start per the src/xml tokenizer (serial and region-parallel
-//    scanners agree, and on DTD-valid documents so does the keyword probe
-//    whenever the tables carry boundary keywords);
+//  - every boundary the structural scan reports coincides with a real
+//    top-level element start per the src/xml tokenizer (serial and
+//    region-parallel scanners agree);
 //  - the static candidate-state set (RuntimeTables::boundary_states)
 //    contains the true entry state at every top-level boundary of a
 //    DTD-valid document;
+//  - at every element of a DTD-valid document that opens a split keyword
+//    (RuntimeTables::split_keywords), outside comments, CDATA sections and
+//    PIs, the serial run is outside every copy and opaque region in one of
+//    the keyword's member states -- the one fact a keyword-split shard's
+//    single attempt relies on;
 //  - early-kill speculation is always on: every sharded case resolves
 //    incrementally and cancels losing attempts mid-wave (cooperative
 //    kCancelled at session safe points), so byte-identity here also
@@ -43,6 +47,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -316,25 +321,43 @@ void ExpectAllModesIdentical(const Prefilter& pf, const std::string& doc,
   }
 }
 
+/// Ground truth for the split-keyword property: byte offsets of every
+/// start tag below the root (bachelor tags included) whose name is a split
+/// keyword, per the full tokenizer -- so none inside a comment, CDATA
+/// section or PI.
+std::vector<std::pair<uint64_t, int>> TokenizerSplitKeywordStarts(
+    std::string_view doc, const SplitKeywords& split) {
+  std::vector<std::pair<uint64_t, int>> starts;
+  xml::Tokenizer tok(doc);
+  xml::Token t;
+  int64_t depth = 0;
+  while (tok.Next(&t)) {
+    if (t.type == xml::TokenType::kStartTag ||
+        t.type == xml::TokenType::kEmptyTag) {
+      const int kw = split.Find(t.name);
+      if (depth >= 1 && kw >= 0) starts.emplace_back(t.begin, kw);
+      if (t.type == xml::TokenType::kStartTag) ++depth;
+    } else if (t.type == xml::TokenType::kEndTag) {
+      --depth;
+    }
+  }
+  return starts;
+}
+
 /// Asserts the boundary-scanner properties and, when `dtd_valid`, the
-/// candidate-state containment property and (for tables with boundary
-/// keywords) the keyword probe's agreement with the structural scan.
+/// candidate-state containment property and the split-keyword property:
+/// at every split-keyword element a serial run stands outside every copy
+/// and opaque region in one of the keyword's member states.
 void ExpectBoundaryProperties(const Prefilter& pf, const std::string& doc,
                               bool dtd_valid) {
   std::vector<uint64_t> truth = TokenizerTopLevelStarts(doc);
   parallel::ThreadPool pool(3);
-  const std::vector<std::string>& keywords = pf.tables().boundary_keywords;
   for (size_t splits : {1u, 3u, 7u}) {
     std::vector<uint64_t> serial_bounds =
         parallel::FindTopLevelBoundaries(doc, splits);
     EXPECT_EQ(parallel::FindTopLevelBoundariesParallel(doc, splits, &pool),
               serial_bounds)
         << "scanners disagree at splits=" << splits;
-    if (dtd_valid && !keywords.empty()) {
-      EXPECT_EQ(parallel::ProbeTopLevelBoundaries(doc, keywords, splits),
-                serial_bounds)
-          << "keyword probe disagrees at splits=" << splits;
-    }
     for (uint64_t b : serial_bounds) {
       EXPECT_TRUE(std::find(truth.begin(), truth.end(), b) != truth.end())
           << "boundary " << b << " is not a top-level element start";
@@ -359,6 +382,30 @@ void ExpectBoundaryProperties(const Prefilter& pf, const std::string& doc,
                 candidates.end())
         << "true entry state " << state << " at boundary " << b
         << " missing from the candidate set";
+  }
+
+  // Split keywords: one session fed up to each occurrence in turn.
+  const SplitKeywords& split = pf.tables().split_keywords;
+  StringSink sink;
+  RunStats stats;
+  PrefilterSession session(pf.tables(), &sink, &stats, {});
+  uint64_t fed = 0;
+  for (const auto& [offset, kw] : TokenizerSplitKeywordStarts(doc, split)) {
+    ASSERT_TRUE(session
+                    .Resume(std::string_view(doc).substr(
+                        static_cast<size_t>(fed),
+                        static_cast<size_t>(offset - fed)))
+                    .ok());
+    fed = offset;
+    ASSERT_FALSE(session.finished());
+    const SessionCheckpoint cp = session.checkpoint();
+    const std::string& name = split.keywords()[static_cast<size_t>(kw)];
+    const std::vector<int>& members = split.states(static_cast<size_t>(kw));
+    EXPECT_EQ(cp.copy_depth, 0) << name << " at " << offset;
+    EXPECT_EQ(cp.nesting_depth, 0u) << name << " at " << offset;
+    EXPECT_TRUE(std::binary_search(members.begin(), members.end(), cp.state))
+        << "state " << cp.state << " at " << name << " (" << offset
+        << ") is not a member";
   }
 }
 

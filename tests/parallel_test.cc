@@ -8,6 +8,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -22,6 +24,7 @@
 #include "parallel/thread_pool.h"
 #include "query/multiquery.h"
 #include "simd/simd.h"
+#include "strmatch/matcher.h"
 #include "xmlgen/medline.h"
 #include "xmlgen/xmark.h"
 
@@ -38,6 +41,16 @@ constexpr char kTreeDtd[] =
     "<!DOCTYPE a [ <!ELEMENT a (item*)>"
     " <!ELEMENT item (name, tree)> <!ELEMENT name (#PCDATA)>"
     " <!ELEMENT tree (leaf | tree)*> <!ELEMENT leaf (#PCDATA)> ]>";
+
+/// Phased root without split keywords: the run waits for <y> before it
+/// and for </r> after it, so top-level boundaries fall into two behavior
+/// classes; the recursive `t` (opaque under allow_recursion) leaves the
+/// tables no split keyword, so ShardedRun cuts at top-level elements with
+/// the structural scan and speculates both classes on every segment.
+constexpr char kPhasedDtd[] =
+    "<!DOCTYPE r [ <!ELEMENT r (x*, y, z*)> <!ELEMENT x (t)>"
+    " <!ELEMENT y (#PCDATA)> <!ELEMENT z (t)>"
+    " <!ELEMENT t (leaf | t)*> <!ELEMENT leaf (#PCDATA)> ]>";
 
 Prefilter Compile(std::string_view dtd_text, std::string_view paths,
                   const CompileOptions& opts = {}) {
@@ -564,25 +577,21 @@ TEST(SharderTest, ParallelScanEarlyExitsPastTheLastBoundary) {
 }
 
 TEST(SharderTest, KeywordProbeMatchesStructuralScan) {
-  // On DTD-valid documents that hold no root-child keyword inside a
-  // comment, CDATA section or PI, the BM/CW probe must pick exactly the
-  // structural scan's boundaries -- under every SIMD tier, since both
-  // matchers probe their candidates through the dispatched kernels.
+  // Probing for the root's child names, on DTD-valid documents in which
+  // those names occur nowhere else and never inside a comment, CDATA
+  // section or PI, the BM/CW probe must pick exactly the structural scan's
+  // boundaries -- under every SIMD tier, since both matchers probe their
+  // candidates through the dispatched kernels.
   struct Case {
     std::string name;
     std::vector<std::string> keywords;
     std::string doc;
   };
   std::vector<Case> cases;
-  const std::vector<std::string> medline_kw =
-      Compile(xmlgen::MedlineDtdText(),
-              "/MedlineCitationSet/MedlineCitation/MedlineJournalInfo#")
-          .tables()
-          .boundary_keywords;
-  const std::vector<std::string> xmark_kw =
-      Compile(xmlgen::XmarkDtdText(), "/site/people/person/name#")
-          .tables()
-          .boundary_keywords;
+  const std::vector<std::string> medline_kw = {"<MedlineCitation"};
+  const std::vector<std::string> xmark_kw = {
+      "<categories",      "<catgraph", "<closed_auctions",
+      "<open_auctions",   "<people",   "<regions"};
   for (uint64_t bytes : {uint64_t{256} << 10, uint64_t{8} << 20}) {
     xmlgen::MedlineOptions mgen;
     mgen.target_bytes = bytes;
@@ -605,33 +614,22 @@ TEST(SharderTest, KeywordProbeMatchesStructuralScan) {
     quoted += "<c at='/>'>two</c>\n<c\tat=\"x\"/>";
   }
   quoted += "</a>";
-  cases.push_back(
-      {"quoted", Compile(quoted_dtd, "/a/b#").tables().boundary_keywords,
-       quoted});
+  cases.push_back({"quoted", {"<b", "<c"}, quoted});
   // Root-child names that prefix each other: "<b" must not take "<bb".
-  const std::string prefix_dtd =
-      "<!DOCTYPE a [ <!ELEMENT a (b|bb)*> <!ELEMENT b (#PCDATA)>"
-      " <!ELEMENT bb (#PCDATA)> ]>";
   std::string prefixed = "<a>";
   for (int i = 0; i < 200; ++i) {
     prefixed += i % 3 == 0 ? "<bb>xx</bb><bb/>" : "<bb >x</bb><b>y</b>";
   }
   prefixed += "</a>";
-  cases.push_back(
-      {"prefix", Compile(prefix_dtd, "/a/b#").tables().boundary_keywords,
-       prefixed});
-  // A nested "<bb" below a root child: only "<b" and "<c" are keywords.
-  const std::string nested_dtd =
-      "<!DOCTYPE a [ <!ELEMENT a (b|c)*> <!ELEMENT b (#PCDATA)>"
-      " <!ELEMENT c (bb*)> <!ELEMENT bb (#PCDATA)> ]>";
+  cases.push_back({"prefix", {"<b", "<bb"}, prefixed});
+  // A nested "<bb" below a root child, which the probe for the root's
+  // children "<b" and "<c" must not take.
   std::string nested = "<a>";
   for (int i = 0; i < 200; ++i) {
     nested += "<c><bb>n</bb><bb/><bb>m</bb></c><b>k</b>";
   }
   nested += "</a>";
-  cases.push_back(
-      {"nested", Compile(nested_dtd, "/a/b#").tables().boundary_keywords,
-       nested});
+  cases.push_back({"nested", {"<b", "<c"}, nested});
 
   const simd::Isa saved = simd::ActiveIsa();
   for (const Case& c : cases) {
@@ -645,9 +643,10 @@ TEST(SharderTest, KeywordProbeMatchesStructuralScan) {
       for (simd::Isa isa : simd::AvailableIsas()) {
         SCOPED_TRACE(simd::IsaName(isa));
         ASSERT_EQ(simd::SetIsa(isa), isa);
-        EXPECT_EQ(
-            parallel::ProbeTopLevelBoundaries(c.doc, c.keywords, splits),
-            ref);
+        const std::unique_ptr<strmatch::Matcher> matcher =
+            strmatch::MakeMatcher(c.keywords);
+        EXPECT_EQ(parallel::ProbeKeywordBoundaries(c.doc, *matcher, splits),
+                  ref);
       }
       simd::SetIsa(saved);  // the next reference scan runs on the default
     }
@@ -745,11 +744,12 @@ TEST(BoundaryStatesTest, MapDispatchGetsTheSameAnalysis) {
   EXPECT_EQ(legacy.tables().boundary_states,
             modern.tables().boundary_states);
 
-  // The boundary keywords depend on the DTD alone: map dispatch, interned
-  // dispatch and a multi-query product over one DTD carry the same.
+  // Split keywords: both dispatch modes number their states alike, so
+  // they carry the same keywords with the same member states, and a
+  // 2-query product over the DTD finds the same names.
   const std::string xmark_paths[] = {
       "/site/people/person@ /site/people/person/name#",
-      "/site/regions/africa/item/name#"};
+      "/site/people/person/emailaddress#"};
   Prefilter xlegacy = Compile(xmlgen::XmarkDtdText(), xmark_paths[0], copts);
   Prefilter xmodern = Compile(xmlgen::XmarkDtdText(), xmark_paths[0]);
   std::vector<std::vector<paths::ProjectionPath>> queries;
@@ -760,39 +760,128 @@ TEST(BoundaryStatesTest, MapDispatchGetsTheSameAnalysis) {
   }
   auto mq = query::MultiQuery::Compile(xmlgen::XmarkDtd(), queries);
   ASSERT_TRUE(mq.ok()) << mq.status().ToString();
-  ASSERT_FALSE(xmodern.tables().boundary_keywords.empty());
-  EXPECT_EQ(xlegacy.tables().boundary_keywords,
-            xmodern.tables().boundary_keywords);
-  EXPECT_EQ(mq->tables().boundary_keywords,
-            xmodern.tables().boundary_keywords);
+  const SplitKeywords& legacy_kw = xlegacy.tables().split_keywords;
+  const SplitKeywords& modern_kw = xmodern.tables().split_keywords;
+  ASSERT_FALSE(modern_kw.empty());
+  EXPECT_EQ(legacy_kw.keywords(), modern_kw.keywords());
+  for (size_t i = 0; i < modern_kw.size() && i < legacy_kw.size(); ++i) {
+    EXPECT_EQ(legacy_kw.states(i), modern_kw.states(i))
+        << modern_kw.keywords()[i];
+  }
+  EXPECT_EQ(mq->tables().split_keywords.keywords(), modern_kw.keywords());
 }
 
-TEST(BoundaryStatesTest, BoundaryKeywordsNameTheRootChildren) {
-  // Star MEDLINE root: one child name, which occurs nowhere else (the
-  // root's own "<MedlineCitationSet" only shares its prefix).
+/// Asserts that every split keyword's member states form one behavior
+/// class and that Find resolves each name to its own entry.
+void ExpectOneClassPerKeyword(const RuntimeTables& t) {
+  const SplitKeywords& split = t.split_keywords;
+  for (size_t i = 0; i < split.size(); ++i) {
+    const std::string& kw = split.keywords()[i];
+    SCOPED_TRACE(kw);
+    EXPECT_EQ(split.Find(std::string_view(kw).substr(1)),
+              static_cast<int>(i));
+    ASSERT_FALSE(split.states(i).empty());
+    for (int q : split.states(i)) {
+      EXPECT_TRUE(SameRuntimeBehavior(t, split.states(i).front(), q));
+    }
+  }
+  EXPECT_EQ(split.Find("no-such-element"), -1);
+}
+
+bool HasSplitKeyword(const Prefilter& pf, const std::string& name) {
+  return pf.tables().split_keywords.Find(name) >= 0;
+}
+
+TEST(SplitKeywordsTest, RecordNamesOfXmarkAndMedline) {
+  Prefilter xmark = Compile(xmlgen::XmarkDtdText(),
+                            "/site/people/person@ /site/people/person/name#");
+  ExpectOneClassPerKeyword(xmark.tables());
+  for (const char* name :
+       {"person", "open_auction", "item", "people", "closed_auctions"}) {
+    EXPECT_TRUE(HasSplitKeyword(xmark, name)) << name;
+  }
+  // A person's name is copied, anyone else's skipped: two classes.
+  EXPECT_FALSE(HasSplitKeyword(xmark, "name"));
+  // The root itself is no split point.
+  EXPECT_FALSE(HasSplitKeyword(xmark, "site"));
+
   Prefilter medline = Compile(
       xmlgen::MedlineDtdText(),
       "/MedlineCitationSet/MedlineCitation/MedlineJournalInfo#");
-  EXPECT_EQ(medline.tables().boundary_keywords,
-            std::vector<std::string>{"<MedlineCitation"});
-  // Sectioned XMark root: the six section names, sorted.
-  Prefilter xmark = Compile(xmlgen::XmarkDtdText(),
-                            "/site/people/person@ /site/people/person/name#");
-  EXPECT_EQ(xmark.tables().boundary_keywords,
-            (std::vector<std::string>{"<categories", "<catgraph",
-                                      "<closed_auctions", "<open_auctions",
-                                      "<people", "<regions"}));
-  // b is a root child and also c's child: "<b" can open a nested element.
-  EXPECT_TRUE(Compile(kPaperDtd, "/a/b#").tables().boundary_keywords.empty());
-  // An opaque (recursive) region may hold any reachable name.
+  ExpectOneClassPerKeyword(medline.tables());
+  EXPECT_TRUE(HasSplitKeyword(medline, "MedlineCitation"));
+  EXPECT_TRUE(HasSplitKeyword(medline, "MedlineJournalInfo"));
+  // MedlineTA opens inside the copied MedlineJournalInfo, at copy depth 1.
+  EXPECT_FALSE(HasSplitKeyword(medline, "MedlineTA"));
+  EXPECT_FALSE(HasSplitKeyword(medline, "MedlineCitationSet"));
+
+  // b opens both under a (copied) and under c (skipped): two classes.
+  // c only opens under a, after <a>, </b> or </c>: one class.
+  Prefilter paper = Compile(kPaperDtd, "/a/b#");
+  ExpectOneClassPerKeyword(paper.tables());
+  EXPECT_EQ(paper.tables().split_keywords.keywords(),
+            std::vector<std::string>{"<c"});
+  // Copying the root puts every element inside a copy region.
+  EXPECT_TRUE(Compile(kPaperDtd, "/a#").tables().split_keywords.empty());
+}
+
+TEST(SplitKeywordsTest, OpaqueOrRecursiveDtdsGetNone) {
+  // An opaque (recursive) region may hold any reachable name in any
+  // balance, so no name has a statically known entry state -- not even
+  // those that never occur inside one.
   CompileOptions copts;
   copts.allow_recursion = true;
-  Prefilter opaque = Compile(
-      "<!DOCTYPE a [ <!ELEMENT a (item*)>"
-      " <!ELEMENT item (name, tree)> <!ELEMENT name (#PCDATA)>"
-      " <!ELEMENT tree (leaf | tree)*> <!ELEMENT leaf (#PCDATA)> ]>",
-      "//name#", copts);
-  EXPECT_TRUE(opaque.tables().boundary_keywords.empty());
+  EXPECT_TRUE(Compile(kTreeDtd, "//name#", copts)
+                  .tables()
+                  .split_keywords.empty());
+  EXPECT_TRUE(Compile(kPhasedDtd, "/r/y#", copts)
+                  .tables()
+                  .split_keywords.empty());
+  EXPECT_EQ(Compile(kTreeDtd, "//name#", copts)
+                .tables()
+                .split_keywords.matcher(),
+            nullptr);
+}
+
+TEST(SplitKeywordsTest, FirstShardedRunsRaceToBuildTheMatcher) {
+  // Fresh tables carry no split matcher yet: four threads start sharded
+  // runs at once and race to build it. Every run must see one complete
+  // matcher (TSan watches the hand-off) and match the serial output.
+  Prefilter pf = Compile(xmlgen::XmarkDtdText(),
+                         "/site/people/person@ /site/people/person/name#");
+  xmlgen::XmarkOptions gen;
+  gen.target_bytes = 256 << 10;
+  const std::string doc = xmlgen::GenerateXmark(gen);
+  const std::string serial = SerialRun(pf, doc);
+  constexpr int kThreads = 4;
+  std::atomic<int> arrived{0};
+  std::vector<std::string> outs(kThreads);
+  std::vector<Status> statuses(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      parallel::ThreadPool pool(2);
+      parallel::ShardOptions opts;
+      opts.max_shards = 4;
+      StringSink sink;
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      statuses[static_cast<size_t>(i)] = parallel::ShardedRun(
+          pf.tables(), doc, &sink, nullptr, &pool, opts);
+      outs[static_cast<size_t>(i)] = sink.TakeString();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_TRUE(statuses[static_cast<size_t>(i)].ok())
+        << statuses[static_cast<size_t>(i)].ToString();
+    EXPECT_EQ(outs[static_cast<size_t>(i)], serial);
+  }
+  const strmatch::Matcher* built = pf.tables().split_keywords.matcher();
+  ASSERT_NE(built, nullptr);
+  EXPECT_EQ(pf.tables().split_keywords.matcher(), built);
+  EXPECT_EQ(built->patterns(), pf.tables().split_keywords.keywords());
 }
 
 // --- Sharded execution ----------------------------------------------------
@@ -826,6 +915,41 @@ void ExpectShardedIdentical(const Prefilter& pf, const std::string& doc,
       EXPECT_EQ(stats.input_bytes, serial_stats.input_bytes);
     }
   }
+}
+
+/// A kPhasedDtd document: `xs` x records, the projected y, then `zs` z
+/// records.
+std::string PhasedDoc(int xs, int zs) {
+  std::string doc = "<r>";
+  for (int i = 0; i < xs; ++i) {
+    doc += "<x><t><leaf>x" + std::to_string(i) +
+           "</leaf><t><leaf>deep</leaf></t></t></x>";
+  }
+  doc += "<y>the one projected record</y>";
+  for (int i = 0; i < zs; ++i) {
+    doc += "<z><t><t><leaf>z" + std::to_string(i) +
+           "</leaf></t><leaf/></t></z>";
+  }
+  return doc + "</r>";
+}
+
+/// kPhasedDtd made DTD-invalid so that the structural scanner mis-places
+/// boundaries: a stray closing tag inside y drops its depth count by one,
+/// so y's fake <leaf> children read as top-level elements. The engine
+/// copies them with y, so a boundary among them sits inside a copy region
+/// that no top-level candidate has, and the shard must re-run.
+std::string StrayCloserDoc() {
+  std::string doc = "<r><y>p </stray> ";
+  for (int i = 0; i < 60; ++i) doc += "<leaf>fake top level</leaf>";
+  doc += "</y>";
+  for (int i = 0; i < 10; ++i) doc += "<z><t><leaf>real</leaf></t></z>";
+  return doc + "</r>";
+}
+
+Prefilter CompilePhased() {
+  CompileOptions copts;
+  copts.allow_recursion = true;
+  return Compile(kPhasedDtd, "/r/y#", copts);
 }
 
 TEST(ShardedRunTest, StarRootMatchesSerial) {
@@ -954,12 +1078,8 @@ TEST(ShardedRunTest, BudgetedRerunsWriteThroughFreshSegments) {
   // MisplacedBoundariesRerunAndStayIdentical), so shards misspeculate and
   // re-run at the frontier -- the re-run's segment replaces the rejected
   // attempts and must survive a one-byte budget (pure spill) unchanged.
-  Prefilter pf = Compile(kPaperDtd, "/a/b#");
-  std::string doc = "<a><c><b>p</b> </stray> ";
-  for (int i = 0; i < 60; ++i) doc += "<b>fake top level</b>";
-  doc += "</c>";
-  for (int i = 0; i < 10; ++i) doc += "<b>real</b>";
-  doc += "</a>";
+  Prefilter pf = CompilePhased();
+  const std::string doc = StrayCloserDoc();
   std::string serial = SerialRun(pf, doc);
   parallel::ThreadPool pool(4);
   parallel::ShardOptions opts;
@@ -971,6 +1091,7 @@ TEST(ShardedRunTest, BudgetedRerunsWriteThroughFreshSegments) {
                                   opts, &report);
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(sink.str(), serial);
+  EXPECT_GE(report.candidate_classes, 2u);
   EXPECT_GT(report.reruns, 0u);  // the re-run path really was exercised
 }
 
@@ -1098,21 +1219,15 @@ TEST(ShardedRunTest, InCopyBoundariesUnderTinyBudgetSpillCleanly) {
 }
 
 TEST(ShardedRunTest, EarlyKillAcrossPoolSizesStaysByteIdentical) {
-  // XMark's sectioned root yields several behavior classes, so every wave
-  // carries losing attempts that resolution now kills mid-flight. Across
-  // pool sizes (which shift kills between the skipped-before-start and
-  // cancelled-mid-run paths) the surviving output must stay byte-identical
-  // to serial with full stats parity, and the work ledger must balance:
-  // every speculative slot is either accepted or replaced by a rerun.
-  xmlgen::XmarkOptions gen;
-  gen.target_bytes = 600 << 10;
-  std::string doc = xmlgen::GenerateXmark(gen);
-  auto paths = paths::ProjectionPath::ParseList(
-      "/site/people/person@ /site/people/person/name#");
-  ASSERT_TRUE(paths.ok());
-  auto pfs = Prefilter::Compile(xmlgen::XmarkDtd(), *paths);
-  ASSERT_TRUE(pfs.ok()) << pfs.status().ToString();
-  const Prefilter& pf = *pfs;
+  // A phased root without split keywords yields two behavior classes on
+  // every top-level boundary, so every wave carries losing attempts that
+  // resolution kills mid-flight. Across pool sizes (which shift kills
+  // between the skipped-before-start and cancelled-mid-run paths) the
+  // surviving output must stay byte-identical to serial with full stats
+  // parity, and the work ledger must balance: every speculative slot is
+  // either accepted or replaced by a rerun.
+  const Prefilter pf = CompilePhased();
+  const std::string doc = PhasedDoc(3000, 3000);
   RunStats serial_stats;
   std::string serial = SerialRun(pf, doc, &serial_stats);
   for (int threads : {1, 2, 4}) {
@@ -1143,15 +1258,8 @@ TEST(ShardedRunTest, LosingAttemptsAreKilledNotRun) {
   // them marked (skipped before start) or mid-run (cancelled at a safe
   // point), losers must never be completed for nothing -- the report's
   // killed counter proves the reclaim happened.
-  xmlgen::XmarkOptions gen;
-  gen.target_bytes = 2 << 20;
-  std::string doc = xmlgen::GenerateXmark(gen);
-  auto paths = paths::ProjectionPath::ParseList(
-      "/site/people/person@ /site/people/person/name#");
-  ASSERT_TRUE(paths.ok());
-  auto pfs = Prefilter::Compile(xmlgen::XmarkDtd(), *paths);
-  ASSERT_TRUE(pfs.ok()) << pfs.status().ToString();
-  const Prefilter& pf = *pfs;
+  const Prefilter pf = CompilePhased();
+  const std::string doc = PhasedDoc(8000, 8000);
   std::string serial = SerialRun(pf, doc);
   parallel::ThreadPool pool(1);
   pool.Submit([] {
@@ -1175,16 +1283,12 @@ TEST(ShardedRunTest, LosingAttemptsAreKilledNotRun) {
 }
 
 TEST(ShardedRunTest, MisplacedBoundariesRerunAndStayIdentical) {
-  // A stray closing tag inside c's (DTD-invalid) content desynchronizes
+  // A stray closing tag inside y's (DTD-invalid) content desynchronizes
   // the structural scanner's depth tracking, so split candidates land on
   // nested elements. Speculation then mismatches, the verification pass
   // re-runs those shards, and the output must still equal the serial run.
-  Prefilter pf = Compile(kPaperDtd, "/a/b#");
-  std::string doc = "<a><c><b>p</b> </stray> ";
-  for (int i = 0; i < 60; ++i) doc += "<b>fake top level</b>";
-  doc += "</c>";
-  for (int i = 0; i < 10; ++i) doc += "<b>real</b>";
-  doc += "</a>";
+  Prefilter pf = CompilePhased();
+  const std::string doc = StrayCloserDoc();
   std::string serial = SerialRun(pf, doc);
 
   parallel::ThreadPool pool(4);
@@ -1198,21 +1302,23 @@ TEST(ShardedRunTest, MisplacedBoundariesRerunAndStayIdentical) {
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(sink.str(), serial);
   ASSERT_GT(report.shards, 1u);
+  EXPECT_GE(report.candidate_classes, 2u);
   EXPECT_GE(report.reruns, 1u);
   EXPECT_EQ(report.accepted + report.reruns, report.speculated);
   EXPECT_GT(report.serial_bytes, 0u);
 }
 
 TEST(ShardedRunTest, ProbeBoundariesInsideCdataRerun) {
-  // b and c occur only as root children, so the tables carry keywords and
-  // ShardedRun probes for "<b"/"<c" -- which finds the fake tags inside
-  // the CDATA section, where every split target lands. Those shards
-  // mis-speculate and re-run; the output must still equal the serial run.
+  // b occurs only as a root child, so "<b" is a split keyword and
+  // ShardedRun probes for it -- which finds the fake tags inside the CDATA
+  // section of the copied c, where every split target lands. Those shards
+  // mis-speculate (the serial run is inside a copy region there) and
+  // re-run; the output must still equal the serial run.
   const char dtd[] =
       "<!DOCTYPE a [ <!ELEMENT a (b|c)*>"
       " <!ELEMENT b (#PCDATA)> <!ELEMENT c (#PCDATA)> ]>";
   Prefilter pf = Compile(dtd, "/a/c#");
-  ASSERT_FALSE(pf.tables().boundary_keywords.empty());
+  ASSERT_GE(pf.tables().split_keywords.Find("b"), 0);
   std::string doc = "<a><b>start</b><c><![CDATA[";
   for (int i = 0; i < 300; ++i) doc += "<b>x</b>";
   doc += "]]></c><b>end</b></a>";
@@ -1229,6 +1335,112 @@ TEST(ShardedRunTest, ProbeBoundariesInsideCdataRerun) {
   EXPECT_EQ(sink.str(), serial);
   EXPECT_GE(report.reruns, 1u);
   EXPECT_EQ(report.accepted + report.reruns, report.speculated);
+}
+
+TEST(ShardedRunTest, InitialJumpPastABoundaryReruns) {
+  // The head's initial jump (table J) carries the serial cursor past the
+  // first split point, over a <people> section the serial run never sees
+  // (sections repeat, so the document is DTD-invalid). An attempt starting
+  // at the split point would project that section; verification must see
+  // the skipped keyword and re-run -- from a checkpoint past the end of
+  // the re-run's own segment, which then reads nothing -- so the sharded
+  // run fails like the serial one, with a prefix of its output.
+  Prefilter pf = Compile(xmlgen::XmarkDtdText(),
+                         "/site/people/person@ /site/people/person/name#");
+  const std::string doc =
+      "<site><regions>" + std::string(60, ' ') +
+      "</regions><people><person id=\"p1\"><name>A</name></person>"
+      "</people><open_auctions>" +
+      std::string(200, ' ') +
+      "</open_auctions><people><person id=\"p2\"><name>B</name></person>"
+      "</people><closed_auctions></closed_auctions></site>";
+  ASSERT_EQ(doc.size(), 470u);
+  MemoryInputStream in(doc);
+  StringSink serial_sink;
+  const Status serial = pf.Run(&in, &serial_sink);
+  ASSERT_FALSE(serial.ok());
+  ASSERT_EQ(serial_sink.str(),
+            "<site><people><person id=\"p2\"><name>B</name>");
+
+  parallel::ThreadPool pool(4);
+  parallel::ShardOptions opts;
+  opts.max_shards = 8;
+  parallel::ShardReport report;
+  StringSink sink;
+  const Status sharded = parallel::ShardedRun(pf.tables(), doc, &sink,
+                                              nullptr, &pool, opts, &report);
+  EXPECT_FALSE(sharded.ok()) << sink.str();
+  EXPECT_EQ(sharded.code(), serial.code());
+  EXPECT_EQ(serial_sink.str().compare(0, sink.str().size(), sink.str()), 0)
+      << sink.str();
+  EXPECT_GT(report.shards, 2u);
+  EXPECT_GE(report.reruns, 1u);
+}
+
+/// 8 MB generator documents and their serial projections, made once per
+/// process (the sharding suites also run under --gtest_repeat).
+struct GeneratedCase {
+  Prefilter pf;
+  std::string doc;
+  std::string serial;
+};
+
+const GeneratedCase& EightMegabyteCase(bool medline) {
+  static const GeneratedCase* cases[2] = {nullptr, nullptr};
+  static std::once_flag once[2];
+  std::call_once(once[medline ? 1 : 0], [medline] {
+    std::string doc;
+    Prefilter pf =
+        medline
+            ? Compile(xmlgen::MedlineDtdText(),
+                      "/MedlineCitationSet/MedlineCitation/MedlineJournalInfo# "
+                      "/MedlineCitationSet/MedlineCitation/DateCompleted#")
+            : Compile(xmlgen::XmarkDtdText(),
+                      "/site/people/person@ /site/people/person/name#");
+    if (medline) {
+      xmlgen::MedlineOptions gen;
+      gen.target_bytes = 8 << 20;
+      doc = xmlgen::GenerateMedline(gen);
+    } else {
+      xmlgen::XmarkOptions gen;
+      gen.target_bytes = 8 << 20;
+      doc = xmlgen::GenerateXmark(gen);
+    }
+    std::string serial = SerialRun(pf, doc);
+    cases[medline ? 1 : 0] =
+        new GeneratedCase{std::move(pf), std::move(doc), std::move(serial)};
+  });
+  return *cases[medline ? 1 : 0];
+}
+
+TEST(ShardedRunTest, SplitKeywordWavesRunOneAttemptPerSegment) {
+  // XMark and MEDLINE split at record-level keywords, where the entry
+  // class is known statically: each segment runs exactly once, nothing is
+  // killed or re-run, and the wave reads the document once.
+  parallel::ThreadPool pool(4);
+  for (bool medline : {false, true}) {
+    const GeneratedCase& c = EightMegabyteCase(medline);
+    for (size_t shards : {size_t{2}, size_t{4}, size_t{7}}) {
+      SCOPED_TRACE(testing::Message()
+                   << (medline ? "medline" : "xmark") << " shards=" << shards);
+      parallel::ShardOptions opts;
+      opts.max_shards = shards;
+      parallel::ShardReport report;
+      StringSink sink;
+      const Status s = parallel::ShardedRun(c.pf.tables(), c.doc, &sink,
+                                            nullptr, &pool, opts, &report);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      EXPECT_TRUE(sink.str() == c.serial);
+      EXPECT_EQ(report.shards, shards);
+      EXPECT_EQ(report.attempts, report.shards);
+      EXPECT_EQ(report.candidate_classes, 1u);
+      EXPECT_EQ(report.accepted, report.shards - 1);
+      EXPECT_EQ(report.reruns, 0u);
+      EXPECT_EQ(report.killed, 0u);
+      EXPECT_EQ(report.serial_bytes, 0u);
+      EXPECT_LE(report.wave_bytes, c.doc.size());
+    }
+  }
 }
 
 TEST(ShardedRunTest, TruncatedDocumentFailsLikeSerial) {
