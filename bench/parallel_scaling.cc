@@ -9,7 +9,14 @@
 //            a MEDLINE workload plus an XMark workload. Both split at
 //            record-level split keywords (<MedlineCitation, <person,
 //            <item, ...), whose entry class is known statically, so each
-//            shard runs once.
+//            shard runs once. A third section copies MEDLINE's root
+//            (/MedlineCitationSet#), which leaves the tables no split
+//            keyword: ShardedRun then runs one serial session, and its
+//            vs_serial column should read ~1x at every thread count.
+//
+// Every shard table reports speedup against its own one-thread row and
+// vs_serial against the serial engine (Prefilter::Run) on the same
+// document, timed the same way.
 //
 // Outputs are cross-checked against the serial engine before timing.
 //
@@ -249,16 +256,14 @@ int Run() {
 
   // --- Shard: one huge document split across the pool -------------------
   // serial% is the Amdahl bound of the run: bytes prefiltered outside the
-  // parallel wave (speculation misses re-run sequentially; with the static
-  // candidate set the head no longer serializes, so a full hit rate shows
-  // 0.0 serial%). accept is speculative shards verified / launched.
-  // classes is the most behavior classes any segment speculated on (wave
-  // width per segment before early-kill; 1 when every boundary opens a
-  // split keyword); wavex is total prefiltered bytes
-  // (wave attempts + serial reruns) over document bytes -- with early-kill
-  // it should sit near 1.0 instead of the classes multiple, and killed
-  // counts the attempts reclaimed to get there (timing-dependent, like
-  // the stolen-inline runs folded into wavex).
+  // parallel wave (speculation misses re-run sequentially, and a run
+  // without split points is one serial session, 100 serial%; a full hit
+  // rate shows 0.0 serial%). accept is speculative shards verified /
+  // launched. classes is 1 when any segment speculated from a split
+  // keyword's class, else 0; wavex is total prefiltered bytes (wave
+  // attempts + serial reruns) over document bytes -- it should sit near
+  // 1.0, and killed counts the losing attempts reclaimed (timing-dependent,
+  // like the stolen-inline runs folded into wavex).
   auto shard_sweep = [&](const char* table_name, const core::Prefilter& pf,
                          const std::string& doc) -> int {
     {
@@ -278,9 +283,24 @@ int Run() {
         }
       }
     }
+    const Sample serial = Best(reps, [&] {
+      MemoryInputStream in(doc);
+      CountingSink sink;
+      core::RunStats stats;
+      WallTimer timer;
+      Status st = pf.Run(&in, &sink, &stats);
+      Sample out;
+      out.seconds = timer.Seconds();
+      if (!st.ok()) {
+        std::fprintf(stderr, "serial run failed: %s\n",
+                     st.ToString().c_str());
+        std::abort();
+      }
+      return out;
+    });
     TablePrinter shard_table({"mode", "threads", "secs", "tags/s", "MB/s",
-                              "speedup", "serial%", "accept", "classes",
-                              "wavex", "killed", "peakMB"});
+                              "speedup", "vs_serial", "serial%", "accept",
+                              "classes", "wavex", "killed", "peakMB"});
     double shard_base = 0;
     for (int t : threads) {
       parallel::ThreadPool pool(t);
@@ -311,6 +331,7 @@ int Run() {
            Rate(static_cast<double>(s.tags) / s.seconds),
            Fmt("%.1f", static_cast<double>(s.bytes) / (1 << 20) / s.seconds),
            Fmt("%.2fx", shard_base / s.seconds),
+           Fmt("%.2fx", serial.seconds / s.seconds),
            Fmt("%.1f", s.bytes == 0
                            ? 0.0
                            : 100.0 * static_cast<double>(report.serial_bytes) /
@@ -340,11 +361,19 @@ int Run() {
   // classes, so it shards well only at record-level split keywords.
   if (int rc = shard_sweep("parallel_shard_xmark", xpf, xmark)) return rc;
 
+  // A root copy puts every element inside a copy region: no split keyword,
+  // so every row is one serial session.
+  core::Prefilter root_copy =
+      MustCompile(xmlgen::MedlineDtd(), "/MedlineCitationSet#");
+  if (int rc = shard_sweep("parallel_shard_keywordless", root_copy, medline)) {
+    return rc;
+  }
+
   std::printf(
       "note: speedups are bounded by the hardware thread count (%u here). "
-      "Shards speculate their entry states from the static boundary-state "
-      "analysis, so no shard serializes ahead of the wave (serial%% ~0 when "
-      "speculation hits).\n",
+      "Shards at split keywords speculate their entry class, so no shard "
+      "serializes ahead of the wave (serial%% ~0 when speculation hits); a "
+      "run without split points is serial (serial%% 100).\n",
       std::thread::hardware_concurrency());
   return 0;
 }

@@ -14,6 +14,15 @@
 // reference, making this the end-to-end acceptance check for spill +
 // ordered commit on a document that does not fit the budget.
 //
+// "Near-full", not full: ShardedRun cuts a document only at split
+// keywords, and a projection that copies everything collapses into a
+// root copy, which has none -- --threads N would then run one serial
+// session straight into the output file and exercise neither spill nor
+// ordered commit. Each projection leaves one small element type out
+// (MEDLINE's GeneralNote, XMark's catgraph) so the record and section
+// tags stay split keywords, and the tripwire exits 1 if its projection
+// compiles without any.
+//
 // One more child indexes the same document at granularity 1
 // (--index-build --index-granularity 1, an entry per record) and is held
 // to input_size + slack: beyond the mapped input, the index build keeps
@@ -46,6 +55,7 @@
 #include "bench/bench_util.h"
 #include "common/io.h"
 #include "common/timer.h"
+#include "core/prefilter.h"
 #include "xmlgen/medline.h"
 #include "xmlgen/xmark.h"
 
@@ -154,16 +164,40 @@ int Run() {
   const uint64_t window = SlidingWindow::kDefaultCapacity;
 
   // A near-full-copy projection: the regression this wire trips on is
-  // whole-OUTPUT buffering, so the output must dwarf the slack.
+  // whole-OUTPUT buffering, so the output must dwarf the slack (it is
+  // ~98% of the MEDLINE and ~99.9% of the XMark document).
   std::string dtd_text;
   std::string paths;
   if (dataset == "xmark") {
     dtd_text = xmlgen::XmarkDtdText();
-    paths = "/site/regions# /site/people# /site/open_auctions# "
-            "/site/closed_auctions# /site/catgraph# /site/categories#";
+    paths = "/site/regions# /site/categories# /site/people# "
+            "/site/open_auctions# /site/closed_auctions#";
   } else {
     dtd_text = xmlgen::MedlineDtdText();
-    paths = "/MedlineCitationSet/MedlineCitation#";
+    paths = "/MedlineCitationSet/MedlineCitation/PMID# "
+            "/MedlineCitationSet/MedlineCitation/DateCreated# "
+            "/MedlineCitationSet/MedlineCitation/DateCompleted# "
+            "/MedlineCitationSet/MedlineCitation/Article# "
+            "/MedlineCitationSet/MedlineCitation/MedlineJournalInfo# "
+            "/MedlineCitationSet/MedlineCitation/CitationSubset# "
+            "/MedlineCitationSet/MedlineCitation/PersonalNameSubjectList#";
+  }
+  auto pf = core::Prefilter::Compile(
+      dataset == "xmark" ? xmlgen::XmarkDtd() : xmlgen::MedlineDtd(),
+      MustPaths(paths.c_str()));
+  if (!pf.ok()) {
+    std::fprintf(stderr, "compile failed: %s\n",
+                 pf.status().ToString().c_str());
+    return 1;
+  }
+  const size_t split_keywords = pf->tables().split_keywords.size();
+  if (split_keywords == 0) {
+    std::fprintf(stderr,
+                 "projection '%s' has no split keyword: --threads would "
+                 "run one serial session and the sweep would check "
+                 "neither spill nor ordered commit\n",
+                 paths.c_str());
+    return 1;
   }
 
   const std::string dtd_path = "tripwire." + dataset + ".dtd";
@@ -183,10 +217,12 @@ int Run() {
     }
   }
 
-  std::printf("== shard RSS tripwire (%s %s, budget %s, window %s) ==\n",
-              dataset.c_str(), Mb(static_cast<double>(scale)).c_str(),
-              Mb(static_cast<double>(budget)).c_str(),
-              Mb(static_cast<double>(window)).c_str());
+  std::printf(
+      "== shard RSS tripwire (%s %s, budget %s, window %s, %zu split "
+      "keywords) ==\n",
+      dataset.c_str(), Mb(static_cast<double>(scale)).c_str(),
+      Mb(static_cast<double>(budget)).c_str(),
+      Mb(static_cast<double>(window)).c_str(), split_keywords);
 
   // Serial reference (streams through the same CLI pipeline).
   uint64_t serial_rss = 0;

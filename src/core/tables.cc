@@ -21,9 +21,9 @@ constexpr uint64_t kInf = std::numeric_limits<uint64_t>::max();
 
 /// Copy-depth saturation cap for the boundary-state analysis: statically
 /// unbounded copy recursion (e.g. a recursive //x# target containing
-/// itself) stops widening the product here. Performance-only -- a
-/// saturated candidate never equals a real exit checkpoint, so the
-/// resolver just re-runs those shards.
+/// itself) stops widening the product here. Harmless -- a saturated depth
+/// is still nonzero, and a name opened at any nonzero depth is no split
+/// keyword.
 constexpr int kMaxCopyDepth = 64;
 
 /// Computes J[q] for one DFA state: the minimum, over all documents valid
@@ -118,25 +118,23 @@ uint64_t ComputeStateJump(const DtdAutomaton& aut, dtd::MinSerial* ms,
 /// '<' in DFA state q, so q joins the set. Opaque-region balances are not
 /// tracked; a closing entry tag inside a counting state forks into both
 /// "still nested" and "region left", which can only over-approximate --
-/// containment of the true entry state is what speculation needs.
+/// the sets always contain the true entry states.
 ///
 /// Each node additionally carries the number of active copy regions:
 /// entering a state replays its entry action on the counter (kCopyOn
 /// opens, kCopyOff closes), exactly mirroring the engine's copy_depth, so
-/// candidates come out as (state, depth) pairs and a boundary inside a
-/// copy region (e.g. a root-copying query) is a first-class speculation
-/// target. Depths saturate at kMaxCopyDepth for statically unbounded copy
-/// recursion; a saturated candidate simply never matches a real exit
-/// checkpoint (the resolver compares depths exactly), so saturation can
-/// only cost a re-run, never correctness. The true (state, depth) of a
-/// valid document's boundary below the cap is always contained.
+/// candidates come out as (state, depth) pairs. Depths saturate at
+/// kMaxCopyDepth for statically unbounded copy recursion. The true
+/// (state, depth) of a valid document's boundary below the cap is always
+/// contained.
 ///
 /// The same walk finds the split keywords (RuntimeTables::split_keywords):
 /// every product edge that opens an element below the root records the
 /// node's (state, depth) for that element name, and a name qualifies when
 /// its pairs are all at depth 0 and of one behavior class. Opaque regions
-/// may hold any reachable name in any balance, so a DTD automaton with an
-/// opaque instance gets no split keywords at all.
+/// may hold any name reachable from their label in any balance, and the
+/// walk does not look inside them, so no such name is a split keyword;
+/// every other name opens only where the walk sees it.
 void ComputeBoundaryStates(const DtdAutomaton& aut, RuntimeTables* out) {
   const RuntimeTables& tables = *out;
   const uint64_t nq = tables.states.size();
@@ -148,11 +146,18 @@ void ComputeBoundaryStates(const DtdAutomaton& aut, RuntimeTables* out) {
     bool inside_copy = false;
     std::vector<int> states;
   };
-  bool track_sites = true;
+  std::vector<OpenSites> sites(aut.num_tokens());
+  std::vector<bool> inside_opaque(aut.num_tokens(), false);
+  std::set<std::string_view> opaque_labels;
   for (const DtdAutomaton::Instance& inst : aut.instances()) {
-    if (inst.opaque) track_sites = false;
+    if (inst.opaque) opaque_labels.insert(inst.label);
   }
-  std::vector<OpenSites> sites(track_sites ? aut.num_tokens() : 0);
+  for (std::string_view label : opaque_labels) {
+    for (const std::string& name : aut.dtd().ReachableFrom(label)) {
+      const int token = aut.FindToken(name, /*closing=*/false);
+      if (token >= 0) inside_opaque[static_cast<size_t>(token)] = true;
+    }
+  }
   std::unordered_set<uint64_t> seen;
   std::vector<std::array<int, 3>> work;
   auto push = [&seen, &work, nq](int s, int q, int d) {
@@ -183,7 +188,7 @@ void ComputeBoundaryStates(const DtdAutomaton& aut, RuntimeTables* out) {
       if (!tok.closing && aut.IsTopLevelOpenState(t.to)) {
         boundary.insert({q, d});
       }
-      if (track_sites && !tok.closing &&
+      if (!tok.closing && !inside_opaque[static_cast<size_t>(t.token)] &&
           aut.instance(DtdAutomaton::InstanceOf(t.to)).parent >= 0) {
         OpenSites& site = sites[static_cast<size_t>(t.token)];
         if (d != 0) {

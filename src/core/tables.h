@@ -158,8 +158,10 @@ struct MultiQueryInfo {
 
 /// Split keywords: element names at whose opening tag the runtime state is
 /// known statically, so a sharded run can cut a document there and launch
-/// each shard once. "<name" is a split keyword when the DTD automaton has
-/// no opaque (recursive) instance and, over every DTD-valid document, each
+/// each shard once. "<name" is a split keyword when `name` cannot occur
+/// inside an opaque (recursive) region -- it is reachable from no opaque
+/// instance's label (dtd::Dtd::ReachableFrom), since such a region may hold
+/// those names in any balance -- and, over every DTD-valid document, each
 /// opening of a `name` element below the root finds the run outside every
 /// copy region in one of a set of states that share one behavior class
 /// (SameRuntimeBehavior). The boundary-state walk of FinishTables records
@@ -223,24 +225,23 @@ struct RuntimeTables {
   /// (a direct child of the root), sorted ascending. Computed at build time
   /// by a product walk of the DTD-automaton and the runtime DFA over every
   /// token sequence of a DTD-valid document, so for valid inputs the true
-  /// entry state of any top-level boundary is ALWAYS contained in this set.
-  /// The parallel sharder speculates every shard's entry state from it
-  /// without serializing shard 0 (invalid inputs merely mis-speculate and
-  /// are repaired by the verification pass). Empty only for hand-built
-  /// tables or childless roots.
+  /// entry state of any top-level boundary is ALWAYS contained in this set
+  /// (fuzz_diff_test checks it). Empty only for hand-built tables or
+  /// childless roots.
   ///
   /// A state may appear more than once: candidates are really
   /// (state, copy depth) pairs -- boundary_copy_depths[i] is the number of
   /// active copy regions when the cursor rests on such a boundary in state
   /// boundary_states[i] (a query that copies the whole root puts every
-  /// top-level boundary inside one). The sharder seeds each speculative
-  /// attempt with the candidate's depth, so boundaries inside copy regions
-  /// speculate like clean ones instead of forcing a serial re-run.
+  /// top-level boundary inside one).
+  ///
+  /// Nothing reads these two fields at run time: the sharder cuts only at
+  /// split keywords, whose states the same walk records. They stay because
+  /// Fingerprint() hashes them, and dropping them would change every
+  /// fingerprint, persisted index and cursor token.
   std::vector<int> boundary_states;
   /// Parallel to boundary_states, always the same length. Depths saturate
-  /// at ComputeBoundaryStates' cap (statically unbounded copy recursion),
-  /// which only costs speculation accuracy, never soundness -- acceptance
-  /// is an exact exit-vs-entry comparison in the resolver.
+  /// at ComputeBoundaryStates' cap (statically unbounded copy recursion).
   std::vector<int> boundary_copy_depths;
   /// Record-level split points for the parallel sharder (see
   /// SplitKeywords). Not part of Fingerprint(): split points are advisory
@@ -286,9 +287,9 @@ struct RuntimeTables {
 /// counters), same transitions, same opaque-nesting semantics, same
 /// finality, same re-entry jump. Entry *actions* are deliberately excluded
 /// -- they fire only on transitions, never at a resume point -- so such
-/// states (e.g. "after <root>" / "after </record>" in a star root) share
-/// one speculative run in the sharder, and a split keyword may stand for
-/// several of them.
+/// states (e.g. "after <root>" / "after </record>" in a star root) are one
+/// class, and a split keyword's one speculative run in the sharder may
+/// stand for several of them.
 ///
 /// The partition is as coarse as exact replay allows. Successors must be
 /// the *same states*, not merely equivalent ones: an accepted speculative

@@ -90,7 +90,7 @@ class DtdAutomaton {
 
   /// True when `s` is the open state of a *top-level* instance (a direct
   /// child of the document root): such states are entered exactly at the
-  /// top-level element boundaries the parallel sharder splits documents at.
+  /// top-level element boundaries the boundary index records.
   /// Derived from the instance tree, i.e. ultimately from the root's
   /// content model.
   bool IsTopLevelOpenState(int s) const {

@@ -18,11 +18,10 @@ namespace {
 /// sticks in status(). With `kRolling` false the window is the whole
 /// contiguous document: it never moves, nothing is copied, and residency
 /// checks reduce to the document bounds (a run-time window check in every
-/// primitive cost the sharding scan ~10%). With `kRolling` true it is a
+/// primitive cost the structural scan ~10%). With `kRolling` true it is a
 /// buffer of `chunk_bytes` over an InputSource, refilled on demand. The
 /// '<' search is bitmap-driven (one classification per 64-byte block), the
-/// construct skips use the dispatched per-call kernels. Not thread-safe:
-/// region workers each build their own.
+/// construct skips use the dispatched per-call kernels. Not thread-safe.
 template <bool kRolling>
 class StructScanner {
  public:
@@ -216,28 +215,20 @@ class StructScanner {
   Status status_ = Status::Ok();
 };
 
-/// The element walk every boundary consumer drives. Starting at `pos`, a
-/// content position (not inside a tag, comment, CDATA section, PI,
-/// declaration or quoted value), it visits every element start -- opening
-/// or bachelor tag -- whose '<' lies before `stop`, calling
+/// The element walk of the structural scan: visits every element start --
+/// opening or bachelor tag -- of the document in order, calling
 /// `on_element(t, depth)` with `depth` the number of elements open at `t`.
-/// `*depth_io` carries that count in and out; closing tags decrement it
-/// without a floor, so a walk entered at an unknown depth (0 assumed) can
-/// go negative. A false return from `on_element` stops the walk at `t`.
-/// Constructs starting before `stop` are consumed whole, even past it.
-/// Returns where the walk stopped: `t` on a false return, else the first
-/// position at or past `stop` it reached (capped at the document size).
+/// Closing tags decrement the count without a floor, so more closing than
+/// opening tags (a DTD-invalid document) make it negative. A false return
+/// from `on_element` stops the walk.
 template <typename Scanner, typename OnElement>
-uint64_t WalkElements(Scanner* sc, uint64_t pos, uint64_t stop,
-                      int64_t* depth_io, OnElement&& on_element) {
+void WalkElements(Scanner* sc, OnElement&& on_element) {
   const uint64_t size = sc->size();
-  int64_t depth = *depth_io;
-  while (pos < stop) {
+  int64_t depth = 0;
+  uint64_t pos = 0;
+  while (pos < size) {
     const uint64_t t = sc->NextOpen(pos);
-    if (t >= stop) {
-      pos = stop;
-      break;
-    }
+    if (t >= size) return;
     const char next = sc->ByteAt(t + 1);
     if (next == '!' || next == '?') {
       pos = sc->SkipMarkupConstruct(t, next);
@@ -252,76 +243,13 @@ uint64_t WalkElements(Scanner* sc, uint64_t pos, uint64_t stop,
       pos = t + 1;  // stray '<' in text
       continue;
     }
-    if (!on_element(t, depth)) {
-      pos = t;
-      break;
-    }
+    if (!on_element(t, depth)) return;
     const uint64_t end = sc->TagEnd(t);
     const bool bachelor =
         end < size && end > t + 1 && sc->ByteAt(end - 1) == '/';
     if (!bachelor) ++depth;
     pos = end + 1;
   }
-  *depth_io = depth;
-  return std::min(pos, size);
-}
-
-constexpr uint64_t kNoPos = ~uint64_t{0};
-
-/// Deepest region-start element depth the region fix-up can resolve;
-/// regions starting deeper than this simply report no boundary (safe:
-/// shards just get fewer split candidates there).
-constexpr int64_t kMaxRelDepth = 256;
-
-/// What one region's independent scan learned, relative to the (unknown at
-/// scan time) element depth at its start.
-struct RegionSummary {
-  /// first_open[d + kMaxRelDepth]: absolute position of the first element
-  /// start encountered at relative depth d, for d in [-kMaxRelDepth, 1];
-  /// kNoPos when none. A start at relative depth d is a top-level boundary
-  /// iff d + (absolute depth at scan start) == 1.
-  std::vector<uint64_t> first_open;
-  int64_t depth_delta = 0;   ///< net element-depth change across the scan
-  uint64_t resume_pos = 0;   ///< one past the last byte the scan consumed
-};
-
-/// Walks every element start in [begin, end) at relative depth. A
-/// construct straddling `end` is consumed completely, and resume_pos tells
-/// the fix-up how far this region's view actually reached.
-RegionSummary ScanRegion(std::string_view doc, uint64_t begin, uint64_t end) {
-  RegionSummary sum;
-  sum.first_open.assign(static_cast<size_t>(kMaxRelDepth + 2), kNoPos);
-  StructScanner<false> sc(doc);
-  const uint64_t pos = WalkElements(
-      &sc, begin, end, &sum.depth_delta, [&sum](uint64_t t, int64_t depth) {
-        if (depth <= 1 && depth >= -kMaxRelDepth) {
-          uint64_t& slot =
-              sum.first_open[static_cast<size_t>(depth + kMaxRelDepth)];
-          if (slot == kNoPos) slot = t;
-        }
-        return true;
-      });
-  sum.resume_pos = std::max(pos, end);
-  return sum;
-}
-
-/// First element start at absolute depth 1 at or after `begin`, entering
-/// the walk at absolute depth `depth` (known from the region fix-up);
-/// kNoPos when none. Stops at the first hit, so the document tail past the
-/// last chosen boundary is never read. `scanned` (may be null) accumulates
-/// the bytes consumed.
-uint64_t FirstTopLevelOpenAt(std::string_view doc, uint64_t begin,
-                             int64_t depth, uint64_t* scanned) {
-  uint64_t found = kNoPos;
-  StructScanner<false> sc(doc);
-  const uint64_t pos = WalkElements(&sc, begin, doc.size(), &depth,
-                                    [&found](uint64_t t, int64_t d) {
-                                      if (d != 1) return true;
-                                      found = t;
-                                      return false;
-                                    });
-  if (scanned != nullptr) *scanned += pos - begin;
-  return found;
 }
 
 /// True when one of `keywords` occurs at `pos` followed by whitespace, '>'
@@ -354,8 +282,7 @@ Status ForEachTopLevelBoundary(
     uint64_t target_idx = 1;  // next split target = target_idx * stride
     uint64_t found = 0;
     uint64_t records = 0;
-    int64_t depth = 0;
-    WalkElements(&sc, 0, size, &depth, [&](uint64_t t, int64_t d) {
+    WalkElements(&sc, [&](uint64_t t, int64_t d) {
       if (d != 1) return true;  // not a child of the document root
       if (t >= target_idx * stride) {
         if (!on_boundary(t, records)) return false;
@@ -391,90 +318,13 @@ std::vector<uint64_t> FindTopLevelBoundaries(std::string_view doc,
 }
 
 std::vector<uint64_t> FindTopLevelBoundariesParallel(
-    std::string_view doc, size_t max_splits, ThreadPool* pool,
+    std::string_view doc, size_t max_splits, ThreadPool*,
     uint64_t* scanned_bytes, bool) {
-  if (scanned_bytes != nullptr) *scanned_bytes = 0;
-  std::vector<uint64_t> splits;
-  if (max_splits == 0 || doc.size() < 2) return splits;
-  const uint64_t stride = doc.size() / (max_splits + 1);
-  if (stride == 0) return splits;
-  if (pool->size() <= 1) {
-    // A one-worker wave degenerates to a sequential whole-document scan;
-    // the serial scanner is strictly better (it stops at the last chosen
-    // boundary).
-    splits = FindTopLevelBoundaries(doc, max_splits);
-    if (scanned_bytes != nullptr) {
-      *scanned_bytes =
-          splits.size() == max_splits ? splits.back() : doc.size();
-    }
-    return splits;
-  }
-
-  // One region per split target; region j = [j*stride, (j+1)*stride). The
-  // interior regions are scanned independently on the pool with relative
-  // depths; the tail region [max_splits*stride, doc.size()) is *not* part
-  // of the wave -- after the fix-up resolves the absolute depth at its
-  // start it is scanned lazily, stopping at the first top-level element
-  // start (which covers every split target still unfulfilled, all of which
-  // sit at or before the tail's begin).
-  const size_t interior = max_splits;  // regions 0 .. max_splits-1
-  auto region_begin = [stride](size_t j) { return stride * j; };
-  auto region_end = [stride](size_t j) { return stride * (j + 1); };
-  std::vector<RegionSummary> sums(interior);
-  pool->RunAndWait(interior, [&doc, &sums, &region_begin, &region_end](
-                                 size_t j) {
-    sums[j] = ScanRegion(doc, region_begin(j), region_end(j));
-  });
+  std::vector<uint64_t> splits = FindTopLevelBoundaries(doc, max_splits);
   if (scanned_bytes != nullptr) {
-    for (size_t j = 0; j < interior; ++j) {
-      *scanned_bytes += sums[j].resume_pos - region_begin(j);
-    }
-  }
-
-  // Sequential fix-up: thread the actual scan position and absolute depth
-  // through the summaries. A region whose start was consumed by a construct
-  // straddling in from an earlier region scanned garbage (it assumed its
-  // start was content), so it is re-scanned from the construct's true end;
-  // a region consumed entirely holds no element starts at all.
-  std::vector<uint64_t> boundary(interior, kNoPos);
-  uint64_t pos = 0;
-  int64_t depth = 0;
-  for (size_t j = 0; j < interior; ++j) {
-    uint64_t b = region_begin(j);
-    uint64_t e = region_end(j);
-    if (pos >= e) continue;
-    if (pos > b) {
-      sums[j] = ScanRegion(doc, pos, e);
-      if (scanned_bytes != nullptr) {
-        *scanned_bytes += sums[j].resume_pos - pos;
-      }
-    }
-    int64_t want = 1 - depth;  // relative depth of an absolute depth-1 start
-    if (want >= -kMaxRelDepth && want <= 1) {
-      boundary[j] =
-          sums[j].first_open[static_cast<size_t>(want + kMaxRelDepth)];
-    }
-    depth += sums[j].depth_delta;
-    pos = std::max(pos, sums[j].resume_pos);
-  }
-
-  // Target selection, matching the serial scanner: for each evenly spaced
-  // target, the first top-level element start at or after it; a chosen
-  // boundary collapses every target it already covers.
-  size_t target_idx = 1;
-  while (target_idx <= max_splits) {
-    size_t j = target_idx;
-    while (j < interior && boundary[j] == kNoPos) ++j;
-    if (j >= interior) break;  // remaining targets fall through to the tail
-    splits.push_back(boundary[j]);
-    target_idx = static_cast<size_t>(boundary[j] / stride) + 1;
-  }
-  if (target_idx <= max_splits) {
-    uint64_t begin = std::max<uint64_t>(pos, region_begin(interior));
-    if (begin < doc.size()) {
-      uint64_t hit = FirstTopLevelOpenAt(doc, begin, depth, scanned_bytes);
-      if (hit != kNoPos) splits.push_back(hit);
-    }
+    *scanned_bytes = splits.size() == max_splits && !splits.empty()
+                         ? splits.back()
+                         : doc.size();
   }
   return splits;
 }

@@ -2,28 +2,27 @@
 // found without parsing. Two finders serve two needs.
 //
 // The keyword probe (ProbeKeywordBoundaries) is the paper's approach
-// applied to split points: a Boyer-Moore (one keyword) or Commentz-Walter
-// (several) search, started at each split target, for the "<name" of
-// elements whose entry state the tables know statically
-// (core::SplitKeywords). Those are record-level names as often as root
-// children -- XMark's "<person", "<item" and "<open_auction", MEDLINE's
-// "<MedlineCitation" -- so the probe reads only from each target to the
-// nearest delimited occurrence, typically a few hundred bytes. ShardedRun
-// uses it whenever the tables carry split keywords, i.e. when the DTD
-// guarantees that such an occurrence outside comments, CDATA sections, PIs
-// and the DOCTYPE declaration opens an element whose entry class is known.
+// applied to split points, and the sharder's only finder: a Boyer-Moore
+// (one keyword) or Commentz-Walter (several) search, started at each split
+// target, for the "<name" of elements whose entry state the tables know
+// statically (core::SplitKeywords). Those are record-level names as often
+// as root children -- XMark's "<person", "<item" and "<open_auction",
+// MEDLINE's "<MedlineCitation" -- so the probe reads only from each target
+// to the nearest delimited occurrence, typically a few hundred bytes.
+// ShardedRun probes whenever the tables carry split keywords, i.e. when
+// the DTD guarantees that such an occurrence outside comments, CDATA
+// sections, PIs and the DOCTYPE declaration opens an element whose entry
+// class is known; tables without them run serially.
 //
-// The structural scan (ForEachTopLevelBoundary, FindTopLevelBoundaries and
-// the region-parallel FindTopLevelBoundariesParallel) walks every tag and
-// returns only top-level element starts (children of the root). It
-// tracks element depth through comments, CDATA sections, processing
-// instructions, DOCTYPE internal subsets and quoted attribute values, so a
-// boundary never lands mid-tag or inside opaque markup, for any DTD. It is
-// ShardedRun's finder when the tables carry no split keywords (a DTD with
-// recursion, or no name with one entry class) and the boundary index's
-// only one (index::BoundaryIndex::Build, one streaming pass over any
-// InputSource), since the index needs every record, not a few split
-// points. One scanner and one element walk serve all of its callers.
+// The structural scan (ForEachTopLevelBoundary, FindTopLevelBoundaries)
+// walks every tag and returns only top-level element starts (children of
+// the root). It tracks element depth through comments, CDATA sections,
+// processing instructions, DOCTYPE internal subsets and quoted attribute
+// values, so a boundary never lands mid-tag or inside opaque markup, for
+// any DTD. It serves the boundary index (index::BoundaryIndex::Build, one
+// streaming pass over any InputSource), which needs every record, not a
+// few split points. FindTopLevelBoundariesParallel is a forward to the
+// serial scan, kept for smpx-bench.
 //
 // Both are independent of the engine's window-based scanning in
 // core/engine.cc. A boundary placed "wrong" relative to the engine's view
@@ -69,34 +68,21 @@ Status ForEachTopLevelBoundary(
     const std::function<bool(uint64_t offset, uint64_t records)>&
         on_boundary);
 
-/// Shard split points: at most `max_splits` strictly increasing offsets,
-/// each the '<' of a child element of the document root, selected as in
+/// At most `max_splits` strictly increasing offsets, each the '<' of a
+/// child element of the document root, selected as in
 /// ForEachTopLevelBoundary. Documents with few top-level children yield
 /// fewer splits (possibly none).
 std::vector<uint64_t> FindTopLevelBoundaries(std::string_view doc,
                                              size_t max_splits);
 
-/// Region-parallel variant of FindTopLevelBoundaries: each target's region
-/// is scanned concurrently on `pool` (relative depths), then a sequential
-/// fix-up resolves absolute depths and selects the same boundaries the
-/// serial scan would. The tail region past the last split target is not
-/// part of the wave: it is scanned lazily after the fix-up (its absolute
-/// entry depth is then known) and the scan stops at the first top-level
-/// element start, which covers every remaining target -- so, like the
-/// serial scanner, nothing past the last selected boundary is ever read.
-/// A pool of one worker delegates to the serial scan outright. Results are
-/// byte-identical to the serial scanner as long as the element depth at
-/// every interior region start stays within the scanner's relative range
-/// (0 to 256); deeper nesting, or more closing than opening tags, may make
-/// the two place boundaries differently (both remain safe: ShardedRun
-/// verification never trusts a boundary). `scanned_bytes` (may
-/// be null) receives the approximate number of document bytes the scan
-/// actually consumed, the early-exit observable. Must not be called from a
-/// pool thread.
+/// A forward to FindTopLevelBoundaries; `pool` and the trailing bool are
+/// ignored.
+/// `scanned_bytes` (may be null) receives where the scan stopped: the last
+/// boundary when every split was found, else the document size. Kept only
+/// because smpx-bench/src still calls it.
 std::vector<uint64_t> FindTopLevelBoundariesParallel(
     std::string_view doc, size_t max_splits, ThreadPool* pool,
-    uint64_t* scanned_bytes = nullptr,
-    bool = false);  // ignored; kept because smpx-bench/src still passes it
+    uint64_t* scanned_bytes = nullptr, bool = false);
 
 /// Keyword-search boundary selection: for each evenly spaced target, as in
 /// ForEachTopLevelBoundary, the first occurrence at or after it of one of

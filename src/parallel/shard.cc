@@ -5,13 +5,13 @@
 #include <utility>
 
 #include "common/strings.h"
+#include "parallel/batch.h"
 
 namespace smpx::parallel {
 namespace {
 
-/// Candidate class sentinel: the candidate is never speculated on (e.g. an
-/// in-copy candidate over multi-query product tables).
-constexpr size_t kNoClass = ~size_t{0};
+/// attempt_of_ sentinel: the segment launched no attempt.
+constexpr size_t kNoAttempt = ~size_t{0};
 
 /// The element name whose tag opens at `pos` ("" unless doc[pos] is '<'
 /// followed by a name).
@@ -24,6 +24,31 @@ std::string_view TagNameAt(std::string_view doc, uint64_t pos) {
   }
   return doc.substr(static_cast<size_t>(pos) + 1,
                     end - static_cast<size_t>(pos) - 1);
+}
+
+/// The whole document as one session on the calling thread, straight into
+/// the caller's sinks: ShardedRun's run when it finds no split point.
+Status RunWhole(const core::RuntimeTables& tables, std::string_view doc,
+                const std::vector<OutputSink*>& sinks,
+                std::vector<core::QueryRunStats>* query_stats,
+                core::RunStats* stats, const core::EngineOptions& eopts,
+                ShardReport* report) {
+  StreamOptions sopts;
+  sopts.engine = eopts;
+  sopts.chunk_bytes = doc.size();  // one Resume over the resident bytes
+  core::RunStats local;
+  const Status status =
+      StreamRun(tables, MemorySource(doc), sinks, query_stats, &local, sopts);
+  if (stats != nullptr) {
+    MergeRunStats(stats, local);
+    stats->states_visited = local.states_visited;
+  }
+  if (report != nullptr) {
+    *report = ShardReport();
+    report->shards = 1;
+    report->serial_bytes = local.input_bytes;
+  }
+  return status;
 }
 
 }  // namespace
@@ -40,74 +65,19 @@ SpeculativeResolver::SpeculativeResolver(const core::RuntimeTables& tables,
   const size_t n = segments();
 
   // A boundary that opens a split keyword's element has one statically
-  // known entry class; every other boundary is taken for a top-level one
-  // and speculates over the classes of the boundary-state analysis.
+  // known entry class; any other boundary is left to a re-run.
   seg_keyword_.assign(n, -1);
-  bool all_keywords = true;
   for (size_t k = 1; k < n; ++k) {
-    seg_keyword_[k] =
-        tables_.split_keywords.Find(TagNameAt(doc_, seg_begin_[k]));
-    all_keywords = all_keywords && seg_keyword_[k] >= 0;
+    const int kw = tables_.split_keywords.Find(TagNameAt(doc_, seg_begin_[k]));
+    seg_keyword_[k] = kw;
+    if (kw < 0) continue;
+    report_.candidate_classes = 1;
+    report_.candidate_states = std::max(
+        report_.candidate_states,
+        tables_.split_keywords.states(static_cast<size_t>(kw)).size());
   }
-
-  // Collapse the static candidate set into behavior classes; candidates
-  // whose vocabulary and transitions coincide (they differ only in entry
-  // actions, which never re-fire at a resume point) share one speculative
-  // run per segment. A candidate's entry copy depth is part of the class
-  // key: an attempt is seeded with it, and a session resumed with one
-  // active copy behaves observably differently (emits the segment) from a
-  // depth-0 resume of the same state.
-  const std::vector<int>& boundary_states = tables_.boundary_states;
-  class_of_.assign(boundary_states.size(), kNoClass);
-  if (!all_keywords) {
-    for (size_t i = 0; i < boundary_states.size(); ++i) {
-      const int depth = i < tables_.boundary_copy_depths.size()
-                            ? tables_.boundary_copy_depths[i]
-                            : 0;
-      if (depth != 0 && tables_.multi != nullptr) {
-        // Multi-query in-copy hand-offs re-run (see Resolve); never launch
-        // an attempt the engine would reject (no per-query depth vector).
-        continue;
-      }
-      size_t c = 0;
-      while (c < class_reps_.size() &&
-             !(class_rep_depths_[c] == depth &&
-               core::SameRuntimeBehavior(tables_, class_reps_[c],
-                                         boundary_states[i]))) {
-        ++c;
-      }
-      if (c == class_reps_.size()) {
-        if (class_reps_.size() == opts_.max_candidate_states) {
-          // Too many distinct classes to speculate on: stop partitioning
-          // (the deep state comparisons are wasted past the cap) and fall
-          // back to dynamic seeding.
-          class_reps_.clear();
-          class_rep_depths_.clear();
-          break;
-        }
-        class_reps_.push_back(boundary_states[i]);
-        class_rep_depths_.push_back(depth);
-      }
-      class_of_[i] = c;
-    }
-  }
-  static_spec_ = n > 1 && (all_keywords || !class_reps_.empty());
-
   results_.resize(n);
   report_.shards = n;
-  if (static_spec_) {
-    for (size_t k = 1; k < n; ++k) {
-      const int kw = seg_keyword_[k];
-      const size_t states =
-          kw >= 0 ? tables_.split_keywords.states(static_cast<size_t>(kw))
-                        .size()
-                  : boundary_states.size();
-      const size_t classes = kw >= 0 ? 1 : class_reps_.size();
-      report_.candidate_states = std::max(report_.candidate_states, states);
-      report_.candidate_classes =
-          std::max(report_.candidate_classes, classes);
-    }
-  }
 }
 
 SpeculativeResolver::~SpeculativeResolver() { Abort(); }
@@ -159,23 +129,11 @@ void SpeculativeResolver::RunSegment(size_t k,
 }
 
 void SpeculativeResolver::RunAttempt(Attempt* a) {
+  // Any member stands for the keyword's class; the true entry state's
+  // visited bit is the predecessor's, so the representative's is not
+  // counted.
   RunSegment(a->segment, a->segment == 0 ? nullptr : &a->entry, &a->result,
-             a->mark_start, &a->cancel);
-}
-
-void SpeculativeResolver::AddAttempt(size_t k, core::SessionCheckpoint entry,
-                                     bool mark_start) {
-  auto a = std::make_unique<Attempt>();
-  a->segment = k;
-  // Speculative entries resume with nothing flushed yet: an in-copy one
-  // emits [boundary, ...) itself and the driver owes the predecessor's
-  // unflushed tail below the boundary (ShardResult::tail_begin/tail_end,
-  // recorded on acceptance).
-  entry.cursor = seg_begin_[k];
-  entry.copy_flushed = seg_begin_[k];
-  a->entry = std::move(entry);
-  a->mark_start = mark_start;
-  attempts_.push_back(std::move(a));
+             /*mark_start=*/a->segment == 0, &a->cancel);
 }
 
 void SpeculativeResolver::KillLocked(Attempt* a) {
@@ -250,56 +208,27 @@ void SpeculativeResolver::WaitDone(size_t idx) {
 }
 
 void SpeculativeResolver::LaunchWave(ThreadPool* pool) {
+  // One fully parallel wave: the head plus one run per segment whose
+  // boundary opens a split keyword. Nothing serializes ahead of the wave,
+  // and nothing waits for it either -- Resolve picks attempts up as their
+  // exits land.
   const size_t n = segments();
-  if (static_spec_) {
-    // One fully parallel wave: the head plus one run per candidate class
-    // of every later segment -- one for a split-keyword boundary. Nothing
-    // serializes ahead of the wave, and nothing waits for it either --
-    // Resolve picks attempts up as their exits land.
-    first_attempt_.assign(n + 1, 0);
-    AddAttempt(0, {}, /*mark_start=*/true);
-    for (size_t k = 1; k < n; ++k) {
-      first_attempt_[k] = attempts_.size();
-      core::SessionCheckpoint entry;
-      const int kw = seg_keyword_[k];
-      if (kw >= 0) {
-        // Any member stands for the class; the true entry state's visited
-        // bit is the predecessor's, so the representative's is not counted.
-        entry.state =
-            tables_.split_keywords.states(static_cast<size_t>(kw)).front();
-        AddAttempt(k, entry, /*mark_start=*/false);
-        continue;
-      }
-      for (size_t c = 0; c < class_reps_.size(); ++c) {
-        entry.state = class_reps_[c];
-        entry.copy_depth = class_rep_depths_[c];
-        AddAttempt(k, entry, /*mark_start=*/false);
-      }
+  attempt_of_.assign(n, kNoAttempt);
+  for (size_t k = 0; k < n; ++k) {
+    if (k > 0 && seg_keyword_[k] < 0) continue;
+    auto a = std::make_unique<Attempt>();
+    a->segment = k;
+    if (k > 0) {
+      a->entry.state = tables_.split_keywords
+                           .states(static_cast<size_t>(seg_keyword_[k]))
+                           .front();
+      a->entry.cursor = seg_begin_[k];
+      a->entry.copy_flushed = seg_begin_[k];
     }
-    first_attempt_[n] = attempts_.size();
-  } else {
-    // Dynamic fallback (PR-2 scheme): the document head runs for real --
-    // its exit state is the speculation seed for every other segment.
-    RunSegment(0, nullptr, &results_[0], /*mark_start=*/true, nullptr);
-    report_.serial_bytes += results_[0].stats.input_bytes;
-    const ShardResult& head = results_[0];
-    // A single-query head suspended inside a copy region still seeds
-    // speculation (the attempts resume at its depth, tail bytes are the
-    // driver's); multi-query tables need per-query depth vectors the seed
-    // cannot supply, so they keep requiring a copy-free hand-off.
-    dynamic_spec_ = n > 1 && head.status.ok() && !head.finished &&
-                    head.clean && head.exit.nesting_depth == 0 &&
-                    (head.exit.copy_depth == 0 || tables_.multi == nullptr);
-    if (!dynamic_spec_) return;
-    dynamic_guess_ = head.exit;
-    first_attempt_.assign(n + 1, 0);
-    for (size_t k = 1; k < n; ++k) {
-      first_attempt_[k] = attempts_.size();
-      AddAttempt(k, dynamic_guess_, /*mark_start=*/true);
-    }
-    first_attempt_[n] = attempts_.size();
+    attempt_of_[k] = attempts_.size();
+    attempts_.push_back(std::move(a));
   }
-  report_.speculated = n - 1;
+  report_.speculated = attempts_.size() - 1;
   report_.attempts = attempts_.size();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -328,114 +257,57 @@ bool SpeculativeResolver::SkipsLiveBytes(
   return m.found() && m.pos < stop - boundary;
 }
 
-size_t SpeculativeResolver::MatchingAttempt(size_t k,
-                                            const ShardResult& prev) const {
+bool SpeculativeResolver::Accepts(size_t k, const ShardResult& prev) const {
   // Why an entry match suffices: a clean drain means no keyword completed
   // in the overlap tail, and no keyword can straddle the boundary's '<'
   // (keywords contain '<' only at position 0), so state, copy depth and
   // opaque nesting are all constant from the exit cursor through the
-  // boundary -- (state, depth, nesting 0) IS the serial engine's entry
-  // configuration there, unless an initial jump carried the cursor past
-  // the boundary (SkipsLiveBytes). Multi-query product tables keep the
-  // re-run fallback when copies are active: a candidate would need the
-  // full per-query depth vector, which the static analysis does not
-  // enumerate.
+  // boundary -- a member state at depth 0 and nesting 0 IS the serial
+  // engine's entry configuration there, unless an initial jump carried the
+  // cursor past the boundary (SkipsLiveBytes).
   const core::SessionCheckpoint& exit = prev.exit;
-  if (!prev.clean || exit.nesting_depth != 0 ||
-      (exit.copy_depth != 0 && tables_.multi != nullptr) ||
-      SkipsLiveBytes(k, exit)) {
-    return kNoClass;
+  if (seg_keyword_[k] < 0 || !prev.clean || exit.nesting_depth != 0 ||
+      exit.copy_depth != 0) {
+    return false;
   }
-  if (dynamic_spec_) {
-    return exit.state == dynamic_guess_.state &&
-                   exit.copy_depth == dynamic_guess_.copy_depth
-               ? 0
-               : kNoClass;
-  }
-  if (!static_spec_) return kNoClass;
-  if (seg_keyword_[k] >= 0) {
-    const std::vector<int>& members =
-        tables_.split_keywords.states(static_cast<size_t>(seg_keyword_[k]));
-    return exit.copy_depth == 0 &&
-                   std::binary_search(members.begin(), members.end(),
-                                      exit.state)
-               ? 0
-               : kNoClass;
-  }
-  const std::vector<int>& boundary_states = tables_.boundary_states;
-  const std::vector<int>& depths = tables_.boundary_copy_depths;
-  for (size_t c = 0; c < boundary_states.size(); ++c) {
-    const int depth = c < depths.size() ? depths[c] : 0;
-    if (boundary_states[c] == exit.state && depth == exit.copy_depth) {
-      return class_of_[c];
-    }
-  }
-  return kNoClass;
+  const std::vector<int>& members =
+      tables_.split_keywords.states(static_cast<size_t>(seg_keyword_[k]));
+  return std::binary_search(members.begin(), members.end(), exit.state) &&
+         !SkipsLiveBytes(k, exit);
 }
 
 ShardResult& SpeculativeResolver::Resolve(size_t k) {
   if (k == 0) {
-    if (static_spec_) {
-      WaitDone(0);
-      std::lock_guard<std::mutex> lock(mu_);
-      results_[0] = std::move(attempts_[0]->result);
-    }
-    return results_[0];  // dynamic mode ran the head synchronously
+    WaitDone(attempt_of_[0]);
+    std::lock_guard<std::mutex> lock(mu_);
+    results_[0] = std::move(attempts_[attempt_of_[0]]->result);
+    return results_[0];
   }
   ShardResult& prev = results_[k - 1];
-  // Accept the speculative attempt whose assumed entry matches the
+  // Accept the speculative attempt when its assumed entry matches the
   // predecessor's actual hand-off; otherwise re-run the segment from the
   // true checkpoint. Deterministic by construction -- the accepted
   // sequence replays the serial run (early-kill only cancels attempts
   // that were never going to be part of it).
-  const size_t first = first_attempt_.empty() ? 0 : first_attempt_[k];
-  const size_t count =
-      first_attempt_.empty() ? 0 : first_attempt_[k + 1] - first;
-  const size_t hit = MatchingAttempt(k, prev);
-  if (hit != kNoClass) {
-    // Kill the losing attempts of this segment before waiting on the
-    // winner: a running loser aborts at its next safe point and frees its
-    // buffered output mid-wave.
+  const size_t idx = attempt_of_[k];
+  if (Accepts(k, prev)) {
+    WaitDone(idx);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      for (size_t c = 0; c < count; ++c) {
-        if (c != hit) KillLocked(attempts_[first + c].get());
-      }
-    }
-    WaitDone(first + hit);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      results_[k] = std::move(attempts_[first + hit]->result);
+      results_[k] = std::move(attempts_[idx]->result);
     }
     ShardResult& r = results_[k];
     // An attempt that took no transition still sits in its assumed entry
     // state, which may be another member of the class than the serial
     // run's; hand the true one on.
     if (r.stats.matches == 0) r.exit.state = prev.exit.state;
-    if (prev.exit.copy_depth > 0) {
-      // An in-copy hand-off owes the unflushed copy bytes
-      // [exit.copy_flushed, boundary) that the predecessor's suspension
-      // withheld; the accepted attempt started flushing at the boundary,
-      // so they are recorded as the segment's hand-off tail for the driver
-      // and folded into its output stats. In-copy hand-offs happen on
-      // single-query tables only, so the tail is query 0's.
-      ++report_.copy_handoffs;
-      if (prev.exit.copy_flushed < seg_begin_[k]) {
-        r.tail_begin = prev.exit.copy_flushed;
-        r.tail_end = seg_begin_[k];
-        r.stats.output_bytes += r.tail_end - r.tail_begin;
-        r.query_stats[0].output_bytes += r.tail_end - r.tail_begin;
-      }
-    }
     ++report_.accepted;
   } else {
-    // Mis-speculation: every attempt of this segment lost. Kill them all,
-    // then re-run from the true checkpoint on this thread.
-    if (count > 0) {
+    // Mis-speculation or no keyword: kill the attempt, if any, then re-run
+    // from the true checkpoint on this thread.
+    if (idx != kNoAttempt) {
       std::lock_guard<std::mutex> lock(mu_);
-      for (size_t c = 0; c < count; ++c) {
-        KillLocked(attempts_[first + c].get());
-      }
+      KillLocked(attempts_[idx].get());
     }
     ShardResult rerun;
     core::SessionCheckpoint start = prev.exit;
@@ -489,19 +361,20 @@ Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
         std::to_string(core::QueryCount(tables)) + "), got " +
         std::to_string(m));
   }
-  size_t max_shards =
+  const size_t max_shards =
       opts.max_shards != 0 ? opts.max_shards
                            : static_cast<size_t>(std::max(1, pool->size()));
-  std::vector<uint64_t> bounds;
-  if (max_shards > 1) {
-    const strmatch::Matcher* split = tables.split_keywords.matcher();
-    bounds = split == nullptr
-                 ? FindTopLevelBoundariesParallel(doc, max_shards - 1, pool)
-                 : ProbeKeywordBoundaries(doc, *split, max_shards - 1);
+  const strmatch::Matcher* split =
+      max_shards > 1 ? tables.split_keywords.matcher() : nullptr;
+  const std::vector<uint64_t> bounds =
+      split != nullptr ? ProbeKeywordBoundaries(doc, *split, max_shards - 1)
+                       : std::vector<uint64_t>();
+  if (bounds.empty()) {
+    return RunWhole(tables, doc, sinks, query_stats, stats, opts.engine,
+                    report);
   }
 
   SpeculativeResolver::Options ropts;
-  ropts.max_candidate_states = opts.max_candidate_states;
   ropts.max_buffer_bytes = opts.max_buffer_bytes;
   ropts.engine = opts.engine;
   // All attempts of the wave share one spill file; killed attempts
@@ -544,18 +417,6 @@ Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
       }
     }
     ShardResult& r = resolver.Resolve(k);
-    if (r.tail_end > r.tail_begin) {
-      // In-copy hand-off (single-query tables only; product tables re-run
-      // instead): the predecessor suspended with copy bytes below the
-      // boundary unflushed and the accepted attempt's output starts AT the
-      // boundary. Segments install strictly in order, so the ordered
-      // frontier is caught up with segment k-1 here and the tail streams
-      // straight into the output between the two segments.
-      commit_status = sinks[0]->Append(doc.substr(
-          static_cast<size_t>(r.tail_begin),
-          static_cast<size_t>(r.tail_end - r.tail_begin)));
-      if (!commit_status.ok()) break;
-    }
     for (size_t u = 0; u < m; ++u) {
       if (u < r.query_stats.size()) {
         totals[u].matches += r.query_stats[u].matches;

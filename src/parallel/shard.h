@@ -2,34 +2,31 @@
 // prefilter the shards concurrently, one PrefilterSession per shard against
 // the shared immutable RuntimeTables.
 //
-// Split points come from a keyword search when the DTD allows one: the
+// Split points come from a keyword search, the paper's own tool: the
 // tables' split keywords (core::SplitKeywords -- "<name" of every element
 // whose entry state is one behavior class at copy depth 0, wherever it
 // sits: XMark's "<person", "<item", "<open_auction", MEDLINE's
 // "<MedlineCitation") are probed with one BM/CW matcher from each split
 // target (ProbeKeywordBoundaries, parallel/boundary_scan.h), which reads a
 // few hundred bytes per target. The matcher is built on the first sharded
-// run over the tables and reused by every later one. Tables without split
-// keywords (a DTD with recursion, or no name with one entry class) fall
-// back to the structural scan for top-level elements, cut into per-target
-// regions scanned concurrently on the pool (FindTopLevelBoundariesParallel).
+// run over the tables and reused by every later one. That is the only way
+// a document is cut. Tables without split keywords (a root copy, or no
+// name with one entry class), and documents in which the probe finds no
+// split point, run as one serial session on the calling thread, straight
+// into the caller's sinks.
 //
-// Execution is *fully speculative*: every shard -- the document head
-// included -- launches in one parallel wave. A shard whose boundary opens
-// a split keyword runs once, from the keyword's class; any other boundary
-// is taken for a top-level one and runs once per behavior class of the
-// static boundary-state analysis (RuntimeTables::boundary_states). The
-// verification pass resolves segments in order *while the wave is still
-// running*: it accepts the run whose assumed entry matches its
-// predecessor's actual exit, cancels the segment's losing attempts
-// mid-flight (cooperative kill at session safe points, buffered output
-// freed on the spot), and deterministically re-runs any shard whose
-// speculation failed (mis-placed boundaries, an initial jump past the
-// boundary over live keywords, hand-offs inside copy regions of product
-// tables, opaque recursion balances, DTD-invalid input), so the merged
-// output is ALWAYS byte-identical to the serial engine, no matter where
-// the boundaries fall. Tables without a usable candidate set fall back to
-// seeding speculation from shard 0's actual exit state.
+// Execution is *speculative*: every shard -- the document head included --
+// launches in one parallel wave, each later one once, from the class of
+// the keyword its boundary opens. The verification pass resolves segments
+// in order *while the wave is still running*: it accepts a segment's run
+// when its predecessor's actual exit lies in that class, cancels a losing
+// run mid-flight (cooperative kill at session safe points, buffered output
+// freed on the spot), and deterministically re-runs any segment whose
+// speculation failed (a keyword inside a comment, CDATA section or copy
+// region, an initial jump past the boundary over live keywords,
+// DTD-invalid input) from its predecessor's true checkpoint. The merged
+// output is therefore ALWAYS byte-identical to the serial engine, no
+// matter where the boundaries fall.
 
 #ifndef SMPX_PARALLEL_SHARD_H_
 #define SMPX_PARALLEL_SHARD_H_
@@ -54,48 +51,46 @@ namespace smpx::parallel {
 struct ShardOptions {
   /// Upper bound on the number of shards; 0 means the pool size.
   size_t max_shards = 0;
-  /// Largest number of top-level *behavior classes* worth speculating on.
-  /// Candidate states whose vocabulary and transitions coincide (they
-  /// differ only in entry actions, which never re-fire at a resume point)
-  /// are collapsed into one speculative run; a shard whose boundary does
-  /// not open a split keyword runs once per class, so class counts beyond
-  /// this bound cost more in wasted wave work than the removed
-  /// serialization saves. Such runs fall back to exit-state speculation
-  /// seeded by shard 0 (split-keyword boundaries need no classes).
+  /// Inert: every speculated segment runs from one class. Kept because
+  /// smpx-bench/src still reads it.
   size_t max_candidate_states = 4;
   /// Per-segment output buffering budget in bytes; a shard's projected
   /// output beyond it overflows to an unlinked temp file (SpillSink) until
   /// the ordered-commit frontier streams the segment into the caller's
-  /// sink and frees it. 0 keeps segments fully in memory (unbounded, the
-  /// pre-budget behavior). With a budget B, peak resident memory of a
-  /// sharded run is O(shards x classes x B) on top of the per-session
-  /// windows, independent of document and projection size.
+  /// sink and frees it. 0 keeps segments fully in memory (unbounded). With
+  /// a budget B, peak resident memory of a sharded run is O(shards x B) on
+  /// top of the per-session windows, independent of document and
+  /// projection size. A serial run writes straight into the caller's sinks
+  /// and buffers nothing.
   size_t max_buffer_bytes = 0;
   core::EngineOptions engine;
 };
 
 /// How a sharded run actually executed; the substrate for the scaling
-/// bench's "serial fraction" metric and the speculation tests.
+/// bench's "serial fraction" metric and the speculation tests. A run that
+/// found no split point reads shards = 1, attempts = 0 and serial_bytes =
+/// the bytes it read.
 struct ShardReport {
   size_t shards = 0;             ///< segments the document was split into
-  size_t speculated = 0;         ///< non-head shards launched in the wave
-  /// Attempts launched in the wave: the head plus one per later segment
-  /// whose boundary opens a split keyword and one per candidate class of
-  /// every other; in dynamic-fallback mode (head run first, on the
-  /// calling thread) one per later segment.
+  /// Later segments launched in the wave: those whose boundary opens a
+  /// split keyword (in ShardedRun, every segment but the head).
+  size_t speculated = 0;
+  /// Attempts launched in the wave: the head plus one per speculated
+  /// segment.
   size_t attempts = 0;
   size_t accepted = 0;           ///< speculative shards whose entry verified
   size_t reruns = 0;             ///< shards re-run sequentially after the wave
-  /// Largest candidate-state set any segment speculated on (0 = dynamic).
+  /// Largest member-state set of the split keyword any segment speculated
+  /// on (0 when none did).
   size_t candidate_states = 0;
-  /// Most behavior classes any segment speculated on (0 = dynamic).
+  /// Behavior classes a speculated segment runs from: 1 when any segment
+  /// speculated, else 0.
   size_t candidate_classes = 0;
-  /// Bytes prefiltered on the sequential verification path (re-runs, plus
-  /// shard 0 in dynamic-fallback mode). The wave itself is perfectly
-  /// parallel, so serial_bytes / document size bounds the Amdahl fraction
-  /// of a sharded run. The boundary search before the wave is not counted:
-  /// the keyword probe reads a few records per split target, and the
-  /// structural fallback runs region-parallel.
+  /// Bytes prefiltered on the calling thread outside the wave: re-runs,
+  /// or the whole document when the run found no split point. The wave
+  /// itself is perfectly parallel, so serial_bytes / document size bounds
+  /// the Amdahl fraction of a sharded run. The keyword probe before the
+  /// wave, which reads a few records per split target, is not counted.
   uint64_t serial_bytes = 0;
   /// Bytes prefiltered inside the parallel wave, including rejected
   /// speculative attempts (total wave work, not just accepted output).
@@ -109,10 +104,6 @@ struct ShardReport {
   /// Wave attempts executed inline by the resolving thread because no
   /// worker had picked them up yet (their bytes count as wave work).
   size_t stolen = 0;
-  /// Accepted speculative shards whose entry sat inside an active copy
-  /// region (hand-off at copy depth > 0). Before (state, depth) candidates
-  /// these were forced re-runs; now they ride the wave like clean ones.
-  size_t copy_handoffs = 0;
 };
 
 /// One segment's execution record: the session's exit checkpoint, stats,
@@ -129,7 +120,7 @@ struct ShardResult {
   /// by the query count). Moved out by the per-query ordered committers.
   std::vector<std::unique_ptr<SpillSink>> mq_sinks;
   /// This segment's matches and output bytes per unique query (one entry
-  /// on single-query tables, hand-off tail included).
+  /// on single-query tables).
   std::vector<core::QueryRunStats> query_stats;
   core::RunStats stats;
   core::SessionCheckpoint exit;
@@ -138,14 +129,9 @@ struct ShardResult {
   bool clean = false;     ///< suspended in a plain keyword search
   uint64_t read_end = 0;  ///< absolute end of the bytes this run read
   std::vector<bool> visited;
-  /// Hand-off tail [tail_begin, tail_end): copy-region bytes the
-  /// predecessor's suspension left unflushed when this segment was accepted
-  /// speculatively at copy depth > 0. The speculative session started with
-  /// copy_flushed at the boundary, so its own output omits them; the driver
-  /// must emit doc[tail_begin, tail_end) immediately BEFORE this segment's
-  /// sink. The bytes are already folded into stats.output_bytes (serial
-  /// parity); empty for clean hand-offs and re-runs (a re-run resumes from
-  /// the true checkpoint and emits them itself).
+  /// Inert, always equal: a segment is accepted only at copy depth 0, so
+  /// no copy bytes are ever owed between two segments. Kept because
+  /// smpx-bench/src still reads them.
   uint64_t tail_begin = 0;
   uint64_t tail_end = 0;
 };
@@ -153,26 +139,22 @@ struct ShardResult {
 /// The speculative wave/verify machinery behind single-document sharding
 /// (ShardedRun; smpx-bench's sharded phase probe assembles it by hand):
 /// given a document cut into segments, it reads the element name at each
-/// boundary and launches every segment in one parallel wave -- the head
-/// for real, a segment whose boundary opens a split keyword once from that
-/// keyword's class, any other segment once per top-level candidate entry
-/// *behavior class* from the static boundary-state analysis -- and then
-/// resolves segments in order, accepting the attempt whose assumed entry
-/// matches the predecessor's verified exit and deterministically re-running
-/// the segment otherwise. A split-keyword attempt is accepted when the
-/// predecessor drained cleanly outside every copy and opaque region in one
-/// of the keyword's member states, and every attempt only when the
-/// predecessor's initial jump did not carry its cursor past the boundary
-/// over an occurrence of its state's keywords. The resolved sequence
-/// replays the serial engine byte-for-byte no matter where the boundaries
-/// fall or how speculation fared; tables without a usable candidate set
-/// fall back to seeding speculation from the head's actual exit state.
+/// boundary and launches the head plus one attempt for every segment whose
+/// boundary opens a split keyword, entering in one of the keyword's member
+/// states, all in one parallel wave. It then resolves segments in order. A
+/// segment's attempt is accepted when the predecessor drained cleanly
+/// outside every copy and opaque region in one of the keyword's member
+/// states and its initial jump did not carry its cursor past the boundary
+/// over an occurrence of its state's keywords; any other segment -- a
+/// losing attempt, or a boundary that opens no split keyword -- is re-run
+/// from the predecessor's true checkpoint. The resolved sequence replays
+/// the serial engine byte-for-byte no matter where the boundaries fall.
 /// Every attempt captures its projected output in budget-bounded SpillSink
-/// segments.
+/// segments, so a wave holds O(shards x budget) output.
 class SpeculativeResolver {
  public:
   struct Options {
-    /// See ShardOptions::max_candidate_states.
+    /// Inert (see ShardOptions::max_candidate_states).
     size_t max_candidate_states = 4;
     /// Per-segment SpillSink budget; 0 = unbounded.
     size_t max_buffer_bytes = 0;
@@ -184,10 +166,10 @@ class SpeculativeResolver {
   };
 
   /// `boundaries` are strictly increasing offsets inside `doc` (typically
-  /// from ProbeKeywordBoundaries or FindTopLevelBoundaries*); segment k
-  /// then covers [seg_begin(k), seg_begin(k+1)) with seg_begin(0) = 0 and
-  /// the last segment ending at doc.size(). `tables` and `doc` must
-  /// outlive the resolver.
+  /// from ProbeKeywordBoundaries); segment k then covers
+  /// [seg_begin(k), seg_begin(k+1)) with seg_begin(0) = 0 and the last
+  /// segment ending at doc.size(). `tables` and `doc` must outlive the
+  /// resolver.
   SpeculativeResolver(const core::RuntimeTables& tables, std::string_view doc,
                       const std::vector<uint64_t>& boundaries,
                       const Options& opts);
@@ -199,11 +181,9 @@ class SpeculativeResolver {
   uint64_t seg_begin(size_t k) const { return seg_begin_[k]; }
 
   /// Submits the head plus every speculative attempt to the pool and
-  /// returns WITHOUT waiting -- resolution overlaps the wave. In
-  /// dynamic-fallback mode the head runs synchronously on the calling
-  /// thread first (its exit seeds the attempts), then the attempts are
-  /// submitted. Call once, before Resolve; must not be called from a pool
-  /// thread. `pool` must outlive the resolver.
+  /// returns WITHOUT waiting -- resolution overlaps the wave. Call once,
+  /// before Resolve; must not be called from a pool thread. `pool` must
+  /// outlive the resolver.
   void LaunchWave(ThreadPool* pool);
 
   /// Resolves segment k and returns its record. Requires LaunchWave() and
@@ -211,12 +191,11 @@ class SpeculativeResolver {
   /// a segment whose status is non-OK or whose run finished (later bytes
   /// are ignored in a serial run, so later segments are meaningless), and
   /// should then Abort() to cancel the attempts that became moot.
-  /// Resolution is incremental: this waits only for the one attempt the
-  /// predecessor's exit selects (running it inline if no worker has
-  /// started it yet) and immediately kills the segment's losing attempts
-  /// -- their sessions abort at the next safe point and their buffered
-  /// output is freed mid-wave, not after it. Re-runs (the only sequential
-  /// work) execute on the calling thread.
+  /// Resolution is incremental: an accepted segment waits only for its own
+  /// attempt (running it inline if no worker has started it yet); a
+  /// rejected one kills its attempt -- the session aborts at the next safe
+  /// point and its buffered output is freed mid-wave, not after it -- and
+  /// re-runs (the only sequential work) on the calling thread.
   ShardResult& Resolve(size_t k);
 
   /// Resolved segment records (valid for k already resolved).
@@ -229,10 +208,11 @@ class SpeculativeResolver {
   void Abort();
 
   /// Execution metrics; shards/candidate fields are valid after
-  /// LaunchWave, accept/rerun/kill counts grow as segments resolve. Only
-  /// read it while no attempt is in flight (after the last Resolve plus
-  /// Abort, or after all segments resolved and Abort returned): the wave
-  /// mutates the work counters concurrently.
+  /// construction, attempt counts after LaunchWave, and accept/rerun/kill
+  /// counts grow as segments resolve. Only read it while no attempt is in
+  /// flight (after the last Resolve plus Abort, or after all segments
+  /// resolved and Abort returned): the wave mutates the work counters
+  /// concurrently.
   const ShardReport& report() const { return report_; }
 
  private:
@@ -248,7 +228,6 @@ class SpeculativeResolver {
     bool loser = false;    ///< resolved against; free on sight (mu_)
     size_t segment = 0;    ///< the segment it runs; 0 is the head
     core::SessionCheckpoint entry;  ///< assumed entry (not for the head)
-    bool mark_start = false;        ///< count the entry state as visited
     ShardResult result;
   };
 
@@ -257,9 +236,6 @@ class SpeculativeResolver {
                   const std::atomic<bool>* cancel);
   /// Runs attempt `a` into its slot.
   void RunAttempt(Attempt* a);
-  /// Appends an attempt of segment k entering in `entry`'s state, copy
-  /// depth and per-query vectors at the segment's first byte.
-  void AddAttempt(size_t k, core::SessionCheckpoint entry, bool mark_start);
   /// Pool task wrapper: skips killed-before-start attempts, publishes
   /// completion, frees the sink of an attempt that lost while running.
   void AttemptTask(size_t idx);
@@ -273,26 +249,18 @@ class SpeculativeResolver {
   /// True when `exit` lies past segment k's boundary and the bytes its
   /// initial jump skipped hold an occurrence of its state's keywords.
   bool SkipsLiveBytes(size_t k, const core::SessionCheckpoint& exit) const;
-  /// Which of segment k's attempts (0-based within the segment) replays
-  /// the serial run after `prev`, or ~0 when none does.
-  size_t MatchingAttempt(size_t k, const ShardResult& prev) const;
+  /// True when segment k's attempt replays the serial run after `prev`.
+  bool Accepts(size_t k, const ShardResult& prev) const;
 
   const core::RuntimeTables& tables_;
   std::string_view doc_;
   std::vector<uint64_t> seg_begin_;  // segments()+1 fenceposts
   Options opts_;
-  std::vector<int> class_reps_;        // representative state per class
-  std::vector<int> class_rep_depths_;  // entry copy depth per class
-  std::vector<size_t> class_of_;       // candidate index -> class
   // Per segment: the split keyword whose element its boundary opens, or
-  // -1 (the head; boundaries speculated over the top-level classes).
+  // -1 (the head, and boundaries that open none).
   std::vector<int> seg_keyword_;
-  // Per segment: its first attempt in attempts_, segments()+1 fenceposts;
-  // empty when no attempt was launched.
-  std::vector<size_t> first_attempt_;
-  bool static_spec_ = false;
-  bool dynamic_spec_ = false;
-  core::SessionCheckpoint dynamic_guess_;
+  // Per segment: its attempt's index in attempts_, or kNoAttempt.
+  std::vector<size_t> attempt_of_;
   std::vector<ShardResult> results_;
   std::vector<std::unique_ptr<Attempt>> attempts_;
   size_t outstanding_ = 0;  // submitted pool tasks not yet exited (mu_)
@@ -301,15 +269,17 @@ class SpeculativeResolver {
   ShardReport report_;
 };
 
-/// Prefilters `doc` by sharding it across `pool`, writing one output per
-/// query: `sinks` holds one sink per unique query of multi-query product
-/// tables (MultiQueryInfo order; query::MultiQuery::RouteSinks builds them
-/// from one sink per original query) and exactly one for single-query
-/// tables; any other count fails with kInvalidArgument before any work.
+/// Prefilters `doc` by sharding it across `pool` at split keywords -- or,
+/// when the tables have none or the probe finds no split point, as one
+/// serial session on the calling thread -- writing one output per query:
+/// `sinks` holds one sink per unique query of multi-query product tables
+/// (MultiQueryInfo order; query::MultiQuery::RouteSinks builds them from
+/// one sink per original query) and exactly one for single-query tables;
+/// any other count fails with kInvalidArgument before any work.
 /// Every query's output is byte-identical to its own serial run, and the
 /// merged `stats` totals match RunEngine over the same document (up to
 /// search-effort counters, which depend on window geometry). Every session
-/// writes one SpillSink segment per query, bounded by
+/// of a sharded run writes one SpillSink segment per query, bounded by
 /// ShardOptions::max_buffer_bytes split evenly across the queries; each
 /// query's segments stream through their own ordered-commit frontier, so a
 /// segment reaches its sink (and is freed) the moment its entry is

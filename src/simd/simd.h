@@ -1,7 +1,7 @@
 // Vectorized structural byte classification with runtime CPU dispatch.
 //
 // The prefilter's remaining serial ceiling is its byte-scanning loops: the
-// engine's tag/attribute span scans, the sharder's top-level boundary scan,
+// engine's tag/attribute span scans, the index's top-level boundary scan,
 // and the BM/CW candidate probes. All of them reduce to the same primitive:
 // "which positions of this input hold one of a handful of structural bytes
 // ('<', '>', quotes, '-', ']', '?')?" This layer answers that question

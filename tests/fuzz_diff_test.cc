@@ -23,8 +23,7 @@
 //
 // The suite doubles as the property harness for the speculation machinery:
 //  - every boundary the structural scan reports coincides with a real
-//    top-level element start per the src/xml tokenizer (serial and
-//    region-parallel scanners agree);
+//    top-level element start per the src/xml tokenizer;
 //  - the static candidate-state set (RuntimeTables::boundary_states)
 //    contains the true entry state at every top-level boundary of a
 //    DTD-valid document;
@@ -351,14 +350,8 @@ std::vector<std::pair<uint64_t, int>> TokenizerSplitKeywordStarts(
 void ExpectBoundaryProperties(const Prefilter& pf, const std::string& doc,
                               bool dtd_valid) {
   std::vector<uint64_t> truth = TokenizerTopLevelStarts(doc);
-  parallel::ThreadPool pool(3);
   for (size_t splits : {1u, 3u, 7u}) {
-    std::vector<uint64_t> serial_bounds =
-        parallel::FindTopLevelBoundaries(doc, splits);
-    EXPECT_EQ(parallel::FindTopLevelBoundariesParallel(doc, splits, &pool),
-              serial_bounds)
-        << "scanners disagree at splits=" << splits;
-    for (uint64_t b : serial_bounds) {
+    for (uint64_t b : parallel::FindTopLevelBoundaries(doc, splits)) {
       EXPECT_TRUE(std::find(truth.begin(), truth.end(), b) != truth.end())
           << "boundary " << b << " is not a top-level element start";
     }

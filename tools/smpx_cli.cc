@@ -13,8 +13,9 @@
 //
 // Reads stdin/writes stdout when files are omitted; all output goes
 // through a write-coalescing BufferedFileSink. File inputs are mmap'ed
-// (sequential madvise); --threads > 1 shards one document across a thread
-// pool speculatively, each shard projecting into a SpillSink segment
+// (sequential madvise); --threads > 1 shards one document at split keywords
+// across a thread pool speculatively (tables without split keywords run
+// serially), each shard projecting into a SpillSink segment
 // bounded by --max-buffer and committed to the output in document order as
 // verification succeeds -- a multi-GB single document stays shardable at
 // O(threads x (window + budget)) resident memory. --batch prefilters many
@@ -103,9 +104,10 @@ int Usage(const char* argv0) {
       "                  (union of all queries' paths, safe for each of\n"
       "                  them) instead of per-query outputs\n"
       "  --threads N     run on N threads: one document is sharded at\n"
-      "                  top-level element boundaries and run\n"
-      "                  speculatively; with --batch, the documents are\n"
-      "                  prefiltered concurrently\n"
+      "                  split keywords (elements whose entry state the\n"
+      "                  tables know) and run speculatively, or serially\n"
+      "                  when the tables have none; with --batch, the\n"
+      "                  documents are prefiltered concurrently\n"
       "  --batch         every positional argument is an input file; each\n"
       "                  is streamed through the prefilter in bounded\n"
       "                  chunks and written to its own output file\n"
