@@ -182,25 +182,6 @@ Result<size_t> FileSource::ReadAt(uint64_t offset, char* buf,
 #endif
 }
 
-Result<size_t> SourceStream::Read(char* buf, size_t len) {
-  if (pos_ >= end_) return static_cast<size_t>(0);
-  size_t want = static_cast<size_t>(std::min<uint64_t>(len, end_ - pos_));
-  SMPX_ASSIGN_OR_RETURN(size_t n, source_->ReadAt(pos_, buf, want));
-  pos_ += n;
-  return n;
-}
-
-std::optional<std::string_view> SourceStream::Lend(size_t len) {
-  const std::string_view whole = source_->Contiguous();
-  if (whole.size() != source_->size()) return std::nullopt;
-  if (pos_ >= end_ || pos_ >= whole.size()) return std::string_view();
-  std::string_view piece = whole.substr(
-      static_cast<size_t>(pos_),
-      static_cast<size_t>(std::min<uint64_t>(len, end_ - pos_)));
-  pos_ += piece.size();
-  return piece;
-}
-
 Result<std::unique_ptr<FileInputStream>> FileInputStream::Open(
     const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -594,14 +575,18 @@ Status OrderedCommitSink::status() const {
   return error_;
 }
 
-SlidingWindow::SlidingWindow(InputStream* in, size_t capacity,
-                             uint64_t origin)
-    : in_(in),
-      capacity_(std::max<size_t>(capacity, 64)),
+SlidingWindow::SlidingWindow(size_t capacity, uint64_t origin)
+    : capacity_(std::max<size_t>(capacity, 64)),
       origin_(origin),
       base_(origin),
       lock_(origin),
       max_capacity_(capacity_) {}
+
+std::string_view SlidingWindow::Take(size_t len) {
+  const std::string_view piece = pending_.substr(0, len);
+  pending_.remove_prefix(piece.size());
+  return piece;
+}
 
 char* SlidingWindow::Own(size_t n) {
   if (!lent_ && own_cap_ >= n) return own_.get();
@@ -627,35 +612,20 @@ void SlidingWindow::Materialize() {
 
 void SlidingWindow::Fill() {
   while (!eof_ && size_ < capacity_) {
-    const size_t room = capacity_ - size_;
-    size_t n = 0;
-    if (std::optional<std::string_view> lent = in_->Lend(room)) {
-      n = lent->size();
-      if (n == 0) {
-        eof_ = true;
-        return;
-      }
-      if (size_ == 0) {
-        data_ = lent->data();
-        lent_ = true;
-      } else if (!lent_ || lent->data() != data_ + size_) {
-        // Not a continuation of the resident bytes in memory.
-        std::memcpy(Own(size_ + n) + size_, lent->data(), n);
-      }
-    } else {
-      Result<size_t> r = in_->Read(Own(capacity_) + size_, room);
-      if (!r.ok()) {
-        status_ = r.status();
-        eof_ = true;
-        return;
-      }
-      if (*r == 0) {
-        eof_ = true;
-        return;
-      }
-      n = *r;
+    const std::string_view piece = Take(capacity_ - size_);
+    if (piece.empty()) {
+      eof_ = true;
+      return;
     }
-    size_ += n;
+    if (size_ == 0) {
+      data_ = piece.data();
+      lent_ = true;
+    } else if (!lent_ || piece.data() != data_ + size_) {
+      // Not a continuation of the resident bytes in memory.
+      std::memcpy(Own(size_ + piece.size()) + size_, piece.data(),
+                  piece.size());
+    }
+    size_ += piece.size();
   }
 }
 
@@ -669,30 +639,17 @@ void SlidingWindow::SlideTo(uint64_t new_base) {
   size_t drop = static_cast<size_t>(new_base - base_);
   if (drop >= size_) {
     // Everything currently resident is discarded; the gap (if any) is
-    // bridged by reading and evicting, so absolute positions stay exact and
-    // any pending copy output still sees every byte. If the stream ends
-    // (or a chunk feed drains) inside the gap, base_ only advances as far
-    // as bytes were actually delivered -- later arrivals must land at
-    // their true absolute positions.
+    // bridged by taking and evicting fed bytes, so absolute positions stay
+    // exact and any pending copy output still sees every byte. If the fed
+    // bytes run out inside the gap, base_ only advances as far as bytes
+    // were actually delivered -- later chunks must land at their true
+    // absolute positions.
     uint64_t skip = new_base - (base_ + size_);
     uint64_t gap_pos = base_ + size_;
     size_ = 0;
     while (skip > 0 && !eof_) {
-      size_t chunk = static_cast<size_t>(
-          std::min<uint64_t>(skip, capacity_));
-      std::string_view piece;
-      if (std::optional<std::string_view> lent = in_->Lend(chunk)) {
-        piece = *lent;
-      } else {
-        char* buf = Own(chunk);
-        Result<size_t> n = in_->Read(buf, chunk);
-        if (!n.ok()) {
-          status_ = n.status();
-          eof_ = true;
-          break;
-        }
-        piece = std::string_view(buf, *n);
-      }
+      const std::string_view piece =
+          Take(static_cast<size_t>(std::min<uint64_t>(skip, capacity_)));
       if (piece.empty()) {
         eof_ = true;
         break;

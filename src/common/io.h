@@ -139,28 +139,6 @@ class FileSource : public InputSource {
   std::string fallback_;  // owns the bytes when pread was unavailable
 };
 
-/// Adapter: pull-based InputStream over a byte range of an InputSource.
-/// Keeps the existing streaming consumers (SlidingWindow, RunEngine)
-/// working against random-access sources.
-class SourceStream : public InputStream {
- public:
-  /// Streams [begin, end) of `source`; end == 0 means source->size().
-  explicit SourceStream(const InputSource* source, uint64_t begin = 0,
-                        uint64_t end = 0)
-      : source_(source),
-        pos_(begin),
-        end_(end == 0 ? source->size() : end) {}
-
-  Result<size_t> Read(char* buf, size_t len) override;
-  /// Lends from Contiguous() when the source has it; std::nullopt otherwise.
-  std::optional<std::string_view> Lend(size_t len) override;
-
- private:
-  const InputSource* source_;
-  uint64_t pos_;
-  uint64_t end_;
-};
-
 /// Input stream over caller-owned memory (zero copy).
 class MemoryInputStream : public InputStream {
  public:
@@ -472,11 +450,12 @@ class OrderedCommitSink {
   Status error_;  // first failure; sticky
 };
 
-/// A sliding window over an InputStream with absolute (whole-stream) byte
-/// positions. Its geometry is the paper's fixed-size chunked read buffer
-/// (Section V: "a pre-allocated buffer to read the document in fixed-size
-/// chunks, which we set to eight times the system page size"): at most
-/// capacity() bytes are resident, and refills slide the window forward.
+/// A sliding window over a document fed in chunks, with absolute
+/// (whole-document) byte positions. Its geometry is the paper's fixed-size
+/// chunked read buffer (Section V: "a pre-allocated buffer to read the
+/// document in fixed-size chunks, which we set to eight times the system
+/// page size"): at most capacity() bytes are resident, and refills slide
+/// the window forward.
 ///
 /// The engine scans forward through the window and occasionally jumps back a
 /// bounded distance (right-to-left keyword verification, copy-region start
@@ -486,38 +465,49 @@ class OrderedCommitSink {
 /// The capacity grows only if the locked region itself outgrows it (e.g. a
 /// single element copied as one piece larger than the window).
 ///
-/// Storage is borrowed, not pre-allocated. While the resident bytes form
-/// one range lent by the stream (InputStream::Lend), the window points into
-/// the stream's memory and copies nothing. It copies into owned storage
-/// only for a stream that cannot lend, or when a lent range does not
-/// continue the resident bytes in memory; that storage is allocated on
-/// first need, sized to what it holds (growing toward the capacity), and
-/// never zero-filled. Where the bytes live never changes the geometry:
-/// base, limit, capacity, eviction order and max_capacity_used() are the
-/// same for a lending and a copying stream over the same bytes.
+/// Bytes arrive by Feed(chunk), and the window takes them from the fed
+/// chunk in capacity-sized pieces. Reading past the fed bytes looks like
+/// end of input (eof_seen()) until the next Feed. Storage is borrowed, not
+/// pre-allocated: while the resident bytes form one range of the caller's
+/// memory, the window points into it and copies nothing. It copies into
+/// owned storage only when a piece does not continue the resident bytes in
+/// memory -- after Materialize, or across separately allocated chunks;
+/// that storage is allocated on first need, sized to what it holds
+/// (growing toward the capacity), and never zero-filled. Where the bytes
+/// live never changes the geometry: base, limit, capacity, eviction order
+/// and max_capacity_used() are the same however the same bytes are fed.
 class SlidingWindow {
  public:
-  /// Hook invoked with evicted bytes, in stream order, before discard.
+  /// Hook invoked with evicted bytes, in document order, before discard.
   using EvictFn = std::function<void(uint64_t begin, std::string_view data)>;
 
   static constexpr size_t kDefaultCapacity = 8 * 4096;  // 8 pages
 
-  /// `origin` is the absolute stream position of the first byte `in` will
-  /// deliver; window positions are absolute, so a session resuming at byte
-  /// offset k of a document passes origin = k.
-  SlidingWindow(InputStream* in, size_t capacity = kDefaultCapacity,
-                uint64_t origin = 0);
+  /// `origin` is the absolute position of the first byte fed; window
+  /// positions are absolute, so a session resuming at byte offset k of a
+  /// document passes origin = k.
+  explicit SlidingWindow(size_t capacity = kDefaultCapacity,
+                         uint64_t origin = 0);
+
+  /// Makes `chunk` the next bytes of the document, following every byte
+  /// fed before, and clears eof_seen(). Call it once the previous chunk is
+  /// used up (eof_seen()). The window scans `chunk` in place, so its memory
+  /// must stay valid until the window is materialized or fed again.
+  void Feed(std::string_view chunk) {
+    pending_ = chunk;
+    eof_ = false;
+  }
 
   /// Makes bytes [pos, pos+len) resident, sliding/refilling as needed.
-  /// Returns the number of bytes actually available (< len only at EOF).
-  /// On I/O error the window behaves as at EOF and status() is set.
+  /// Returns the number of bytes actually available (< len only when the
+  /// fed bytes run out).
   size_t Ensure(uint64_t pos, size_t len);
 
   /// Returns the resident view starting at `pos`, ensuring at least `len`
   /// bytes when possible. The view may be longer than `len`.
   std::string_view View(uint64_t pos, size_t len);
 
-  /// Maximal resident view starting at `pos` WITHOUT touching the stream;
+  /// Maximal resident view starting at `pos` WITHOUT taking fed bytes;
   /// empty when `pos` is not resident. The bulk-scanning fast paths run
   /// pointer loops (memchr) over this span and only fall back to RefillAt
   /// at span boundaries.
@@ -528,21 +518,22 @@ class SlidingWindow {
   }
 
   /// Slides/refills so at least one byte at `pos` is resident (respecting
-  /// the lock) and returns the maximal resident view there; empty at EOF.
+  /// the lock) and returns the maximal resident view there; empty when the
+  /// fed bytes run out.
   std::string_view RefillAt(uint64_t pos) { return View(pos, 1); }
 
   /// Byte at absolute position `pos`; caller must have Ensure()d it.
   char At(uint64_t pos) const { return data_[pos - base_]; }
 
-  /// True once the underlying stream is exhausted *and* `pos` is at or past
-  /// the last byte.
+  /// True once the fed bytes are used up *and* `pos` is at or past the
+  /// last of them.
   bool AtEnd(uint64_t pos);
 
   /// Copies the resident bytes into owned storage if they are lent, so the
-  /// window no longer refers to the stream's memory. A push-mode session
-  /// calls this before it returns suspended: its caller may reuse the
-  /// chunk's memory once Resume returns. Views obtained earlier are
-  /// invalidated; the geometry is unchanged.
+  /// window no longer refers to the fed chunk's memory. A session calls
+  /// this before it returns suspended: its caller may reuse the chunk's
+  /// memory once Resume returns. Views obtained earlier are invalidated;
+  /// the geometry is unchanged.
   void Materialize();
 
   /// Oldest absolute position that must remain resident (see class comment).
@@ -553,48 +544,43 @@ class SlidingWindow {
 
   /// First resident absolute position.
   uint64_t base() const { return base_; }
-  /// One past the last resident absolute position.
+  /// One past the last resident absolute position, which is also one past
+  /// the last byte taken from the fed chunks.
   uint64_t limit() const { return base_ + size_; }
-  /// Total bytes pulled from the stream so far.
-  uint64_t bytes_read() const { return base_ + size_; }
   /// Current capacity: the most bytes the window holds resident (grows
   /// only when the locked span forces it). Not the bytes allocated.
   size_t capacity() const { return capacity_; }
   /// High-water mark of capacity(); bounds the window's memory.
   size_t max_capacity_used() const { return max_capacity_; }
-  /// Absolute position of the first byte the stream delivered.
+  /// Absolute position of the first byte fed.
   uint64_t origin() const { return origin_; }
 
-  /// Forgets a previously observed end-of-stream so the next Ensure probes
-  /// the stream again. Used by resumable sessions whose backing stream is a
-  /// chunk feed: a drained feed looks like EOF until the next chunk arrives.
-  void ClearEof() { eof_ = false; }
-  /// True once the stream reported end-of-input (or an error).
+  /// True once a refill wanted more bytes than were fed; Feed clears it.
   bool eof_seen() const { return eof_; }
-
-  const Status& status() const { return status_; }
 
  private:
   void SlideTo(uint64_t new_base);
   void Fill();
+  /// Takes up to `len` of the fed bytes not taken yet; empty when the fed
+  /// chunk is used up.
+  std::string_view Take(size_t len);
   /// Moves the resident bytes into owned storage with room for `n` bytes
   /// in total (n >= size_) and returns its start.
   char* Own(size_t n);
 
-  InputStream* in_;
+  std::string_view pending_;     // fed bytes not taken yet
   size_t capacity_;
   std::unique_ptr<char[]> own_;  // owned storage, allocated on first need
   size_t own_cap_ = 0;
   const char* data_ = nullptr;   // byte at base_: in own_ or lent memory
-  bool lent_ = false;            // data_ points into the stream's memory
-  uint64_t origin_ = 0; // absolute position of the stream's first byte
+  bool lent_ = false;            // data_ points into fed memory
+  uint64_t origin_ = 0; // absolute position of the first byte fed
   uint64_t base_ = 0;   // absolute position of data_[0]
   size_t size_ = 0;     // resident bytes at data_
   uint64_t lock_ = 0;   // bytes >= lock_ must stay resident
   bool eof_ = false;
   size_t max_capacity_ = 0;
   EvictFn evict_fn_;
-  Status status_;
 };
 
 /// Per-input projection output naming used by batch pipelines:

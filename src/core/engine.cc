@@ -18,58 +18,29 @@ enum HandleResult {
   kNeedInput = 2    ///< scan hit the end of a non-final chunk; suspend
 };
 
-/// Serves the session's current chunk to the sliding window in push mode,
-/// lending it in place. Reading past the chunk looks like EOF until the
-/// next SetChunk + SlidingWindow::ClearEof. The chunk's memory is valid
-/// only during Resume, so a suspending Resume materializes the window.
-class FeedStream : public InputStream {
- public:
-  void SetChunk(std::string_view chunk) { chunk_ = chunk; }
-
-  Result<size_t> Read(char* buf, size_t len) override {
-    const std::string_view piece = *Lend(len);
-    std::copy(piece.begin(), piece.end(), buf);
-    return piece.size();
-  }
-
-  std::optional<std::string_view> Lend(size_t len) override {
-    std::string_view piece = chunk_.substr(0, len);
-    chunk_.remove_prefix(piece.size());
-    return piece;
-  }
-
- private:
-  std::string_view chunk_;
-};
-
 }  // namespace
 
-/// The engine proper: mutable run state shared by the helpers below. One
-/// instance backs both the serial pull-mode RunEngine (suspension disabled;
-/// behavior byte-identical to the historical one-shot engine) and the
-/// resumable push-mode PrefilterSession (suspension via a stats snapshot
-/// at the per-candidate safe points).
+/// The engine proper: mutable run state shared by the helpers below. Fed
+/// chunks run resumably (suspension via a stats snapshot at the
+/// per-candidate safe points) until Finish declares the input complete;
+/// from then on the run cannot suspend and needs no snapshots.
 class PrefilterSession::Impl {
  public:
   enum class Step { kDone, kNeedMore, kError };
 
-  /// `in` == nullptr selects push mode (chunks via Resume); otherwise the
-  /// engine pulls from `in` to completion and never suspends. `sinks` holds
-  /// `num_sinks` sinks, one per unique query (QueryCount(tables),
-  /// MultiQueryInfo order).
-  Impl(const RuntimeTables& tables, InputStream* in, OutputSink* const* sinks,
+  /// `sinks` holds `num_sinks` sinks, one per unique query
+  /// (QueryCount(tables), MultiQueryInfo order).
+  Impl(const RuntimeTables& tables, OutputSink* const* sinks,
        size_t num_sinks, std::vector<QueryRunStats>* query_stats,
        RunStats* stats, const EngineOptions& opts,
        const SessionCheckpoint* start)
       : tables_(tables),
-        win_(in != nullptr ? in : &feed_, opts.window_capacity,
+        win_(opts.window_capacity,
              start != nullptr ? start->feed_begin() : 0),
         stats_(stats != nullptr ? stats : &local_stats_),
         query_stats_(query_stats),
         opts_(opts),
         interned_(tables.interned_dispatch),
-        suspendable_(in == nullptr),
-        final_input_(in != nullptr),
         mq_(tables.multi.get()) {
     win_.set_evict_fn([this](uint64_t begin, std::string_view data) {
       OnEvict(begin, data);
@@ -117,8 +88,7 @@ class PrefilterSession::Impl {
   Status Resume(std::string_view chunk) {
     if (!status_.ok()) return status_;
     if (finished()) return Status::Ok();  // trailing bytes are ignored
-    feed_.SetChunk(chunk);
-    win_.ClearEof();
+    win_.Feed(chunk);
     Step s = Drive();
     if (s == Step::kError) return status_;
     if (s == Step::kNeedMore) {
@@ -143,21 +113,16 @@ class PrefilterSession::Impl {
     return Status::Ok();
   }
 
-  Status Finish() {
+  Status Finish(std::string_view last) {
     final_input_ = true;
     if (status_.ok() && !finished()) {
+      // Feeding an empty `last` would clear the end of input the last
+      // Resume saw, and the final scan would probe for bytes again.
+      if (!last.empty()) win_.Feed(last);
       Step s = Drive();
       (void)s;  // kError left its status in status_; kNeedMore impossible
     }
     FinalizeStats();
-    return status_;
-  }
-
-  /// Pull-mode entry point (serial RunEngine).
-  Status Run() {
-    Step s = Drive();
-    (void)s;
-    if (status_.ok()) FinalizeStats();
     return status_;
   }
 
@@ -199,7 +164,7 @@ class PrefilterSession::Impl {
   bool drained_cleanly() const { return drained_cleanly_; }
 
   void FinalizeStats() {
-    stats_->input_bytes = win_.bytes_read() - win_.origin();
+    stats_->input_bytes = win_.limit() - win_.origin();
     stats_->output_bytes = 0;
     if (query_stats_ != nullptr) query_stats_->clear();
     for (const QueryState& qs : queries_) {
@@ -308,14 +273,15 @@ class PrefilterSession::Impl {
     return Status::Ok();
   }
 
-  /// True when running in push mode and more chunks may still arrive --
-  /// i.e. an exhausted scan means "suspend", not "the document ends here".
-  bool MayResume() const { return suspendable_ && !final_input_; }
+  /// True until Finish: more chunks may still arrive, so an exhausted scan
+  /// means "suspend", not "the document ends here".
+  bool MayResume() const { return !final_input_; }
 
-  /// set_lock with a floor: in push mode the bytes from the last safe point
-  /// onward must stay resident so a restored attempt can re-scan them.
+  /// set_lock with a floor: while the session may suspend, the bytes from
+  /// the last safe point onward must stay resident so a restored attempt
+  /// can re-scan them.
   void Lock(uint64_t pos) {
-    win_.set_lock(suspendable_ ? std::min(pos, lock_floor_) : pos);
+    win_.set_lock(MayResume() ? std::min(pos, lock_floor_) : pos);
   }
 
   /// Marks the current position as a safe point: suspension at or after it
@@ -327,7 +293,7 @@ class PrefilterSession::Impl {
   /// continues from.
   void MarkSafePoint() {
     lock_floor_ = cursor_;
-    if (suspendable_) snap_stats_ = *stats_;
+    if (MayResume()) snap_stats_ = *stats_;
   }
 
   void RestoreSafePoint() { *stats_ = snap_stats_; }
@@ -397,15 +363,13 @@ class PrefilterSession::Impl {
   }
 
   const RuntimeTables& tables_;
-  FeedStream feed_;
   SlidingWindow win_;
   RunStats* stats_;
   RunStats local_stats_;
   std::vector<QueryRunStats>* query_stats_;
   EngineOptions opts_;
   const bool interned_;
-  const bool suspendable_;
-  bool final_input_;
+  bool final_input_ = false;  // Finish was called: no suspension from here
   const MultiQueryInfo* mq_;  // non-null on product tables
 
   int q_ = 0;
@@ -487,7 +451,7 @@ uint64_t PrefilterSession::Impl::SkipDoctype(uint64_t from) {
         // the literal.
         uint64_t q = p + hit + 1;
         for (;;) {
-          Lock(p);  // keep the whole construct resident in push mode
+          Lock(p);  // keep the whole construct resident while resumable
           std::string_view qs = win_.RefillAt(q);
           if (qs.empty()) return win_.limit() + 1;  // unterminated literal
           const size_t e = simd::FindByte(qs.data(), qs.size(),
@@ -522,7 +486,7 @@ bool PrefilterSession::Impl::SkipProlog() {
   // Only straight-line scanning at the very beginning of the document;
   // stops at the first '<' that opens an element tag. All scans run over
   // whole resident spans; the lock advances so the window never grows
-  // (beyond one construct in push mode).
+  // (beyond one construct while the session may suspend).
   for (;;) {
     for (;;) {  // inter-construct whitespace
       lock_floor_ = cursor_;
@@ -536,7 +500,7 @@ bool PrefilterSession::Impl::SkipProlog() {
     }
     lock_floor_ = cursor_;  // construct start: the restart point
     if (win_.Ensure(cursor_, 2) < 2) {
-      // One trailing byte. In push mode it may grow into "<?xml..."; in a
+      // One trailing byte. Before Finish it may grow into "<?xml..."; in a
       // final run the keyword search deals with it (historical behavior).
       return !MayResume();
     }
@@ -994,7 +958,7 @@ PrefilterSession::Impl::Step PrefilterSession::Impl::Drive() {
       if (MayResume() && win_.eof_seen()) {
         // The chunk feed is drained: everything up to `limit` has been
         // searched for complete occurrences. Suspend keeping the whole
-        // keyword-length overlap tail -- without the serial path's forced
+        // keyword-length overlap tail -- without the final run's forced
         // one-byte progress, which would skip a keyword that the next
         // chunk completes.
         uint64_t next = limit > st.max_keyword - 1
@@ -1032,8 +996,7 @@ PrefilterSession::PrefilterSession(const RuntimeTables& tables,
                                    OutputSink* out, RunStats* stats,
                                    const EngineOptions& opts,
                                    const SessionCheckpoint* start)
-    : impl_(new Impl(tables, /*in=*/nullptr, &out, 1, nullptr, stats, opts,
-                     start)) {}
+    : impl_(new Impl(tables, &out, 1, nullptr, stats, opts, start)) {}
 
 PrefilterSession::PrefilterSession(const RuntimeTables& tables,
                                    const std::vector<OutputSink*>& query_sinks,
@@ -1041,8 +1004,8 @@ PrefilterSession::PrefilterSession(const RuntimeTables& tables,
                                    RunStats* stats,
                                    const EngineOptions& opts,
                                    const SessionCheckpoint* start)
-    : impl_(new Impl(tables, /*in=*/nullptr, query_sinks.data(),
-                     query_sinks.size(), query_stats, stats, opts, start)) {}
+    : impl_(new Impl(tables, query_sinks.data(), query_sinks.size(),
+                     query_stats, stats, opts, start)) {}
 
 PrefilterSession::~PrefilterSession() = default;
 
@@ -1050,7 +1013,9 @@ Status PrefilterSession::Resume(std::string_view chunk) {
   return impl_->Resume(chunk);
 }
 
-Status PrefilterSession::Finish() { return impl_->Finish(); }
+Status PrefilterSession::Finish(std::string_view last) {
+  return impl_->Finish(last);
+}
 
 bool PrefilterSession::finished() const { return impl_->finished(); }
 
@@ -1071,12 +1036,28 @@ const std::vector<bool>& PrefilterSession::visited() const {
 Status RunEngine(const RuntimeTables& tables, InputStream* in,
                  OutputSink* out, RunStats* stats,
                  const EngineOptions& opts) {
-  if (tables.states.empty()) {
-    return Status::InvalidArgument("empty runtime tables");
+  PrefilterSession session(tables, out, stats, opts);
+  // Lent pieces are fed one behind, so the last one goes to Finish. Bytes
+  // past a final state are neither fed nor read.
+  constexpr size_t kLendAll = std::numeric_limits<size_t>::max();
+  std::optional<std::string_view> held = in->Lend(kLendAll);
+  while (held.has_value() && !held->empty() && !session.finished()) {
+    std::optional<std::string_view> next = in->Lend(kLendAll);
+    if (next.has_value() && next->empty()) return session.Finish(*held);
+    SMPX_RETURN_IF_ERROR(session.Resume(*held));
+    held = next;  // std::nullopt: the rest must be read
   }
-  PrefilterSession::Impl engine(tables, in, &out, 1, /*query_stats=*/nullptr,
-                                stats, opts, /*start=*/nullptr);
-  return engine.Run();
+  if (!held.has_value()) {
+    // A stream that cannot lend is read through one reused buffer.
+    constexpr size_t kReadBytes = size_t{1} << 20;
+    std::unique_ptr<char[]> buf(new char[kReadBytes]);
+    while (!session.finished()) {
+      SMPX_ASSIGN_OR_RETURN(size_t n, in->Read(buf.get(), kReadBytes));
+      if (n == 0) break;
+      SMPX_RETURN_IF_ERROR(session.Resume(std::string_view(buf.get(), n)));
+    }
+  }
+  return session.Finish();
 }
 
 }  // namespace smpx::core

@@ -3,7 +3,11 @@
 // frontier vocabulary, verifies tag matches locally (including the
 // prefix-tagname check, e.g. Abstract vs AbstractText), performs initial
 // jumps, and executes copy actions -- all through a fixed-size sliding
-// window over the input stream, which scans resident input in place.
+// window over the fed document bytes, which it scans in place.
+//
+// The engine has one mode: a PrefilterSession is fed bytes with Resume and
+// given the last ones with Finish. RunEngine is a plain driver over that
+// public API.
 //
 // Matched tags resolve through the interned fast path by default: the tag
 // name is scanned with pointer loops over whole resident window spans
@@ -28,7 +32,7 @@ namespace smpx::core {
 
 /// Counters backing the paper's measurement columns.
 struct RunStats {
-  uint64_t input_bytes = 0;       ///< total bytes pulled from the stream
+  uint64_t input_bytes = 0;       ///< total bytes fed to the engine
   uint64_t output_bytes = 0;      ///< bytes emitted (projected size)
   strmatch::SearchStats search;   ///< comparisons/shifts inside matchers
   uint64_t scan_chars = 0;        ///< chars inspected by local tag scans
@@ -75,10 +79,10 @@ struct QueryRunStats {
 
 struct EngineOptions {
   /// Sliding window capacity; the paper uses 8x the system page size. It
-  /// bounds how many bytes the engine keeps resident (and so the memory a
-  /// copying stream costs); over resident input -- MemoryInputStream,
-  /// SourceStream over a contiguous source, push-mode chunks -- the window
-  /// points into the caller's bytes and a large capacity costs nothing.
+  /// bounds how many bytes the engine keeps resident. The window points
+  /// into the fed chunks and copies only what a suspended session must
+  /// keep, so over resident input -- a MemoryInputStream, a mapped file, a
+  /// whole-document Finish -- a large capacity costs nothing.
   size_t window_capacity = SlidingWindow::kDefaultCapacity;
   /// Count the checkpoint's start state in visited()/states_visited. The
   /// parallel sharder disables this for speculative sessions launched from
@@ -140,13 +144,14 @@ struct SessionCheckpoint {
 
 /// A resumable prefiltering run over the immutable RuntimeTables.
 ///
-/// Push interface: feed contiguous document bytes with Resume(chunk) --
-/// starting at any absolute byte offset in a known checkpoint -- and close
-/// the input with Finish(). The session suspends cleanly when a chunk ends
-/// mid-construct (nothing is consumed past the last completed transition)
-/// and picks up when the next chunk arrives. The serial RunEngine() below
-/// is a thin pull-mode wrapper over the same code path and stays
-/// byte-identical to the historical one-shot engine.
+/// Feed contiguous document bytes with Resume(chunk) -- starting at any
+/// absolute byte offset in a known checkpoint -- and close the input with
+/// Finish(last), which takes the final bytes (or none). The session
+/// suspends cleanly when a chunk ends mid-construct (nothing is consumed
+/// past the last completed transition) and picks up when the next chunk
+/// arrives. A whole document handed to Finish runs without suspension
+/// bookkeeping, as the historical one-shot engine did; RunEngine() below
+/// drives a session that way.
 ///
 /// A session is single-threaded; parallelism comes from running many
 /// sessions (one per shard or document) against the shared tables -- see
@@ -198,10 +203,17 @@ class PrefilterSession {
   /// few bytes it must keep).
   Status Resume(std::string_view chunk);
 
-  /// Declares end of input. Fails with kParseError if the run is not in a
-  /// final state (matching the serial engine on truncated documents), and
-  /// finalizes summary statistics on success.
-  Status Finish();
+  /// Feeds `last`, the final bytes of the document (empty when the last
+  /// Resume delivered them), and declares end of input. A run that reaches
+  /// a final state projects what Resume(last) then Finish() would. Once the
+  /// input is known to be complete the session cannot suspend, so `last`
+  /// is scanned without the per-search stats snapshots and the resident
+  /// safe-point floor that suspension needs. `last` is scanned in place
+  /// and need not outlive the call. Trailing bytes past a final state are
+  /// ignored. Fails with kParseError if the run does not reach a final
+  /// state (matching the serial engine on truncated documents), and
+  /// finalizes summary statistics.
+  Status Finish(std::string_view last = {});
 
   /// True once a final DFA state was reached.
   bool finished() const;
@@ -231,14 +243,20 @@ class PrefilterSession {
  private:
   class Impl;
   std::unique_ptr<Impl> impl_;
-
-  // RunEngine drives an Impl directly in pull mode.
-  friend Status RunEngine(const RuntimeTables& tables, InputStream* in,
-                          OutputSink* out, RunStats* stats,
-                          const EngineOptions& opts);
 };
 
-/// Executes one prefiltering run. `tables` must outlive the call.
+/// Executes one prefiltering run over `in`: one PrefilterSession, fed
+/// through its public calls. Lent bytes (InputStream::Lend) are fed in
+/// place one piece behind, so the last piece goes to Finish(last): a
+/// MemoryInputStream lends the whole document at once, and its run is one
+/// zero-copy Finish(doc). A stream that cannot lend is read through one
+/// reused 1 MiB buffer, a Resume per read, then Finish(). Its output
+/// equals the lent run's. So do its RunStats while the document fits in
+/// one read, but for window_peak when a prolog construct outgrows the
+/// window (a resumable session keeps the construct resident); past one
+/// read, each read cut restarts one keyword search, as the chunk cuts of
+/// parallel::StreamRun and the index build do. A failed Read returns its
+/// Status. `tables` must outlive the call.
 Status RunEngine(const RuntimeTables& tables, InputStream* in,
                  OutputSink* out, RunStats* stats,
                  const EngineOptions& opts = {});

@@ -39,21 +39,7 @@ Result<Cursor> Cursor::OpenAt(const BoundaryIndex& index,
                               const core::RuntimeTables& tables,
                               std::string_view doc, uint64_t byte_target,
                               const CursorOptions& opts) {
-  if (opts.verify_document) {
-    SMPX_RETURN_IF_ERROR(index.Matches(doc, tables));
-  }
-  Cursor c(&index, &tables, doc, opts);
-  int64_t j = index.FindEntry(byte_target);
-  if (j < 0) {
-    c.from_scratch_ = true;
-  } else {
-    const IndexEntry& e = index.entries()[static_cast<size_t>(j)];
-    c.ckpt_ = e.checkpoint;
-    c.pos_ = e.offset;
-    c.out_pos_ = e.out_offset;
-    c.next_entry_ = static_cast<size_t>(j) + 1;
-  }
-  return c;
+  return OpenAtEntry(index, tables, doc, index.FindEntry(byte_target), opts);
 }
 
 Result<Cursor> Cursor::OpenAtRecord(const BoundaryIndex& index,
@@ -61,11 +47,18 @@ Result<Cursor> Cursor::OpenAtRecord(const BoundaryIndex& index,
                                     std::string_view doc,
                                     uint64_t record_target,
                                     const CursorOptions& opts) {
+  return OpenAtEntry(index, tables, doc, index.FindRecord(record_target),
+                     opts);
+}
+
+Result<Cursor> Cursor::OpenAtEntry(const BoundaryIndex& index,
+                                   const core::RuntimeTables& tables,
+                                   std::string_view doc, int64_t j,
+                                   const CursorOptions& opts) {
   if (opts.verify_document) {
     SMPX_RETURN_IF_ERROR(index.Matches(doc, tables));
   }
   Cursor c(&index, &tables, doc, opts);
-  int64_t j = index.FindRecord(record_target);
   if (j < 0) {
     c.from_scratch_ = true;
   } else {
@@ -92,12 +85,10 @@ Status Cursor::Advance(uint64_t feed_end, bool to_eof, OutputSink* out) {
   const uint64_t begin = std::min<uint64_t>(feed, doc_.size());
   const uint64_t end =
       std::max<uint64_t>(begin, std::min<uint64_t>(feed_end, doc_.size()));
-  SMPX_RETURN_IF_ERROR(session.Resume(
-      doc_.substr(static_cast<size_t>(begin),
-                  static_cast<size_t>(end - begin))));
-  if (to_eof && !session.finished()) {
-    SMPX_RETURN_IF_ERROR(session.Finish());
-  }
+  const std::string_view bytes = doc_.substr(
+      static_cast<size_t>(begin), static_cast<size_t>(end - begin));
+  SMPX_RETURN_IF_ERROR(to_eof ? session.Finish(bytes)
+                              : session.Resume(bytes));
   from_scratch_ = false;
   ckpt_ = session.checkpoint();
   out_pos_ += fwd.bytes_written();

@@ -123,9 +123,16 @@ class Cursor {
          std::string_view doc, const CursorOptions& opts)
       : index_(index), tables_(tables), doc_(doc), opts_(opts) {}
 
+  /// OpenAt and OpenAtRecord past their lookup: opens at index entry `j`,
+  /// or at the document start when j < 0.
+  static Result<Cursor> OpenAtEntry(const BoundaryIndex& index,
+                                    const core::RuntimeTables& tables,
+                                    std::string_view doc, int64_t j,
+                                    const CursorOptions& opts);
+
   /// Feeds the document up to `feed_end` through a session resumed from
-  /// the current checkpoint, forwarding output; with `to_eof` also closes
-  /// the run (Finish / final-state checks).
+  /// the current checkpoint, forwarding output; with `to_eof` the bytes go
+  /// to Finish, which closes the run (final-state checks).
   Status Advance(uint64_t feed_end, bool to_eof, OutputSink* out);
 
   const BoundaryIndex* index_;

@@ -24,8 +24,9 @@ Status StreamRun(const core::RuntimeTables& tables, const InputSource& src,
         static_cast<size_t>(std::min<uint64_t>(chunk, total - offset));
     SMPX_ASSIGN_OR_RETURN(std::string_view piece,
                           ReadRange(src, offset, n, &scratch));
-    SMPX_RETURN_IF_ERROR(session.Resume(piece));
     offset += n;
+    if (offset == total) return session.Finish(piece);
+    SMPX_RETURN_IF_ERROR(session.Resume(piece));
   }
   // Trailing bytes past a final state are ignored, as in a serial run;
   // Finish() on a finished session only fills the summary stats. A wrong

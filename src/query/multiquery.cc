@@ -244,8 +244,6 @@ Result<MultiQuery> MultiQuery::Compile(
 
   MultiQuery mq;
   mq.dtd_ = std::make_shared<const dtd::Dtd>(std::move(dtd));
-  mq.original_queries_ = queries;
-  mq.compile_opts_ = opts;
 
   // One DTD-automaton shared by every component build (the unfolding
   // depends only on the DTD) and by the product's rendering.
@@ -590,22 +588,23 @@ Status MultiQuery::RunOnBuffer(std::string_view document,
   std::vector<core::QueryRunStats> unique_stats;
   core::PrefilterSession session(*tables_, std::move(unique_sinks),
                                  &unique_stats, stats, opts);
-  // The caller's buffer is the whole document: one Resume, then Finish
+  // The caller's buffer is the whole document: it goes straight to Finish
   // (which ignores trailing bytes past a final state, like a serial run).
-  SMPX_RETURN_IF_ERROR(session.Resume(document));
-  SMPX_RETURN_IF_ERROR(session.Finish());
+  SMPX_RETURN_IF_ERROR(session.Finish(document));
   if (query_stats != nullptr) ExpandStats(unique_stats, query_stats);
   return Status::Ok();
 }
 
-Result<core::Prefilter> MultiQuery::CompileFused() const {
+Result<core::Prefilter> MultiQuery::CompileFused(
+    dtd::Dtd dtd,
+    const std::vector<std::vector<paths::ProjectionPath>>& queries,
+    const core::CompileOptions& opts) {
   std::vector<paths::ProjectionPath> fused;
-  for (const std::vector<paths::ProjectionPath>& q : original_queries_) {
+  for (const std::vector<paths::ProjectionPath>& q : queries) {
     fused.insert(fused.end(), q.begin(), q.end());
   }
-  fused = CanonicalizePathSet(std::move(fused));
-  return core::Prefilter::Compile(dtd::Dtd(*dtd_), std::move(fused),
-                                  compile_opts_);
+  return core::Prefilter::Compile(std::move(dtd),
+                                  CanonicalizePathSet(std::move(fused)), opts);
 }
 
 }  // namespace smpx::query

@@ -80,10 +80,14 @@ class MultiQuery {
                      const core::EngineOptions& opts = {}) const;
 
   /// Fused superset projection: one ordinary single-query prefilter over
-  /// the union of every original query's paths. Its single output is
-  /// projection-safe for each query individually (each query evaluates
-  /// top-level-equal on it; see query::CheckProjectionSafety).
-  Result<core::Prefilter> CompileFused() const;
+  /// the canonicalized union of every query's paths; no product is built.
+  /// Its single output is projection-safe for each query individually
+  /// (each query evaluates top-level-equal on it; see
+  /// query::CheckProjectionSafety).
+  static Result<core::Prefilter> CompileFused(
+      dtd::Dtd dtd,
+      const std::vector<std::vector<paths::ProjectionPath>>& queries,
+      const core::CompileOptions& opts = {});
 
   /// Routing helper for the src/parallel drivers: maps one sink per
   /// original query to one sink per unique query, fanning duplicates
@@ -104,10 +108,7 @@ class MultiQuery {
   std::shared_ptr<const core::RuntimeTables> tables_;
   /// Canonicalized path sets of the unique queries, in engine sink order.
   std::vector<std::vector<paths::ProjectionPath>> unique_queries_;
-  /// Original queries as given (for CompileFused and reporting).
-  std::vector<std::vector<paths::ProjectionPath>> original_queries_;
   std::vector<int> unique_of_;
-  core::CompileOptions compile_opts_;
 };
 
 }  // namespace smpx::query

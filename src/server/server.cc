@@ -170,8 +170,7 @@ Status Server::Dispatch(const Fd& conn, const Request& req) {
   if (req.op == Op::kProject) {
     core::RunStats stats;
     core::PrefilterSession session((*pf)->tables(), &sink, &stats, eopts);
-    Status s = session.Resume((*doc)->doc());
-    if (s.ok()) s = session.Finish();
+    Status s = session.Finish((*doc)->doc());
     if (s.ok()) s = sink.Flush();
     if (!s.ok()) return s;
     t.emitted_bytes = sink.bytes_written();

@@ -1,6 +1,6 @@
 // Tests for the common substrate: Status/Result, string helpers, streams,
-// and the sliding window (including eviction callbacks and growth), over
-// streams that lend their bytes and streams that can only copy them.
+// and the sliding window (including eviction callbacks and growth), fed
+// one chunk scanned in place or separately allocated pieces it must copy.
 
 #include <algorithm>
 #include <cstdio>
@@ -146,134 +146,137 @@ TEST(FileRoundTripTest, MissingFileIsIoError) {
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
 }
 
-/// A stream over caller memory that implements only Read, so a window over
-/// it copies every byte into owned storage.
-class CopyOnlyStream : public InputStream {
+/// A window fed the bytes of `data`: with `piece` 0 as one chunk scanned
+/// in place, otherwise from separately allocated pieces of `piece` bytes,
+/// the next piece fed whenever the window reports end of input. Separate
+/// pieces are discontiguous in memory, so the window copies at every piece
+/// boundary. The forwarding calls feed the next piece and repeat the call
+/// until it no longer runs out of fed bytes.
+class FedWindow {
  public:
-  explicit CopyOnlyStream(std::string_view data) : in_(data) {}
-  Result<size_t> Read(char* buf, size_t len) override {
-    return in_.Read(buf, len);
+  FedWindow(std::string_view data, size_t piece, size_t capacity)
+      : win(capacity) {
+    if (piece == 0) {
+      chunks_.push_back(data);
+    } else {
+      for (size_t i = 0; i < data.size(); i += piece) {
+        owned_.emplace_back(data.substr(i, piece));
+      }
+      chunks_.assign(owned_.begin(), owned_.end());
+    }
+    if (chunks_.empty()) chunks_.emplace_back();
+    win.Feed(chunks_[next_++]);
   }
+
+  size_t Ensure(uint64_t pos, size_t len) {
+    return Fed([&] { return win.Ensure(pos, len); });
+  }
+  std::string_view View(uint64_t pos, size_t len) {
+    return Fed([&] { return win.View(pos, len); });
+  }
+  std::string_view RefillAt(uint64_t pos) {
+    return Fed([&] { return win.RefillAt(pos); });
+  }
+  bool AtEnd(uint64_t pos) {
+    return Fed([&] { return win.AtEnd(pos); });
+  }
+
+  SlidingWindow win;
 
  private:
-  MemoryInputStream in_;
+  template <typename Op>
+  auto Fed(Op op) -> decltype(op()) {
+    auto result = op();
+    while (win.eof_seen() && next_ < chunks_.size()) {
+      win.Feed(chunks_[next_++]);
+      result = op();
+      if (!win.eof_seen()) {
+        // The repeated call may have been served from resident bytes: top
+        // the window up without sliding, as one chunk would have filled
+        // it, and ask again.
+        win.Ensure(win.base(), win.capacity());
+        result = op();
+      }
+    }
+    return result;
+  }
+
+  std::vector<std::string> owned_;  // the separately allocated pieces
+  std::vector<std::string_view> chunks_;
+  size_t next_ = 0;
 };
 
-/// Serves `data` from separately allocated pieces of `piece` bytes, never
-/// crossing a piece in one call: lends are then discontiguous in memory at
-/// every piece boundary. With `lend` false it only copies.
-class PiecewiseStream : public InputStream {
- public:
-  PiecewiseStream(std::string_view data, size_t piece, bool lend)
-      : lend_(lend) {
-    for (size_t i = 0; i < data.size(); i += piece) {
-      pieces_.emplace_back(data.substr(i, piece));
-    }
-  }
-  Result<size_t> Read(char* buf, size_t len) override {
-    std::string_view v = Next(len);
-    std::copy(v.begin(), v.end(), buf);
-    return v.size();
-  }
-  std::optional<std::string_view> Lend(size_t len) override {
-    if (!lend_) return std::nullopt;
-    return Next(len);
-  }
+/// Every SlidingWindowTest runs over one fed chunk and over separately
+/// allocated pieces: the window's results and eviction callbacks must not
+/// depend on where the bytes live.
+enum class Feeding { kChunk, kPieces };
 
- private:
-  std::string_view Next(size_t len) {
-    if (at_ == pieces_.size()) return {};
-    std::string_view v = std::string_view(pieces_[at_]).substr(off_, len);
-    off_ += v.size();
-    if (off_ == pieces_[at_].size()) {
-      ++at_;
-      off_ = 0;
-    }
-    return v;
-  }
-
-  bool lend_;
-  std::vector<std::string> pieces_;
-  size_t at_ = 0;
-  size_t off_ = 0;
-};
-
-/// Every SlidingWindowTest runs over a stream that lends its bytes in
-/// place and over one that can only copy them: the window's results and
-/// eviction callbacks must not depend on where the bytes live.
-enum class Storage { kLend, kCopy };
-
-class SlidingWindowTest : public testing::TestWithParam<Storage> {
+class SlidingWindowTest : public testing::TestWithParam<Feeding> {
  protected:
-  std::unique_ptr<InputStream> Stream(std::string_view data) const {
-    if (GetParam() == Storage::kLend) {
-      return std::make_unique<MemoryInputStream>(data);
-    }
-    return std::make_unique<CopyOnlyStream>(data);
+  /// 40-byte pieces under a 64-byte window: most refills straddle one.
+  std::unique_ptr<FedWindow> Window(std::string_view data) const {
+    return std::make_unique<FedWindow>(
+        data, GetParam() == Feeding::kChunk ? 0 : 40, 64);
   }
 };
 
 INSTANTIATE_TEST_SUITE_P(
-    Storage, SlidingWindowTest,
-    testing::Values(Storage::kLend, Storage::kCopy),
-    [](const testing::TestParamInfo<Storage>& info) {
-      return info.param == Storage::kLend ? "Lend" : "Copy";
+    Feeding, SlidingWindowTest,
+    testing::Values(Feeding::kChunk, Feeding::kPieces),
+    [](const testing::TestParamInfo<Feeding>& info) {
+      return info.param == Feeding::kChunk ? "Chunk" : "Pieces";
     });
 
 TEST_P(SlidingWindowTest, ReadsWholeStreamThroughSmallWindow) {
   std::string data(1000, '\0');
   std::iota(data.begin(), data.end(), 0);
-  auto in = Stream(data);
-  SlidingWindow win(in.get(), 64);
+  auto w = Window(data);
   for (uint64_t pos = 0; pos < data.size(); ++pos) {
-    win.set_lock(pos);
-    ASSERT_EQ(win.Ensure(pos, 1), 1u) << pos;
-    EXPECT_EQ(win.At(pos), data[static_cast<size_t>(pos)]);
+    w->win.set_lock(pos);
+    ASSERT_EQ(w->Ensure(pos, 1), 1u) << pos;
+    EXPECT_EQ(w->win.At(pos), data[static_cast<size_t>(pos)]);
   }
-  EXPECT_TRUE(win.AtEnd(data.size()));
-  EXPECT_FALSE(win.AtEnd(0));
+  EXPECT_TRUE(w->AtEnd(data.size()));
+  EXPECT_FALSE(w->AtEnd(0));
 }
 
 TEST_P(SlidingWindowTest, EvictionSeesEveryByteInOrder) {
   std::string data;
   for (int i = 0; i < 500; ++i) data += static_cast<char>('a' + i % 26);
-  auto in = Stream(data);
-  SlidingWindow win(in.get(), 64);
+  auto w = Window(data);
   std::string evicted;
   uint64_t expected_next = 0;
-  win.set_evict_fn([&](uint64_t begin, std::string_view bytes) {
+  w->win.set_evict_fn([&](uint64_t begin, std::string_view bytes) {
     EXPECT_EQ(begin, expected_next);
     expected_next = begin + bytes.size();
     evicted.append(bytes);
   });
   for (uint64_t pos = 0; pos < data.size(); pos += 10) {
-    win.set_lock(pos);
-    win.Ensure(pos, 10);
+    w->win.set_lock(pos);
+    w->Ensure(pos, 10);
   }
-  win.set_lock(data.size());
-  win.Ensure(data.size(), 1);
+  w->win.set_lock(data.size());
+  w->Ensure(data.size(), 1);
   EXPECT_EQ(evicted, data);
 }
 
 TEST_P(SlidingWindowTest, GrowsWhenLockedSpanExceedsCapacity) {
   std::string data(4096, 'q');
-  auto in = Stream(data);
-  SlidingWindow win(in.get(), 64);
-  win.set_lock(0);  // nothing may be evicted
-  ASSERT_EQ(win.Ensure(0, 2000), 2000u);
-  EXPECT_GE(win.capacity(), 2000u);
-  EXPECT_GE(win.max_capacity_used(), 2000u);
-  std::string_view v = win.View(0, 2000);
+  auto w = Window(data);
+  w->win.set_lock(0);  // nothing may be evicted
+  ASSERT_EQ(w->Ensure(0, 2000), 2000u);
+  EXPECT_GE(w->win.capacity(), 2000u);
+  EXPECT_GE(w->win.max_capacity_used(), 2000u);
+  std::string_view v = w->View(0, 2000);
   EXPECT_EQ(v.substr(0, 5), "qqqqq");
 }
 
 TEST_P(SlidingWindowTest, ViewAcrossRefillKeepsAbsolutePositions) {
   std::string data;
   for (int i = 0; i < 300; ++i) data += std::to_string(i % 10);
-  auto in = Stream(data);
-  SlidingWindow win(in.get(), 64);
-  win.set_lock(250);
-  std::string_view v = win.View(250, 20);
+  auto w = Window(data);
+  w->win.set_lock(250);
+  std::string_view v = w->View(250, 20);
   ASSERT_GE(v.size(), 20u);
   EXPECT_EQ(v.substr(0, 3), data.substr(250, 3));
 }
@@ -281,135 +284,141 @@ TEST_P(SlidingWindowTest, ViewAcrossRefillKeepsAbsolutePositions) {
 TEST_P(SlidingWindowTest, SpanAndRefillAtReturnMaximalResidentViews) {
   std::string data;
   for (int i = 0; i < 300; ++i) data += static_cast<char>('a' + i % 26);
-  auto in = Stream(data);
-  SlidingWindow win(in.get(), 64);
+  auto w = Window(data);
 
-  // Nothing resident yet: Span must not touch the stream.
-  EXPECT_TRUE(win.Span(0).empty());
+  // Nothing resident yet: Span must not take fed bytes.
+  EXPECT_TRUE(w->win.Span(0).empty());
 
-  std::string_view first = win.RefillAt(0);
+  std::string_view first = w->RefillAt(0);
   ASSERT_FALSE(first.empty());
-  EXPECT_EQ(first, win.Span(0));
+  EXPECT_EQ(first, w->win.Span(0));
   EXPECT_EQ(first.substr(0, 3), data.substr(0, 3));
   // The span is maximal: it runs to the window limit.
-  EXPECT_EQ(first.size(), static_cast<size_t>(win.limit()));
+  EXPECT_EQ(first.size(), static_cast<size_t>(w->win.limit()));
 
   // A mid-span position returns the resident suffix.
-  std::string_view mid = win.Span(10);
+  std::string_view mid = w->win.Span(10);
   EXPECT_EQ(mid.size(), first.size() - 10);
   EXPECT_EQ(mid.substr(0, 3), data.substr(10, 3));
 
   // Past the resident limit Span is empty until RefillAt slides forward.
-  uint64_t beyond = win.limit() + 5;
-  EXPECT_TRUE(win.Span(beyond).empty());
-  win.set_lock(beyond);
-  std::string_view later = win.RefillAt(beyond);
+  uint64_t beyond = w->win.limit() + 5;
+  EXPECT_TRUE(w->win.Span(beyond).empty());
+  w->win.set_lock(beyond);
+  std::string_view later = w->RefillAt(beyond);
   ASSERT_FALSE(later.empty());
   EXPECT_EQ(later.substr(0, 3),
             data.substr(static_cast<size_t>(beyond), 3));
 
-  // At end of stream RefillAt returns empty.
-  win.set_lock(data.size());
-  EXPECT_TRUE(win.RefillAt(data.size()).empty());
+  // At end of input RefillAt returns empty.
+  w->win.set_lock(data.size());
+  EXPECT_TRUE(w->RefillAt(data.size()).empty());
 }
 
 TEST_P(SlidingWindowTest, JumpFarBeyondBufferBridgesGap) {
   std::string data(10000, 'x');
   data[9000] = 'Y';
-  auto in = Stream(data);
-  SlidingWindow win(in.get(), 64);
+  auto w = Window(data);
   std::string evicted;
-  win.set_evict_fn([&](uint64_t, std::string_view bytes) {
+  w->win.set_evict_fn([&](uint64_t, std::string_view bytes) {
     evicted.append(bytes);
   });
-  win.set_lock(9000);
-  ASSERT_GE(win.Ensure(9000, 1), 1u);
-  EXPECT_EQ(win.At(9000), 'Y');
+  w->win.set_lock(9000);
+  ASSERT_GE(w->Ensure(9000, 1), 1u);
+  EXPECT_EQ(w->win.At(9000), 'Y');
   EXPECT_EQ(evicted.size(), 9000u) << "every skipped byte passed the hook";
 }
 
 TEST_P(SlidingWindowTest, EnsurePastEofReturnsShortCount) {
-  auto in = Stream("abc");
-  SlidingWindow win(in.get(), 64);
-  EXPECT_EQ(win.Ensure(0, 10), 3u);
-  EXPECT_EQ(win.Ensure(3, 1), 0u);
-  EXPECT_TRUE(win.AtEnd(3));
+  auto w = Window("abc");
+  EXPECT_EQ(w->Ensure(0, 10), 3u);
+  EXPECT_EQ(w->Ensure(3, 1), 0u);
+  EXPECT_TRUE(w->AtEnd(3));
 }
 
 TEST_P(SlidingWindowTest, MoreInputAfterMaterialize) {
   std::string data;
   for (int i = 0; i < 700; ++i) data += static_cast<char>('A' + i % 58);
-  auto in = Stream(data);
-  SlidingWindow win(in.get(), 64);
+  auto w = Window(data);
   std::string evicted;
-  win.set_evict_fn([&](uint64_t, std::string_view bytes) {
+  w->win.set_evict_fn([&](uint64_t, std::string_view bytes) {
     evicted.append(bytes);
   });
   for (uint64_t pos = 0; pos < data.size(); pos += 9) {
-    win.set_lock(pos > 20 ? pos - 20 : 0);
-    ASSERT_GE(win.Ensure(pos, 1), 1u);
-    const uint64_t base = win.base(), limit = win.limit();
-    win.Materialize();
-    EXPECT_EQ(win.base(), base);
-    EXPECT_EQ(win.limit(), limit);
-    EXPECT_EQ(win.Span(base), std::string_view(data).substr(
-                                  static_cast<size_t>(base),
-                                  static_cast<size_t>(limit - base)));
+    w->win.set_lock(pos > 20 ? pos - 20 : 0);
+    ASSERT_GE(w->Ensure(pos, 1), 1u);
+    const uint64_t base = w->win.base(), limit = w->win.limit();
+    w->win.Materialize();
+    EXPECT_EQ(w->win.base(), base);
+    EXPECT_EQ(w->win.limit(), limit);
+    EXPECT_EQ(w->win.Span(base), std::string_view(data).substr(
+                                     static_cast<size_t>(base),
+                                     static_cast<size_t>(limit - base)));
   }
-  win.set_lock(data.size());
-  EXPECT_EQ(win.Ensure(data.size(), 1), 0u);  // slides out the tail
+  w->win.set_lock(data.size());
+  EXPECT_EQ(w->Ensure(data.size(), 1), 0u);  // slides out the tail
   EXPECT_EQ(evicted, data);
 }
 
-/// Drives a window through a seeded random mix of operations and records
-/// every observable -- each Span/View/At result, the geometry after each
-/// step and the eviction callbacks -- so two windows over the same bytes
-/// can be compared operation by operation.
-void DriveRandomly(InputStream* in, size_t capacity, uint32_t seed,
-                   size_t doc_size, std::vector<std::string>* events) {
-  SlidingWindow win(in, capacity);
-  win.set_evict_fn([events](uint64_t begin, std::string_view bytes) {
-    events->push_back("evict " + std::to_string(begin) + " " +
-                      std::string(bytes));
-  });
+/// Drives a window over `data` fed in pieces of `piece` bytes (see
+/// FedWindow) through a seeded random mix of operations and records every
+/// observable -- each Span/View/At result, the geometry after each step
+/// and the evicted bytes -- so two feeds of the same bytes can be compared
+/// operation by operation. One operation's evictions are one event: the
+/// feed may split them into different callbacks.
+void DriveRandomly(std::string_view data, size_t piece, size_t capacity,
+                   uint32_t seed, std::vector<std::string>* events) {
+  FedWindow w(data, piece, capacity);
+  bool evicting = false;  // the last event is this operation's eviction
+  w.win.set_evict_fn(
+      [events, &evicting](uint64_t begin, std::string_view bytes) {
+        if (evicting) {
+          events->back().append(bytes);
+          return;
+        }
+        events->push_back("evict " + std::to_string(begin) + " " +
+                          std::string(bytes));
+        evicting = true;
+      });
   uint32_t x = seed;
   auto next = [&x](uint32_t n) {
     x = x * 1664525u + 1013904223u;
     return (x >> 8) % n;
   };
   uint64_t pos = 0;
-  for (int op = 0; op < 400 && pos <= doc_size; ++op) {
+  for (int op = 0; op < 400 && pos <= data.size(); ++op) {
     const uint32_t kind = next(10);
     std::string e;
     if (kind < 4) {
       pos += next(static_cast<uint32_t>(capacity / 2) + 1);
-      win.set_lock(pos > 8 ? pos - next(9) : 0);
-      std::string_view v = win.View(pos, next(16) + 1);
+      w.win.set_lock(pos > 8 ? pos - next(9) : 0);
+      std::string_view v = w.View(pos, next(16) + 1);
       e = "view " + std::string(v);
     } else if (kind < 6) {
-      e = "span " + std::string(win.Span(pos)) + " ensure " +
-          std::to_string(win.Ensure(pos, next(8) + 1));
-      if (pos < win.limit() && pos >= win.base()) e += win.At(pos);
+      e = "span " + std::string(w.win.Span(pos)) + " ensure " +
+          std::to_string(w.Ensure(pos, next(8) + 1));
+      if (pos < w.win.limit() && pos >= w.win.base()) e += w.win.At(pos);
     } else if (kind == 6) {
       // A jump past everything resident: the gap bridge.
       pos += capacity + next(static_cast<uint32_t>(3 * capacity));
-      win.set_lock(pos);
-      e = "refill " + std::string(win.RefillAt(pos));
+      w.win.set_lock(pos);
+      e = "refill " + std::string(w.RefillAt(pos));
     } else if (kind == 7) {
       // Growth: a locked span longer than the capacity.
-      win.set_lock(pos);
-      e = "grow " + std::to_string(win.Ensure(pos, capacity + next(200)));
+      w.win.set_lock(pos);
+      e = "grow " + std::to_string(w.Ensure(pos, capacity + next(200)));
     } else if (kind == 8) {
-      win.Materialize();
+      w.win.Materialize();
       e = "materialize";
     } else {
-      e = std::string("atend ") + (win.AtEnd(pos) ? "1" : "0");
+      e = std::string("atend ") + (w.AtEnd(pos) ? "1" : "0");
     }
-    e += " base=" + std::to_string(win.base()) +
-         " limit=" + std::to_string(win.limit()) +
-         " cap=" + std::to_string(win.capacity()) +
-         " peak=" + std::to_string(win.max_capacity_used());
+    e += " base=" + std::to_string(w.win.base()) +
+         " limit=" + std::to_string(w.win.limit()) +
+         " cap=" + std::to_string(w.win.capacity()) +
+         " peak=" + std::to_string(w.win.max_capacity_used());
     events->push_back(std::move(e));
+    evicting = false;
   }
 }
 
@@ -424,18 +433,11 @@ TEST(SlidingWindowDiffTest, LendingAndCopyingWindowsAgreeOpForOp) {
         SCOPED_TRACE(testing::Message() << "capacity=" << capacity
                                         << " piece=" << piece
                                         << " seed=" << seed);
-        // piece 0: one contiguous lent range (MemoryInputStream).
-        std::unique_ptr<InputStream> lend, copy;
-        if (piece == 0) {
-          lend = std::make_unique<MemoryInputStream>(data);
-          copy = std::make_unique<CopyOnlyStream>(data);
-        } else {
-          lend = std::make_unique<PiecewiseStream>(data, piece, true);
-          copy = std::make_unique<PiecewiseStream>(data, piece, false);
-        }
+        // piece 0: the whole document as one separately allocated piece.
         std::vector<std::string> a, b;
-        DriveRandomly(lend.get(), capacity, seed, data.size(), &a);
-        DriveRandomly(copy.get(), capacity, seed, data.size(), &b);
+        DriveRandomly(data, 0, capacity, seed, &a);
+        DriveRandomly(data, piece == 0 ? data.size() : piece, capacity, seed,
+                      &b);
         ASSERT_EQ(a, b);
       }
     }
@@ -445,26 +447,25 @@ TEST(SlidingWindowDiffTest, LendingAndCopyingWindowsAgreeOpForOp) {
 TEST(SlidingWindowDiffTest, DiscontiguousLendSwitchesToOwnedStorageInOrder) {
   // Pieces of 40 bytes under a 64-byte window: every refill straddles a
   // piece boundary, so the window starts lent and switches to owned
-  // storage whenever the next lend does not continue it in memory.
+  // storage whenever the next piece does not continue it in memory.
   std::string data;
   for (int i = 0; i < 2000; ++i) data += static_cast<char>(' ' + i % 95);
-  PiecewiseStream in(data, 40, /*lend=*/true);
-  SlidingWindow win(&in, 64);
+  FedWindow w(data, 40, 64);
   std::string evicted;
-  win.set_evict_fn([&](uint64_t begin, std::string_view bytes) {
+  w.win.set_evict_fn([&](uint64_t begin, std::string_view bytes) {
     EXPECT_EQ(begin, evicted.size());
     evicted.append(bytes);
   });
   for (uint64_t pos = 0; pos + 30 <= data.size(); pos += 17) {
-    win.set_lock(pos);
-    std::string_view v = win.View(pos, 30);
+    w.win.set_lock(pos);
+    std::string_view v = w.View(pos, 30);
     ASSERT_GE(v.size(), 30u) << pos;
     ASSERT_EQ(v, std::string_view(data).substr(static_cast<size_t>(pos),
                                                v.size()))
         << pos;
   }
-  win.set_lock(data.size());
-  EXPECT_EQ(win.Ensure(data.size(), 1), 0u);  // slides out the tail
+  w.win.set_lock(data.size());
+  EXPECT_EQ(w.Ensure(data.size(), 1), 0u);  // slides out the tail
   EXPECT_EQ(evicted, data) << "no byte lost or reordered";
 }
 
@@ -473,66 +474,47 @@ TEST(SlidingWindowDiffTest, GapBridgeAndGrowthWhileLent) {
   for (int i = 0; i < 50000; ++i) data += static_cast<char>('0' + i % 10);
   for (size_t piece : {0u, 300u}) {
     SCOPED_TRACE(piece);
-    std::unique_ptr<InputStream> in;
-    if (piece == 0) {
-      in = std::make_unique<MemoryInputStream>(data);
-    } else {
-      in = std::make_unique<PiecewiseStream>(data, piece, true);
-    }
-    SlidingWindow win(in.get(), 64);
+    FedWindow w(data, piece, 64);
     std::string evicted;
-    win.set_evict_fn([&](uint64_t begin, std::string_view bytes) {
+    w.win.set_evict_fn([&](uint64_t begin, std::string_view bytes) {
       EXPECT_EQ(begin, evicted.size());
       evicted.append(bytes);
     });
     // Gap bridge: jump 10000 bytes past everything resident.
-    win.set_lock(10000);
-    ASSERT_EQ(win.View(10000, 4), std::string_view(data).substr(10000, 64));
+    w.win.set_lock(10000);
+    ASSERT_EQ(w.View(10000, 4), std::string_view(data).substr(10000, 64));
     EXPECT_EQ(evicted.size(), 10000u);
     // Growth: a locked 5000-byte span under a 64-byte capacity.
-    ASSERT_EQ(win.Ensure(10000, 5000), 5000u);
-    EXPECT_GE(win.capacity(), 5000u);
-    EXPECT_EQ(win.Span(10000).substr(0, 5000),
+    ASSERT_EQ(w.Ensure(10000, 5000), 5000u);
+    EXPECT_GE(w.win.capacity(), 5000u);
+    EXPECT_EQ(w.win.Span(10000).substr(0, 5000),
               std::string_view(data).substr(10000, 5000));
     // Then stream on to the end through the grown window.
     for (uint64_t pos = 10000; pos < data.size(); pos += 1000) {
-      win.set_lock(pos);
-      ASSERT_EQ(win.View(pos, 1).substr(0, 1), data.substr(pos, 1));
+      w.win.set_lock(pos);
+      ASSERT_EQ(w.View(pos, 1).substr(0, 1), data.substr(pos, 1));
     }
-    win.set_lock(data.size());
-    EXPECT_EQ(win.Ensure(data.size(), 1), 0u);  // slides out the tail
+    w.win.set_lock(data.size());
+    EXPECT_EQ(w.Ensure(data.size(), 1), 0u);  // slides out the tail
     EXPECT_EQ(evicted, data);
-    EXPECT_EQ(win.max_capacity_used(), 8192u);
+    EXPECT_EQ(w.win.max_capacity_used(), 8192u);
   }
 }
 
 TEST(SlidingWindowDiffTest, MaterializedBytesOutliveTheLentMemory) {
-  // The push-mode pattern: a chunk is lent, the window materializes, and
-  // the chunk's memory is overwritten before the next chunk arrives.
-  class ChunkStream : public InputStream {
-   public:
-    std::string_view chunk;
-    Result<size_t> Read(char*, size_t) override {
-      return Status::Internal("lend only");
-    }
-    std::optional<std::string_view> Lend(size_t len) override {
-      std::string_view v = chunk.substr(0, len);
-      chunk.remove_prefix(v.size());
-      return v;
-    }
-  };
+  // A session's pattern: a chunk is fed, the window materializes, and the
+  // chunk's memory is overwritten before the next chunk arrives.
   const std::string data = "0123456789abcdefghijklmnopqrstuvwxyz";
   std::string buf = data.substr(0, 20);
-  ChunkStream in;
-  in.chunk = buf;
-  SlidingWindow win(&in, 64);
+  SlidingWindow win(64);
+  win.Feed(buf);
   EXPECT_EQ(win.Ensure(0, 30), 20u);
   EXPECT_TRUE(win.eof_seen());
   win.Materialize();
   buf.assign(20, '#');  // the caller reuses its memory
   buf = data.substr(20);
-  in.chunk = buf;
-  win.ClearEof();
+  win.Feed(buf);
+  EXPECT_FALSE(win.eof_seen());
   ASSERT_EQ(win.Ensure(0, 30), 30u);
   EXPECT_EQ(win.View(0, 30), data);
   EXPECT_EQ(win.max_capacity_used(), 64u);

@@ -141,6 +141,35 @@ void ExpectCopyOnlyIdentical(const Prefilter& pf, std::string_view doc,
   ExpectSameRunStats(copy_stats, lent_stats);
 }
 
+TEST(DispatchDiffTest, CopyOnlyStreamAcrossSeveralReadsStaysIdentical) {
+  // RunEngine reads a stream that cannot lend in 1 MiB pieces, one Resume
+  // each: a document of several MiB crosses read cuts, where a keyword
+  // search restarts. The bytes and the match counts must not change.
+  xmlgen::XmarkOptions gen;
+  gen.target_bytes = 3 << 20;
+  const std::string doc = xmlgen::GenerateXmark(gen);
+  ASSERT_GE(doc.size(), size_t{3} << 20);
+  for (const char* paths :
+       {"/site/regions//item/name#", "/site/people/person/name#",
+        "/site/closed_auctions/closed_auction/price#"}) {
+    SCOPED_TRACE(paths);
+    DualPrefilter pf = CompileBoth(xmlgen::XmarkDtd(), paths);
+    for (const Prefilter* p : {&pf.interned, &pf.map_based}) {
+      RunStats lent_stats;
+      auto lent = p->RunOnBuffer(doc, &lent_stats);
+      ASSERT_TRUE(lent.ok()) << lent.status().ToString();
+      CopyOnlyStream in(doc);
+      StringSink sink;
+      RunStats copy_stats;
+      ASSERT_TRUE(p->Run(&in, &sink, &copy_stats).ok());
+      ASSERT_EQ(sink.str(), *lent);
+      EXPECT_EQ(copy_stats.matches, lent_stats.matches);
+      EXPECT_EQ(copy_stats.false_matches, lent_stats.false_matches);
+      EXPECT_EQ(copy_stats.output_bytes, lent_stats.output_bytes);
+    }
+  }
+}
+
 TEST(DispatchDiffTest, SmallWindowStreamingStaysIdentical) {
   // Window refills hit the span-boundary fallbacks of the bulk scanner;
   // a tiny window forces them constantly. Each window also runs with a

@@ -116,6 +116,47 @@ TEST(EngineEdgeTest, FileBasedStreamingRun) {
   std::remove(in_path.c_str());
 }
 
+/// Serves `data` through Read only and fails every read at or past byte
+/// `fail_at` with an I/O error.
+class FailingStream : public InputStream {
+ public:
+  FailingStream(std::string_view data, size_t fail_at)
+      : data_(data), fail_at_(fail_at) {}
+  Result<size_t> Read(char* buf, size_t len) override {
+    if (pos_ >= fail_at_) return Status::IoError("injected read failure");
+    const std::string_view piece =
+        data_.substr(pos_, std::min(len, fail_at_ - pos_));
+    std::copy(piece.begin(), piece.end(), buf);
+    pos_ += piece.size();
+    return piece.size();
+  }
+
+ private:
+  std::string_view data_;
+  size_t fail_at_;
+  size_t pos_ = 0;
+};
+
+TEST(EngineEdgeTest, FailedReadReturnsItsStatus) {
+  // A read error is not the end of the document: the run must report the
+  // stream's error, not a parse error about the bytes it never got.
+  xmlgen::XmarkOptions gen;
+  gen.target_bytes = 580 << 10;
+  const std::string doc = xmlgen::GenerateXmark(gen);
+  core::Prefilter pf =
+      Compile(xmlgen::XmarkDtdText(), "/site/regions//item/name#");
+  ASSERT_TRUE(pf.RunOnBuffer(doc).ok());
+  for (size_t fail_at : {size_t{100} << 10, doc.size() - 2}) {
+    SCOPED_TRACE(fail_at);
+    FailingStream in(doc, fail_at);
+    CountingSink out;
+    const Status s = pf.Run(&in, &out);
+    EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
+    EXPECT_NE(s.ToString().find("injected read failure"), std::string::npos)
+        << s.ToString();
+  }
+}
+
 TEST(EngineEdgeTest, TruncationFuzzNeverCrashes) {
   // Every prefix of a valid document must either project fine (if the
   // relevant part survived) or fail cleanly with ParseError.

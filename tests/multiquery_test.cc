@@ -427,8 +427,9 @@ TEST(MultiQueryTest, FusedSupersetIsProjectionSafeForEveryQuery) {
       "/site/open_auctions/open_auction/initial",
       "/site/regions//item/name#",
   };
-  MultiQuery mq = CompileMix(dtd, mix);
-  auto fused = mq.CompileFused();
+  std::vector<std::vector<paths::ProjectionPath>> queries;
+  for (const std::string& text : mix) queries.push_back(MustParse(text));
+  auto fused = MultiQuery::CompileFused(dtd, queries);
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
   auto out = fused->RunOnBuffer(doc);
   ASSERT_TRUE(out.ok()) << out.status().ToString();

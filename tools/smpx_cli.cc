@@ -64,7 +64,6 @@
 #include "parallel/thread_pool.h"
 #include "paths/projection_path.h"
 #include "paths/xquery_extract.h"
-#include "query/equivalence.h"
 #include "query/multiquery.h"
 #include "server/client.h"
 
@@ -559,18 +558,11 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --fused: one superset projection (MultiQuery::CompileFused) that is
+  // projection-safe for each query individually, so the run falls through
+  // to the ordinary single-query pipeline below with one output.
+  if (fused) multi_mode = false;
   std::vector<smpx::paths::ProjectionPath> paths;
-  if (multi_mode && fused) {
-    // One superset projection: the union of every query's paths is
-    // projection-safe for each query individually
-    // (query::CheckProjectionSafety), so the run falls through to the
-    // ordinary single-query pipeline below with one output.
-    for (const auto& q : mq_queries) {
-      paths.insert(paths.end(), q.begin(), q.end());
-    }
-    paths = smpx::query::CanonicalizePathSet(std::move(paths));
-    multi_mode = false;
-  }
   if (!query.empty()) {
     auto extracted = smpx::paths::ExtractProjectionPaths(query);
     if (!extracted.ok()) {
@@ -750,8 +742,10 @@ int main(int argc, char** argv) {
   }
 
   smpx::WallTimer compile_timer;
-  auto pf = smpx::core::Prefilter::Compile(std::move(*dtd),
-                                           std::move(paths));
+  auto pf = fused ? smpx::query::MultiQuery::CompileFused(std::move(*dtd),
+                                                         mq_queries)
+                  : smpx::core::Prefilter::Compile(std::move(*dtd),
+                                                   std::move(paths));
   if (!pf.ok()) {
     std::fprintf(stderr, "compile: %s\n", pf.status().ToString().c_str());
     return 1;
