@@ -9,16 +9,16 @@
 // per-worker state. The projection is a near-full copy of the document,
 // so an accidental return to whole-output buffering (the pre-budget
 // StringSink-per-shard design) blows the bound by roughly the input size
-// while the budgeted ordered-commit pipeline stays flat. Every sharded
-// output is also compared byte-for-byte against the serial (--threads 1)
-// reference, making this the end-to-end acceptance check for spill +
-// ordered commit on a document that does not fit the budget.
+// while the budgeted spill + document-order replay stays flat. Every
+// sharded output is also compared byte-for-byte against the serial
+// (--threads 1) reference, making this the end-to-end acceptance check
+// for spill and replay on a document that does not fit the budget.
 //
 // "Near-full", not full: ShardedRun cuts a document only at split
 // keywords, and a projection that copies everything collapses into a
 // root copy, which has none -- --threads N would then run one serial
 // session straight into the output file and exercise neither spill nor
-// ordered commit. Each projection leaves one small element type out
+// replay. Each projection leaves one small element type out
 // (MEDLINE's GeneralNote, XMark's catgraph) so the record and section
 // tags stay split keywords, and the tripwire exits 1 if its projection
 // compiles without any.
@@ -195,7 +195,7 @@ int Run() {
     std::fprintf(stderr,
                  "projection '%s' has no split keyword: --threads would "
                  "run one serial session and the sweep would check "
-                 "neither spill nor ordered commit\n",
+                 "neither spill nor segment replay\n",
                  paths.c_str());
     return 1;
   }

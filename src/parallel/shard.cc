@@ -385,20 +385,15 @@ Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
   const size_t n = resolver.segments();
   resolver.LaunchWave(pool);
 
-  // Sequential verification with streaming commit: each segment resolved
-  // by the SpeculativeResolver (accepted attempt or synchronous re-run) is
-  // installed into its query's ordered-commit frontier immediately, which
-  // streams it into that query's sink and frees its buffer/spill before
-  // the next shard is even verified; the rejected attempts of a resolved
-  // shard are freed at the same moment. Peak resident output is therefore
-  // bounded by the per-segment budget times the outstanding attempts,
-  // never by the projection size. Per-query totals accumulate from the
-  // resolved segments only -- exactly the segments the serial run would
-  // have executed.
-  std::vector<std::unique_ptr<OrderedCommitSink>> commits;
-  for (OutputSink* sink : sinks) {
-    commits.push_back(std::make_unique<OrderedCommitSink>(sink, n));
-  }
+  // Segments resolve in document order on this thread, each as an
+  // accepted attempt or a synchronous re-run, so every resolved segment is
+  // replayed straight into its query's sink and freed before the next one
+  // is even verified; the rejected attempts of a resolved segment are
+  // freed at the same moment. Peak resident output is therefore bounded by
+  // the per-segment budget times the outstanding attempts, never by the
+  // projection size. Per-query totals accumulate from the resolved
+  // segments only -- exactly the segments the serial run would have
+  // executed.
   std::vector<core::QueryRunStats> totals(m);
   Status commit_status;
   Status final_status;
@@ -417,7 +412,7 @@ Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
       }
     }
     ShardResult& r = resolver.Resolve(k);
-    for (size_t u = 0; u < m; ++u) {
+    for (size_t u = 0; commit_status.ok() && u < m; ++u) {
       if (u < r.query_stats.size()) {
         totals[u].matches += r.query_stats[u].matches;
         totals[u].output_bytes += r.query_stats[u].output_bytes;
@@ -425,26 +420,20 @@ Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
       std::unique_ptr<SpillSink> seg = tables.multi != nullptr
                                            ? std::move(r.mq_sinks[u])
                                            : std::move(r.sink);
-      Status s = commits[u]->Install(k, std::move(seg));
-      if (commit_status.ok() && !s.ok()) commit_status = s;
+      if (seg != nullptr) commit_status = seg->CopyTo(sinks[u]);
     }
   }
   // Cancel whatever the early exits above made moot (attempts past a
-  // finished or failed segment) and quiesce the wave: the report's work
-  // counters are mutated by in-flight attempts until they drain.
+  // finished or failed segment, or a sink error) and quiesce the wave: the
+  // report's work counters are mutated by in-flight attempts until they
+  // drain. On a sink error the sinks hold a prefix of the projection.
   resolver.Abort();
-  if (!commit_status.ok()) {
-    if (report != nullptr) *report = resolver.report();
-    return commit_status;
-  }
-  if (produced < n) {
-    for (auto& commit : commits) commit->Truncate(produced);
-  }
+  if (report != nullptr) *report = resolver.report();
+  if (!commit_status.ok()) return commit_status;
   if (final_status.ok() && produced == n &&
       !resolver.result(n - 1).status.ok()) {
     final_status = resolver.result(n - 1).status;
   }
-  if (report != nullptr) *report = resolver.report();
   if (query_stats != nullptr) *query_stats = std::move(totals);
   if (stats != nullptr) {
     std::vector<bool> visited;

@@ -56,11 +56,10 @@ struct ShardOptions {
   size_t max_candidate_states = 4;
   /// Per-segment output buffering budget in bytes; a shard's projected
   /// output beyond it overflows to an unlinked temp file (SpillSink) until
-  /// the ordered-commit frontier streams the segment into the caller's
-  /// sink and frees it. 0 keeps segments fully in memory (unbounded). With
-  /// a budget B, peak resident memory of a sharded run is O(shards x B) on
-  /// top of the per-session windows, independent of document and
-  /// projection size. A serial run writes straight into the caller's sinks
+  /// the segment resolves, is replayed into the caller's sink and freed.
+  /// 0 keeps segments fully in memory (unbounded). With a budget B, peak
+  /// resident memory of a sharded run is O(shards x B) on top of the
+  /// per-session windows, independent of document and projection size. A serial run writes straight into the caller's sinks
   /// and buffers nothing.
   size_t max_buffer_bytes = 0;
   core::EngineOptions engine;
@@ -111,13 +110,13 @@ struct ShardReport {
 /// run exactly, so `exit` is provably the serial engine's checkpoint at
 /// the segment's end offset.
 struct ShardResult {
-  /// Budget-bounded output segment; null after the caller moved it into an
-  /// ordered committer. Single-query tables only; multi-query segments
-  /// fill `mq_sinks` instead.
+  /// Budget-bounded output segment; null once the caller moved it out to
+  /// replay it. Single-query tables only; multi-query segments fill
+  /// `mq_sinks` instead.
   std::unique_ptr<SpillSink> sink;
   /// Multi-query tables: one budget-bounded segment per unique query, in
   /// MultiQueryInfo order (the per-query budget is max_buffer_bytes divided
-  /// by the query count). Moved out by the per-query ordered committers.
+  /// by the query count). Moved out when replayed into the query's sink.
   std::vector<std::unique_ptr<SpillSink>> mq_sinks;
   /// This segment's matches and output bytes per unique query (one entry
   /// on single-query tables).
@@ -280,10 +279,11 @@ class SpeculativeResolver {
 /// merged `stats` totals match RunEngine over the same document (up to
 /// search-effort counters, which depend on window geometry). Every session
 /// of a sharded run writes one SpillSink segment per query, bounded by
-/// ShardOptions::max_buffer_bytes split evenly across the queries; each
-/// query's segments stream through their own ordered-commit frontier, so a
-/// segment reaches its sink (and is freed) the moment its entry is
-/// verified -- on an error, the sinks may hold a partial prefix.
+/// ShardOptions::max_buffer_bytes split evenly across the queries.
+/// Segments resolve in document order on the calling thread, so each is
+/// replayed straight into its query's sink (and freed) the moment its
+/// entry is verified -- on an error, including a sink's own, the sinks
+/// hold a prefix of the projection and the first error is returned.
 /// `query_stats` (may be null) receives per-unique-query totals (one entry
 /// for single-query tables); `stats` and `report` may be null. Must not be
 /// called from a pool thread.

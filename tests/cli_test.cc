@@ -1,11 +1,15 @@
-// End-to-end tests for the smpx command-line tool's batch mode: per-input
+// End-to-end tests for the smpx command-line tool. Batch mode: per-input
 // output naming (in.xml -> in.proj.xml, in.proj.qN.xml per query in
-// multi-query mode), document-order per-input stats, per-document error
-// isolation with a nonzero exit code, the --out concatenation mode's
-// argument-order merge, and batches under a tight fd limit. The binary
-// path is injected by CMake as SMPX_CLI_PATH; expected outputs come from
-// the library's serial engine over the same inputs.
+// multi-query mode), duplicate output names refused, document-order
+// per-input stats, per-document error isolation with a nonzero exit code,
+// the --out concatenation mode's argument-order merge, and batches under a
+// tight fd limit. One document: multi-query runs at one and four threads,
+// --fused, --query, --tables, stdin to stdout, and the --stats time
+// against the process's wall time. Index mode: build, seek and failing
+// closed. The binary path is injected by CMake as SMPX_CLI_PATH; expected
+// outputs come from the library's serial engine over the same inputs.
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -18,6 +22,8 @@
 #include "index/boundary_index.h"
 #include "index/cursor.h"
 #include "parallel/thread_pool.h"
+#include "paths/xquery_extract.h"
+#include "query/multiquery.h"
 
 namespace smpx {
 namespace {
@@ -40,39 +46,74 @@ TEST(CliBatchTest, DISABLED_BinaryUnavailable) {}
 
 struct CliResult {
   int exit_code = -1;
-  std::string err;
+  std::string out;  ///< stdout
+  std::string err;  ///< stderr
 };
 
-/// Runs the CLI with `args`, capturing stderr. `shell_prefix` is prepended
-/// inside the shell command (e.g. "ulimit -n 32; " for the fd-limit test).
+/// Runs the CLI with `args`, capturing stdout and stderr. `shell_prefix` is
+/// prepended inside the shell command (e.g. "ulimit -n 32; " for the
+/// fd-limit test); `args` may end in a stdin redirection.
 CliResult RunCli(const std::string& args,
                  const std::string& shell_prefix = std::string()) {
+  std::string out_file = ::testing::TempDir() + "/smpx_cli_stdout.txt";
   std::string err_file = ::testing::TempDir() + "/smpx_cli_stderr.txt";
   std::string cmd = shell_prefix + "\"" + SMPX_CLI_PATH + "\" " + args +
-                    " 2>\"" + err_file + "\"";
+                    " >\"" + out_file + "\" 2>\"" + err_file + "\"";
   int rc = std::system(cmd.c_str());
   CliResult r;
   r.exit_code = rc == -1 ? -1 : WEXITSTATUS(rc);
+  auto out = ReadFileToString(out_file);
+  r.out = out.ok() ? *out : std::string();
   auto err = ReadFileToString(err_file);
   r.err = err.ok() ? *err : std::string();
+  std::remove(out_file.c_str());
   std::remove(err_file.c_str());
   return r;
 }
 
-std::string SerialExpected(const std::string& doc,
-                           const char* path_list = kPaths) {
+dtd::Dtd TestDtd() {
   auto dtd = dtd::Dtd::Parse(kDtdText);
   EXPECT_TRUE(dtd.ok());
-  if (!dtd.ok()) return std::string();
+  return dtd.ok() ? std::move(*dtd) : dtd::Dtd();
+}
+
+std::vector<paths::ProjectionPath> ParsePaths(const char* path_list) {
   auto paths = paths::ProjectionPath::ParseList(path_list);
   EXPECT_TRUE(paths.ok());
-  if (!paths.ok()) return std::string();
-  auto pf = core::Prefilter::Compile(std::move(*dtd), *paths);
-  EXPECT_TRUE(pf.ok());
+  return paths.ok() ? *paths : std::vector<paths::ProjectionPath>();
+}
+
+/// `doc` projected by `pf` through the library's serial engine.
+std::string Project(const Result<core::Prefilter>& pf,
+                    const std::string& doc) {
+  EXPECT_TRUE(pf.ok()) << pf.status().ToString();
   if (!pf.ok()) return std::string();
   auto out = pf->RunOnBuffer(doc);
   EXPECT_TRUE(out.ok()) << out.status().ToString();
   return out.ok() ? *out : std::string();
+}
+
+std::string SerialExpected(const std::string& doc,
+                           const char* path_list = kPaths) {
+  return Project(core::Prefilter::Compile(TestDtd(), ParsePaths(path_list)),
+                 doc);
+}
+
+/// The file of query q (0-based) in a multi-query run whose output base
+/// name `base` ends in .xml: out.xml -> out.q1.xml, ...
+std::string QueryFile(const std::string& base, size_t q) {
+  return base.substr(0, base.size() - 4) + ".q" + std::to_string(q + 1) +
+         ".xml";
+}
+
+/// A document of `records` <b>/<c> pairs.
+std::string RecordsDoc(int records) {
+  std::string doc = "<a>";
+  for (int i = 0; i < records; ++i) {
+    doc += "<b>payload " + std::to_string(i) + "</b><c>other " +
+           std::to_string(i) + "</c>";
+  }
+  return doc + "</a>";
 }
 
 struct Fixture {
@@ -157,14 +198,33 @@ TEST(CliBatchTest, PerDocumentErrorsAreIsolated) {
 }
 
 TEST(CliBatchTest, DuplicateInputsAreRejected) {
-  // Two identical input paths would race on one output file; the CLI must
-  // refuse instead of silently corrupting it.
+  // Two inputs that name one output file (the same path twice, or in.xml
+  // next to in: both project to in.proj.xml) would race on it or overwrite
+  // one document's projection; the CLI must refuse, with one query and with
+  // several (whose outputs are in.proj.qN.xml).
   Fixture fx({"<a><b>dup</b></a>"});
-  CliResult r =
-      RunCli("--dtd \"" + fx.dtd_path + "\" --paths \"" + kPaths +
-             "\" --batch \"" + fx.inputs[0] + "\" \"" + fx.inputs[0] + "\"");
-  EXPECT_EQ(r.exit_code, 1);
-  EXPECT_NE(r.err.find("duplicate"), std::string::npos) << r.err;
+  const std::string bare =
+      fx.inputs[0].substr(0, fx.inputs[0].size() - 4);  // "in" of "in.xml"
+  ASSERT_TRUE(WriteStringToFile(bare, fx.docs[0]).ok());
+  const std::string one_query = " --paths \"" + std::string(kPaths) + "\"";
+  const std::string two_queries = one_query + " --paths \"/a/c#\"";
+  struct Case {
+    std::string queries;
+    std::string second_input;
+  };
+  for (const Case& c : {Case{one_query, fx.inputs[0]}, Case{one_query, bare},
+                        Case{two_queries, fx.inputs[0]},
+                        Case{two_queries, bare}}) {
+    SCOPED_TRACE(c.queries + " " + c.second_input);
+    CliResult r = RunCli("--dtd \"" + fx.dtd_path + "\"" + c.queries +
+                         " --batch \"" + fx.inputs[0] + "\" \"" +
+                         c.second_input + "\"");
+    EXPECT_EQ(r.exit_code, 1);
+    EXPECT_NE(r.err.find("duplicate"), std::string::npos) << r.err;
+  }
+  const std::string proj = ProjectedOutputPath(fx.inputs[0]);
+  for (size_t q = 0; q < 2; ++q) std::remove(QueryFile(proj, q).c_str());
+  std::remove(bare.c_str());
 }
 
 TEST(CliBatchTest, MaxBufferBudgetKeepsOutputsByteIdentical) {
@@ -269,12 +329,6 @@ TEST(CliBatchTest, LowFdLimitMultiQueryBatchWritesEveryQueryFile) {
                        std::to_string(i) + "</c></a>");
   }
   Fixture fx(contents);
-  // in.xml -> in.proj.q1.xml, ... (query order, 1-based).
-  auto query_file = [](const std::string& input, size_t q) {
-    const std::string proj = ProjectedOutputPath(input);
-    return proj.substr(0, proj.size() - 4) + ".q" + std::to_string(q + 1) +
-           ".xml";
-  };
   for (const char* budget : {"0", "1"}) {
     SCOPED_TRACE(budget);
     std::string args = "--dtd \"" + fx.dtd_path + "\"";
@@ -287,7 +341,8 @@ TEST(CliBatchTest, LowFdLimitMultiQueryBatchWritesEveryQueryFile) {
     EXPECT_EQ(r.exit_code, 0) << r.err;
     for (size_t i = 0; i < fx.inputs.size(); ++i) {
       for (size_t q = 0; q < 3; ++q) {
-        const std::string out = query_file(fx.inputs[i], q);
+        // in.xml -> in.proj.q1.xml, ... (query order, 1-based).
+        const std::string out = QueryFile(ProjectedOutputPath(fx.inputs[i]), q);
         auto content = ReadFileToString(out);
         EXPECT_TRUE(content.ok()) << out;
         if (content.ok()) {
@@ -296,6 +351,143 @@ TEST(CliBatchTest, LowFdLimitMultiQueryBatchWritesEveryQueryFile) {
         std::remove(out.c_str());
       }
     }
+  }
+}
+
+TEST(CliRunTest, MultiQueryDocumentMatchesEachQuerysOwnRun) {
+  // One document under three queries, one a duplicate served by the same
+  // product component: every out.qN.xml equals that query's own serial
+  // run, serially and sharded (with a budget small enough to spill).
+  const char* queries[] = {"/a/b#", "/a/c#", "/a/b#"};
+  Fixture fx({RecordsDoc(2000)});
+  const std::string out = ::testing::TempDir() + "/smpx_cli_mq.xml";
+  std::string args = "--dtd \"" + fx.dtd_path + "\"";
+  for (const char* q : queries) args += " --paths \"" + std::string(q) + "\"";
+  for (const char* run : {"--threads 1", "--threads 4",
+                          "--threads 4 --max-buffer 1K"}) {
+    SCOPED_TRACE(run);
+    CliResult r = RunCli(args + " " + run + " \"" + fx.inputs[0] + "\" \"" +
+                         out + "\"");
+    ASSERT_EQ(r.exit_code, 0) << r.err;
+    for (size_t q = 0; q < 3; ++q) {
+      const std::string file = QueryFile(out, q);
+      auto content = ReadFileToString(file);
+      ASSERT_TRUE(content.ok()) << file;
+      EXPECT_EQ(*content, SerialExpected(fx.docs[0], queries[q])) << file;
+      std::remove(file.c_str());
+    }
+  }
+}
+
+TEST(CliRunTest, MultiQueryStatsListEveryOutputFileThenTheSummary) {
+  // Multi-query --stats prints the per-file line of single-query --batch
+  // for every query's file, each with its query's own bytes and matches,
+  // then the one summary line with the query and unique-component counts.
+  Fixture fx({"<a><b>one</b><c>two</c><b>three</b></a>"});
+  const std::string out = ::testing::TempDir() + "/smpx_cli_mq_stats.xml";
+  CliResult r = RunCli("--dtd \"" + fx.dtd_path +
+                       "\" --paths \"/a/b#\" --paths \"/a/c#\" --paths "
+                       "\"/a/b#\" --stats \"" +
+                       fx.inputs[0] + "\" \"" + out + "\"");
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  auto mq = query::MultiQuery::Compile(
+      TestDtd(),
+      {ParsePaths("/a/b#"), ParsePaths("/a/c#"), ParsePaths("/a/b#")});
+  ASSERT_TRUE(mq.ok()) << mq.status().ToString();
+  std::vector<StringSink> sinks(3);
+  std::vector<OutputSink*> ptrs;
+  for (StringSink& s : sinks) ptrs.push_back(&s);
+  std::vector<core::QueryRunStats> qs;
+  ASSERT_TRUE(mq->RunOnBuffer(fx.docs[0], ptrs, &qs).ok());
+  std::string expected;
+  for (size_t q = 0; q < 3; ++q) {
+    const std::string file = QueryFile(out, q);
+    expected += fx.inputs[0] + " -> " + file +
+                ": input=" + std::to_string(fx.docs[0].size()) +
+                " output=" + std::to_string(qs[q].output_bytes) +
+                " matches=" + std::to_string(qs[q].matches) + "\n";
+    std::remove(file.c_str());
+  }
+  EXPECT_EQ(r.err.substr(0, expected.size()), expected);
+  EXPECT_EQ(r.err.compare(expected.size(), 7, "states="), 0) << r.err;
+  EXPECT_NE(r.err.find(" queries=3 unique=2\n"), std::string::npos) << r.err;
+}
+
+TEST(CliRunTest, FusedMatchesTheFusedPrefilter) {
+  Fixture fx({RecordsDoc(50)});
+  const std::string out = ::testing::TempDir() + "/smpx_cli_fused.xml";
+  CliResult r = RunCli("--dtd \"" + fx.dtd_path +
+                       "\" --paths \"/a/b#\" --paths \"/a/c#\" --fused \"" +
+                       fx.inputs[0] + "\" \"" + out + "\"");
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  auto content = ReadFileToString(out);
+  ASSERT_TRUE(content.ok());
+  EXPECT_EQ(*content,
+            Project(query::MultiQuery::CompileFused(
+                        TestDtd(), {ParsePaths("/a/b#"), ParsePaths("/a/c#")}),
+                    fx.docs[0]));
+  std::remove(out.c_str());
+}
+
+TEST(CliRunTest, QueryMatchesItsExtractedPaths) {
+  const char query[] = "for $x in /a/b return $x";
+  Fixture fx({RecordsDoc(50)});
+  // Single quotes keep the shell off "$x".
+  CliResult r = RunCli("--dtd \"" + fx.dtd_path + "\" --query '" + query +
+                       "' \"" + fx.inputs[0] + "\"");
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_NE(r.err.find("extracted projection paths:"), std::string::npos)
+      << r.err;
+  auto extracted = paths::ExtractProjectionPaths(query);
+  ASSERT_TRUE(extracted.ok()) << extracted.status().ToString();
+  EXPECT_EQ(r.out, Project(core::Prefilter::Compile(TestDtd(), *extracted),
+                           fx.docs[0]));
+}
+
+TEST(CliRunTest, TablesPrintsTheCompiledTables) {
+  Fixture fx({});
+  CliResult r = RunCli("--dtd \"" + fx.dtd_path + "\" --paths \"" + kPaths +
+                       "\" --tables");
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  auto pf = core::Prefilter::Compile(TestDtd(), ParsePaths(kPaths));
+  ASSERT_TRUE(pf.ok()) << pf.status().ToString();
+  EXPECT_EQ(r.out, pf->tables().DebugString());
+}
+
+TEST(CliRunTest, StdinToStdout) {
+  Fixture fx({RecordsDoc(50)});
+  CliResult r = RunCli("--dtd \"" + fx.dtd_path + "\" --paths \"" + kPaths +
+                       "\" <\"" + fx.inputs[0] + "\"");
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_EQ(r.out, SerialExpected(fx.docs[0]));
+}
+
+TEST(CliRunTest, StatsTimeFitsInsideTheProcessWallTime) {
+  // --stats time= is compilation plus the run, both inside the process, so
+  // it can never exceed the wall time measured around it -- with one query
+  // and with two. A timer that keeps running from compilation through the
+  // run counts the run twice and reads well above it on a 16 MB document.
+  Fixture fx({RecordsDoc(430000)});
+  ASSERT_GE(fx.docs[0].size(), size_t{16} << 20);
+  const std::string out = ::testing::TempDir() + "/smpx_cli_time.xml";
+  for (const char* queries :
+       {" --paths \"/a/b#\"", " --paths \"/a/b#\" --paths \"/a/c#\""}) {
+    SCOPED_TRACE(queries);
+    const auto begin = std::chrono::steady_clock::now();
+    CliResult r = RunCli("--dtd \"" + fx.dtd_path + "\"" + queries +
+                         " --stats \"" + fx.inputs[0] + "\" \"" + out + "\"");
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - begin)
+                            .count();
+    ASSERT_EQ(r.exit_code, 0) << r.err;
+    const size_t at = r.err.find(" time=");
+    ASSERT_NE(at, std::string::npos) << r.err;
+    const double printed = std::atof(r.err.c_str() + at + 6);
+    EXPECT_GT(printed, 0.0) << r.err;
+    // time= is printed in milliseconds, rounded.
+    EXPECT_LE(printed, wall + 0.0005) << r.err << "wall=" << wall;
+    std::remove(out.c_str());
+    for (size_t q = 0; q < 2; ++q) std::remove(QueryFile(out, q).c_str());
   }
 }
 

@@ -1028,6 +1028,64 @@ TEST(ShardedRunTest, BudgetedSpillSegmentsMatchSerial) {
   }
 }
 
+/// Takes the first `limit` bytes appended, then fails: the Append that
+/// crosses the limit lands its head and returns kIoError, as does every
+/// later one, which is counted.
+class FailingSink : public OutputSink {
+ public:
+  explicit FailingSink(size_t limit) : limit_(limit) {}
+  Status Append(std::string_view data) override {
+    if (failed_) ++appends_after_error_;
+    const size_t room = limit_ - out_.size();
+    out_.append(data.substr(0, room));
+    bytes_written_ += std::min(room, data.size());
+    if (data.size() <= room) return Status::Ok();
+    failed_ = true;
+    return Status::IoError("sink full");
+  }
+  const std::string& str() const { return out_; }
+  size_t appends_after_error() const { return appends_after_error_; }
+
+ private:
+  size_t limit_;
+  std::string out_;
+  bool failed_ = false;
+  size_t appends_after_error_ = 0;
+};
+
+TEST(ShardedRunTest, SinkErrorFailsTheRunAndLeavesASerialPrefix) {
+  // Resolved segments replay straight into the caller's sink. A sink that
+  // fails halfway through the projection fails the run with its own error,
+  // is not written again, and holds a prefix of the serial projection --
+  // with segments kept in memory and with segments spilled past 1 KiB.
+  Prefilter pf = Compile(kPaperDtd, "/a/b#");
+  std::string doc = "<a>";
+  for (int i = 0; i < 400; ++i) {
+    doc += "<b>keep " + std::to_string(i) + "</b><c><b>no</b></c>";
+  }
+  doc += "</a>";
+  const std::string serial = SerialRun(pf, doc);
+  ASSERT_GT(serial.size(), 4096u);
+  for (int threads : {2, 4}) {
+    for (size_t budget : {size_t{0}, size_t{1024}}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, budget " +
+                   std::to_string(budget));
+      parallel::ThreadPool pool(threads);
+      parallel::ShardOptions opts;
+      opts.max_buffer_bytes = budget;
+      parallel::ShardReport report;
+      FailingSink sink(serial.size() / 2);
+      Status s = parallel::ShardedRun(pf.tables(), doc, &sink, nullptr,
+                                      &pool, opts, &report);
+      EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();
+      EXPECT_EQ(s.message(), "sink full");
+      EXPECT_EQ(report.shards, static_cast<size_t>(threads));
+      EXPECT_EQ(sink.str(), serial.substr(0, serial.size() / 2));
+      EXPECT_EQ(sink.appends_after_error(), 0u);
+    }
+  }
+}
+
 TEST(ShardedRunTest, BudgetedRerunsWriteThroughFreshSegments) {
   // Split keywords inside a copied element (see
   // MisplacedBoundariesRerunAndStayIdentical) make shards misspeculate and

@@ -13,26 +13,34 @@
 //
 // Reads stdin/writes stdout when files are omitted; all output goes
 // through a write-coalescing BufferedFileSink. File inputs are mmap'ed
-// (sequential madvise); --threads > 1 shards one document at split keywords
-// across a thread pool speculatively (tables without split keywords run
-// serially), each shard projecting into a SpillSink segment
-// bounded by --max-buffer and committed to the output in document order as
-// verification succeeds -- a multi-GB single document stays shardable at
-// O(threads x (window + budget)) resident memory. --batch prefilters many
-// documents concurrently, *streaming* each through its session in bounded
-// chunks and writing per-input output files (in.xml -> in.proj.xml);
-// --out FILE instead concatenates the outputs in argument order through
-// the same budgeted ordered-commit pipeline; per-input output files are
-// written through the ordered-commit machinery too, so at most one output
-// file is open at a time regardless of batch size. --stats prints the
-// paper's measurement columns to stderr (per document and as a total in
-// batch mode). --tables dumps the compiled A/V/J/T tables and exits.
+// (sequential madvise).
 //
-// Multi-query mode (--query-file, or --paths repeated) compiles N queries
-// into one product automaton and writes one output per query (out.xml ->
-// out.q1.xml, ...). It runs on the same drivers as a single query: one
-// serial pass, --threads sharding, and --batch through the same
-// one-file-at-a-time ordered-commit writer (in.xml -> in.proj.q1.xml, ...).
+// After compilation every run takes one pipeline for 1..N queries. It
+// holds single-query tables (--paths, --paths-file, --query, --fused) or
+// product tables (--query-file, or --paths repeated: N queries compiled
+// into one product automaton), and a single query is the one-query case:
+// one original query routed to one unique query. Product tables write one
+// output per query, ".qN" inserted before the extension (out.xml ->
+// out.q1.xml, ..., query order), each byte-identical to that query's own
+// run. The run shapes:
+//  - one document: sharded at split keywords across a --threads pool and
+//    run speculatively, each shard projecting into SpillSink segments
+//    bounded by --max-buffer and replayed into the outputs in document
+//    order as verification succeeds -- a multi-GB single document stays
+//    shardable at O(threads x (window + budget)) resident memory. One
+//    thread, or tables without split keywords, run one serial session.
+//  - --batch: the documents are prefiltered concurrently, each *streamed*
+//    through its session in bounded chunks, and every output file (in.xml
+//    -> in.proj.xml, in.proj.q1.xml, ...) is written through the
+//    ordered-commit machinery, so at most one is open at a time
+//    regardless of batch size.
+//  - --batch --out FILE (single query): the outputs are concatenated in
+//    argument order through the same budgeted ordered-commit pipeline.
+// --stats prints the paper's measurement columns to stderr: per-input
+// --batch and multi-query runs print one "IN -> OUT: input= output=
+// matches=" line per output file, then every run one summary line (time
+// is compile plus run; product tables append "queries=N unique=U").
+// --tables dumps the compiled A/V/J/T tables and exits.
 //
 // Random access: --index-build FILE runs one serial indexing pass over
 // one document -- mapped, or with --index-chunk streamed through rolling
@@ -43,11 +51,13 @@
 // record each at granularity 1; or everything to the end), byte-identical
 // to the corresponding slice of a full serial run.
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
-#include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -105,14 +115,22 @@ int Usage(const char* argv0) {
       "  --threads N     run on N threads: one document is sharded at\n"
       "                  split keywords (elements whose entry state the\n"
       "                  tables know) and run speculatively, or serially\n"
-      "                  when the tables have none; with --batch, the\n"
-      "                  documents are prefiltered concurrently\n"
+      "                  when N is 1 or the tables have none; with\n"
+      "                  --batch, the documents are prefiltered\n"
+      "                  concurrently\n"
       "  --batch         every positional argument is an input file; each\n"
       "                  is streamed through the prefilter in bounded\n"
       "                  chunks and written to its own output file\n"
-      "                  (in.xml -> in.proj.xml). With --out FILE, outputs\n"
-      "                  are instead concatenated into FILE in argument\n"
-      "                  order through the ordered-commit pipeline\n"
+      "                  (in.xml -> in.proj.xml). With --out FILE (one\n"
+      "                  query only), outputs are instead concatenated\n"
+      "                  into FILE in argument order through the\n"
+      "                  ordered-commit pipeline\n"
+      "  --stats         print the paper's measurement columns to stderr:\n"
+      "                  per-input --batch and multi-query mode print one\n"
+      "                  'IN -> OUT: input= output= matches=' line per\n"
+      "                  output file; then one summary line (time is\n"
+      "                  compile plus run; multi-query mode appends\n"
+      "                  'queries=N unique=U')\n"
       "  --chunk S       streaming read granularity in batch mode\n"
       "                  (default 1M): bytes fed to a session per resume\n"
       "  --max-buffer S  per-segment output buffering budget (default\n"
@@ -179,9 +197,9 @@ std::vector<smpx::Status> RunBatchToFiles(
     const std::vector<const smpx::InputSource*>& srcs,
     const std::vector<std::vector<std::vector<std::string>>>& files,
     std::vector<std::vector<smpx::core::QueryRunStats>>* query_stats,
-    std::vector<smpx::core::RunStats>* stats, int threads,
+    std::vector<smpx::core::RunStats>* stats,
+    smpx::parallel::ThreadPool* pool,
     const smpx::parallel::StreamOptions& sopts) {
-  smpx::parallel::ThreadPool pool(threads);
   std::vector<smpx::Status> file_status(srcs.size());
   std::vector<smpx::Status> statuses = smpx::parallel::BatchRunStreaming(
       tables, srcs,
@@ -197,7 +215,7 @@ std::vector<smpx::Status> RunBatchToFiles(
         // frontier for the rest of the batch.
         return smpx::Status::Ok();
       },
-      query_stats, stats, &pool, sopts);
+      query_stats, stats, pool, sopts);
   for (size_t i = 0; i < statuses.size(); ++i) {
     if (statuses[i].ok()) statuses[i] = file_status[i];
   }
@@ -211,6 +229,32 @@ std::string ReadStdin() {
   size_t n;
   while ((n = std::fread(buf, 1, sizeof(buf), stdin)) > 0) out.append(buf, n);
   return out;
+}
+
+/// Opens an input file: mapped (sequential madvise), or read through
+/// rolling buffers when `stream` is set.
+smpx::Result<std::unique_ptr<smpx::InputSource>> OpenInput(
+    const std::string& path, bool stream) {
+  if (stream) {
+    SMPX_ASSIGN_OR_RETURN(std::unique_ptr<smpx::FileSource> file,
+                          smpx::FileSource::Open(path));
+    return std::unique_ptr<smpx::InputSource>(std::move(file));
+  }
+  SMPX_ASSIGN_OR_RETURN(std::unique_ptr<smpx::MmapSource> mapped,
+                        smpx::MmapSource::Open(path));
+  return std::unique_ptr<smpx::InputSource>(std::move(mapped));
+}
+
+/// The write-coalescing sink for output file `path`, or for stdout when
+/// `path` is empty; null (the error printed) when the file cannot open.
+std::unique_ptr<smpx::BufferedFileSink> OpenOutput(const std::string& path) {
+  if (path.empty()) return smpx::BufferedFileSink::Wrap(stdout);
+  auto opened = smpx::BufferedFileSink::Open(path);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
+    return nullptr;
+  }
+  return std::move(*opened);
 }
 
 }  // namespace
@@ -393,7 +437,7 @@ int main(int argc, char** argv) {
   // Multi-query mode: a query file, or more than one --paths occurrence
   // (each occurrence is one query). A single --paths keeps the classic
   // single-query form.
-  bool multi_mode = !query_file.empty() || query_texts.size() > 1;
+  const bool multi_mode = !query_file.empty() || query_texts.size() > 1;
   if (!multi_mode && query_texts.size() == 1) paths_text = query_texts[0];
   if (multi_mode && (!query.empty() || !paths_text.empty())) {
     std::fprintf(stderr,
@@ -423,9 +467,8 @@ int main(int argc, char** argv) {
   }
   // Per-query product tables have no --tables dump and no skip-index
   // support (index each query's single-query tables instead).
-  if (multi_mode && !fused && (tables_flag || index_mode)) {
-    return Usage(argv[0]);
-  }
+  const bool product = multi_mode && !fused;
+  if (product && (tables_flag || index_mode)) return Usage(argv[0]);
   if (!batch_flag) {
     // Classic positional form: [in.xml [out.xml]].
     if (inputs.size() > 2) return Usage(argv[0]);
@@ -440,6 +483,16 @@ int main(int argc, char** argv) {
   // --index-build writes the index file, never a projection; an output
   // file (flag or positional, resolved above) has nothing to receive.
   if (!index_build_file.empty() && !out_file.empty()) return Usage(argv[0]);
+  // Product tables write one file per query, named after the output file
+  // or, under --batch, after each input; a merged --batch --out has no
+  // meaning when each query owns its byte stream.
+  if (product && batch_flag && !out_file.empty()) return Usage(argv[0]);
+  if (product && !batch_flag && out_file.empty()) {
+    std::fprintf(stderr,
+                 "multi-query mode writes one file per query; name the "
+                 "output (--out FILE or a positional out.xml)\n");
+    return 2;
+  }
 
   auto dtd_text = smpx::ReadFileToString(dtd_file);
   if (!dtd_text.ok()) {
@@ -480,17 +533,8 @@ int main(int argc, char** argv) {
     req.window = window;
     req.count = count >= 0 ? static_cast<uint64_t>(count) : 0;
 
-    std::unique_ptr<smpx::BufferedFileSink> sink;
-    if (out_file.empty()) {
-      sink = smpx::BufferedFileSink::Wrap(stdout);
-    } else {
-      auto opened = smpx::BufferedFileSink::Open(out_file);
-      if (!opened.ok()) {
-        std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
-        return 1;
-      }
-      sink = std::move(*opened);
-    }
+    std::unique_ptr<smpx::BufferedFileSink> sink = OpenOutput(out_file);
+    if (sink == nullptr) return 1;
 
     smpx::WallTimer timer;
     auto client = smpx::server::Client::Connect(connect_endpoint);
@@ -557,11 +601,6 @@ int main(int argc, char** argv) {
       mq_queries.push_back(std::move(*parsed));
     }
   }
-
-  // --fused: one superset projection (MultiQuery::CompileFused) that is
-  // projection-safe for each query individually, so the run falls through
-  // to the ordinary single-query pipeline below with one output.
-  if (fused) multi_mode = false;
   std::vector<smpx::paths::ProjectionPath> paths;
   if (!query.empty()) {
     auto extracted = smpx::paths::ExtractProjectionPaths(query);
@@ -587,205 +626,71 @@ int main(int argc, char** argv) {
     paths.insert(paths.end(), parsed->begin(), parsed->end());
   }
 
-  if (multi_mode) {
-    // N queries, ONE pass: compile the mix into shared product tables
-    // (equivalent queries collapse to one component; duplicates fan out
-    // through FanoutSink) and run it under the requested driver. Every
-    // query's output file is byte-identical to its own single-query run.
-    smpx::WallTimer mq_compile_timer;
-    auto mq = smpx::query::MultiQuery::Compile(std::move(*dtd),
-                                               std::move(mq_queries));
-    if (!mq.ok()) {
+  // N queries compile into shared product tables (equivalent queries
+  // collapse to one component). Anything else -- --fused included, whose
+  // superset projection is safe for each query of the mix -- compiles
+  // single-query tables. Everything below runs either; a single query is
+  // the one-query case.
+  smpx::WallTimer compile_timer;
+  std::optional<smpx::query::MultiQuery> mq;
+  std::optional<smpx::core::Prefilter> pf;
+  if (product) {
+    auto compiled = smpx::query::MultiQuery::Compile(std::move(*dtd),
+                                                     std::move(mq_queries));
+    if (!compiled.ok()) {
       std::fprintf(stderr, "multi-query compile: %s\n",
-                   mq.status().ToString().c_str());
+                   compiled.status().ToString().c_str());
       return 1;
     }
-    const int nq = mq->num_queries();
-    std::string mq_stdin_buffer;
-    std::vector<std::unique_ptr<smpx::MmapSource>> mq_sources;
-    std::vector<std::string_view> mq_docs;
-    if (inputs.empty()) {
-      mq_stdin_buffer = ReadStdin();
-      mq_docs.push_back(mq_stdin_buffer);
-    } else {
-      for (const std::string& path : inputs) {
-        auto src = smpx::MmapSource::Open(path);
-        if (!src.ok()) {
-          std::fprintf(stderr, "%s\n", src.status().ToString().c_str());
-          return 1;
-        }
-        mq_docs.push_back((*src)->Contiguous());
-        mq_sources.push_back(std::move(*src));
-      }
+    mq.emplace(std::move(*compiled));
+  } else {
+    auto compiled =
+        fused ? smpx::query::MultiQuery::CompileFused(std::move(*dtd),
+                                                      mq_queries)
+              : smpx::core::Prefilter::Compile(std::move(*dtd),
+                                               std::move(paths));
+    if (!compiled.ok()) {
+      std::fprintf(stderr, "compile: %s\n",
+                   compiled.status().ToString().c_str());
+      return 1;
     }
-    smpx::core::EngineOptions eopts;
-    eopts.window_capacity = window;
-    smpx::core::RunStats stats;
-    std::vector<smpx::core::QueryRunStats> qstats;  // per ORIGINAL query
-    smpx::WallTimer run_timer;
-    smpx::CpuTimer cpu_timer;
-    int failures = 0;
-
-    if (batch_flag) {
-      // Per-input per-query files: in.xml -> in.proj.q1.xml, ... A merged
-      // --out has no meaning when each query owns its byte stream.
-      if (!out_file.empty()) return Usage(argv[0]);
-      smpx::parallel::StreamOptions sopts;
-      sopts.engine = eopts;
-      sopts.chunk_bytes = chunk;
-      sopts.max_buffer_bytes = max_buffer;
-      std::vector<const smpx::InputSource*> srcs;
-      std::vector<std::vector<std::vector<std::string>>> files;
-      std::vector<std::vector<std::string>> names(mq_sources.size());
-      for (size_t i = 0; i < mq_sources.size(); ++i) {
-        srcs.push_back(mq_sources[i].get());
-        files.emplace_back(static_cast<size_t>(mq->num_unique()));
-        for (int j = 0; j < nq; ++j) {
-          names[i].push_back(QueryOutputPath(
-              smpx::ProjectedOutputPath(inputs[i]), static_cast<size_t>(j) + 1));
-          files[i][static_cast<size_t>(mq->unique_of(j))].push_back(
-              names[i].back());
-        }
-      }
-      std::vector<std::vector<smpx::core::QueryRunStats>> doc_qstats;
-      std::vector<smpx::core::RunStats> doc_stats;
-      std::vector<smpx::Status> statuses = RunBatchToFiles(
-          mq->tables(), srcs, files, &doc_qstats, &doc_stats, threads, sopts);
-      for (size_t i = 0; i < statuses.size(); ++i) {
-        if (!statuses[i].ok()) {
-          std::fprintf(stderr, "%s: %s\n", inputs[i].c_str(),
-                       statuses[i].ToString().c_str());
-          ++failures;
-          continue;
-        }
-        smpx::parallel::MergeRunStats(&stats, doc_stats[i]);
-        if (stats_flag) {
-          std::vector<smpx::core::QueryRunStats> per_original;
-          mq->ExpandStats(doc_qstats[i], &per_original);
-          for (int j = 0; j < nq; ++j) {
-            std::fprintf(stderr, "%s q%d -> %s: output=%llu matches=%llu\n",
-                         inputs[i].c_str(), j + 1, names[i][j].c_str(),
-                         static_cast<unsigned long long>(
-                             per_original[j].output_bytes),
-                         static_cast<unsigned long long>(
-                             per_original[j].matches));
-          }
-        }
-      }
-    } else {
-      // One document, N output files named off the single output name.
-      if (out_file.empty()) {
-        std::fprintf(stderr,
-                     "multi-query mode writes one file per query; name the "
-                     "output (--out FILE or a positional out.xml)\n");
-        return 2;
-      }
-      std::vector<std::unique_ptr<smpx::BufferedFileSink>> files;
-      std::vector<smpx::OutputSink*> originals;
-      std::vector<std::string> names;
-      for (int j = 0; j < nq; ++j) {
-        names.push_back(QueryOutputPath(out_file, static_cast<size_t>(j) + 1));
-        auto f = smpx::BufferedFileSink::Open(names.back());
-        if (!f.ok()) {
-          std::fprintf(stderr, "%s\n", f.status().ToString().c_str());
-          return 1;
-        }
-        originals.push_back(f->get());
-        files.push_back(std::move(*f));
-      }
-      smpx::Status s;
-      if (threads > 1) {
-        smpx::parallel::ThreadPool pool(threads);
-        smpx::parallel::ShardOptions popts;
-        popts.engine = eopts;
-        popts.max_buffer_bytes = max_buffer;
-        std::vector<std::unique_ptr<smpx::FanoutSink>> owned;
-        std::vector<smpx::OutputSink*> unique_sinks;
-        mq->RouteSinks(originals, &owned, &unique_sinks);
-        std::vector<smpx::core::QueryRunStats> uq_stats;
-        s = smpx::parallel::ShardedRun(mq->tables(), mq_docs[0], unique_sinks,
-                                       &uq_stats, &stats, &pool, popts);
-        if (s.ok()) mq->ExpandStats(uq_stats, &qstats);
-      } else {
-        s = mq->RunOnBuffer(mq_docs[0], originals, &qstats, &stats, eopts);
-      }
-      for (auto& f : files) {
-        if (s.ok()) s = f->Flush();
-      }
-      if (!s.ok()) {
-        std::fprintf(stderr, "run: %s\n", s.ToString().c_str());
-        return 1;
-      }
-      if (stats_flag) {
-        for (int j = 0; j < nq; ++j) {
-          std::fprintf(
-              stderr, "q%d -> %s: output=%llu matches=%llu\n", j + 1,
-              names[j].c_str(),
-              static_cast<unsigned long long>(qstats[j].output_bytes),
-              static_cast<unsigned long long>(qstats[j].matches));
-        }
-      }
-    }
-    if (stats_flag) {
-      std::fprintf(
-          stderr,
-          "multi: queries=%d unique=%d states=%zu input=%llu output=%llu "
-          "time=%.3fs usr+sys=%.3fs matches=%llu\n",
-          nq, mq->num_unique(), mq->tables().states.size(),
-          static_cast<unsigned long long>(stats.input_bytes),
-          static_cast<unsigned long long>(stats.output_bytes),
-          run_timer.Seconds() + mq_compile_timer.Seconds(),
-          cpu_timer.Seconds(),
-          static_cast<unsigned long long>(stats.matches));
-    }
-    return failures == 0 ? 0 : 1;
+    pf.emplace(std::move(*compiled));
   }
-
-  smpx::WallTimer compile_timer;
-  auto pf = fused ? smpx::query::MultiQuery::CompileFused(std::move(*dtd),
-                                                         mq_queries)
-                  : smpx::core::Prefilter::Compile(std::move(*dtd),
-                                                   std::move(paths));
-  if (!pf.ok()) {
-    std::fprintf(stderr, "compile: %s\n", pf.status().ToString().c_str());
-    return 1;
-  }
+  const double compile_seconds = compile_timer.Seconds();
+  const smpx::core::RuntimeTables& tables = mq ? mq->tables() : pf->tables();
   if (tables_flag) {
-    std::printf("%s", pf->tables().DebugString().c_str());
+    std::printf("%s", tables.DebugString().c_str());
     return 0;
+  }
+
+  // Inputs: stdin is buffered in memory; files are mapped (zero copy,
+  // sequential madvise), or read through rolling buffers for a chunked
+  // --index-build, which never maps the document (inputs larger than the
+  // address space stay indexable).
+  smpx::WallTimer build_timer;
+  std::string stdin_buffer;
+  std::vector<std::unique_ptr<smpx::InputSource>> sources;
+  if (inputs.empty()) {
+    stdin_buffer = ReadStdin();
+    sources.push_back(std::make_unique<smpx::MemorySource>(stdin_buffer));
+  }
+  for (const std::string& path : inputs) {
+    auto src = OpenInput(path, !index_build_file.empty() && index_chunk > 0);
+    if (!src.ok()) {
+      std::fprintf(stderr, "%s\n", src.status().ToString().c_str());
+      return 1;
+    }
+    sources.push_back(std::move(*src));
   }
 
   if (!index_build_file.empty()) {
     // One serial indexing pass, then the versioned skip-index file; the
-    // projection itself is discarded. The file is mapped and scanned in
-    // place, or with --index-chunk read through rolling buffers and never
-    // mapped (inputs larger than the address space stay indexable).
-    smpx::WallTimer build_timer;
-    std::string stdin_buffer;
-    std::unique_ptr<smpx::InputSource> src;
-    if (inputs.empty()) {
-      stdin_buffer = ReadStdin();
-      src = std::make_unique<smpx::MemorySource>(stdin_buffer);
-    } else if (index_chunk > 0) {
-      auto f = smpx::FileSource::Open(inputs[0]);
-      if (!f.ok()) {
-        std::fprintf(stderr, "%s\n", f.status().ToString().c_str());
-        return 1;
-      }
-      src = std::move(*f);
-    } else {
-      auto m = smpx::MmapSource::Open(inputs[0]);
-      if (!m.ok()) {
-        std::fprintf(stderr, "%s\n", m.status().ToString().c_str());
-        return 1;
-      }
-      src = std::move(*m);
-    }
+    // projection itself is discarded.
     smpx::index::BoundaryIndexOptions iopts;
     iopts.granularity_bytes = index_granularity;
     if (index_chunk > 0) iopts.chunk_bytes = index_chunk;
     iopts.engine.window_capacity = window;
-    auto idx = smpx::index::BoundaryIndex::Build(pf->tables(), *src, iopts);
+    auto idx = smpx::index::BoundaryIndex::Build(tables, *sources[0], iopts);
     if (!idx.ok()) {
       std::fprintf(stderr, "index build: %s\n",
                    idx.status().ToString().c_str());
@@ -798,45 +703,23 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (stats_flag) {
-      double secs = build_timer.Seconds();
+      const double secs = build_timer.Seconds();
+      const uint64_t doc_bytes = sources[0]->size();
       std::fprintf(
           stderr,
           "index: entries=%zu index_bytes=%zu doc_bytes=%llu chunked=%zu "
           "build=%.3fs (%.1f MB/s)\n",
           idx->entries().size(), serialized.size(),
-          static_cast<unsigned long long>(src->size()), index_chunk, secs,
-          secs > 0
-              ? static_cast<double>(src->size()) / 1048576.0 / secs
-              : 0.0);
+          static_cast<unsigned long long>(doc_bytes), index_chunk, secs,
+          secs > 0 ? static_cast<double>(doc_bytes) / 1048576.0 / secs : 0.0);
     }
     return 0;
   }
 
-  // Input plumbing: mmap file inputs (zero copy, sequential madvise);
-  // stdin falls back to an in-memory buffer.
-  std::string stdin_buffer;
-  std::vector<std::unique_ptr<smpx::MmapSource>> sources;
-  std::vector<std::string_view> docs;
-  if (inputs.empty()) {
-    stdin_buffer = ReadStdin();
-    docs.push_back(stdin_buffer);
-  } else {
-    for (const std::string& path : inputs) {
-      auto src = smpx::MmapSource::Open(path);
-      if (!src.ok()) {
-        std::fprintf(stderr, "%s\n", src.status().ToString().c_str());
-        return 1;
-      }
-      docs.push_back((*src)->Contiguous());
-      sources.push_back(std::move(*src));
-    }
-  }
-  smpx::core::RunStats stats;
   smpx::core::EngineOptions eopts;
   eopts.window_capacity = window;
   smpx::WallTimer run_timer;
   smpx::CpuTimer cpu_timer;
-  int failures = 0;
 
   if (!index_file.empty()) {
     auto idx = smpx::index::BoundaryIndex::LoadFromFile(index_file);
@@ -844,23 +727,15 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "index: %s\n", idx.status().ToString().c_str());
       return 1;
     }
-    std::unique_ptr<smpx::BufferedFileSink> sink;
-    if (out_file.empty()) {
-      sink = smpx::BufferedFileSink::Wrap(stdout);
-    } else {
-      auto file_sink = smpx::BufferedFileSink::Open(out_file);
-      if (!file_sink.ok()) {
-        std::fprintf(stderr, "%s\n", file_sink.status().ToString().c_str());
-        return 1;
-      }
-      sink = std::move(*file_sink);
-    }
+    std::unique_ptr<smpx::BufferedFileSink> sink = OpenOutput(out_file);
+    if (sink == nullptr) return 1;
     smpx::index::CursorOptions copts;
     copts.engine = eopts;
+    const std::string_view doc = sources[0]->Contiguous();
     auto cur = seek_by_record
-                   ? smpx::index::Cursor::OpenAtRecord(
-                         *idx, pf->tables(), docs[0], seek_record, copts)
-                   : smpx::index::Cursor::OpenAt(*idx, pf->tables(), docs[0],
+                   ? smpx::index::Cursor::OpenAtRecord(*idx, tables, doc,
+                                                       seek_record, copts)
+                   : smpx::index::Cursor::OpenAt(*idx, tables, doc,
                                                  seek_offset, copts);
     if (!cur.ok()) {
       std::fprintf(stderr, "seek: %s\n", cur.status().ToString().c_str());
@@ -911,39 +786,82 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (batch_flag && out_file.empty()) {
-    // Streaming batch with per-input output files: every document is
-    // pulled through its own session in bounded chunks into a budgeted
-    // segment, and segments are written to their in.proj.xml files in
-    // document order through the ordered-commit machinery -- at most one
-    // output file open at a time, so thousand-document batches do not
-    // exhaust fd limits, and peak memory never depends on document size.
-    // Errors are isolated per document; stats stay in argument order.
-    smpx::parallel::StreamOptions sopts;
-    sopts.engine = eopts;
-    sopts.chunk_bytes = chunk;
-    sopts.max_buffer_bytes = max_buffer;
-    std::vector<const smpx::InputSource*> srcs;
-    std::vector<std::string> out_paths;
-    std::vector<std::vector<std::vector<std::string>>> files;
-    for (size_t i = 0; i < sources.size(); ++i) {
-      out_paths.push_back(smpx::ProjectedOutputPath(inputs[i]));
+  // Outputs: names[i][j] is document i's file for original query j. Under
+  // --batch without --out every input names its own (in.xml ->
+  // in.proj.xml); otherwise one set, named after the output file ("" is
+  // stdout), serves the document or the merged batch. Product tables put
+  // ".qN" before the extension.
+  const bool per_input = batch_flag && out_file.empty();
+  const int nq = mq ? mq->num_queries() : 1;
+  std::vector<std::vector<std::string>> names;
+  std::map<std::string, size_t> doc_of;  // output file -> its document
+  for (size_t i = 0; i < (per_input ? inputs.size() : 1); ++i) {
+    const std::string base =
+        per_input ? smpx::ProjectedOutputPath(inputs[i]) : out_file;
+    names.emplace_back();
+    for (int j = 0; j < nq; ++j) {
+      names[i].push_back(
+          mq ? QueryOutputPath(base, static_cast<size_t>(j) + 1) : base);
       // Repeated inputs would collapse two documents onto one output file.
-      for (size_t j = 0; j < i; ++j) {
-        if (out_paths[j] == out_paths.back()) {
-          std::fprintf(stderr,
-                       "duplicate batch output file %s (inputs %s, %s)\n",
-                       out_paths.back().c_str(), inputs[j].c_str(),
-                       inputs[i].c_str());
-          return 1;
-        }
+      const auto [first, fresh] = doc_of.emplace(names[i].back(), i);
+      if (!fresh) {
+        std::fprintf(stderr,
+                     "duplicate batch output file %s (inputs %s, %s)\n",
+                     names[i].back().c_str(), inputs[first->second].c_str(),
+                     inputs[i].c_str());
+        return 1;
       }
-      srcs.push_back(sources[i].get());
-      files.push_back({{out_paths.back()}});
     }
+  }
+
+  // One stats line per output file of a document; product tables report
+  // each query's own bytes and matches.
+  auto print_files = [&](const std::string& input,
+                         const std::vector<std::string>& outs,
+                         const smpx::core::RunStats& run,
+                         const std::vector<smpx::core::QueryRunStats>& unique) {
+    std::vector<smpx::core::QueryRunStats> per_query{
+        {run.matches, run.output_bytes}};
+    if (mq) mq->ExpandStats(unique, &per_query);
+    for (size_t j = 0; j < outs.size(); ++j) {
+      std::fprintf(stderr, "%s -> %s: input=%llu output=%llu matches=%llu\n",
+                   input.c_str(), outs[j].c_str(),
+                   static_cast<unsigned long long>(run.input_bytes),
+                   static_cast<unsigned long long>(per_query[j].output_bytes),
+                   static_cast<unsigned long long>(per_query[j].matches));
+    }
+  };
+
+  smpx::parallel::ThreadPool pool(threads);
+  smpx::parallel::StreamOptions sopts;
+  sopts.engine = eopts;
+  sopts.chunk_bytes = chunk;
+  sopts.max_buffer_bytes = max_buffer;
+  std::vector<const smpx::InputSource*> srcs;
+  for (const auto& src : sources) srcs.push_back(src.get());
+  smpx::core::RunStats stats;
+  int failures = 0;
+
+  if (per_input) {
+    // Streaming batch with per-input output files: every document is
+    // pulled through its own session in bounded chunks into budgeted
+    // segments (one per unique query), and segments are written to their
+    // files in document order through the ordered-commit machinery -- at
+    // most one output file open at a time, so thousand-document batches do
+    // not exhaust fd limits, and peak memory never depends on document
+    // size. Errors are isolated per document; stats stay in argument order.
+    std::vector<std::vector<std::vector<std::string>>> files;
+    for (size_t i = 0; i < names.size(); ++i) {
+      files.emplace_back(smpx::core::QueryCount(tables));
+      for (int j = 0; j < nq; ++j) {
+        files[i][mq ? static_cast<size_t>(mq->unique_of(j)) : 0].push_back(
+            names[i][j]);
+      }
+    }
+    std::vector<std::vector<smpx::core::QueryRunStats>> doc_qstats;
     std::vector<smpx::core::RunStats> doc_stats;
     std::vector<smpx::Status> statuses = RunBatchToFiles(
-        pf->tables(), srcs, files, nullptr, &doc_stats, threads, sopts);
+        tables, srcs, files, &doc_qstats, &doc_stats, &pool, sopts);
     for (size_t i = 0; i < statuses.size(); ++i) {
       if (!statuses[i].ok()) {
         std::fprintf(stderr, "%s: %s\n", inputs[i].c_str(),
@@ -952,59 +870,51 @@ int main(int argc, char** argv) {
         continue;
       }
       if (stats_flag) {
-        std::fprintf(
-            stderr, "%s -> %s: input=%llu output=%llu matches=%llu\n",
-            inputs[i].c_str(), out_paths[i].c_str(),
-            static_cast<unsigned long long>(doc_stats[i].input_bytes),
-            static_cast<unsigned long long>(doc_stats[i].output_bytes),
-            static_cast<unsigned long long>(doc_stats[i].matches));
+        print_files(inputs[i], names[i], doc_stats[i], doc_qstats[i]);
       }
       smpx::parallel::MergeRunStats(&stats, doc_stats[i]);
     }
   } else {
-    // Single merged output (file or stdout), always through the
+    // One output per original query (file or stdout), always through the
     // write-coalescing sink -- nothing below buffers the whole projection.
-    std::unique_ptr<smpx::BufferedFileSink> sink;
-    if (out_file.empty()) {
-      sink = smpx::BufferedFileSink::Wrap(stdout);
-    } else {
-      auto file_sink = smpx::BufferedFileSink::Open(out_file);
-      if (!file_sink.ok()) {
-        std::fprintf(stderr, "%s\n", file_sink.status().ToString().c_str());
-        return 1;
-      }
-      sink = std::move(*file_sink);
+    std::vector<std::unique_ptr<smpx::BufferedFileSink>> outs;
+    std::vector<smpx::OutputSink*> sinks;
+    for (const std::string& name : names[0]) {
+      outs.push_back(OpenOutput(name));
+      if (outs.back() == nullptr) return 1;
+      sinks.push_back(outs.back().get());
     }
+    std::vector<smpx::core::QueryRunStats> unique_stats;
     smpx::Status s;
     if (batch_flag) {
-      // --batch --out: concatenate in argument order through the
-      // budgeted ordered-commit pipeline (documents stream, completed
-      // ones park on disk until their turn).
-      smpx::parallel::ThreadPool pool(threads);
-      smpx::parallel::StreamOptions sopts;
-      sopts.engine = eopts;
-      sopts.chunk_bytes = chunk;
-      sopts.max_buffer_bytes = max_buffer;
-      std::vector<const smpx::InputSource*> srcs;
-      for (const auto& src : sources) srcs.push_back(src.get());
-      s = smpx::parallel::BatchRunStreamingMerged(pf->tables(), srcs,
-                                                 sink.get(), &stats, &pool,
-                                                 sopts);
-    } else if (threads > 1) {
-      smpx::parallel::ThreadPool pool(threads);
+      // --batch --out (single query): concatenate in argument order
+      // through the budgeted ordered-commit pipeline (documents stream,
+      // completed ones park on disk until their turn).
+      s = smpx::parallel::BatchRunStreamingMerged(tables, srcs, sinks[0],
+                                                 &stats, &pool, sopts);
+    } else {
+      // One document: sharded at split keywords, or one serial session on
+      // this thread (one thread, or tables without split keywords).
       smpx::parallel::ShardOptions popts;
       popts.engine = eopts;
       popts.max_buffer_bytes = max_buffer;
-      s = smpx::parallel::ShardedRun(pf->tables(), docs[0], sink.get(),
-                                     &stats, &pool, popts);
-    } else {
-      smpx::MemoryInputStream in(docs[0]);
-      s = pf->Run(&in, sink.get(), &stats, eopts);
+      std::vector<std::unique_ptr<smpx::FanoutSink>> fanouts;
+      std::vector<smpx::OutputSink*> unique_sinks = sinks;
+      if (mq) mq->RouteSinks(sinks, &fanouts, &unique_sinks);
+      s = smpx::parallel::ShardedRun(tables, sources[0]->Contiguous(),
+                                     unique_sinks, &unique_stats, &stats,
+                                     &pool, popts);
     }
-    if (s.ok()) s = sink->Flush();
+    for (auto& out : outs) {
+      if (s.ok()) s = out->Flush();
+    }
     if (!s.ok()) {
       std::fprintf(stderr, "run: %s\n", s.ToString().c_str());
       return 1;
+    }
+    if (stats_flag && mq) {
+      print_files(inputs.empty() ? "stdin" : inputs[0], names[0], stats,
+                  unique_stats);
     }
   }
   if (stats_flag) {
@@ -1012,15 +922,20 @@ int main(int argc, char** argv) {
         stderr,
         "states=%zu input=%llu output=%llu time=%.3fs usr+sys=%.3fs "
         "charcomp=%.2f%% avg_shift=%.2f initial_jumps=%.2f%% "
-        "matches=%llu false_matches=%llu window_peak=%zu\n",
-        pf->num_states(),
+        "matches=%llu false_matches=%llu window_peak=%zu",
+        tables.states.size(),
         static_cast<unsigned long long>(stats.input_bytes),
         static_cast<unsigned long long>(stats.output_bytes),
-        run_timer.Seconds() + compile_timer.Seconds(), cpu_timer.Seconds(),
+        compile_seconds + run_timer.Seconds(), cpu_timer.Seconds(),
         stats.CharCompPct(), stats.AvgShift(), stats.InitialJumpPct(),
         static_cast<unsigned long long>(stats.matches),
         static_cast<unsigned long long>(stats.false_matches),
         stats.window_peak);
+    if (mq) {
+      std::fprintf(stderr, " queries=%d unique=%d", mq->num_queries(),
+                   mq->num_unique());
+    }
+    std::fprintf(stderr, "\n");
   }
   return failures == 0 ? 0 : 1;
 }
