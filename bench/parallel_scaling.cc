@@ -16,7 +16,10 @@
 //
 // Every shard table reports speedup against its own one-thread row and
 // vs_serial against the serial engine (Prefilter::Run) on the same
-// document, timed the same way.
+// document, timed the same way. Shard rows run ShardedRun's default split
+// (several segments per worker on large documents, one serial session at
+// one thread; see ShardOptions::max_shards); the shards column is the
+// segment count it cut.
 //
 // Outputs are cross-checked against the serial engine before timing.
 //
@@ -28,7 +31,8 @@
 //                              accumulate SMPX_MIN_SECS of runtime, so a
 //                              single descheduled rep cannot set the cell
 //   SMPX_MIN_SECS=0.5          minimum accumulated timed seconds per cell
-//   SMPX_MAX_BUFFER=1048576    per-segment output budget in bytes
+//   SMPX_MAX_BUFFER=1048576    output budget in bytes, per worker in shard
+//                              rows and per document in batch rows
 //                              (default 0 = unbounded in-memory segments)
 //   SMPX_CSV=1 / SMPX_JSON=1   machine-readable output
 //
@@ -255,15 +259,16 @@ int Run() {
   batch_table.Print("parallel_batch");
 
   // --- Shard: one huge document split across the pool -------------------
-  // serial% is the Amdahl bound of the run: bytes prefiltered outside the
-  // parallel wave (speculation misses re-run sequentially, and a run
-  // without split points is one serial session, 100 serial%; a full hit
-  // rate shows 0.0 serial%). accept is speculative shards verified /
-  // launched. classes is 1 when any segment speculated from a split
-  // keyword's class, else 0; wavex is total prefiltered bytes (wave
-  // attempts + serial reruns) over document bytes -- it should sit near
-  // 1.0, and killed counts the losing attempts reclaimed (timing-dependent,
-  // like the stolen-inline runs folded into wavex).
+  // The correctness check below pins four shards on two workers; the timed
+  // rows run the default split. serial% is the Amdahl bound of the run:
+  // bytes prefiltered outside the parallel wave (speculation misses re-run
+  // sequentially, and a run without split points is one serial session,
+  // 100 serial%; a full hit rate shows 0.0 serial%). accept is speculative
+  // shards verified / launched. classes is 1 when any segment speculated
+  // from a split keyword's class, else 0; wavex is total prefiltered bytes
+  // (wave attempts + serial reruns) over document bytes -- it should sit
+  // near 1.0, and killed counts the losing attempts reclaimed
+  // (timing-dependent, like the stolen-inline runs folded into wavex).
   auto shard_sweep = [&](const char* table_name, const core::Prefilter& pf,
                          const std::string& doc) -> int {
     {
@@ -298,9 +303,10 @@ int Run() {
       }
       return out;
     });
-    TablePrinter shard_table({"mode", "threads", "secs", "tags/s", "MB/s",
-                              "speedup", "vs_serial", "serial%", "accept",
-                              "classes", "wavex", "killed", "peakMB"});
+    TablePrinter shard_table({"mode", "threads", "shards", "secs", "tags/s",
+                              "MB/s", "speedup", "vs_serial", "serial%",
+                              "accept", "classes", "wavex", "killed",
+                              "peakMB"});
     double shard_base = 0;
     for (int t : threads) {
       parallel::ThreadPool pool(t);
@@ -308,8 +314,7 @@ int Run() {
       Sample s = Best(reps, [&] {
         CountingSink sink;
         core::RunStats stats;
-        parallel::ShardOptions opts;
-        opts.max_shards = static_cast<size_t>(t);
+        parallel::ShardOptions opts;  // the default split ShardedRun ships
         opts.max_buffer_bytes = max_buffer;
         WallTimer timer;
         Status st = parallel::ShardedRun(pf.tables(), doc, &sink, &stats,
@@ -327,7 +332,8 @@ int Run() {
       });
       if (shard_base == 0) shard_base = s.seconds;
       shard_table.AddRow(
-          {"shard", std::to_string(t), Fmt("%.3f", s.seconds),
+          {"shard", std::to_string(t), std::to_string(report.shards),
+           Fmt("%.3f", s.seconds),
            Rate(static_cast<double>(s.tags) / s.seconds),
            Fmt("%.1f", static_cast<double>(s.bytes) / (1 << 20) / s.seconds),
            Fmt("%.2fx", shard_base / s.seconds),

@@ -13,6 +13,28 @@ namespace {
 /// attempt_of_ sentinel: the segment launched no attempt.
 constexpr size_t kNoAttempt = ~size_t{0};
 
+/// The default split (ShardOptions::max_shards == 0) cuts whole waves of
+/// one segment per worker, at most kMaxWaves of them and none with
+/// segments under kMinSegmentBytes. Segments of equal bytes take unequal
+/// time, and the pool's FIFO queue plus the resolver's steal-on-wait even
+/// the load out only when there are more segments than workers; a partial
+/// wave leaves workers idle at its end. On 4 workers the gain stopped
+/// growing past 4 waves, and MEDLINE (segments of like cost) ran slower
+/// than with one segment per worker under a partial wave (5, 7 or 9
+/// segments) or with segments under 256 KiB; whole waves of segments of
+/// 512 KiB or more never did.
+constexpr uint64_t kMaxWaves = 4;
+constexpr uint64_t kMinSegmentBytes = uint64_t{512} << 10;
+
+/// Segments the default split asks the probe for: one serial session on a
+/// one-worker pool, else W x clamp(doc bytes / (W x 512 KiB), 1, 4).
+size_t DefaultShards(size_t workers, uint64_t doc_bytes) {
+  if (workers <= 1) return 1;
+  const uint64_t waves = doc_bytes / (workers * kMinSegmentBytes);
+  return workers *
+         static_cast<size_t>(std::clamp<uint64_t>(waves, 1, kMaxWaves));
+}
+
 /// The element name whose tag opens at `pos` ("" unless doc[pos] is '<'
 /// followed by a name).
 std::string_view TagNameAt(std::string_view doc, uint64_t pos) {
@@ -361,9 +383,10 @@ Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
         std::to_string(core::QueryCount(tables)) + "), got " +
         std::to_string(m));
   }
-  const size_t max_shards =
-      opts.max_shards != 0 ? opts.max_shards
-                           : static_cast<size_t>(std::max(1, pool->size()));
+  const size_t workers = static_cast<size_t>(std::max(1, pool->size()));
+  const size_t max_shards = opts.max_shards != 0
+                                ? opts.max_shards
+                                : DefaultShards(workers, doc.size());
   const strmatch::Matcher* split =
       max_shards > 1 ? tables.split_keywords.matcher() : nullptr;
   const std::vector<uint64_t> bounds =
@@ -375,7 +398,13 @@ Status ShardedRun(const core::RuntimeTables& tables, std::string_view doc,
   }
 
   SpeculativeResolver::Options ropts;
-  ropts.max_buffer_bytes = opts.max_buffer_bytes;
+  // The segments of one worker share its budget, so the wave's resident
+  // output stays O(workers x budget) however many segments it runs.
+  const size_t per_worker = (bounds.size() + workers) / workers;
+  ropts.max_buffer_bytes =
+      opts.max_buffer_bytes != 0
+          ? std::max<size_t>(opts.max_buffer_bytes / per_worker, 1)
+          : 0;
   ropts.engine = opts.engine;
   // All attempts of the wave share one spill file; killed attempts
   // release their extents the moment they are freed.

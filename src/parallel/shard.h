@@ -2,6 +2,12 @@
 // prefilter the shards concurrently, one PrefilterSession per shard against
 // the shared immutable RuntimeTables.
 //
+// By default a pool of several workers cuts a large document into several
+// segments per worker (see ShardOptions::max_shards), because segments of
+// equal bytes take unequal time and a run waits for its slowest one: the
+// pool's FIFO queue and the resolver's steal-on-wait hand the next segment
+// to whichever thread is free. A one-worker pool runs one serial session.
+//
 // Split points come from a keyword search, the paper's own tool: the
 // tables' split keywords (core::SplitKeywords -- "<name" of every element
 // whose entry state is one behavior class at copy depth 0, wherever it
@@ -49,18 +55,25 @@
 namespace smpx::parallel {
 
 struct ShardOptions {
-  /// Upper bound on the number of shards; 0 means the pool size.
+  /// Upper bound on the number of shards. 0 (the default) picks the count
+  /// from the pool size W and the document: one serial session when W is
+  /// 1, else whole waves of W segments, W x clamp(doc bytes / (W x 512
+  /// KiB), 1, 4), so documents under 2 W x 512 KiB keep one segment per
+  /// worker.
   size_t max_shards = 0;
   /// Inert: every speculated segment runs from one class. Kept because
   /// smpx-bench/src still reads it.
   size_t max_candidate_states = 4;
-  /// Per-segment output buffering budget in bytes; a shard's projected
-  /// output beyond it overflows to an unlinked temp file (SpillSink) until
-  /// the segment resolves, is replayed into the caller's sink and freed.
-  /// 0 keeps segments fully in memory (unbounded). With a budget B, peak
-  /// resident memory of a sharded run is O(shards x B) on top of the
-  /// per-session windows, independent of document and projection size. A serial run writes straight into the caller's sinks
-  /// and buffers nothing.
+  /// Output buffering budget per worker in bytes, shared by the segments
+  /// that worker runs: with S segments on W workers each segment gets
+  /// max_buffer_bytes / ceil(S / W). A segment's projected output beyond
+  /// its share overflows to an unlinked temp file (SpillSink) until the
+  /// segment resolves, is replayed into the caller's sink and freed. 0
+  /// keeps segments fully in memory (unbounded). With a budget B, peak
+  /// resident output of a sharded run is O(W x B) on top of the
+  /// per-session windows, independent of document and projection size. A
+  /// serial run writes straight into the caller's sinks and buffers
+  /// nothing.
   size_t max_buffer_bytes = 0;
   core::EngineOptions engine;
 };
@@ -278,8 +291,9 @@ class SpeculativeResolver {
 /// Every query's output is byte-identical to its own serial run, and the
 /// merged `stats` totals match RunEngine over the same document (up to
 /// search-effort counters, which depend on window geometry). Every session
-/// of a sharded run writes one SpillSink segment per query, bounded by
-/// ShardOptions::max_buffer_bytes split evenly across the queries.
+/// of a sharded run writes one SpillSink segment per query, bounded by its
+/// worker's budget share (ShardOptions::max_buffer_bytes) split evenly
+/// across the queries.
 /// Segments resolve in document order on the calling thread, so each is
 /// replayed straight into its query's sink (and freed) the moment its
 /// entry is verified -- on an error, including a sink's own, the sinks

@@ -1,6 +1,7 @@
 // End-to-end tests for the smpx command-line tool. Batch mode: per-input
 // output naming (in.xml -> in.proj.xml, in.proj.qN.xml per query in
-// multi-query mode), duplicate output names refused, document-order
+// multi-query mode), duplicate output names and outputs that are inputs
+// (compared by device and inode) refused, document-order
 // per-input stats, per-document error isolation with a nonzero exit code,
 // the --out concatenation mode's argument-order merge, and batches under a
 // tight fd limit. One document: multi-query runs at one and four threads,
@@ -14,6 +15,8 @@
 #include <cstdlib>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -225,6 +228,63 @@ TEST(CliBatchTest, DuplicateInputsAreRejected) {
   const std::string proj = ProjectedOutputPath(fx.inputs[0]);
   for (size_t q = 0; q < 2; ++q) std::remove(QueryFile(proj, q).c_str());
   std::remove(bare.c_str());
+}
+
+TEST(CliBatchTest, OutputsThatAreInputsAreRefused) {
+  // Opening an output truncates it. An output that is also an input -- by
+  // the same name, by another spelling of it and a hard link, as another
+  // input's --batch output, as --index-build's index file, or as the
+  // first of two --paths-file files -- would destroy that file (and fault
+  // the run reading a mapped document), so the CLI must refuse with exit 1
+  // before it opens any output, leaving every input byte-identical.
+  Fixture fx({RecordsDoc(4000), RecordsDoc(300)});
+  const std::string dir = ::testing::TempDir();
+  const std::string& a = fx.inputs[0];
+  const std::string& b = fx.inputs[1];
+  const std::string a_spelled = dir + "/./smpx_cli_in0.xml";
+  const std::string link = dir + "/smpx_cli_in0_link.xml";
+  // b's contents as a.xml's --batch output, named as a second input.
+  const std::string a_proj = ProjectedOutputPath(a);
+  const std::string paths1 = dir + "/smpx_cli_paths1.txt";
+  const std::string paths2 = dir + "/smpx_cli_paths2.txt";
+  const std::string dtd = "--dtd \"" + fx.dtd_path + "\" ";
+  const std::string common = dtd + "--paths \"" + kPaths + "\" ";
+  for (const std::string& args :
+       {common + "\"" + a + "\" \"" + a + "\"",
+        common + "\"" + a_spelled + "\" \"" + link + "\"",
+        common + "--batch \"" + a + "\" \"" + a_proj + "\"",
+        common + "--batch --out \"" + a + "\" \"" + a + "\" \"" + b + "\"",
+        common + "--index-build \"" + a + "\" \"" + a + "\"",
+        dtd + "--paths-file \"" + paths1 + "\" --paths-file \"" + paths2 +
+            "\" \"" + a + "\" \"" + paths1 + "\""}) {
+    SCOPED_TRACE(args);
+    // Fresh inputs for every case.
+    ASSERT_TRUE(WriteStringToFile(a, fx.docs[0]).ok());
+    ASSERT_TRUE(WriteStringToFile(b, fx.docs[1]).ok());
+    ASSERT_TRUE(WriteStringToFile(a_proj, fx.docs[1]).ok());
+    ASSERT_TRUE(WriteStringToFile(paths1, kPaths).ok());
+    ASSERT_TRUE(WriteStringToFile(paths2, kPaths).ok());
+    std::remove(link.c_str());
+    ASSERT_EQ(::link(a.c_str(), link.c_str()), 0) << link;
+    CliResult r = RunCli(args);
+    EXPECT_EQ(r.exit_code, 1);
+    EXPECT_NE(r.err.find("refusing to overwrite"), std::string::npos)
+        << r.err;
+    for (const auto& [path, content] :
+         {std::make_pair(a, fx.docs[0]), std::make_pair(b, fx.docs[1]),
+          std::make_pair(a_proj, fx.docs[1]),
+          std::make_pair(paths1, std::string(kPaths))}) {
+      auto now = ReadFileToString(path);
+      ASSERT_TRUE(now.ok()) << path;
+      EXPECT_TRUE(*now == content) << path << " changed";
+    }
+    // Nothing was opened for writing, not even the outputs that are new.
+    EXPECT_FALSE(ReadFileToString(ProjectedOutputPath(a_proj)).ok());
+  }
+  for (const std::string& f :
+       {link, ProjectedOutputPath(a_proj), paths1, paths2}) {
+    std::remove(f.c_str());
+  }
 }
 
 TEST(CliBatchTest, MaxBufferBudgetKeepsOutputsByteIdentical) {

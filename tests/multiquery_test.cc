@@ -1,7 +1,8 @@
 // Differential suite for the multi-query projection engine (src/query):
 // N queries compiled into one shared product DFA must emit, for EVERY
 // original query and under EVERY driver (serial one-pass, chunked
-// streaming, speculative sharding at 1/2/4/7 threads, streaming batch),
+// streaming, speculative sharding at 1/2/4/7 threads and with more
+// segments than workers, streaming batch),
 // output byte-identical to that query's independent single-query serial
 // run -- the paper's per-query projection semantics are the oracle, the
 // product automaton is the implementation under test. Also covered:
@@ -239,6 +240,55 @@ TEST(MultiQueryTest, MedlineMixAllDriversByteIdentical) {
   MultiQuery mq = CompileMix(dtd, mix);
   EXPECT_EQ(mq.num_unique(), 3);
   ExpectAllDriversIdentical(mq, doc, expected, ref_stats);
+}
+
+TEST(MultiQueryTest, ShardsBeyondThePoolSizeMatchEachQuerysOwnRun) {
+  // A 4.5 MiB document on 4 workers: the default split cuts two segments
+  // per worker, whose per-query SpillSinks share their worker's budget.
+  // Every original query, the duplicate included, must still get its own
+  // serial run's bytes.
+  xmlgen::MedlineOptions gen;
+  gen.target_bytes = 9 << 19;
+  const std::string doc = xmlgen::GenerateMedline(gen);
+  const dtd::Dtd dtd = xmlgen::MedlineDtd();
+  const std::vector<std::string> mix = {
+      "/MedlineCitationSet/MedlineCitation/MedlineJournalInfo#",
+      "/MedlineCitationSet/MedlineCitation/DateCompleted#",
+      "/MedlineCitationSet/MedlineCitation/MedlineJournalInfo#",
+  };
+  std::vector<core::RunStats> ref_stats;
+  const std::vector<std::string> expected =
+      IndependentRuns(dtd, mix, doc, &ref_stats);
+  const MultiQuery mq = CompileMix(dtd, mix);
+  EXPECT_EQ(mq.num_unique(), 2);
+  for (size_t budget : {size_t{0}, size_t{4} << 10}) {
+    SCOPED_TRACE(budget);
+    parallel::ThreadPool pool(4);
+    parallel::ShardOptions popts;
+    popts.max_buffer_bytes = budget;
+    std::vector<StringSink> sinks(mix.size());
+    std::vector<OutputSink*> ptrs;
+    for (auto& s : sinks) ptrs.push_back(&s);
+    std::vector<std::unique_ptr<FanoutSink>> owned;
+    std::vector<OutputSink*> unique_sinks;
+    mq.RouteSinks(ptrs, &owned, &unique_sinks);
+    std::vector<core::QueryRunStats> uq_stats;
+    parallel::ShardReport report;
+    Status s = parallel::ShardedRun(mq.tables(), doc, unique_sinks, &uq_stats,
+                                    nullptr, &pool, popts, &report);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_GT(report.shards, 4u);
+    EXPECT_EQ(report.shards % 4, 0u);
+    std::vector<core::QueryRunStats> qstats;
+    mq.ExpandStats(uq_stats, &qstats);
+    ASSERT_EQ(qstats.size(), mix.size());
+    for (size_t j = 0; j < mix.size(); ++j) {
+      SCOPED_TRACE(j);
+      EXPECT_TRUE(sinks[j].str() == expected[j]);
+      EXPECT_EQ(qstats[j].output_bytes, expected[j].size());
+      EXPECT_EQ(qstats[j].matches, ref_stats[j].matches);
+    }
+  }
 }
 
 // --- Equivalence collapse -------------------------------------------------

@@ -96,6 +96,17 @@ void ExpectSameRunStats(const RunStats& a, const RunStats& b) {
   EXPECT_EQ(a.window_peak, b.window_peak);
 }
 
+/// The totals a sharded run shares with the serial one: everything but the
+/// search-effort counters, which depend on where segments start.
+void ExpectSameTotals(const RunStats& a, const RunStats& b) {
+  EXPECT_EQ(a.matches, b.matches);
+  EXPECT_EQ(a.false_matches, b.false_matches);
+  EXPECT_EQ(a.output_bytes, b.output_bytes);
+  EXPECT_EQ(a.initial_jump_chars, b.initial_jump_chars);
+  EXPECT_EQ(a.states_visited, b.states_visited);
+  EXPECT_EQ(a.input_bytes, b.input_bytes);
+}
+
 /// Runs a push-mode session over `doc` in chunks of `chunk_len` bytes.
 std::string ChunkedRun(const Prefilter& pf, std::string_view doc,
                        size_t chunk_len, RunStats* stats = nullptr,
@@ -856,12 +867,7 @@ void ExpectShardedIdentical(const Prefilter& pf, const std::string& doc,
           parallel::ShardedRun(pf.tables(), doc, &sink, &stats, &pool, opts);
       ASSERT_TRUE(s.ok()) << s.ToString();
       EXPECT_EQ(sink.str(), serial);
-      EXPECT_EQ(stats.matches, serial_stats.matches);
-      EXPECT_EQ(stats.false_matches, serial_stats.false_matches);
-      EXPECT_EQ(stats.output_bytes, serial_stats.output_bytes);
-      EXPECT_EQ(stats.initial_jump_chars, serial_stats.initial_jump_chars);
-      EXPECT_EQ(stats.states_visited, serial_stats.states_visited);
-      EXPECT_EQ(stats.input_bytes, serial_stats.input_bytes);
+      ExpectSameTotals(stats, serial_stats);
     }
   }
 }
@@ -1416,6 +1422,7 @@ struct GeneratedCase {
   Prefilter pf;
   std::string doc;
   std::string serial;
+  RunStats serial_stats;
 };
 
 const GeneratedCase& EightMegabyteCase(bool medline) {
@@ -1439,9 +1446,10 @@ const GeneratedCase& EightMegabyteCase(bool medline) {
       gen.target_bytes = 8 << 20;
       doc = xmlgen::GenerateXmark(gen);
     }
-    std::string serial = SerialRun(pf, doc);
-    cases[medline ? 1 : 0] =
-        new GeneratedCase{std::move(pf), std::move(doc), std::move(serial)};
+    RunStats stats;
+    std::string serial = SerialRun(pf, doc, &stats);
+    cases[medline ? 1 : 0] = new GeneratedCase{
+        std::move(pf), std::move(doc), std::move(serial), stats};
   });
   return *cases[medline ? 1 : 0];
 }
@@ -1473,6 +1481,69 @@ TEST(ShardedRunTest, SplitKeywordWavesRunOneAttemptPerSegment) {
       EXPECT_EQ(report.serial_bytes, 0u);
       EXPECT_LE(report.wave_bytes, c.doc.size());
     }
+  }
+}
+
+TEST(ShardedRunTest, DefaultSplitCutsSeveralSegmentsPerWorker) {
+  // Under default options a pool of W > 1 workers cuts whole waves of W
+  // segments (see ShardOptions::max_shards), so an 8 MB document runs two
+  // to four segments per worker and the pool evens out their unequal
+  // costs. Each segment still resolves once, and the budget its
+  // worker's segments share leaves output and stats alone: every RunStats
+  // field equals the same split pinned by max_shards with no budget, and
+  // every total equals the serial run's.
+  for (bool medline : {false, true}) {
+    const GeneratedCase& c = EightMegabyteCase(medline);
+    for (size_t workers : {size_t{2}, size_t{4}}) {
+      ASSERT_GE(c.doc.size(), 3 * workers * (512u << 10));
+      parallel::ThreadPool pool(static_cast<int>(workers));
+      parallel::ShardReport pinned_report;
+      RunStats pinned_stats;
+      for (size_t budget : {size_t{0}, size_t{1} << 10, size_t{64} << 10}) {
+        SCOPED_TRACE(testing::Message()
+                     << (medline ? "medline" : "xmark") << " workers="
+                     << workers << " budget=" << budget);
+        parallel::ShardOptions opts;
+        opts.max_buffer_bytes = budget;
+        parallel::ShardReport report;
+        StringSink sink;
+        RunStats stats;
+        const Status s = parallel::ShardedRun(c.pf.tables(), c.doc, &sink,
+                                              &stats, &pool, opts, &report);
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        EXPECT_TRUE(sink.str() == c.serial);
+        EXPECT_GT(report.shards, workers);
+        EXPECT_LE(report.shards, 4 * workers);
+        EXPECT_EQ(report.shards % workers, 0u);
+        EXPECT_EQ(report.accepted + report.reruns, report.shards - 1);
+        ExpectSameTotals(stats, c.serial_stats);
+        if (pinned_report.shards == 0) {
+          parallel::ShardOptions pinned;
+          pinned.max_shards = report.shards;
+          StringSink pinned_sink;
+          ASSERT_TRUE(parallel::ShardedRun(c.pf.tables(), c.doc,
+                                           &pinned_sink, &pinned_stats, &pool,
+                                           pinned, &pinned_report)
+                          .ok());
+          EXPECT_TRUE(pinned_sink.str() == c.serial);
+        }
+        EXPECT_EQ(report.shards, pinned_report.shards);
+        ExpectSameRunStats(stats, pinned_stats);
+      }
+    }
+    // A one-worker pool runs the document as one serial session.
+    SCOPED_TRACE(medline ? "medline, one worker" : "xmark, one worker");
+    parallel::ThreadPool one(1);
+    parallel::ShardReport report;
+    StringSink sink;
+    RunStats stats;
+    const Status s = parallel::ShardedRun(c.pf.tables(), c.doc, &sink,
+                                          &stats, &one, {}, &report);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_TRUE(sink.str() == c.serial);
+    EXPECT_EQ(report.shards, 1u);
+    EXPECT_EQ(report.attempts, 0u);
+    ExpectSameRunStats(stats, c.serial_stats);
   }
 }
 

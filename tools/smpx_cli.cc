@@ -13,7 +13,9 @@
 //
 // Reads stdin/writes stdout when files are omitted; all output goes
 // through a write-coalescing BufferedFileSink. File inputs are mmap'ed
-// (sequential madvise).
+// (sequential madvise). An output file that is one of the inputs (the
+// same device and inode, under any name) is refused before any output is
+// opened.
 //
 // After compilation every run takes one pipeline for 1..N queries. It
 // holds single-query tables (--paths, --paths-file, --query, --fused) or
@@ -23,9 +25,11 @@
 // output per query, ".qN" inserted before the extension (out.xml ->
 // out.q1.xml, ..., query order), each byte-identical to that query's own
 // run. The run shapes:
-//  - one document: sharded at split keywords across a --threads pool and
-//    run speculatively, each shard projecting into SpillSink segments
-//    bounded by --max-buffer and replayed into the outputs in document
+//  - one document: sharded at split keywords across a --threads pool,
+//    several segments per thread on large documents so uneven segments
+//    balance (see ShardOptions::max_shards), and run speculatively, each
+//    shard projecting into SpillSink segments that share their thread's
+//    --max-buffer budget and are replayed into the outputs in document
 //    order as verification succeeds -- a multi-GB single document stays
 //    shardable at O(threads x (window + budget)) resident memory. One
 //    thread, or tables without split keywords, run one serial session.
@@ -60,7 +64,10 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include <sys/stat.h>
 
 #include "common/io.h"
 #include "common/strings.h"
@@ -114,10 +121,11 @@ int Usage(const char* argv0) {
       "                  them) instead of per-query outputs\n"
       "  --threads N     run on N threads: one document is sharded at\n"
       "                  split keywords (elements whose entry state the\n"
-      "                  tables know) and run speculatively, or serially\n"
-      "                  when N is 1 or the tables have none; with\n"
-      "                  --batch, the documents are prefiltered\n"
-      "                  concurrently\n"
+      "                  tables know), 2 to 4 segments per thread on\n"
+      "                  documents of N x 1M or more, and run\n"
+      "                  speculatively, or serially when N is 1 or the\n"
+      "                  tables have none; with --batch, the documents\n"
+      "                  are prefiltered concurrently\n"
       "  --batch         every positional argument is an input file; each\n"
       "                  is streamed through the prefilter in bounded\n"
       "                  chunks and written to its own output file\n"
@@ -133,16 +141,16 @@ int Usage(const char* argv0) {
       "                  'queries=N unique=U')\n"
       "  --chunk S       streaming read granularity in batch mode\n"
       "                  (default 1M): bytes fed to a session per resume\n"
-      "  --max-buffer S  per-segment output buffering budget (default\n"
-      "                  64M, 0 = unbounded): each shard / batch document\n"
-      "                  buffers at most S projected bytes in memory and\n"
-      "                  overflows to an unlinked temp file until its\n"
-      "                  turn in the document-order commit. Peak resident\n"
-      "                  memory is O(threads x (window + chunk +\n"
-      "                  max-buffer)) regardless of input size; shrink\n"
-      "                  --max-buffer (and --chunk) to shard multi-GB\n"
-      "                  documents on small machines, grow them to avoid\n"
-      "                  spill I/O when memory is plentiful\n"
+      "  --max-buffer S  output buffering budget (default 64M, 0 =\n"
+      "                  unbounded): each thread's shards together, or\n"
+      "                  each batch document, buffer at most S projected\n"
+      "                  bytes in memory and overflow to an unlinked temp\n"
+      "                  file until their turn in the document-order\n"
+      "                  commit. Peak resident memory is O(threads x\n"
+      "                  (window + chunk + max-buffer)) regardless of\n"
+      "                  input size; shrink --max-buffer (and --chunk) to\n"
+      "                  shard multi-GB documents on small machines, grow\n"
+      "                  them to avoid spill I/O when memory is plentiful\n"
       "  --index-build F index one document for random access in one\n"
       "                  serial pass: record the engine checkpoint at\n"
       "                  top-level element boundaries (one per\n"
@@ -245,6 +253,35 @@ smpx::Result<std::unique_ptr<smpx::InputSource>> OpenInput(
   return std::unique_ptr<smpx::InputSource>(std::move(mapped));
 }
 
+/// True, with the clash printed, when an existing output file is one of the
+/// files the run reads: opening it would truncate that input -- a mapped
+/// document then faults the run (SIGBUS) and is lost. Files are compared
+/// by device and inode, so another spelling of the path and a hard link
+/// are caught too. Outputs that do not exist yet, and stdout (""), cannot
+/// be inputs.
+bool OutputIsAnInput(const std::vector<std::string>& inputs,
+                     const std::vector<std::string>& outputs) {
+  std::map<std::pair<dev_t, ino_t>, const std::string*> read;  // id -> name
+  struct stat st;
+  for (const std::string& path : inputs) {
+    if (!path.empty() && ::stat(path.c_str(), &st) == 0) {
+      read.emplace(std::make_pair(st.st_dev, st.st_ino), &path);
+    }
+  }
+  for (const std::string& out : outputs) {
+    if (out.empty() || ::stat(out.c_str(), &st) != 0) continue;
+    const auto in = read.find({st.st_dev, st.st_ino});
+    if (in != read.end()) {
+      std::fprintf(stderr,
+                   "output file %s is the input %s; refusing to overwrite "
+                   "it\n",
+                   out.c_str(), in->second->c_str());
+      return true;
+    }
+  }
+  return false;
+}
+
 /// The write-coalescing sink for output file `path`, or for stdout when
 /// `path` is empty; null (the error printed) when the file cannot open.
 std::unique_ptr<smpx::BufferedFileSink> OpenOutput(const std::string& path) {
@@ -264,6 +301,7 @@ int main(int argc, char** argv) {
   std::string paths_text;
   std::string query;
   std::vector<std::string> query_texts;  // one entry per --paths occurrence
+  std::vector<std::string> paths_files;  // every --paths-file read
   std::string query_file;
   bool fused = false;
   std::vector<std::string> inputs;
@@ -318,6 +356,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--paths-file") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
+      paths_files.push_back(v);
       auto content = smpx::ReadFileToString(v);
       if (!content.ok()) {
         std::fprintf(stderr, "%s\n", content.status().ToString().c_str());
@@ -493,6 +532,42 @@ int main(int argc, char** argv) {
                  "output (--out FILE or a positional out.xml)\n");
     return 2;
   }
+
+  // Outputs: names[i][j] is document i's file for original query j. Under
+  // --batch without --out every input names its own (in.xml ->
+  // in.proj.xml); otherwise one set, named after the output file ("" is
+  // stdout), serves the document or the merged batch. Product tables put
+  // ".qN" before the extension.
+  const bool per_input = batch_flag && out_file.empty();
+  const int nq = product ? static_cast<int>(query_texts.size()) : 1;
+  std::vector<std::vector<std::string>> names;
+  std::vector<std::string> outputs = {index_build_file};
+  std::map<std::string, size_t> doc_of;  // output file -> its document
+  for (size_t i = 0; i < (per_input ? inputs.size() : 1); ++i) {
+    const std::string base =
+        per_input ? smpx::ProjectedOutputPath(inputs[i]) : out_file;
+    names.emplace_back();
+    for (int j = 0; j < nq; ++j) {
+      names[i].push_back(
+          product ? QueryOutputPath(base, static_cast<size_t>(j) + 1) : base);
+      outputs.push_back(names[i].back());
+      // Repeated inputs would collapse two documents onto one output file.
+      const auto [first, fresh] = doc_of.emplace(names[i].back(), i);
+      if (!fresh) {
+        std::fprintf(stderr,
+                     "duplicate batch output file %s (inputs %s, %s)\n",
+                     names[i].back().c_str(), inputs[first->second].c_str(),
+                     inputs[i].c_str());
+        return 1;
+      }
+    }
+  }
+  // Every output is opened (and truncated) after the inputs are read or
+  // mapped, so no output may be one of them.
+  std::vector<std::string> read_files = inputs;
+  read_files.insert(read_files.end(), paths_files.begin(), paths_files.end());
+  read_files.insert(read_files.end(), {dtd_file, query_file, index_file});
+  if (OutputIsAnInput(read_files, outputs)) return 1;
 
   auto dtd_text = smpx::ReadFileToString(dtd_file);
   if (!dtd_text.ok()) {
@@ -784,34 +859,6 @@ int main(int argc, char** argv) {
           run_timer.Seconds());
     }
     return 0;
-  }
-
-  // Outputs: names[i][j] is document i's file for original query j. Under
-  // --batch without --out every input names its own (in.xml ->
-  // in.proj.xml); otherwise one set, named after the output file ("" is
-  // stdout), serves the document or the merged batch. Product tables put
-  // ".qN" before the extension.
-  const bool per_input = batch_flag && out_file.empty();
-  const int nq = mq ? mq->num_queries() : 1;
-  std::vector<std::vector<std::string>> names;
-  std::map<std::string, size_t> doc_of;  // output file -> its document
-  for (size_t i = 0; i < (per_input ? inputs.size() : 1); ++i) {
-    const std::string base =
-        per_input ? smpx::ProjectedOutputPath(inputs[i]) : out_file;
-    names.emplace_back();
-    for (int j = 0; j < nq; ++j) {
-      names[i].push_back(
-          mq ? QueryOutputPath(base, static_cast<size_t>(j) + 1) : base);
-      // Repeated inputs would collapse two documents onto one output file.
-      const auto [first, fresh] = doc_of.emplace(names[i].back(), i);
-      if (!fresh) {
-        std::fprintf(stderr,
-                     "duplicate batch output file %s (inputs %s, %s)\n",
-                     names[i].back().c_str(), inputs[first->second].c_str(),
-                     inputs[i].c_str());
-        return 1;
-      }
-    }
   }
 
   // One stats line per output file of a document; product tables report
