@@ -1,5 +1,6 @@
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -205,6 +206,22 @@ std::vector<paths::ProjectionPath> MustPaths(const char* list) {
     std::abort();
   }
   return *r;
+}
+
+bool FilesIdentical(const std::string& a, const std::string& b) {
+  auto fa = FileSource::Open(a);
+  auto fb = FileSource::Open(b);
+  if (!fa.ok() || !fb.ok() || (*fa)->size() != (*fb)->size()) return false;
+  constexpr uint64_t kPiece = uint64_t{1} << 20;
+  std::vector<char> ba, bb;
+  for (uint64_t off = 0; off < (*fa)->size(); off += kPiece) {
+    const size_t n =
+        static_cast<size_t>(std::min(kPiece, (*fa)->size() - off));
+    auto va = ReadRange(**fa, off, n, &ba);
+    auto vb = ReadRange(**fb, off, n, &bb);
+    if (!va.ok() || !vb.ok() || *va != *vb) return false;
+  }
+  return true;
 }
 
 std::string Pct(double v) {

@@ -1,7 +1,8 @@
 // Shared infrastructure for the paper-reproduction benchmark binaries:
 // the query workload catalog (XMark XM1-XM20, MEDLINE M1-M5 with curated
-// projection paths and XPath approximations), dataset caching, and
-// paper-style table formatting.
+// projection paths and XPath approximations), dataset caching,
+// paper-style table formatting, and the output-file comparison of the CLI
+// gates.
 //
 // Environment knobs:
 //   SMPX_SCALE_MB  dataset size in MB (default 24; the paper used 5 GB /
@@ -65,6 +66,11 @@ const std::string& Dataset(const std::string& kind, uint64_t bytes);
 
 /// Parses projection paths, aborting on error (workloads are static).
 std::vector<paths::ProjectionPath> MustPaths(const char* list);
+
+/// True when files `a` and `b` hold the same bytes. Both are read through
+/// FileSource in 1 MiB pieces, so a multi-hundred-MB reference output is
+/// never held in memory; an unreadable file compares unequal.
+bool FilesIdentical(const std::string& a, const std::string& b);
 
 /// Formatting helpers.
 std::string Pct(double v);

@@ -46,7 +46,7 @@ double AvgSmpThroughput(const dtd::Dtd& dtd,
       std::exit(1);
     }
     WallTimer t;
-    MemoryInputStream in(doc);
+    MemorySource in(doc);
     CountingSink out;
     Status s = pf->Run(&in, &out, nullptr);
     if (!s.ok()) {

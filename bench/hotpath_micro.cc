@@ -60,7 +60,7 @@ Measurement Measure(const core::Prefilter& pf, const std::string& doc,
                     int reps) {
   Measurement best;
   for (int r = 0; r < reps; ++r) {
-    MemoryInputStream in(doc);
+    MemorySource in(doc);
     CountingSink sink;
     core::RunStats stats;
     WallTimer timer;

@@ -289,7 +289,7 @@ int Run() {
       }
     }
     const Sample serial = Best(reps, [&] {
-      MemoryInputStream in(doc);
+      MemorySource in(doc);
       CountingSink sink;
       core::RunStats stats;
       WallTimer timer;

@@ -132,22 +132,6 @@ bool RunChild(const std::string& cli, const std::vector<std::string>& args,
   return true;
 }
 
-/// Chunked byte comparison so a multi-hundred-MB reference never lives in
-/// memory here either.
-bool FilesIdentical(const std::string& a, const std::string& b) {
-  auto fa = FileInputStream::Open(a);
-  auto fb = FileInputStream::Open(b);
-  if (!fa.ok() || !fb.ok()) return false;
-  std::vector<char> ba(1 << 20), bb(1 << 20);
-  for (;;) {
-    auto na = (*fa)->Read(ba.data(), ba.size());
-    auto nb = (*fb)->Read(bb.data(), bb.size());
-    if (!na.ok() || !nb.ok() || *na != *nb) return false;
-    if (*na == 0) return true;
-    if (std::memcmp(ba.data(), bb.data(), *na) != 0) return false;
-  }
-}
-
 int Run() {
   const std::string cli = EnvOr("SMPX_CLI", "./smpx");
   if (::access(cli.c_str(), X_OK) != 0) {

@@ -32,7 +32,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -130,22 +129,6 @@ double BestChildSeconds(int reps, const std::string& cli,
     if (best == 0 || s < best) best = s;
   }
   return best;
-}
-
-/// Chunked byte comparison so a multi-hundred-MB reference never lives in
-/// memory here either.
-bool FilesIdentical(const std::string& a, const std::string& b) {
-  auto fa = FileInputStream::Open(a);
-  auto fb = FileInputStream::Open(b);
-  if (!fa.ok() || !fb.ok()) return false;
-  std::vector<char> ba(1 << 20), bb(1 << 20);
-  for (;;) {
-    auto na = (*fa)->Read(ba.data(), ba.size());
-    auto nb = (*fb)->Read(bb.data(), bb.size());
-    if (!na.ok() || !nb.ok() || *na != *nb) return false;
-    if (*na == 0) return true;
-    if (std::memcmp(ba.data(), bb.data(), *na) != 0) return false;
-  }
 }
 
 int Run() {

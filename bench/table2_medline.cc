@@ -38,7 +38,7 @@ int Run() {
     core::RunStats stats;
     CpuTimer cpu;
     WallTimer wall;
-    MemoryInputStream in(doc);
+    MemorySource in(doc);
     CountingSink out;
     Status s = pf->Run(&in, &out, &stats);
     if (!s.ok()) {

@@ -63,7 +63,7 @@ int Run() {
     }
     core::RunStats smp_stats;
     CpuTimer smp_cpu;
-    MemoryInputStream in(doc);
+    MemorySource in(doc);
     CountingSink smp_out;
     Status s = pf->Run(&in, &smp_out, &smp_stats);
     double smp_s = smp_cpu.Seconds();

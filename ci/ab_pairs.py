@@ -13,10 +13,18 @@ which run before the timed workload.
 
 Prints one row per pair with every end-to-end metric of both sides, then,
 per metric, both sides' medians and quartiles, the median gap, and in how
-many pairs the change was better (the direction comes from the change's
-BENCHMARK.json). A claimed gain holds when the change wins at least 9 of
-10 pairs and its median gap exceeds the parent's interquartile distance;
-the `claim` column reads "yes" when both hold.
+many pairs the change was better (the direction and the bound come from
+the change's BENCHMARK.json). A claimed gain holds when the change wins at
+least 9 of 10 pairs and its median gap exceeds the parent's interquartile
+distance; the `claim` column reads "yes" when both hold. The `bound`
+column checks for a regression, every spread and gap taken relative to
+that side's (the gap: the parent's) median:
+  WORSE       the change's median is worse than the parent's by more than
+              the metric's bound;
+  unresolved  the gap is within the bound, but either side's interquartile
+              distance exceeds it and not every change run beats every
+              parent run, so the runs cannot tell;
+  ok          otherwise.
 
 Exits 1 as soon as a run fails or reads "correct": false (the pairs done
 so far are still summarised), 2 on a usage error.
@@ -24,6 +32,7 @@ so far are still summarised), 2 on a usage error.
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -33,10 +42,10 @@ SIDES = ("parent", "change")
 
 
 def load_metrics(checkout):
-    """End-to-end metric names in declaration order, with their direction."""
+    """End-to-end metrics in declaration order: (name, better, bound)."""
     with open(os.path.join(checkout, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    return [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
 
 
 def run_side(checkout, target, args, seed):
@@ -76,11 +85,31 @@ def fmt(v):
     return "%.4g" % v
 
 
+def relative(delta, base):
+    """delta / |base|; a nonzero delta over a zero base is infinite."""
+    if base:
+        return delta / abs(base)
+    return 0.0 if delta == 0 else math.copysign(math.inf, delta)
+
+
+def bound_verdict(a, b, sign, bound):
+    """WORSE, unresolved or ok for parent runs `a` and change runs `b`."""
+    aq1, amed, aq3 = quartiles(a)
+    bq1, bmed, bq3 = quartiles(b)
+    if relative(sign * (amed - bmed), amed) > bound:
+        return "WORSE"
+    spread = max(relative(aq3 - aq1, amed), relative(bq3 - bq1, bmed))
+    beats_all = min(sign * y for y in b) > max(sign * x for x in a)
+    if spread > bound and not beats_all:
+        return "unresolved"
+    return "ok"
+
+
 def summarise(rows, metrics, pairs_run):
-    print("\n%-13s %-7s %-32s %-32s %8s %7s %s" % (
+    print("\n%-13s %-7s %-32s %-32s %8s %7s %-5s %s" % (
         "metric", "better", "parent median [q1, q3]",
-        "change median [q1, q3]", "gap", "wins", "claim"))
-    for name, better in metrics:
+        "change median [q1, q3]", "gap", "wins", "claim", "bound"))
+    for name, better, bound in metrics:
         a = [r[name][0] for r in rows]
         b = [r[name][1] for r in rows]
         aq1, amed, aq3 = quartiles(a)
@@ -91,11 +120,12 @@ def summarise(rows, metrics, pairs_run):
         rel = 100.0 * gap / amed if amed else float("nan")
         claim = (wins * 10 >= 9 * len(rows) and sign * gap > 0 and
                  abs(gap) > aq3 - aq1)
-        print("%-13s %-7s %-32s %-32s %+7.1f%% %3d/%-3d %s" % (
+        print("%-13s %-7s %-32s %-32s %+7.1f%% %3d/%-3d %-5s %s (%g)" % (
             name, better,
             "%s [%s, %s]" % (fmt(amed), fmt(aq1), fmt(aq3)),
             "%s [%s, %s]" % (fmt(bmed), fmt(bq1), fmt(bq3)),
-            rel, wins, len(rows), "yes" if claim else "no"))
+            rel, wins, len(rows), "yes" if claim else "no",
+            bound_verdict(a, b, sign, bound), bound))
     if len(rows) < pairs_run:
         print("(%d of %d pairs completed)" % (len(rows), pairs_run))
 
@@ -129,7 +159,7 @@ def main():
     metrics = load_metrics(checkouts["change"])
 
     header = "pair seed  first  " + "  ".join(
-        "%s(parent/change)" % name for name, _ in metrics)
+        "%s(parent/change)" % name for name, _, _ in metrics)
     print("workload %s, %d pairs of %d s, seeds %d..%d" % (
         args.workload, args.pairs, args.seconds, args.seed,
         args.seed + args.pairs - 1))
@@ -149,11 +179,11 @@ def main():
         if error is not None:
             break
         row = {name: (got["parent"][name], got["change"][name])
-               for name, _ in metrics}
+               for name, _, _ in metrics}
         rows.append(row)
         print("%4d %4d  %-6s %s" % (i, seed, order[0], "  ".join(
             "%s/%s" % (fmt(row[name][0]), fmt(row[name][1]))
-            for name, _ in metrics)), flush=True)
+            for name, _, _ in metrics)), flush=True)
     if rows:
         summarise(rows, metrics, args.pairs)
     if error is not None:

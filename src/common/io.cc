@@ -15,18 +15,6 @@
 
 namespace smpx {
 
-Result<size_t> MemoryInputStream::Read(char* buf, size_t len) {
-  const std::string_view piece = *Lend(len);
-  std::copy(piece.begin(), piece.end(), buf);
-  return piece.size();
-}
-
-std::optional<std::string_view> MemoryInputStream::Lend(size_t len) {
-  std::string_view piece = data_.substr(pos_, len);
-  pos_ += piece.size();
-  return piece;
-}
-
 Result<std::string_view> ReadRange(const InputSource& src, uint64_t offset,
                                    size_t len, std::vector<char>* scratch) {
   const std::string_view whole = src.Contiguous();
@@ -180,29 +168,6 @@ Result<size_t> FileSource::ReadAt(uint64_t offset, char* buf,
 #else
   return Status::Internal("FileSource without pread support");
 #endif
-}
-
-Result<std::unique_ptr<FileInputStream>> FileInputStream::Open(
-    const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open '" + path + "': " +
-                           std::strerror(errno));
-  }
-  return std::unique_ptr<FileInputStream>(new FileInputStream(f));
-}
-
-FileInputStream::~FileInputStream() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-Result<size_t> FileInputStream::Read(char* buf, size_t len) {
-  size_t n = std::fread(buf, 1, len, file_);
-  if (n < len && std::ferror(file_)) {
-    return Status::IoError("read failed: " +
-                           std::string(std::strerror(errno)));
-  }
-  return n;
 }
 
 namespace {
@@ -500,7 +465,7 @@ Status OrderedCommitSink::CommitReady(std::unique_lock<std::mutex>& lock) {
     Status s = writer_(k, seg.get());
     lock.lock();
     if (!s.ok()) {
-      if (error_.ok()) error_ = s;
+      FailLocked(s);
       break;
     }
     committed_bytes_ += produced;
@@ -510,10 +475,17 @@ Status OrderedCommitSink::CommitReady(std::unique_lock<std::mutex>& lock) {
   return error_;
 }
 
+void OrderedCommitSink::FailLocked(const Status& s) {
+  if (error_.ok()) error_ = s;
+  for (std::unique_ptr<SpillSink>& seg : pending_) seg.reset();
+}
+
 Status OrderedCommitSink::Install(size_t k,
                                   std::unique_ptr<SpillSink> segment) {
   std::unique_lock<std::mutex> lock(mu_);
-  if (k >= limit_) return error_;  // truncated away; content is dropped
+  // Truncated away, or the frontier stopped for good: the content is
+  // dropped with `segment`.
+  if (k >= limit_ || !error_.ok()) return error_;
   if (ready_[k]) {
     if (error_.ok()) {
       error_ = Status::Internal("segment " + std::to_string(k) +
@@ -530,8 +502,9 @@ Status OrderedCommitSink::Install(size_t k,
     lock.unlock();
     Status s = segment->ForceSpill();
     lock.lock();
-    if (!s.ok() && error_.ok()) error_ = s;
-    if (k >= limit_) return error_;  // truncated while spilling
+    if (!s.ok()) FailLocked(s);
+    // Truncated, or an error stuck, while spilling.
+    if (k >= limit_ || !error_.ok()) return error_;
     if (ready_[k]) {
       if (error_.ok()) {
         error_ = Status::Internal("segment " + std::to_string(k) +
@@ -711,16 +684,26 @@ std::string ProjectedOutputPath(const std::string& input_path) {
   return input_path + ".proj.xml";
 }
 
-Result<std::string> ReadFileToString(const std::string& path) {
-  SMPX_ASSIGN_OR_RETURN(std::unique_ptr<FileInputStream> in,
-                        FileInputStream::Open(path));
+Result<std::string> ReadStdioToString(std::FILE* f) {
   std::string out;
   char buf[1 << 16];
-  for (;;) {
-    SMPX_ASSIGN_OR_RETURN(size_t n, in->Read(buf, sizeof(buf)));
-    if (n == 0) break;
-    out.append(buf, n);
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
+  if (std::ferror(f)) {
+    return Status::IoError("read failed: " +
+                           std::string(std::strerror(errno)));
   }
+  return out;
+}
+
+Result<std::string> ReadFileToString(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return Status::IoError("cannot open '" + path + "': " +
+                           std::strerror(errno));
+  }
+  Result<std::string> out = ReadStdioToString(f);
+  std::fclose(f);
   return out;
 }
 

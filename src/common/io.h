@@ -1,5 +1,5 @@
-// Byte-stream abstractions: random-access input sources, pull-based input
-// streams, append-only output sinks, and the sliding window the runtime
+// Byte-stream abstractions: random-access input sources (the library's one
+// input type), append-only output sinks, and the sliding window the runtime
 // engine scans through.
 
 #ifndef SMPX_COMMON_IO_H_
@@ -10,7 +10,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,30 +19,12 @@
 
 namespace smpx {
 
-/// Abstract pull source of bytes.
-class InputStream {
- public:
-  virtual ~InputStream() = default;
-
-  /// Reads up to `len` bytes into `buf`. Returns the number of bytes read;
-  /// 0 signals end of stream.
-  virtual Result<size_t> Read(char* buf, size_t len) = 0;
-
-  /// Zero-copy Read: consumes the same bytes Read(buf, len) would and
-  /// returns a view of them in the stream's backing memory, which stays
-  /// valid as long as that memory does. An empty view signals end of
-  /// stream. A stream whose bytes are not resident returns std::nullopt
-  /// and consumes nothing; the caller then copies through Read.
-  virtual std::optional<std::string_view> Lend(size_t /*len*/) {
-    return std::nullopt;
-  }
-};
-
-/// Random-access view of a whole input of known size. Unlike InputStream,
-/// an InputSource is stateless per read: concurrent ReadAt calls from
-/// multiple threads are safe, which is what the parallel sharding and batch
-/// layers build on. Implementations are backed by caller memory (zero copy)
-/// or by mmap'ed files.
+/// Random-access view of a whole input of known size: the one input type
+/// every driver reads (core::RunEngine, the batch drivers, the index
+/// build). An InputSource is stateless per read: concurrent ReadAt calls
+/// from multiple threads are safe, which is what the parallel sharding and
+/// batch layers build on. Implementations are backed by caller memory
+/// (zero copy), by mmap'ed files, or by positioned file reads.
 class InputSource {
  public:
   virtual ~InputSource() = default;
@@ -84,6 +65,10 @@ class MemorySource : public InputSource {
  private:
   std::string_view data_;
 };
+
+/// The historical name of MemorySource, kept for smpx-bench/src, which
+/// names it.
+using MemoryInputStream = MemorySource;
 
 /// InputSource over an mmap'ed file (POSIX; falls back to reading the file
 /// into memory elsewhere). The mapping is advised for sequential access so
@@ -137,34 +122,6 @@ class FileSource : public InputSource {
   int fd_;                // -1 when backed by the in-memory fallback
   uint64_t size_;
   std::string fallback_;  // owns the bytes when pread was unavailable
-};
-
-/// Input stream over caller-owned memory (zero copy).
-class MemoryInputStream : public InputStream {
- public:
-  explicit MemoryInputStream(std::string_view data) : data_(data) {}
-
-  Result<size_t> Read(char* buf, size_t len) override;
-  std::optional<std::string_view> Lend(size_t len) override;
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-/// Buffered input stream over a stdio FILE. Owns the handle.
-class FileInputStream : public InputStream {
- public:
-  /// Opens `path` for binary reading.
-  static Result<std::unique_ptr<FileInputStream>> Open(
-      const std::string& path);
-  ~FileInputStream() override;
-
-  Result<size_t> Read(char* buf, size_t len) override;
-
- private:
-  explicit FileInputStream(std::FILE* f) : file_(f) {}
-  std::FILE* file_;
 };
 
 /// Abstract append-only byte sink.
@@ -415,7 +372,10 @@ class OrderedCommitSink {
 
   /// Installs segment k's final content (null = empty segment) and commits
   /// every consecutive ready segment at the frontier. Returns the sticky
-  /// downstream/replay error, if any. Thread-safe.
+  /// writer/replay/spill error, if any. Once an error sticks the frontier
+  /// never moves again, so nothing is kept for it: the pending segments are
+  /// freed when it sticks, and a later install is freed at once and returns
+  /// the error. Thread-safe.
   Status Install(size_t k, std::unique_ptr<SpillSink> segment);
 
   /// Declares that segments [k, N) will never be installed: the frontier
@@ -438,6 +398,9 @@ class OrderedCommitSink {
   /// Advances the frontier. Called with `lock` held; segment replays drop
   /// the lock (the committing_ flag keeps commits single-threaded).
   Status CommitReady(std::unique_lock<std::mutex>& lock);
+  /// mu_ held. Makes `s` the sticky error unless one stuck first, and frees
+  /// every pending segment: the frontier will not reach them.
+  void FailLocked(const Status& s);
 
   SegmentWriter writer_;
   mutable std::mutex mu_;
@@ -588,7 +551,13 @@ class SlidingWindow {
 /// appended ("data.bin" -> "data.bin.proj.xml").
 std::string ProjectedOutputPath(const std::string& input_path);
 
-/// Reads a whole file into a string.
+/// Reads `f` to its end into a string, failing with kIoError when a read
+/// fails (a directory on stdin, say) rather than returning the bytes read
+/// so far. Does not close `f`.
+Result<std::string> ReadStdioToString(std::FILE* f);
+
+/// Reads a whole file into a string (ReadStdioToString over the opened
+/// file).
 Result<std::string> ReadFileToString(const std::string& path);
 
 /// Writes `data` to `path`, replacing any existing file.

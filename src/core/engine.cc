@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <string>
 
 #include "common/strings.h"
@@ -1033,31 +1032,37 @@ const std::vector<bool>& PrefilterSession::visited() const {
   return impl_->visited();
 }
 
-Status RunEngine(const RuntimeTables& tables, InputStream* in,
+Status RunEngine(const RuntimeTables& tables, const InputSource* in,
+                 const std::vector<OutputSink*>& query_sinks,
+                 std::vector<QueryRunStats>* query_stats, RunStats* stats,
+                 const EngineOptions& opts) {
+  PrefilterSession session(tables, query_sinks, query_stats, stats, opts);
+  // A resident source is one piece; any other is read 1 MiB at a time.
+  constexpr uint64_t kReadBytes = uint64_t{1} << 20;
+  const uint64_t total = in->size();
+  const uint64_t piece_bytes =
+      in->Contiguous().size() == total ? total : kReadBytes;
+  std::vector<char> scratch;  // stays empty over resident sources
+  for (uint64_t offset = 0; offset < total && !session.finished();) {
+    const size_t n =
+        static_cast<size_t>(std::min(piece_bytes, total - offset));
+    SMPX_ASSIGN_OR_RETURN(std::string_view piece,
+                          ReadRange(*in, offset, n, &scratch));
+    offset += n;
+    if (offset == total) return session.Finish(piece);
+    SMPX_RETURN_IF_ERROR(session.Resume(piece));
+  }
+  // Trailing bytes past a final state are ignored, as in a serial run;
+  // Finish() on a finished session only fills the summary stats. A wrong
+  // sink count surfaces here too: the session is inert.
+  return session.Finish();
+}
+
+Status RunEngine(const RuntimeTables& tables, const InputSource* in,
                  OutputSink* out, RunStats* stats,
                  const EngineOptions& opts) {
-  PrefilterSession session(tables, out, stats, opts);
-  // Lent pieces are fed one behind, so the last one goes to Finish. Bytes
-  // past a final state are neither fed nor read.
-  constexpr size_t kLendAll = std::numeric_limits<size_t>::max();
-  std::optional<std::string_view> held = in->Lend(kLendAll);
-  while (held.has_value() && !held->empty() && !session.finished()) {
-    std::optional<std::string_view> next = in->Lend(kLendAll);
-    if (next.has_value() && next->empty()) return session.Finish(*held);
-    SMPX_RETURN_IF_ERROR(session.Resume(*held));
-    held = next;  // std::nullopt: the rest must be read
-  }
-  if (!held.has_value()) {
-    // A stream that cannot lend is read through one reused buffer.
-    constexpr size_t kReadBytes = size_t{1} << 20;
-    std::unique_ptr<char[]> buf(new char[kReadBytes]);
-    while (!session.finished()) {
-      SMPX_ASSIGN_OR_RETURN(size_t n, in->Read(buf.get(), kReadBytes));
-      if (n == 0) break;
-      SMPX_RETURN_IF_ERROR(session.Resume(std::string_view(buf.get(), n)));
-    }
-  }
-  return session.Finish();
+  return RunEngine(tables, in, std::vector<OutputSink*>{out}, nullptr, stats,
+                   opts);
 }
 
 }  // namespace smpx::core

@@ -6,8 +6,10 @@
 // window over the fed document bytes, which it scans in place.
 //
 // The engine has one mode: a PrefilterSession is fed bytes with Resume and
-// given the last ones with Finish. RunEngine is a plain driver over that
-// public API.
+// given the last ones with Finish. RunEngine is the one loop that feeds a
+// session from an InputSource, a plain driver over that public API; the
+// serial run, the serial case of a sharded run and every batch document go
+// through it.
 //
 // Matched tags resolve through the interned fast path by default: the tag
 // name is scanned with pointer loops over whole resident window spans
@@ -81,7 +83,7 @@ struct EngineOptions {
   /// Sliding window capacity; the paper uses 8x the system page size. It
   /// bounds how many bytes the engine keeps resident. The window points
   /// into the fed chunks and copies only what a suspended session must
-  /// keep, so over resident input -- a MemoryInputStream, a mapped file, a
+  /// keep, so over resident input -- a MemorySource, a mapped file, a
   /// whole-document Finish -- a large capacity costs nothing.
   size_t window_capacity = SlidingWindow::kDefaultCapacity;
   /// Count the checkpoint's start state in visited()/states_visited. The
@@ -151,7 +153,7 @@ struct SessionCheckpoint {
 /// past the last completed transition) and picks up when the next chunk
 /// arrives. A whole document handed to Finish runs without suspension
 /// bookkeeping, as the historical one-shot engine did; RunEngine() below
-/// drives a session that way.
+/// drives a session that way over resident input.
 ///
 /// A session is single-threaded; parallelism comes from running many
 /// sessions (one per shard or document) against the shared tables -- see
@@ -246,18 +248,28 @@ class PrefilterSession {
 };
 
 /// Executes one prefiltering run over `in`: one PrefilterSession, fed
-/// through its public calls. Lent bytes (InputStream::Lend) are fed in
-/// place one piece behind, so the last piece goes to Finish(last): a
-/// MemoryInputStream lends the whole document at once, and its run is one
-/// zero-copy Finish(doc). A stream that cannot lend is read through one
-/// reused 1 MiB buffer, a Resume per read, then Finish(). Its output
-/// equals the lent run's. So do its RunStats while the document fits in
-/// one read, but for window_peak when a prolog construct outgrows the
-/// window (a resumable session keeps the construct resident); past one
-/// read, each read cut restarts one keyword search, as the chunk cuts of
-/// parallel::StreamRun and the index build do. A failed Read returns its
-/// Status. `tables` must outlive the call.
-Status RunEngine(const RuntimeTables& tables, InputStream* in,
+/// through its public calls, writing one output per unique query into
+/// `query_sinks` (see PrefilterSession for the sink contract; a wrong count
+/// fails with kInvalidArgument). A resident source (Contiguous() covers
+/// size(): MemorySource, MmapSource) is one zero-copy Finish(doc). Any
+/// other source is read in 1 MiB ReadRange pieces into one reused buffer,
+/// a Resume per piece and Finish on the last, so no more than one piece
+/// (plus the window) is resident. Its output equals the resident run's,
+/// and so do its RunStats while the document fits in one piece; past one,
+/// each cut restarts one keyword search, as the chunk cuts of the index
+/// build do, and a prolog construct cut across pieces stays resident
+/// (window_peak). Reading stops at a final state, as in a serial run; a
+/// failed ReadAt returns its Status, and a source that shrinks under the
+/// run fails with kIoError. `query_stats` (per unique query; one entry for
+/// single-query tables) and `stats` may be null. `tables` must outlive the
+/// call.
+Status RunEngine(const RuntimeTables& tables, const InputSource* in,
+                 const std::vector<OutputSink*>& query_sinks,
+                 std::vector<QueryRunStats>* query_stats, RunStats* stats,
+                 const EngineOptions& opts = {});
+
+/// The one-query case: `out` is the single sink of single-query tables.
+Status RunEngine(const RuntimeTables& tables, const InputSource* in,
                  OutputSink* out, RunStats* stats,
                  const EngineOptions& opts = {});
 

@@ -91,15 +91,15 @@ Result<Prefilter> Prefilter::Compile(dtd::Dtd dtd,
   return pf;
 }
 
-Status Prefilter::Run(InputStream* in, OutputSink* out, RunStats* stats,
-                      const EngineOptions& opts) const {
+Status Prefilter::Run(const InputSource* in, OutputSink* out,
+                      RunStats* stats, const EngineOptions& opts) const {
   return RunEngine(*tables_, in, out, stats, opts);
 }
 
 Result<std::string> Prefilter::RunOnBuffer(std::string_view document,
                                            RunStats* stats,
                                            const EngineOptions& opts) const {
-  MemoryInputStream in(document);
+  const MemorySource in(document);
   StringSink sink;
   SMPX_RETURN_IF_ERROR(RunEngine(*tables_, &in, &sink, stats, opts));
   return sink.TakeString();

@@ -9,7 +9,7 @@
 //   auto dtd   = smpx::dtd::Dtd::Parse(dtd_text);
 //   auto paths = smpx::paths::ProjectionPath::ParseList("/site//item# /*");
 //   auto pf    = smpx::core::Prefilter::Compile(std::move(*dtd), *paths);
-//   smpx::MemoryInputStream in(document);
+//   smpx::MemorySource in(document);
 //   smpx::StringSink out;
 //   smpx::core::RunStats stats;
 //   pf->Run(&in, &out, &stats);
@@ -72,9 +72,9 @@ class Prefilter {
                                    std::vector<paths::ProjectionPath> paths,
                                    const CompileOptions& opts = {});
 
-  /// Prefilters one document from `in` into `out`.
-  Status Run(InputStream* in, OutputSink* out, RunStats* stats = nullptr,
-             const EngineOptions& opts = {}) const;
+  /// Prefilters one document from `in` into `out` (RunEngine).
+  Status Run(const InputSource* in, OutputSink* out,
+             RunStats* stats = nullptr, const EngineOptions& opts = {}) const;
 
   /// Convenience: whole-buffer in, string out.
   Result<std::string> RunOnBuffer(std::string_view document,

@@ -2,37 +2,13 @@
 
 #include <algorithm>
 #include <memory>
-#include <string_view>
+#include <string>
 #include <vector>
 
 #include "common/io.h"
 #include "parallel/shard.h"
 
 namespace smpx::parallel {
-
-Status StreamRun(const core::RuntimeTables& tables, const InputSource& src,
-                 const std::vector<OutputSink*>& sinks,
-                 std::vector<core::QueryRunStats>* query_stats,
-                 core::RunStats* stats, const StreamOptions& opts) {
-  core::PrefilterSession session(tables, sinks, query_stats, stats,
-                                 opts.engine);
-  const size_t chunk = std::max<size_t>(1, opts.chunk_bytes);
-  std::vector<char> scratch;  // stays empty over resident sources
-  const uint64_t total = src.size();
-  for (uint64_t offset = 0; offset < total && !session.finished();) {
-    const size_t n =
-        static_cast<size_t>(std::min<uint64_t>(chunk, total - offset));
-    SMPX_ASSIGN_OR_RETURN(std::string_view piece,
-                          ReadRange(src, offset, n, &scratch));
-    offset += n;
-    if (offset == total) return session.Finish(piece);
-    SMPX_RETURN_IF_ERROR(session.Resume(piece));
-  }
-  // Trailing bytes past a final state are ignored, as in a serial run;
-  // Finish() on a finished session only fills the summary stats. A wrong
-  // sink count surfaces here too: the session is inert.
-  return session.Finish();
-}
 
 std::vector<Status> BatchRunStreaming(
     const core::RuntimeTables& tables,
@@ -53,10 +29,12 @@ std::vector<Status> BatchRunStreaming(
   // batch stays well under tight fd limits.
   SpillArena arena;
   // Segment k = doc * m + query: the frontier walks documents in order
-  // and each document's queries in MultiQueryInfo order.
+  // and each document's queries in MultiQueryInfo order. A document's
+  // status is written before its segments are installed, and the writer
+  // runs only on installed segments, so it reads a final status.
   OrderedCommitSink commit(
-      [&write, m](size_t k, SpillSink* seg) {
-        return write(k / m, k % m, seg);
+      [&write, &statuses, m](size_t k, SpillSink* seg) {
+        return write(k / m, k % m, statuses[k / m], seg);
       },
       docs.size() * m);
   pool->RunAndWait(docs.size(), [&](size_t i) {
@@ -66,10 +44,10 @@ std::vector<Status> BatchRunStreaming(
       segs.push_back(std::make_unique<SpillSink>(budget, &arena));
       sinks.push_back(segs.back().get());
     }
-    statuses[i] = StreamRun(
-        tables, *docs[i], sinks,
+    statuses[i] = core::RunEngine(
+        tables, docs[i], sinks,
         query_stats != nullptr ? &(*query_stats)[i] : nullptr,
-        stats != nullptr ? &(*stats)[i] : nullptr, opts);
+        stats != nullptr ? &(*stats)[i] : nullptr, opts.engine);
     // Install even on failure: the writer receives the partial projection
     // produced before it.
     for (size_t u = 0; u < m; ++u) {
@@ -91,25 +69,21 @@ Status BatchRunStreamingMerged(const core::RuntimeTables& tables,
                                const std::vector<const InputSource*>& docs,
                                OutputSink* out, core::RunStats* stats,
                                ThreadPool* pool, const StreamOptions& opts) {
-  const size_t budget = opts.max_buffer_bytes != 0 ? opts.max_buffer_bytes
-                                                   : SpillSink::kUnlimited;
-  SpillArena arena;  // one spill fd for every overflowing segment
-  OrderedCommitSink commit(out, docs.size());
-  std::vector<Status> statuses(docs.size());
-  std::vector<core::RunStats> doc_stats(docs.size());
-  pool->RunAndWait(docs.size(), [&](size_t i) {
-    auto seg = std::make_unique<SpillSink>(budget, &arena);
-    statuses[i] = StreamRun(tables, *docs[i], {seg.get()}, nullptr,
-                            &doc_stats[i], opts);
-    if (statuses[i].ok()) {
-      // The frontier cannot pass an uninstalled segment, so a document
-      // that will fail can never be overtaken by its successors' output:
-      // the commit below emits exactly the clean document prefix.
-      commit.Install(i, std::move(seg));
-    } else {
-      commit.Truncate(i);
-    }
-  });
+  if (core::QueryCount(tables) != 1) {
+    return Status::InvalidArgument(
+        "a merged batch writes one output; the tables have " +
+        std::to_string(core::QueryCount(tables)) + " queries");
+  }
+  // A failed document's run status stops the frontier in front of its
+  // bytes, so `out` receives exactly the clean document prefix.
+  std::vector<core::RunStats> doc_stats;
+  const std::vector<Status> statuses = BatchRunStreaming(
+      tables, docs,
+      [out](size_t, size_t, const Status& run, SpillSink* seg) {
+        if (!run.ok()) return run;
+        return seg != nullptr ? seg->CopyTo(out) : Status::Ok();
+      },
+      nullptr, &doc_stats, pool, opts);
   size_t max_visited = 0;
   for (size_t i = 0; i < docs.size(); ++i) {
     if (!statuses[i].ok()) return statuses[i];
@@ -121,7 +95,7 @@ Status BatchRunStreamingMerged(const core::RuntimeTables& tables,
       stats->states_visited = max_visited;
     }
   }
-  return commit.status();
+  return Status::Ok();
 }
 
 }  // namespace smpx::parallel

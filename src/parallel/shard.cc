@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/strings.h"
-#include "parallel/batch.h"
 
 namespace smpx::parallel {
 namespace {
@@ -48,19 +47,18 @@ std::string_view TagNameAt(std::string_view doc, uint64_t pos) {
                     end - static_cast<size_t>(pos) - 1);
 }
 
-/// The whole document as one session on the calling thread, straight into
-/// the caller's sinks: ShardedRun's run when it finds no split point.
+/// The whole document as one core::RunEngine run on the calling thread --
+/// one Finish over the resident bytes, straight into the caller's sinks:
+/// ShardedRun's run when it finds no split point.
 Status RunWhole(const core::RuntimeTables& tables, std::string_view doc,
                 const std::vector<OutputSink*>& sinks,
                 std::vector<core::QueryRunStats>* query_stats,
                 core::RunStats* stats, const core::EngineOptions& eopts,
                 ShardReport* report) {
-  StreamOptions sopts;
-  sopts.engine = eopts;
-  sopts.chunk_bytes = doc.size();  // one Resume over the resident bytes
+  const MemorySource src(doc);
   core::RunStats local;
   const Status status =
-      StreamRun(tables, MemorySource(doc), sinks, query_stats, &local, sopts);
+      core::RunEngine(tables, &src, sinks, query_stats, &local, eopts);
   if (stats != nullptr) {
     MergeRunStats(stats, local);
     stats->states_visited = local.states_visited;

@@ -11,9 +11,9 @@
 // never re-executed.
 //
 // Execution: RunOnBuffer makes one serial pass over an in-memory
-// document. The product tables are ordinary RuntimeTables, so every
-// src/parallel driver -- parallel::StreamRun (bounded-memory streaming),
-// parallel::ShardedRun (speculative sharding) and
+// document. The product tables are ordinary RuntimeTables, so
+// core::RunEngine (one document from any InputSource) and every
+// src/parallel driver -- parallel::ShardedRun (speculative sharding) and
 // parallel::BatchRunStreaming (per-document batches) -- runs them
 // unchanged, taking one sink per unique query; RouteSinks and ExpandStats
 // translate between original and unique queries. A fused superset

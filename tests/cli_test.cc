@@ -3,11 +3,12 @@
 // multi-query mode), duplicate output names and outputs that are inputs
 // (compared by device and inode) refused, document-order
 // per-input stats, per-document error isolation with a nonzero exit code,
-// the --out concatenation mode's argument-order merge, and batches under a
-// tight fd limit. One document: multi-query runs at one and four threads,
-// --fused, --query, --tables, stdin to stdout, and the --stats time
-// against the process's wall time. Index mode: build, seek and failing
-// closed. The binary path is injected by CMake as SMPX_CLI_PATH; expected
+// the --out concatenation mode's argument-order merge, batches under a
+// tight fd limit, and a window that stays bounded in both batch shapes.
+// One document: multi-query runs at one and four threads, --fused,
+// --query, --tables, stdin to stdout, an unreadable input reported as a
+// read error, and the --stats time against the process's wall time. Index
+// mode: build, seek and failing closed. The binary path is injected by CMake as SMPX_CLI_PATH; expected
 // outputs come from the library's serial engine over the same inputs.
 
 #include <chrono>
@@ -310,10 +311,10 @@ TEST(CliBatchTest, MaxBufferBudgetKeepsOutputsByteIdentical) {
   EXPECT_EQ(*content, expected0);
   std::remove(out.c_str());
 
-  // Batch --out through the streaming merged driver with a suffixed size.
+  // Batch --out through the merged driver with a suffixed size.
   std::string merged = ::testing::TempDir() + "/smpx_cli_budget_merged.xml";
   r = RunCli("--dtd \"" + fx.dtd_path + "\" --paths \"" + kPaths +
-             "\" --batch --threads 2 --max-buffer 1KiB --chunk 64 --out \"" +
+             "\" --batch --threads 2 --max-buffer 1KiB --out \"" +
              merged + "\"" + fx.InputArgs());
   ASSERT_EQ(r.exit_code, 0) << r.err;
   content = ReadFileToString(merged);
@@ -341,6 +342,34 @@ TEST(CliBatchTest, OutFlagConcatenatesInArgumentOrder) {
   std::string expected;
   for (const std::string& d : fx.docs) expected += SerialExpected(d);
   EXPECT_EQ(*content, expected);
+  std::remove(merged.c_str());
+}
+
+TEST(CliBatchTest, BatchWindowStaysBoundedOverALongProlog) {
+  // The root follows a 4 MiB comment. A batch document runs like a single
+  // one: scanned in place with no suspension, so the comment never has to
+  // stay resident and the window keeps its 64 KiB capacity, with and
+  // without --out.
+  const std::string doc =
+      "<!--" + std::string(size_t{4} << 20, 'x') + "-->" + RecordsDoc(2000);
+  Fixture fx({doc, doc});
+  const std::string base = "--dtd \"" + fx.dtd_path + "\" --paths \"" +
+                           kPaths + "\" --window 64K --stats ";
+  const std::string merged = ::testing::TempDir() + "/smpx_cli_prolog.xml";
+  for (const std::string& args :
+       {base + "\"" + fx.inputs[0] + "\" \"" + merged + "\"",
+        base + "--batch" + fx.InputArgs(),
+        base + "--batch --out \"" + merged + "\"" + fx.InputArgs()}) {
+    SCOPED_TRACE(args);
+    CliResult r = RunCli(args);
+    ASSERT_EQ(r.exit_code, 0) << r.err;
+    EXPECT_NE(r.err.find("window_peak=65536\n"), std::string::npos) << r.err;
+  }
+  auto content = ReadFileToString(merged);
+  ASSERT_TRUE(content.ok());
+  EXPECT_EQ(*content, SerialExpected(doc) + SerialExpected(doc));
+  EXPECT_EQ(*ReadFileToString(ProjectedOutputPath(fx.inputs[1])),
+            SerialExpected(doc));
   std::remove(merged.c_str());
 }
 
@@ -520,6 +549,22 @@ TEST(CliRunTest, StdinToStdout) {
                        "\" <\"" + fx.inputs[0] + "\"");
   ASSERT_EQ(r.exit_code, 0) << r.err;
   EXPECT_EQ(r.out, SerialExpected(fx.docs[0]));
+}
+
+TEST(CliRunTest, UnreadableInputIsAReadError) {
+  // A directory cannot be read, whether named as the input or redirected
+  // to stdin: both must fail as a read error, not as a document that
+  // ended early.
+  Fixture fx({});
+  const std::string dir = ::testing::TempDir();
+  for (const std::string& input : {"\"" + dir + "\"", "<\"" + dir + "\""}) {
+    SCOPED_TRACE(input);
+    CliResult r = RunCli("--dtd \"" + fx.dtd_path + "\" --paths \"" + kPaths +
+                         "\" " + input);
+    EXPECT_EQ(r.exit_code, 1);
+    EXPECT_NE(r.err.find("IoError: read failed"), std::string::npos) << r.err;
+    EXPECT_EQ(r.err.find("ParseError"), std::string::npos) << r.err;
+  }
 }
 
 TEST(CliRunTest, StatsTimeFitsInsideTheProcessWallTime) {

@@ -117,20 +117,6 @@ TEST(StringsTest, HumanBytes) {
   EXPECT_EQ(HumanBytes(2.5 * 1024 * 1024), "2.50MB");
 }
 
-TEST(MemoryInputStreamTest, ReadsInChunks) {
-  MemoryInputStream in("hello world");
-  char buf[128];  // Read fills up to `len` bytes: the buffer must hold them
-  auto r = in.Read(buf, 4);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, 4u);
-  EXPECT_EQ(std::string(buf, 4), "hell");
-  r = in.Read(buf, 100);
-  EXPECT_EQ(*r, 7u);
-  EXPECT_EQ(std::string(buf, 7), "o world");
-  r = in.Read(buf, 4);
-  EXPECT_EQ(*r, 0u) << "EOF reached";
-}
-
 TEST(FileRoundTripTest, WriteThenRead) {
   std::string path = testing::TempDir() + "/smpx_io_test.txt";
   ASSERT_TRUE(WriteStringToFile(path, "round trip \0 data").ok());

@@ -327,7 +327,7 @@ TEST(EngineTest, LargeCopiedRegionStreamsThroughSmallWindow) {
 
 TEST(EngineTest, InvalidDocumentReportsParseError) {
   Prefilter pf = Compile(kPaperDtd, "/a/b#");
-  MemoryInputStream in("<a><b>never closed");
+  MemorySource in("<a><b>never closed");
   StringSink out;
   Status s = pf.Run(&in, &out);
   EXPECT_FALSE(s.ok());

@@ -3,7 +3,7 @@
 // (TableOptions::use_map_dispatch): over generator output and hand-built
 // edge documents, both engine paths must produce byte-identical
 // projections and identical match/jump statistics. The small-window sweep
-// also runs both paths over a stream that cannot lend its bytes.
+// also runs both paths over a source that is read, not lent.
 
 #include <string>
 #include <vector>
@@ -96,17 +96,12 @@ TEST(DispatchDiffTest, MedlineGeneratorOutputIsByteIdentical) {
   }
 }
 
-/// A stream that implements only Read: the window copies every byte into
-/// owned storage instead of scanning the caller's memory in place.
-class CopyOnlyStream : public InputStream {
+/// A source that hides its contiguity: RunEngine reads it through ReadAt
+/// into its own buffer instead of scanning the caller's memory in place.
+class RollingSource : public MemorySource {
  public:
-  explicit CopyOnlyStream(std::string_view data) : in_(data) {}
-  Result<size_t> Read(char* buf, size_t len) override {
-    return in_.Read(buf, len);
-  }
-
- private:
-  MemoryInputStream in_;
+  using MemorySource::MemorySource;
+  std::string_view Contiguous() const override { return {}; }
 };
 
 void ExpectSameRunStats(const RunStats& a, const RunStats& b) {
@@ -126,25 +121,26 @@ void ExpectSameRunStats(const RunStats& a, const RunStats& b) {
   EXPECT_EQ(a.window_peak, b.window_peak);
 }
 
-/// A run over a copy-only stream must equal the in-place run over the
-/// caller's buffer: same bytes, every RunStats field equal.
-void ExpectCopyOnlyIdentical(const Prefilter& pf, std::string_view doc,
-                             const EngineOptions& opts) {
+/// A run over a source that is read, not lent, must equal the in-place run
+/// over the caller's buffer: same bytes, every RunStats field equal.
+void ExpectRollingIdentical(const Prefilter& pf, std::string_view doc,
+                            const EngineOptions& opts) {
   RunStats lent_stats;
   auto lent = pf.RunOnBuffer(doc, &lent_stats, opts);
   ASSERT_TRUE(lent.ok()) << lent.status().ToString();
-  CopyOnlyStream in(doc);
+  const RollingSource in(doc);
   StringSink sink;
-  RunStats copy_stats;
-  ASSERT_TRUE(pf.Run(&in, &sink, &copy_stats, opts).ok());
+  RunStats read_stats;
+  ASSERT_TRUE(pf.Run(&in, &sink, &read_stats, opts).ok());
   ASSERT_EQ(sink.str(), *lent);
-  ExpectSameRunStats(copy_stats, lent_stats);
+  ExpectSameRunStats(read_stats, lent_stats);
 }
 
-TEST(DispatchDiffTest, CopyOnlyStreamAcrossSeveralReadsStaysIdentical) {
-  // RunEngine reads a stream that cannot lend in 1 MiB pieces, one Resume
-  // each: a document of several MiB crosses read cuts, where a keyword
-  // search restarts. The bytes and the match counts must not change.
+TEST(DispatchDiffTest, RollingSourceAcrossSeveralReadsStaysIdentical) {
+  // RunEngine reads a source that is not resident in 1 MiB pieces, one
+  // Resume each: a document of several MiB crosses read cuts, where a
+  // keyword search restarts. The bytes and the match counts must not
+  // change.
   xmlgen::XmarkOptions gen;
   gen.target_bytes = 3 << 20;
   const std::string doc = xmlgen::GenerateXmark(gen);
@@ -158,22 +154,23 @@ TEST(DispatchDiffTest, CopyOnlyStreamAcrossSeveralReadsStaysIdentical) {
       RunStats lent_stats;
       auto lent = p->RunOnBuffer(doc, &lent_stats);
       ASSERT_TRUE(lent.ok()) << lent.status().ToString();
-      CopyOnlyStream in(doc);
+      const RollingSource in(doc);
       StringSink sink;
-      RunStats copy_stats;
-      ASSERT_TRUE(p->Run(&in, &sink, &copy_stats).ok());
+      RunStats read_stats;
+      ASSERT_TRUE(p->Run(&in, &sink, &read_stats).ok());
       ASSERT_EQ(sink.str(), *lent);
-      EXPECT_EQ(copy_stats.matches, lent_stats.matches);
-      EXPECT_EQ(copy_stats.false_matches, lent_stats.false_matches);
-      EXPECT_EQ(copy_stats.output_bytes, lent_stats.output_bytes);
+      EXPECT_EQ(read_stats.matches, lent_stats.matches);
+      EXPECT_EQ(read_stats.false_matches, lent_stats.false_matches);
+      EXPECT_EQ(read_stats.output_bytes, lent_stats.output_bytes);
     }
   }
 }
 
 TEST(DispatchDiffTest, SmallWindowStreamingStaysIdentical) {
   // Window refills hit the span-boundary fallbacks of the bulk scanner;
-  // a tiny window forces them constantly. Each window also runs with a
-  // copying stream, which must not change a byte or a counter.
+  // a tiny window forces them constantly. Each window also runs over a
+  // source that is read into a buffer, which must not change a byte or a
+  // counter.
   xmlgen::XmarkOptions gen;
   gen.target_bytes = 200 << 10;
   std::string doc = xmlgen::GenerateXmark(gen);
@@ -184,8 +181,8 @@ TEST(DispatchDiffTest, SmallWindowStreamingStaysIdentical) {
     EngineOptions opts;
     opts.window_capacity = window;
     ExpectIdentical(pf, doc, opts);
-    ExpectCopyOnlyIdentical(pf.interned, doc, opts);
-    ExpectCopyOnlyIdentical(pf.map_based, doc, opts);
+    ExpectRollingIdentical(pf.interned, doc, opts);
+    ExpectRollingIdentical(pf.map_based, doc, opts);
   }
 }
 

@@ -108,7 +108,7 @@ TEST(EngineEdgeTest, FileBasedStreamingRun) {
   ASSERT_TRUE(WriteStringToFile(in_path, doc).ok());
   core::Prefilter pf = Compile(kPaperDtd, "/a/b#");
 
-  auto in = FileInputStream::Open(in_path);
+  auto in = FileSource::Open(in_path);
   ASSERT_TRUE(in.ok());
   StringSink out;
   ASSERT_TRUE(pf.Run(in->get(), &out).ok());
@@ -116,30 +116,30 @@ TEST(EngineEdgeTest, FileBasedStreamingRun) {
   std::remove(in_path.c_str());
 }
 
-/// Serves `data` through Read only and fails every read at or past byte
-/// `fail_at` with an I/O error.
-class FailingStream : public InputStream {
+/// Serves `data` through ReadAt only (no Contiguous()) and fails every
+/// read at or past byte `fail_at` with an I/O error.
+class FailingSource : public InputSource {
  public:
-  FailingStream(std::string_view data, size_t fail_at)
+  FailingSource(std::string_view data, size_t fail_at)
       : data_(data), fail_at_(fail_at) {}
-  Result<size_t> Read(char* buf, size_t len) override {
-    if (pos_ >= fail_at_) return Status::IoError("injected read failure");
-    const std::string_view piece =
-        data_.substr(pos_, std::min(len, fail_at_ - pos_));
+  uint64_t size() const override { return data_.size(); }
+  Result<size_t> ReadAt(uint64_t offset, char* buf,
+                        size_t len) const override {
+    if (offset >= fail_at_) return Status::IoError("injected read failure");
+    const std::string_view piece = data_.substr(
+        offset, std::min<uint64_t>(len, fail_at_ - offset));
     std::copy(piece.begin(), piece.end(), buf);
-    pos_ += piece.size();
     return piece.size();
   }
 
  private:
   std::string_view data_;
   size_t fail_at_;
-  size_t pos_ = 0;
 };
 
 TEST(EngineEdgeTest, FailedReadReturnsItsStatus) {
   // A read error is not the end of the document: the run must report the
-  // stream's error, not a parse error about the bytes it never got.
+  // source's error, not a parse error about the bytes it never got.
   xmlgen::XmarkOptions gen;
   gen.target_bytes = 580 << 10;
   const std::string doc = xmlgen::GenerateXmark(gen);
@@ -148,7 +148,7 @@ TEST(EngineEdgeTest, FailedReadReturnsItsStatus) {
   ASSERT_TRUE(pf.RunOnBuffer(doc).ok());
   for (size_t fail_at : {size_t{100} << 10, doc.size() - 2}) {
     SCOPED_TRACE(fail_at);
-    FailingStream in(doc, fail_at);
+    const FailingSource in(doc, fail_at);
     CountingSink out;
     const Status s = pf.Run(&in, &out);
     EXPECT_EQ(s.code(), StatusCode::kIoError) << s.ToString();

@@ -1,20 +1,21 @@
 // Seeded randomized differential fuzz suite for the parallel subsystem:
 // every generated (DTD, document, paths) case is prefiltered by the serial
-// engine (ground truth), a chunked push-mode session, ShardedRun at
+// engine (ground truth), a session fed in random chunks, ShardedRun at
 // 1/2/4/7 threads, the per-document batch driver (BatchRunStreaming, its
-// segments copied out through the writer callback), the merged batch
-// driver (BatchRunStreamingMerged), and an index-resume mode
-// (BoundaryIndex at random granularity, built in place and through
-// rolling buffers -- the two must agree on every durable field -- then
-// cursors opened at random byte targets plus token round-trips, each
-// drained against the serial projection's suffix), at randomized window,
-// chunk, shard, and
+// segments copied out through the writer callback, over a resident source
+// and one read through ReadAt), the merged batch driver
+// (BatchRunStreamingMerged), and an index-resume mode (BoundaryIndex at
+// random granularity, built in place and through rolling buffers -- the
+// two must agree on every durable field -- then cursors opened at random
+// byte targets plus token round-trips, each drained against the serial
+// projection's suffix), at randomized window, chunk, shard, and
 // output-buffer budget geometries (tiny budgets force the SpillSink
 // overflow and ordered-commit paths on nearly every case) -- outputs must
 // be byte-identical and the semantic statistics must match. Family 4
-// replays cases under every SIMD dispatch tier; family 5 runs random
-// multi-query mixes through the same ShardedRun and StreamRun drivers
-// (one sink per unique query) against each query's independent run.
+// replays cases under every SIMD dispatch tier and over a source read
+// through ReadAt; family 5 runs random multi-query mixes through
+// ShardedRun and a session fed in random chunks (one sink per unique
+// query) against each query's independent run.
 // Documents come from the src/xmlgen samplers (random nonrecursive DTDs
 // plus XMark/MEDLINE/protein), with an adversarial edge-mix pass injecting
 // comments, CDATA sections, processing instructions, and stray closing
@@ -113,25 +114,12 @@ std::vector<uint64_t> TokenizerTopLevelStarts(std::string_view doc) {
   return starts;
 }
 
-/// A source that hides its contiguity, forcing the index build through
-/// its rolling buffers.
+/// A source that hides its contiguity: the index build reads it through
+/// its rolling buffers, RunEngine through ReadAt into its own buffer.
 class RollingSource : public MemorySource {
  public:
   using MemorySource::MemorySource;
   std::string_view Contiguous() const override { return {}; }
-};
-
-/// A stream that implements only Read: the engine's window then copies
-/// every byte into owned storage instead of scanning it in place.
-class CopyOnlyStream : public InputStream {
- public:
-  explicit CopyOnlyStream(std::string_view data) : in_(data) {}
-  Result<size_t> Read(char* buf, size_t len) override {
-    return in_.Read(buf, len);
-  }
-
- private:
-  MemoryInputStream in_;
 };
 
 /// Index entries agree on every field that does not depend on where the
@@ -215,20 +203,20 @@ void ExpectAllModesIdentical(const Prefilter& pf, const std::string& doc,
     EXPECT_EQ(report.accepted + report.reruns, report.speculated);
   }
 
-  // Streaming batch (the document plus a sibling copy) at a random chunk.
+  // Batch of the document, resident and read through ReadAt.
   {
     parallel::ThreadPool pool(3);
     parallel::StreamOptions sopts;
     sopts.engine = eopts;
-    sopts.chunk_bytes = static_cast<size_t>(xmlgen::Uniform(rng, 1, 4096));
     MemorySource src(doc);
-    std::vector<const InputSource*> docs = {&src, &src};
+    RollingSource rolled(doc);
+    std::vector<const InputSource*> docs = {&src, &rolled};
     StringSink s0, s1;
     std::vector<OutputSink*> sinks = {&s0, &s1};
     std::vector<RunStats> stats;
     std::vector<Status> statuses = parallel::BatchRunStreaming(
         pf.tables(), docs,
-        [&sinks](size_t d, size_t, SpillSink* seg) {
+        [&sinks](size_t d, size_t, const Status&, SpillSink* seg) {
           return seg != nullptr ? seg->CopyTo(sinks[d]) : Status::Ok();
         },
         nullptr, &stats, &pool, sopts);
@@ -237,9 +225,8 @@ void ExpectAllModesIdentical(const Prefilter& pf, const std::string& doc,
       EXPECT_EQ(stats[i].matches, serial_stats.matches);
       EXPECT_EQ(stats[i].output_bytes, serial_stats.output_bytes);
     }
-    EXPECT_EQ(s0.str(), *serial)
-        << "streaming diverged, chunk=" << sopts.chunk_bytes;
-    EXPECT_EQ(s1.str(), *serial);
+    EXPECT_EQ(s0.str(), *serial) << "batch diverged";
+    EXPECT_EQ(s1.str(), *serial) << "batch over a read source diverged";
   }
 
   // Index-resumed random access: build a boundary index at a random
@@ -295,14 +282,13 @@ void ExpectAllModesIdentical(const Prefilter& pf, const std::string& doc,
     }
   }
 
-  // Streaming merged batch through spill segments and the ordered-commit
-  // frontier, at a tiny budget so docs regularly overflow to disk and
-  // out-of-order completions park spilled.
+  // Merged batch through spill segments and the ordered-commit frontier,
+  // at a tiny budget so docs regularly overflow to disk and out-of-order
+  // completions park spilled.
   {
     parallel::ThreadPool pool(3);
     parallel::StreamOptions sopts;
     sopts.engine = eopts;
-    sopts.chunk_bytes = static_cast<size_t>(xmlgen::Uniform(rng, 1, 4096));
     sopts.max_buffer_bytes =
         static_cast<size_t>(xmlgen::Uniform(rng, 1, 65));
     MemorySource src(doc);
@@ -313,8 +299,7 @@ void ExpectAllModesIdentical(const Prefilter& pf, const std::string& doc,
                                                  &stats, &pool, sopts);
     ASSERT_TRUE(s.ok()) << s.ToString();
     EXPECT_EQ(merged.str(), *serial + *serial + *serial)
-        << "streaming merged diverged, chunk=" << sopts.chunk_bytes
-        << " budget=" << sopts.max_buffer_bytes;
+        << "merged batch diverged, budget=" << sopts.max_buffer_bytes;
     EXPECT_EQ(stats.matches, 3 * serial_stats.matches);
     EXPECT_EQ(stats.output_bytes, 3 * serial_stats.output_bytes);
   }
@@ -543,8 +528,8 @@ TEST(FuzzDiffTest, ProteinSampledDocumentsAcrossAllModes) {
 // scan_chars -- must match, and the structural boundary scanner must pick
 // identical split points. Tiers change how fast structural bytes are
 // classified, never which bytes are classified. Each case also runs over a
-// stream that cannot lend its bytes, so the window copies instead of
-// scanning in place; every RunStats field must still match.
+// source that is read through ReadAt into a buffer instead of scanned in
+// place; every RunStats field must still match.
 
 TEST(FuzzDiffTest, EveryDispatchTierReplaysByteIdentical) {
   const simd::Isa saved = simd::ActiveIsa();
@@ -586,10 +571,11 @@ TEST(FuzzDiffTest, EveryDispatchTierReplaysByteIdentical) {
       EXPECT_EQ(parallel::FindTopLevelBoundaries(doc, 5), ref_bounds);
     }
 
-    // Copying instead of lending the bytes changes no byte and no counter.
-    SCOPED_TRACE("copy-only stream");
+    // Reading the bytes through ReadAt instead of lending them changes no
+    // byte and no counter.
+    SCOPED_TRACE("rolling source");
     simd::SetIsa(simd::Isa::kScalar);
-    CopyOnlyStream in(doc);
+    const RollingSource in(doc);
     StringSink sink;
     RunStats stats;
     ASSERT_TRUE(pf->Run(&in, &sink, &stats, eopts).ok());
@@ -615,7 +601,7 @@ TEST(FuzzDiffTest, EveryDispatchTierReplaysByteIdentical) {
 // --- Family 5: multi-query product vs independent single-query runs -------
 // Random 2-8 query mixes (with occasional exact duplicates) compile into
 // one shared product DFA and run serially, sharded at 2 and 4 threads
-// with a tiny spill budget, and through the streaming driver; every
+// with a tiny spill budget, and as a session fed in chunks; every
 // ORIGINAL query's bytes and semantic statistics must equal its own
 // independent single-query serial run. This is the differential contract
 // the multi-query engine ships under: one pass, N projections, each
@@ -712,12 +698,10 @@ TEST(FuzzDiffTest, MultiQueryMixesMatchIndependentRuns) {
       check("sharded t=" + std::to_string(threads), sinks, qstats);
     }
 
-    // Streaming driver at a random chunk size.
+    // A session fed in chunks of a random size.
     {
-      parallel::StreamOptions sopts;
-      sopts.engine = eopts;
-      sopts.chunk_bytes = static_cast<size_t>(xmlgen::Uniform(&rng, 1, 4096));
-      MemorySource src(doc);
+      const size_t chunk =
+          static_cast<size_t>(xmlgen::Uniform(&rng, 1, 4096));
       std::vector<StringSink> sinks(static_cast<size_t>(n));
       std::vector<OutputSink*> ptrs;
       for (StringSink& s : sinks) ptrs.push_back(&s);
@@ -726,12 +710,17 @@ TEST(FuzzDiffTest, MultiQueryMixesMatchIndependentRuns) {
       mq->RouteSinks(ptrs, &owned, &unique_sinks);
       std::vector<QueryRunStats> unique_stats;
       RunStats stats;
-      Status s = parallel::StreamRun(*mq->shared_tables(), src, unique_sinks,
-                                     &unique_stats, &stats, sopts);
+      PrefilterSession session(*mq->shared_tables(), unique_sinks,
+                               &unique_stats, &stats, eopts);
+      Status s;
+      for (size_t off = 0; off < doc.size() && s.ok(); off += chunk) {
+        s = session.Resume(std::string_view(doc).substr(off, chunk));
+      }
+      if (s.ok()) s = session.Finish();
       ASSERT_TRUE(s.ok()) << s.ToString();
       std::vector<QueryRunStats> qstats;
       mq->ExpandStats(unique_stats, &qstats);
-      check("streaming", sinks, qstats);
+      check("chunked, chunk=" + std::to_string(chunk), sinks, qstats);
     }
   }
 }

@@ -18,7 +18,8 @@
 //    Status, never wrong bytes;
 //  - one cursor step at smpxd's 1 MiB default window requests under
 //    64 KiB from the heap (a byte count from a counting operator new), and
-//    a StreamRun over a resident 4 MB document well under one chunk.
+//    a RunEngine run over a resident 4 MB document well under one of its
+//    1 MiB read pieces.
 
 #include <algorithm>
 #include <atomic>
@@ -36,7 +37,6 @@
 #include "core/prefilter.h"
 #include "index/boundary_index.h"
 #include "index/cursor.h"
-#include "parallel/batch.h"
 #include "parallel/boundary_scan.h"
 #include "simd/simd.h"
 #include "xml/tokenizer.h"
@@ -849,10 +849,11 @@ TEST(CursorAllocationTest, NextAtServerWindowAllocatesNoWindowBuffer) {
   }
 }
 
-TEST(StreamRunAllocationTest, ResidentSourceAllocatesNoChunkBuffer) {
-  // StreamRun over a resident source feeds its chunks in place, so a run
-  // at the default chunk size must not allocate anything near one chunk.
-  // A byte count, not a timing, so CI noise cannot hide the regression.
+TEST(RunEngineAllocationTest, ResidentSourceAllocatesNoReadBuffer) {
+  // RunEngine hands a resident source to the session in place, so a run
+  // must not allocate anything near the 1 MiB piece it reads any other
+  // source in. A byte count, not a timing, so CI noise cannot hide the
+  // regression.
   core::Prefilter pf = CompileMedline();
   const std::string doc = MedlineDoc(4 << 20);
   const MemorySource src(doc);
@@ -860,12 +861,12 @@ TEST(StreamRunAllocationTest, ResidentSourceAllocatesNoChunkBuffer) {
   core::RunStats stats;
   g_new_bytes = 0;
   g_count_new = true;
-  Status s = parallel::StreamRun(pf.tables(), src, {&sink}, nullptr, &stats);
+  Status s = core::RunEngine(pf.tables(), &src, &sink, &stats);
   g_count_new = false;
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(stats.input_bytes, doc.size());
   EXPECT_GT(sink.bytes_written(), 0u);
-  EXPECT_LT(g_new_bytes.load(), parallel::StreamOptions{}.chunk_bytes / 8);
+  EXPECT_LT(g_new_bytes.load(), (uint64_t{1} << 20) / 8);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Differential suite for the multi-query projection engine (src/query):
 // N queries compiled into one shared product DFA must emit, for EVERY
-// original query and under EVERY driver (serial one-pass, chunked
-// streaming, speculative sharding at 1/2/4/7 threads and with more
-// segments than workers, streaming batch),
+// original query and under EVERY driver (serial one-pass, a session fed
+// in chunks, speculative sharding at 1/2/4/7 threads and with more
+// segments than workers, the batch driver),
 // output byte-identical to that query's independent single-query serial
 // run -- the paper's per-query projection semantics are the oracle, the
 // product automaton is the implementation under test. Also covered:
@@ -12,8 +12,9 @@
 // N=65 mask-word spill (two uint64_t words per state), fused-superset
 // projection safety per Definition 2, the rejection surface (recursive
 // DTDs, map dispatch, sink counts that do not match the tables, boundary
-// indexing over product tables), and the N=1 degenerate case of the
-// drivers' one-sink-per-query contract on single-query tables.
+// indexing and the merged batch over product tables), and the N=1
+// degenerate case of the drivers' one-sink-per-query contract on
+// single-query tables.
 
 #include <cstdint>
 #include <memory>
@@ -119,12 +120,9 @@ void ExpectAllDriversIdentical(const MultiQuery& mq, std::string_view doc,
     EXPECT_EQ(stats.input_bytes, doc.size());
   }
 
-  // Chunked streaming at several granularities.
+  // A session fed in chunks at several granularities.
   for (size_t chunk : {7u, 333u, 1u << 20}) {
     SCOPED_TRACE(chunk);
-    parallel::StreamOptions sopts;
-    sopts.chunk_bytes = chunk;
-    MemorySource src(doc);
     std::vector<StringSink> sinks(static_cast<size_t>(nq));
     std::vector<OutputSink*> ptrs;
     for (auto& s : sinks) ptrs.push_back(&s);
@@ -132,8 +130,13 @@ void ExpectAllDriversIdentical(const MultiQuery& mq, std::string_view doc,
     std::vector<OutputSink*> unique_sinks;
     mq.RouteSinks(ptrs, &owned, &unique_sinks);
     std::vector<core::QueryRunStats> uq_stats;
-    Status s = parallel::StreamRun(mq.tables(), src, unique_sinks, &uq_stats,
-                                   nullptr, sopts);
+    core::PrefilterSession session(mq.tables(), unique_sinks, &uq_stats,
+                                   nullptr);
+    Status s;
+    for (size_t off = 0; off < doc.size() && s.ok(); off += chunk) {
+      s = session.Resume(std::string_view(doc).substr(off, chunk));
+    }
+    if (s.ok()) s = session.Finish();
     ASSERT_TRUE(s.ok()) << s.ToString();
     std::vector<core::QueryRunStats> qstats;
     mq.ExpandStats(uq_stats, &qstats);
@@ -164,13 +167,11 @@ void ExpectAllDriversIdentical(const MultiQuery& mq, std::string_view doc,
     EXPECT_EQ(stats.input_bytes, doc.size());
   }
 
-  // Streaming batch driver (the document twice), bounded chunks: each
-  // (document, unique query) segment is copied into that document's routed
-  // sinks as the frontier hands it over.
+  // Batch driver (the document twice): each (document, unique query)
+  // segment is copied into that document's routed sinks as the frontier
+  // hands it over.
   {
     parallel::ThreadPool pool(3);
-    parallel::StreamOptions sopts;
-    sopts.chunk_bytes = 1024;
     MemorySource src(doc);
     std::vector<const InputSource*> docs = {&src, &src};
     std::vector<std::vector<StringSink>> sinks(
@@ -185,10 +186,10 @@ void ExpectAllDriversIdentical(const MultiQuery& mq, std::string_view doc,
     std::vector<std::vector<core::QueryRunStats>> doc_qstats;
     std::vector<Status> statuses = parallel::BatchRunStreaming(
         mq.tables(), docs,
-        [&doc_sinks](size_t d, size_t u, SpillSink* seg) {
+        [&doc_sinks](size_t d, size_t u, const Status&, SpillSink* seg) {
           return seg != nullptr ? seg->CopyTo(doc_sinks[d][u]) : Status::Ok();
         },
-        &doc_qstats, nullptr, &pool, sopts);
+        &doc_qstats, nullptr, &pool);
     for (size_t d = 0; d < 2; ++d) {
       ASSERT_TRUE(statuses[d].ok()) << statuses[d].ToString();
       std::vector<core::QueryRunStats> qstats;
@@ -533,7 +534,7 @@ TEST(MultiQueryTest, SingleQueryDriversRejectProductTables) {
     auto idx = index::BoundaryIndex::Build(mq.tables(), MemorySource(doc));
     EXPECT_FALSE(idx.ok());
   }
-  {  // Wrong sink count fails closed, sharded and streaming alike.
+  {  // Wrong sink count fails closed, sharded, serial and merged alike.
     parallel::ThreadPool pool(2);
     StringSink sink;
     std::vector<OutputSink*> sinks = {&sink};
@@ -541,7 +542,12 @@ TEST(MultiQueryTest, SingleQueryDriversRejectProductTables) {
                                     &pool, {});
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
     MemorySource src(doc);
-    s = parallel::StreamRun(mq.tables(), src, sinks, nullptr, nullptr, {});
+    s = core::RunEngine(mq.tables(), &src, sinks, nullptr, nullptr);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    // The merged batch has one output, so product tables fail before any
+    // document runs.
+    s = parallel::BatchRunStreamingMerged(mq.tables(), {&src}, &sink, nullptr,
+                                          &pool);
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
     EXPECT_TRUE(sink.str().empty());
   }
@@ -549,7 +555,7 @@ TEST(MultiQueryTest, SingleQueryDriversRejectProductTables) {
 
 TEST(MultiQueryTest, OneSinkOnSingleQueryTablesMatchesTheSingleSinkPath) {
   // The N-sink drivers degenerate to N=1 on ordinary single-query tables:
-  // StreamRun, the N-sink ShardedRun and the batch driver, each given one
+  // RunEngine, the N-sink ShardedRun and the batch driver, each given one
   // sink, must emit the serial engine's bytes and RunStats, and the
   // N-sink ShardedRun must equal the single-sink overload.
   xmlgen::XmarkOptions gen;
@@ -580,15 +586,12 @@ TEST(MultiQueryTest, OneSinkOnSingleQueryTablesMatchesTheSingleSinkPath) {
 
   MemorySource src(doc);
   {
-    parallel::StreamOptions sopts;
-    sopts.chunk_bytes = 333;
     StringSink sink;
     core::RunStats stats;
     std::vector<core::QueryRunStats> qstats;
-    Status s =
-        parallel::StreamRun(pf->tables(), src, {&sink}, &qstats, &stats, sopts);
+    Status s = core::RunEngine(pf->tables(), &src, {&sink}, &qstats, &stats);
     ASSERT_TRUE(s.ok()) << s.ToString();
-    expect_serial(sink.str(), stats, qstats, "StreamRun");
+    expect_serial(sink.str(), stats, qstats, "RunEngine");
   }
   for (int threads : {1, 4}) {
     SCOPED_TRACE(threads);
@@ -618,7 +621,6 @@ TEST(MultiQueryTest, OneSinkOnSingleQueryTablesMatchesTheSingleSinkPath) {
   {
     parallel::ThreadPool pool(3);
     parallel::StreamOptions sopts;
-    sopts.chunk_bytes = 1000;
     sopts.max_buffer_bytes = 64;
     std::vector<const InputSource*> docs = {&src, &src, &src};
     std::vector<StringSink> sinks(docs.size());
@@ -626,7 +628,7 @@ TEST(MultiQueryTest, OneSinkOnSingleQueryTablesMatchesTheSingleSinkPath) {
     std::vector<core::RunStats> stats;
     std::vector<Status> statuses = parallel::BatchRunStreaming(
         pf->tables(), docs,
-        [&sinks](size_t d, size_t u, SpillSink* seg) {
+        [&sinks](size_t d, size_t u, const Status&, SpillSink* seg) {
           EXPECT_EQ(u, 0u);
           return seg != nullptr ? seg->CopyTo(&sinks[d]) : Status::Ok();
         },

@@ -1394,7 +1394,7 @@ TEST(ShardedRunTest, InitialJumpPastABoundaryReruns) {
       "</open_auctions><people><person id=\"p2\"><name>B</name></person>"
       "</people><closed_auctions></closed_auctions></site>";
   ASSERT_EQ(doc.size(), 470u);
-  MemoryInputStream in(doc);
+  MemorySource in(doc);
   StringSink serial_sink;
   const Status serial = pf.Run(&in, &serial_sink);
   ASSERT_FALSE(serial.ok());
@@ -1679,7 +1679,7 @@ TEST(ShardedRunTest, TruncatedDocumentFailsLikeSerial) {
   std::string doc = "<a>";
   for (int i = 0; i < 50; ++i) doc += "<b>x</b>";
   // No closing </a>.
-  MemoryInputStream in(doc);
+  MemorySource in(doc);
   StringSink serial_sink;
   Status serial = pf.Run(&in, &serial_sink);
   ASSERT_FALSE(serial.ok());
@@ -1711,8 +1711,9 @@ TEST(BatchRunTest, PerDocumentErrorsAreIsolatedAndOrdered) {
   std::vector<std::string> outputs(docs.size());
   std::vector<Status> statuses = parallel::BatchRunStreaming(
       pf.tables(), srcs,
-      [&outputs](size_t doc, size_t query, SpillSink* seg) {
+      [&outputs](size_t doc, size_t query, const Status& run, SpillSink* seg) {
         EXPECT_EQ(query, 0u);
+        EXPECT_EQ(run.ok(), doc != 1) << doc;  // the writer sees the run
         StringSink sink;
         Status s = seg != nullptr ? seg->CopyTo(&sink) : Status::Ok();
         outputs[doc] = sink.TakeString();
@@ -1759,7 +1760,6 @@ TEST(BatchRunTest, StreamingMergedMatchesBufferedMergeAcrossBudgets) {
     for (size_t budget : {size_t{0}, size_t{1}, size_t{57}}) {
       SCOPED_TRACE(budget);
       parallel::StreamOptions sopts;
-      sopts.chunk_bytes = 73;
       sopts.max_buffer_bytes = budget;
       StringSink sink;
       RunStats stats;
@@ -1800,6 +1800,44 @@ TEST(BatchRunTest, StreamingMergedStopsAtTheFirstError) {
   EXPECT_EQ(sink.str(), "<a><b>ok1</b></a><a><b>ok2</b></a>");
 }
 
+TEST(BatchRunTest, ResidentDocumentRunStatsEqualTheSerialRun) {
+  // Each batch document is one RunEngine run, and a resident one is a
+  // single Finish: every RunStats field equals the serial run's, search
+  // counters and window_peak included. Feeding the document in 1 MiB
+  // pieces instead restarts a keyword search at every cut.
+  xmlgen::XmarkOptions gen;
+  gen.target_bytes = 4 << 20;
+  const std::string doc = xmlgen::GenerateXmark(gen);
+  ASSERT_GT(doc.size(), size_t{1} << 20);
+  Prefilter pf = Compile(xmlgen::XmarkDtdText(),
+                         "/site/people/person@ /site/people/person/name#");
+  RunStats serial;
+  const std::string expected = SerialRun(pf, doc, &serial);
+  const MemorySource src(doc);
+  parallel::ThreadPool pool(2);
+  std::vector<RunStats> stats;
+  std::vector<Status> statuses = parallel::BatchRunStreaming(
+      pf.tables(), {&src},
+      [&expected](size_t, size_t, const Status&, SpillSink* seg) {
+        StringSink sink;
+        EXPECT_TRUE(seg->CopyTo(&sink).ok());
+        EXPECT_EQ(sink.str(), expected);
+        return Status::Ok();
+      },
+      nullptr, &stats, &pool);
+  ASSERT_TRUE(statuses[0].ok()) << statuses[0].ToString();
+  SCOPED_TRACE("BatchRunStreaming");
+  ExpectSameRunStats(stats[0], serial);
+  StringSink merged;
+  RunStats merged_stats;
+  ASSERT_TRUE(parallel::BatchRunStreamingMerged(pf.tables(), {&src}, &merged,
+                                                &merged_stats, &pool)
+                  .ok());
+  EXPECT_EQ(merged.str(), expected);
+  SCOPED_TRACE("BatchRunStreamingMerged");
+  ExpectSameRunStats(merged_stats, serial);
+}
+
 // --- InputSource / mmap ---------------------------------------------------
 
 TEST(BatchRunTest, StreamingToFilesWritesEveryDocumentWithErrorIsolation) {
@@ -1834,7 +1872,6 @@ TEST(BatchRunTest, StreamingToFilesWritesEveryDocumentWithErrorIsolation) {
     SCOPED_TRACE(budget);
     parallel::ThreadPool pool(4);
     parallel::StreamOptions opts;
-    opts.chunk_bytes = 13;
     opts.max_buffer_bytes = budget;
     // The writer opens each document's file only when the frontier hands
     // it the segment: calls arrive in document order, one at a time, so
@@ -1844,7 +1881,7 @@ TEST(BatchRunTest, StreamingToFilesWritesEveryDocumentWithErrorIsolation) {
     std::vector<RunStats> stats;
     std::vector<Status> statuses = parallel::BatchRunStreaming(
         pf.tables(), srcs,
-        [&](size_t doc, size_t query, SpillSink* seg) {
+        [&](size_t doc, size_t query, const Status&, SpillSink* seg) {
           EXPECT_EQ(open_files.fetch_add(1), 0);
           EXPECT_EQ(doc, next_doc++);
           EXPECT_EQ(query, 0u);
@@ -1889,7 +1926,7 @@ TEST(BatchRunTest, WriterErrorStopsTheFrontierAndIsReported) {
   std::vector<size_t> written;
   std::vector<Status> statuses = parallel::BatchRunStreaming(
       pf.tables(), srcs,
-      [&written](size_t doc, size_t, SpillSink*) {
+      [&written](size_t doc, size_t, const Status&, SpillSink*) {
         if (doc == 2) return Status::IoError("disk full");
         written.push_back(doc);
         return Status::Ok();
@@ -1929,9 +1966,8 @@ TEST(InputSourceTest, MmapSourceReadsFileAndStreams) {
   const char dtd[] =
       "<!DOCTYPE a [ <!ELEMENT a (b)*> <!ELEMENT b (#PCDATA)> ]>";
   Prefilter pf = Compile(dtd, "/a/b#");
-  MemoryInputStream stream((*src)->Contiguous());
   StringSink sink;
-  ASSERT_TRUE(pf.Run(&stream, &sink).ok());
+  ASSERT_TRUE(pf.Run(src->get(), &sink).ok());
   EXPECT_EQ(sink.str(), content);
   std::remove(path.c_str());
 }

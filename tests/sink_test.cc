@@ -2,7 +2,8 @@
 // exactly-at-budget, spill-then-replay, reuse after Clear), BufferedFileSink
 // write coalescing and sticky short-write failures with idempotent Flush,
 // OrderedCommitSink in-order/out-of-order commit, truncation, duplicate
-// installs, and concurrent installs from a thread pool.
+// installs, segments freed once an error sticks, and concurrent installs
+// from a thread pool.
 
 #include <cstdio>
 #include <memory>
@@ -352,6 +353,42 @@ TEST(OrderedCommitSinkTest, CommitErrorStopsTheFrontierForGood) {
   EXPECT_EQ(commit.frontier(), 1u);
   EXPECT_FALSE(commit.finished());
   EXPECT_EQ(commit.status(), s);
+}
+
+/// A segment that counts its own destruction.
+class CountedSegment : public SpillSink {
+ public:
+  CountedSegment(const std::string& content, int* destroyed)
+      : destroyed_(destroyed) {
+    EXPECT_TRUE(Append(content).ok());
+  }
+  ~CountedSegment() override { ++*destroyed_; }
+
+ private:
+  int* destroyed_;
+};
+
+TEST(OrderedCommitSinkTest, SegmentsAreFreedOnceAnErrorSticks) {
+  // After a sticky error the frontier never moves, so nothing may wait for
+  // it: segments parked ahead of the failure are freed when it sticks, and
+  // later installs are freed at once, returning the error.
+  FailingSink down(4);
+  OrderedCommitSink commit(&down, 4);
+  int destroyed = 0;
+  ASSERT_TRUE(
+      commit.Install(2, std::make_unique<CountedSegment>("parked", &destroyed))
+          .ok());
+  EXPECT_EQ(destroyed, 0);
+  ASSERT_TRUE(commit.Install(0, Segment("okay")).ok());
+  const Status s = commit.Install(1, Segment("does not fit"));
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(destroyed, 1) << "the parked segment outlived the error";
+  EXPECT_EQ(commit.Install(3, std::make_unique<CountedSegment>("late",
+                                                               &destroyed)),
+            s);
+  EXPECT_EQ(destroyed, 2) << "a later install was kept";
+  EXPECT_EQ(down.str(), "okay");
+  EXPECT_EQ(commit.frontier(), 1u);
 }
 
 // --- SpillArena -----------------------------------------------------------

@@ -12,9 +12,11 @@
 //   smpx --dtd schema.dtd --query-file mix.txt --batch a.xml b.xml
 //
 // Reads stdin/writes stdout when files are omitted; all output goes
-// through a write-coalescing BufferedFileSink. File inputs are mmap'ed
-// (sequential madvise). An output file that is one of the inputs (the
-// same device and inode, under any name) is refused before any output is
+// through a write-coalescing BufferedFileSink. Every input is resident:
+// files are mmap'ed (sequential madvise) and stdin is read into memory
+// (an unreadable stdin fails as a read error), and each run scans those
+// bytes in place. An output file that is one of the inputs (the same
+// device and inode, under any name) is refused before any output is
 // opened.
 //
 // After compilation every run takes one pipeline for 1..N queries. It
@@ -33,9 +35,10 @@
 //    order as verification succeeds -- a multi-GB single document stays
 //    shardable at O(threads x (window + budget)) resident memory. One
 //    thread, or tables without split keywords, run one serial session.
-//  - --batch: the documents are prefiltered concurrently, each *streamed*
-//    through its session in bounded chunks, and every output file (in.xml
-//    -> in.proj.xml, in.proj.q1.xml, ...) is written through the
+//  - --batch: the documents are prefiltered concurrently, each one
+//    serial engine run over its mapped bytes (the window stays bounded as
+//    in a single-document run), and every output file (in.xml ->
+//    in.proj.xml, in.proj.q1.xml, ...) is written through the
 //    ordered-commit machinery, so at most one is open at a time
 //    regardless of batch size.
 //  - --batch --out FILE (single query): the outputs are concatenated in
@@ -91,7 +94,7 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s --dtd FILE (--paths LIST | --paths-file FILE | --query XQ\n"
       "          | --query-file FILE)\n"
-      "          [--stats] [--tables] [--window SIZE] [--chunk SIZE]\n"
+      "          [--stats] [--tables] [--window SIZE]\n"
       "          [--max-buffer SIZE] [--threads N] [--batch] [--out FILE]\n"
       "          [--fused]\n"
       "          [--index-build FILE [--index-granularity SIZE]\n"
@@ -127,8 +130,8 @@ int Usage(const char* argv0) {
       "                  tables have none; with --batch, the documents\n"
       "                  are prefiltered concurrently\n"
       "  --batch         every positional argument is an input file; each\n"
-      "                  is streamed through the prefilter in bounded\n"
-      "                  chunks and written to its own output file\n"
+      "                  is prefiltered by one serial run over its mapped\n"
+      "                  bytes and written to its own output file\n"
       "                  (in.xml -> in.proj.xml). With --out FILE (one\n"
       "                  query only), outputs are instead concatenated\n"
       "                  into FILE in argument order through the\n"
@@ -139,18 +142,17 @@ int Usage(const char* argv0) {
       "                  output file; then one summary line (time is\n"
       "                  compile plus run; multi-query mode appends\n"
       "                  'queries=N unique=U')\n"
-      "  --chunk S       streaming read granularity in batch mode\n"
-      "                  (default 1M): bytes fed to a session per resume\n"
       "  --max-buffer S  output buffering budget (default 64M, 0 =\n"
       "                  unbounded): each thread's shards together, or\n"
       "                  each batch document, buffer at most S projected\n"
       "                  bytes in memory and overflow to an unlinked temp\n"
       "                  file until their turn in the document-order\n"
-      "                  commit. Peak resident memory is O(threads x\n"
-      "                  (window + chunk + max-buffer)) regardless of\n"
-      "                  input size; shrink --max-buffer (and --chunk) to\n"
-      "                  shard multi-GB documents on small machines, grow\n"
-      "                  them to avoid spill I/O when memory is plentiful\n"
+      "                  commit. Besides the mapped input pages, which\n"
+      "                  the kernel can reclaim, peak resident memory is\n"
+      "                  O(threads x (window + max-buffer)) regardless of\n"
+      "                  input size; shrink --max-buffer to shard multi-GB\n"
+      "                  documents on small machines, grow it to avoid\n"
+      "                  spill I/O when memory is plentiful\n"
       "  --index-build F index one document for random access in one\n"
       "                  serial pass: record the engine checkpoint at\n"
       "                  top-level element boundaries (one per\n"
@@ -211,7 +213,8 @@ std::vector<smpx::Status> RunBatchToFiles(
   std::vector<smpx::Status> file_status(srcs.size());
   std::vector<smpx::Status> statuses = smpx::parallel::BatchRunStreaming(
       tables, srcs,
-      [&](size_t doc, size_t query, smpx::SpillSink* segment) {
+      [&](size_t doc, size_t query, const smpx::Status&,
+          smpx::SpillSink* segment) {
         for (const std::string& path : files[doc][query]) {
           auto file = smpx::BufferedFileSink::Open(path);
           smpx::Status s = file.status();
@@ -228,15 +231,6 @@ std::vector<smpx::Status> RunBatchToFiles(
     if (statuses[i].ok()) statuses[i] = file_status[i];
   }
   return statuses;
-}
-
-/// Reads all of stdin.
-std::string ReadStdin() {
-  std::string out;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), stdin)) > 0) out.append(buf, n);
-  return out;
 }
 
 /// Opens an input file: mapped (sequential madvise), or read through
@@ -311,7 +305,6 @@ int main(int argc, char** argv) {
   bool batch_flag = false;
   int threads = 1;
   size_t window = smpx::SlidingWindow::kDefaultCapacity;
-  size_t chunk = 1 << 20;
   size_t max_buffer = 64 << 20;
   std::string index_build_file;
   std::string index_file;
@@ -390,9 +383,6 @@ int main(int argc, char** argv) {
       out_file = v;
     } else if (arg == "--window") {
       if (!next_size(&window)) return Usage(argv[0]);
-    } else if (arg == "--chunk") {
-      if (!next_size(&chunk)) return Usage(argv[0]);
-      if (chunk == 0) chunk = 1;
     } else if (arg == "--max-buffer") {
       if (!next_size(&max_buffer)) return Usage(argv[0]);
     } else if (arg == "--index-build") {
@@ -746,7 +736,12 @@ int main(int argc, char** argv) {
   std::string stdin_buffer;
   std::vector<std::unique_ptr<smpx::InputSource>> sources;
   if (inputs.empty()) {
-    stdin_buffer = ReadStdin();
+    auto read = smpx::ReadStdioToString(stdin);
+    if (!read.ok()) {
+      std::fprintf(stderr, "stdin: %s\n", read.status().ToString().c_str());
+      return 1;
+    }
+    stdin_buffer = std::move(*read);
     sources.push_back(std::make_unique<smpx::MemorySource>(stdin_buffer));
   }
   for (const std::string& path : inputs) {
@@ -882,7 +877,6 @@ int main(int argc, char** argv) {
   smpx::parallel::ThreadPool pool(threads);
   smpx::parallel::StreamOptions sopts;
   sopts.engine = eopts;
-  sopts.chunk_bytes = chunk;
   sopts.max_buffer_bytes = max_buffer;
   std::vector<const smpx::InputSource*> srcs;
   for (const auto& src : sources) srcs.push_back(src.get());
@@ -890,13 +884,12 @@ int main(int argc, char** argv) {
   int failures = 0;
 
   if (per_input) {
-    // Streaming batch with per-input output files: every document is
-    // pulled through its own session in bounded chunks into budgeted
-    // segments (one per unique query), and segments are written to their
-    // files in document order through the ordered-commit machinery -- at
-    // most one output file open at a time, so thousand-document batches do
-    // not exhaust fd limits, and peak memory never depends on document
-    // size. Errors are isolated per document; stats stay in argument order.
+    // Batch with per-input output files: every document runs through its
+    // own session into budgeted segments (one per unique query), and
+    // segments are written to their files in document order through the
+    // ordered-commit machinery -- at most one output file open at a time,
+    // so thousand-document batches do not exhaust fd limits. Errors are
+    // isolated per document; stats stay in argument order.
     std::vector<std::vector<std::vector<std::string>>> files;
     for (size_t i = 0; i < names.size(); ++i) {
       files.emplace_back(smpx::core::QueryCount(tables));
@@ -935,8 +928,8 @@ int main(int argc, char** argv) {
     smpx::Status s;
     if (batch_flag) {
       // --batch --out (single query): concatenate in argument order
-      // through the budgeted ordered-commit pipeline (documents stream,
-      // completed ones park on disk until their turn).
+      // through the budgeted ordered-commit pipeline (completed documents
+      // park on disk until their turn).
       s = smpx::parallel::BatchRunStreamingMerged(tables, srcs, sinks[0],
                                                  &stats, &pool, sopts);
     } else {
